@@ -56,8 +56,8 @@ class AgentParams:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
 
 class Environment(ABC):

@@ -10,9 +10,11 @@ number of available processors).
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -51,6 +53,17 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_int(value) -> int:
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return value
+
+
 def make_env(env_cfg: dict) -> Environment:
     """Build an environment from its config block (``name`` plus parameters)."""
     if not isinstance(env_cfg, dict):
@@ -59,6 +72,13 @@ def make_env(env_cfg: dict) -> Environment:
     if not isinstance(name, str):
         raise ConfigError("environment.name", "missing or not a string")
     params = {k: v for k, v in env_cfg.items() if k != "name"}
+
+    def take(key: str, default, convert):
+        """Pop parameter ``key`` and convert it; failures name that key."""
+        try:
+            return convert(params.pop(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"environment.{key}", str(exc)) from exc
 
     def reject_unknown() -> None:
         if params:
@@ -70,13 +90,10 @@ def make_env(env_cfg: dict) -> Environment:
         if variant not in BUILTIN_TREES:
             raise ConfigError("environment.name", f"unknown built-in tree {variant!r}")
         if variant == "fig6":
-            k = params.pop("k", 10)
-            distance = params.pop("distance", 10)
+            k = take("k", 10, _positive_int)
+            distance = take("distance", 10, _positive_int)
             reject_unknown()
-            try:
-                return RoadTreeEnv(fig6_tree(k=int(k), distance=int(distance)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("environment.k", str(exc)) from exc
+            return RoadTreeEnv(fig6_tree(k=k, distance=distance))
         reject_unknown()
         return RoadTreeEnv(BUILTIN_TREES[variant]())
     if name == "roadtree":
@@ -89,21 +106,15 @@ def make_env(env_cfg: dict) -> Environment:
         except ValueError as exc:
             raise ConfigError("environment.tree", str(exc)) from exc
     if name == "shooter":
-        obstacle_rows = params.pop("obstacle_rows", (4, 5, 6))
-        max_steps = params.pop("max_steps", 200)
+        max_steps = take("max_steps", 200, _positive_int)
+        config = take("obstacle_rows", (4, 5, 6), lambda rows: ShooterConfig(tuple(rows), max_steps))
         reject_unknown()
-        try:
-            return ShooterEnv(ShooterConfig(tuple(obstacle_rows), int(max_steps)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("environment.obstacle_rows", str(exc)) from exc
+        return ShooterEnv(config)
     if name == "tennis":
-        p_optimal = params.pop("p_optimal", 0.8)
-        max_steps = params.pop("max_steps", 1000)
+        max_steps = take("max_steps", 1000, _positive_int)
+        config = take("p_optimal", 0.8, lambda p: TennisConfig(float(p), max_steps))
         reject_unknown()
-        try:
-            return TennisEnv(TennisConfig(float(p_optimal), int(max_steps)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("environment.p_optimal", str(exc)) from exc
+        return TennisEnv(config)
     raise ConfigError("environment.name", f"unknown environment {name!r}")
 
 
@@ -122,14 +133,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHM_NAMES:
             raise ConfigError("algorithm", f"unknown algorithm {self.algorithm!r}")
-        if not isinstance(self.episodes, int) or self.episodes < 1:
-            raise ConfigError("episodes", "must be a positive integer")
-        if not isinstance(self.runs, int) or self.runs < 1:
-            raise ConfigError("runs", "must be a positive integer")
-        if not isinstance(self.seed, int):
+        for key in ("episodes", "runs", "window"):
+            value = getattr(self, key)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(key, "must be a positive integer")
+        if not _is_int(self.seed):
             raise ConfigError("seed", "must be an integer")
-        if not isinstance(self.window, int) or self.window < 1:
-            raise ConfigError("window", "must be a positive integer")
+        q_init = self.q_init
+        if isinstance(q_init, bool) or not isinstance(q_init, Real) or not math.isfinite(q_init):
+            raise ConfigError("q_init", f"must be a finite number, got {q_init!r}")
         if self.cvs_order not in (ORDER_ACCUMULATE, ORDER_LITERAL):
             raise ConfigError("cvs_order", f"must be '{ORDER_ACCUMULATE}' or '{ORDER_LITERAL}'")
         make_env(self.environment)
@@ -144,22 +156,21 @@ class RunResult:
     greedy_optimal: list[bool] | None = None
 
 
-def greedy_policy_return(env: Environment, q: QTable, max_steps: int = 100_000) -> float:
-    """Roll out the greedy policy (ties to the lowest action) and sum rewards.
+def greedy_policy_return(env: RoadTreeEnv, q: QTable) -> float:
+    """Undiscounted return of the greedy policy (ties to the lowest action).
 
-    Only meaningful on deterministic environments such as road trees.
+    Walks ``env.junction_moves`` from junction to junction.  Road states have
+    one action and pay exactly 0.0, which leaves a float sum unchanged, so the
+    result equals a step-by-step rollout's bit for bit.  Trees are acyclic, so
+    the walk ends.
     """
-    rng = np.random.default_rng(0)
-    s = env.reset(rng)
+    moves = env.junction_moves
+    s = env.root_state
     total = 0.0
-    for _ in range(max_steps):
-        a = greedy_actions(q, s)[0]
-        tr = env.step(s, a, rng)
-        total += tr.reward
-        if tr.terminal:
-            return total
-        s = tr.next_state
-    raise RuntimeError("greedy rollout did not terminate")
+    while s is not None:
+        reward, s = moves[s][greedy_actions(q, s)[0]]
+        total += reward
+    return total
 
 
 def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:

@@ -281,6 +281,9 @@ class RoadTreeEnv(Environment):
         nxt: list[list[int]] = [[] for _ in range(n)]
         rew: list[list[float]] = [[] for _ in range(n)]
         term: list[list[bool]] = [[] for _ in range(n)]
+        # junction state -> per action (child node reward, child junction state
+        # or None for a terminal child): the tree with its roads contracted.
+        moves: dict[StateId, list[tuple[float, StateId | None]]] = {}
 
         # Rebuild the chains; allocation above fixed the ids, so walk edges in
         # the same order to wire transitions.
@@ -301,11 +304,13 @@ class RoadTreeEnv(Environment):
 
         for p in order:
             p_state = node_state[p]
+            moves[p_state] = []
             for e in tree.children(p):
                 child = tree.node(e.child)
                 chain = chain_ids(e)
                 c_state = node_state[child.id]
                 entering_terminal = child.kind == KIND_TERMINAL
+                moves[p_state].append((child.reward, None if entering_terminal else c_state))
                 entry = (
                     Transition(child.reward, sink, True)
                     if entering_terminal
@@ -334,6 +339,7 @@ class RoadTreeEnv(Environment):
         self._terminal_flag = term
         self._counts = np.array([len(row) for row in nxt], dtype=np.int16)
         self._crit = np.array([0.0 if k == KIND_ROAD else 1.0 for k in kinds])
+        self.junction_moves = moves
 
     @property
     def num_states(self) -> int:

@@ -90,6 +90,25 @@ def test_bad_value_exits_two_and_names_the_key(tmp_path, capsys):
     assert "episodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"q_init": "abc"}, "q_init"),
+        ({"q_init": True}, "q_init"),
+        ({"episodes": True}, "episodes"),
+        ({"runs": True}, "runs"),
+        ({"window": True}, "window"),
+        ({"seed": True}, "seed"),
+        ({"algorithms": [{"label": "x", "algorithm": "nstep_sarsa", "n": 2.5}]}, "algorithms[0]"),
+        ({"algorithms": [{"label": "x", "algorithm": "nstep_sarsa", "n": True}]}, "algorithms[0]"),
+    ],
+)
+def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path / "demo.json", **overrides)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+
+
 def test_unknown_top_level_key_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "demo.json", flavor="spicy")
     assert main(["run", str(cfg)]) == 2

@@ -31,6 +31,8 @@ def test_agent_params_defaults():
         ({"lam": -0.5}, "lambda"),
         ({"lam": 1.5}, "lambda"),
         ({"n": 0}, "n"),
+        ({"n": 2.5}, "n"),
+        ({"n": True}, "n"),
     ],
 )
 def test_agent_params_rejects_bad_values(kwargs, fragment):

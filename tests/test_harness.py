@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvslab import (
     AgentParams,
@@ -12,17 +14,23 @@ from cvslab import (
     RunResult,
     ShooterEnv,
     TennisEnv,
+    TreeEdge,
+    TreeNode,
+    TreeSpec,
     average_over_runs,
     episodes_to_convergence,
     episodes_to_threshold,
     fig3_tree,
+    greedy_actions,
     greedy_policy_return,
     make_env,
     q_update,
     run_experiment,
     running_average,
 )
+from cvslab import harness
 from cvslab.harness import _run_one
+from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 
 
 def small_cfg(**overrides):
@@ -100,6 +108,13 @@ def test_make_env_builds_every_name():
         ({"name": "tennis", "p_optimal": 7}, "environment.p_optimal"),
         ({"name": "shooter", "obstacle_rows": [55]}, "environment.obstacle_rows"),
         ({"name": "roadtree:fig6", "k": 0}, "environment.k"),
+        ({"name": "roadtree:fig6", "distance": 0}, "environment.distance"),
+        ({"name": "roadtree:fig6", "k": "many"}, "environment.k"),
+        ({"name": "shooter", "max_steps": 0}, "environment.max_steps"),
+        ({"name": "tennis", "max_steps": 0}, "environment.max_steps"),
+        ({"name": "tennis", "max_steps": 2.5}, "environment.max_steps"),
+        ({"name": "shooter", "max_steps": True}, "environment.max_steps"),
+        ({"name": "tennis", "p_optimal": "high"}, "environment.p_optimal"),
     ],
 )
 def test_make_env_names_offending_key(cfg, key):
@@ -113,8 +128,16 @@ def test_config_validation_names_offending_key():
         (small_cfg(algorithm="sarsa99"), "algorithm"),
         (small_cfg(episodes=0), "episodes"),
         (small_cfg(runs=0), "runs"),
+        (small_cfg(episodes=True), "episodes"),
+        (small_cfg(runs=True), "runs"),
         (small_cfg(seed=1.5), "seed"),
+        (small_cfg(seed=False), "seed"),
         (small_cfg(window=0), "window"),
+        (small_cfg(window=True), "window"),
+        (small_cfg(q_init="abc"), "q_init"),
+        (small_cfg(q_init=True), "q_init"),
+        (small_cfg(q_init=float("nan")), "q_init"),
+        (small_cfg(q_init=float("inf")), "q_init"),
         (small_cfg(cvs_order="sideways"), "cvs_order"),
         (small_cfg(environment={"name": "nope"}), "environment.name"),
     ]
@@ -203,3 +226,78 @@ def test_q_init_seeds_the_tables():
     cfg = small_cfg(q_init=5.0, episodes=1, runs=1)
     optimistic = run_experiment(cfg, max_workers=1)[0]
     assert optimistic.returns[0] in (1.0, 2.0)
+
+
+def greedy_rollout_return(env, q):
+    """Reference oracle check: drive the greedy policy (ties to the lowest
+    action) one environment step at a time and sum the rewards."""
+    rng = np.random.default_rng(0)
+    s = env.reset(rng)
+    total = 0.0
+    for _ in range(100_000):
+        tr = env.step(s, greedy_actions(q, s)[0], rng)
+        total += tr.reward
+        if tr.terminal:
+            return total
+        s = tr.next_state
+    raise RuntimeError("greedy rollout did not terminate")
+
+
+# Few distinct values, so greedy ties are common.
+Q_VALUES = (-1.0, 0.0, 1.0, 2.0)
+
+
+@st.composite
+def road_trees(draw):
+    """Valid trees of height <= 3, 1-3 children per junction, distances
+    1-30 and integer rewards."""
+    nodes = [TreeNode(0, float(draw(st.integers(-3, 3))), KIND_JUNCTION)]
+    edges = []
+
+    def grow(parent, depth):
+        for _ in range(draw(st.integers(1, 3))):
+            child = len(nodes)
+            junction = depth < 3 and draw(st.booleans())
+            kind = KIND_JUNCTION if junction else KIND_TERMINAL
+            nodes.append(TreeNode(child, float(draw(st.integers(-3, 7))), kind))
+            edges.append(TreeEdge(parent, child, draw(st.integers(1, 30))))
+            if junction:
+                grow(child, depth + 1)
+
+    grow(0, 1)
+    return TreeSpec(root=0, nodes=tuple(nodes), edges=tuple(edges))
+
+
+@settings(deadline=None)
+@given(
+    tree=road_trees(),
+    q_init=st.one_of(st.sampled_from(Q_VALUES), st.floats(-5.0, 5.0)),
+    data=st.data(),
+)
+def test_greedy_walk_matches_step_rollout(tree, q_init, data):
+    env = RoadTreeEnv(tree)
+    q = QTable.for_env(env, q_init)
+    for s, moves in env.junction_moves.items():
+        for a in range(len(moves)):
+            value = data.draw(st.one_of(st.none(), st.sampled_from(Q_VALUES)))
+            if value is not None:
+                q_update(q, s, a, value, 1.0)
+    walked = greedy_policy_return(env, q)
+    assert walked.hex() == greedy_rollout_return(env, q).hex()
+
+
+@pytest.mark.parametrize("q_init", [0.0, 5.0])
+@pytest.mark.parametrize("algorithm", ["cvs", "qlearning", "nstep_sarsa", "qlambda", "mc"])
+def test_run_flags_match_step_rollout(monkeypatch, algorithm, q_init):
+    cfg = small_cfg(
+        environment={"name": "roadtree:fig6", "k": 3, "distance": 3},
+        algorithm=algorithm,
+        episodes=40,
+        q_init=q_init,
+        params=AgentParams(n=3),
+    )
+    walked = _run_one(cfg, 0)
+    monkeypatch.setattr(harness, "greedy_policy_return", greedy_rollout_return)
+    rolled = _run_one(cfg, 0)
+    assert walked.returns == rolled.returns
+    assert walked.greedy_optimal == rolled.greedy_optimal
