@@ -3,10 +3,11 @@
 Five episodic learners over the shared :class:`~cvslab.core.QTable`:
 
 * ``cvs_episode`` - criticality-driven variable-stepnumber TD control: every
-  visited pair waits on a list, absorbing rewards, until the criticality of
-  the states encountered since has accumulated to 1; it then updates toward
-  the current on-policy pair.  Constant criticality 1 reduces it to 1-step
-  SARSA, constant 1/n to n-step SARSA, constant 0 to Monte-Carlo targets.
+  visited pair waits on a FIFO waitlist, absorbing rewards, until the
+  criticality of the states encountered since has accumulated to 1; it then
+  updates toward the current on-policy pair.  Constant criticality 1 reduces
+  it to 1-step SARSA, constant 1/n to n-step SARSA, constant 0 to Monte-Carlo
+  targets.
 * ``q_learning_episode`` - 1-step Q-Learning.
 * ``n_step_sarsa_episode`` - on-policy n-step SARSA.
 * ``watkins_qlambda_episode`` - Watkins Q(lambda) with accumulating traces,
@@ -14,12 +15,23 @@ Five episodic learners over the shared :class:`~cvslab.core.QTable`:
 * ``mc_episode`` - every-visit constant-alpha Monte-Carlo control.
 
 All of them pick actions with the same epsilon-greedy rule, mutate values
-only through ``q_update``, and treat the TERMINAL state as worth zero.
+only through ``q_update`` (Q(lambda) through its batched twin
+``q_update_traced``), and treat the TERMINAL state as worth zero.
+
+The cvs waitlist is a deque popped from the left: an older entry's
+criticality sum is a left-to-right float sum over a superset of a younger
+entry's non-negative terms, and float addition is monotone, so the mature
+entries are always a prefix.  Adding an exact zero reward or criticality
+leaves a sum unchanged, so those adds are skipped, and each entry's discount
+exponent comes from the step at which it was enqueued.  On the long roads of
+zero reward and zero criticality that trees are built from, upkeep is O(1)
+per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +42,9 @@ from .core import (
     QTable,
     epsilon_greedy,
     greedy_actions,
+    q_index,
     q_update,
+    q_update_traced,
 )
 
 ORDER_ACCUMULATE = "accumulate"
@@ -62,45 +76,6 @@ class EpisodeLog:
     updates: list[UpdateRecord] | None = None
 
 
-@dataclass
-class _WaitEntry:
-    state: int
-    action: int
-    reward_acc: float = 0.0
-    crt_cum: float = 0.0
-    steps: int = 0
-
-
-class EligibilityTraces:
-    """Accumulating eligibility traces, stored sparsely (absent means zero)."""
-
-    def __init__(self) -> None:
-        self._e: dict[tuple[int, int], float] = {}
-
-    def clear(self) -> None:
-        self._e.clear()
-
-    def bump(self, s: int, a: int) -> None:
-        key = (s, a)
-        self._e[key] = self._e.get(key, 0.0) + 1.0
-
-    def scale(self, factor: float) -> None:
-        if factor == 0.0:
-            self._e.clear()
-            return
-        for key in self._e:
-            self._e[key] *= factor
-
-    def get(self, s: int, a: int) -> float:
-        return self._e.get((s, a), 0.0)
-
-    def items(self) -> list[tuple[tuple[int, int], float]]:
-        return list(self._e.items())
-
-    def __len__(self) -> int:
-        return len(self._e)
-
-
 def cvs_episode(
     env: Environment,
     q: QTable,
@@ -129,9 +104,12 @@ def cvs_episode(
     if order not in (ORDER_ACCUMULATE, ORDER_LITERAL):
         raise ValueError(f"order must be '{ORDER_ACCUMULATE}' or '{ORDER_LITERAL}', got {order!r}")
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
+    accumulate = order == ORDER_ACCUMULATE
+    mature = 1.0 - _CRT_EPS
     trace = [] if record_trace else None
     updates = [] if record_updates else None
-    waitlist: list[_WaitEntry] = []
+    # Oldest first: [state, action, enqueue step, reward sum, criticality sum].
+    waitlist: deque[list] = deque()
     total = 0.0
     steps = 0
 
@@ -139,20 +117,21 @@ def cvs_episode(
     a = epsilon_greedy(q, s, eps, rng)
     while True:
         tr = env.step(s, a, rng)
-        steps += 1
-        total += tr.reward
+        r = tr.reward
+        total += r
         if trace is not None:
-            trace.append((s, a, tr.reward))
-        waitlist.append(_WaitEntry(s, a))
-        for e in waitlist:
-            e.reward_acc += (gamma**e.steps) * tr.reward
-            e.steps += 1
+            trace.append((s, a, r))
+        waitlist.append([s, a, steps, 0.0, 0.0])
+        if r != 0.0:
+            for e in waitlist:
+                e[3] += (gamma ** (steps - e[2])) * r
+        steps += 1
 
         if tr.terminal:
-            for e in waitlist:
-                q_update(q, e.state, e.action, e.reward_acc, alpha)
+            for es, ea, _, reward_acc, _ in waitlist:
+                q_update(q, es, ea, reward_acc, alpha)
                 if updates is not None:
-                    updates.append(UpdateRecord(e.state, e.action, e.reward_acc, None))
+                    updates.append(UpdateRecord(es, ea, reward_acc, None))
             break
 
         s2 = tr.next_state
@@ -161,22 +140,20 @@ def cvs_episode(
         if not 0.0 <= hs <= 1.0:
             raise ValueError(f"criticality {hs} outside [0, 1] at state {s2}")
 
-        if order == ORDER_ACCUMULATE:
+        if accumulate and hs != 0.0:
             for e in waitlist:
-                e.crt_cum += hs
-        boot = q[s2, a2]
-        keep: list[_WaitEntry] = []
-        for e in waitlist:
-            if e.crt_cum >= 1.0 - _CRT_EPS:
-                target = e.reward_acc + (gamma**e.steps) * boot
-                q_update(q, e.state, e.action, target, alpha)
+                e[4] += hs
+        if waitlist[0][4] >= mature:
+            boot = q[s2, a2]
+            while waitlist and waitlist[0][4] >= mature:
+                es, ea, enqueued, reward_acc, _ = waitlist.popleft()
+                target = reward_acc + (gamma ** (steps - enqueued)) * boot
+                q_update(q, es, ea, target, alpha)
                 if updates is not None:
-                    updates.append(UpdateRecord(e.state, e.action, target, s2))
-            else:
-                if order == ORDER_LITERAL:
-                    e.crt_cum += hs
-                keep.append(e)
-        waitlist = keep
+                    updates.append(UpdateRecord(es, ea, target, s2))
+        if not accumulate and hs != 0.0:
+            for e in waitlist:
+                e[4] += hs
         s, a = s2, a2
 
     return EpisodeLog(total, steps, trace, updates)
@@ -276,7 +253,6 @@ def n_step_sarsa_episode(
 def watkins_qlambda_episode(
     env: Environment,
     q: QTable,
-    traces: EligibilityTraces,
     params: AgentParams,
     rng: np.random.Generator,
     *,
@@ -287,12 +263,17 @@ def watkins_qlambda_episode(
 
     Traces start the episode at zero, decay by gamma*lambda per step, and are
     cut (after the step's updates) whenever the action taken was exploratory,
-    i.e. not among the greedy actions at selection time.
+    i.e. not among the greedy actions at selection time.  Each step updates
+    every traced pair in one ``q_update_traced`` call, in first-bump order.
     """
     alpha, gamma, eps, lam = params.alpha, params.gamma, params.epsilon, params.lam
     trace = [] if record_trace else None
     updates = [] if record_updates else None
-    traces.clear()
+    # Traced pairs in first-bump order, mapped to their position in the flat
+    # table indices ``idx`` and the traces ``e``.
+    pos: dict[tuple[int, int], int] = {}
+    idx = np.empty(16, dtype=np.intp)
+    e = np.empty(16)
     total = 0.0
     steps = 0
     s = env.reset(rng)
@@ -308,29 +289,30 @@ def watkins_qlambda_episode(
         boot_value = 0.0 if tr.terminal else q.row_max(tr.next_state)
         td_target = tr.reward + gamma * boot_value
         delta = td_target - q[s, a]
-        traces.bump(s, a)
-        for (es, ea), e in traces.items():
-            if es == s and ea == a and e == 1.0:
-                # Fresh trace of the pair just acted on: apply the TD target
-                # directly so that lambda = 0 matches 1-step updates exactly.
-                q_update(q, es, ea, td_target, alpha)
-                if updates is not None:
-                    updates.append(
-                        UpdateRecord(es, ea, td_target, None if tr.terminal else tr.next_state)
-                    )
-            else:
-                partial = q[es, ea] + delta * e
-                q_update(q, es, ea, partial, alpha)
-                if updates is not None:
-                    updates.append(
-                        UpdateRecord(es, ea, partial, None if tr.terminal else tr.next_state)
-                    )
+        i = pos.get((s, a))
+        if i is None:
+            i = pos[s, a] = len(pos)
+            if i == len(idx):
+                idx, e = np.resize(idx, 2 * i), np.resize(e, 2 * i)
+            idx[i] = q_index(q, s, a)
+            e[i] = 0.0
+        e[i] += 1.0
+        k = len(pos)
+        # A fresh trace of the pair just acted on takes the TD target
+        # directly, so that lambda = 0 matches 1-step updates exactly.
+        fresh = i if e[i] == 1.0 else None
+        targets = q_update_traced(q, idx[:k], e[:k], delta, alpha, fresh, td_target)
+        if updates is not None:
+            boot = None if tr.terminal else tr.next_state
+            for (es, ea), target in zip(pos, targets.tolist()):
+                updates.append(UpdateRecord(es, ea, target, boot))
         if tr.terminal:
             break
-        if exploratory:
-            traces.clear()
+        factor = gamma * lam
+        if exploratory or factor == 0.0:
+            pos.clear()
         else:
-            traces.scale(gamma * lam)
+            e[:k] *= factor
         s = tr.next_state
     return EpisodeLog(total, steps, trace, updates)
 

@@ -3,9 +3,9 @@
 States and actions are dense non-negative integers.  Each environment owns a
 single absorbing TERMINAL sink state whose Q-row is pinned to zero; episodes
 end on the transition that enters it.  All value mutation goes through
-:func:`q_update` so that learning code can be audited via the table's write
-counter, and all randomness flows through one ``numpy.random.Generator`` per
-run.
+:func:`q_update` or its batched twin :func:`q_update_traced` so that learning
+code can be audited via the table's write counter, and all randomness flows
+through one ``numpy.random.Generator`` per run.
 """
 
 from __future__ import annotations
@@ -108,7 +108,8 @@ class QTable:
 
     Rows are padded to the widest action set; padding slots hold ``-inf`` so
     they can never win an argmax.  The TERMINAL row reads as zero and rejects
-    writes.  ``writes`` counts every successful :func:`q_update`.
+    writes.  ``writes`` counts every value written by :func:`q_update` or
+    :func:`q_update_traced`.
     """
 
     def __init__(self, action_counts: np.ndarray, terminal: StateId, initial_value: float = 0.0):
@@ -145,7 +146,7 @@ class QTable:
 
     @property
     def writes(self) -> int:
-        """Number of q_update calls applied to this table."""
+        """Number of value updates applied to this table."""
         return self._writes
 
     def num_actions(self, s: StateId) -> int:
@@ -215,12 +216,54 @@ def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: np.random.Generat
 def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) -> None:
     """Move Q(s, a) toward ``target`` by step size ``alpha``.
 
-    This is the only mutation path into a QTable.
+    Together with :func:`q_update_traced` this is the only mutation path into
+    a QTable.
     """
+    _check_writable(q, s, a)
+    v = q._values[s, a]
+    q._values[s, a] = v + alpha * (target - v)
+    q._writes += 1
+
+
+def _check_writable(q: QTable, s: StateId, a: ActionId) -> None:
     if s == q.terminal:
         raise ValueError("the TERMINAL Q-row is immutable")
     if not 0 <= a < q._counts[s]:
         raise ValueError(f"action {a} invalid for state {s}")
-    v = q._values[s, a]
-    q._values[s, a] = v + alpha * (target - v)
-    q._writes += 1
+
+
+def q_index(q: QTable, s: StateId, a: ActionId) -> int:
+    """Flat index of (s, a) for :func:`q_update_traced`.
+
+    Applies the same checks as :func:`q_update`, so a pair that gets an index
+    may be written.
+    """
+    _check_writable(q, s, a)
+    return s * q._values.shape[1] + a
+
+
+def q_update_traced(
+    q: QTable,
+    idx: np.ndarray,
+    traces: np.ndarray,
+    delta: float,
+    alpha: float,
+    fresh: int | None,
+    fresh_target: float,
+) -> np.ndarray:
+    """Batched :func:`q_update` for eligibility traces; returns the targets.
+
+    The value ``v`` at each flat index ``idx[i]`` (from :func:`q_index`; the
+    indices must be distinct) moves toward ``v + delta * traces[i]`` by step
+    size ``alpha``, except position ``fresh`` (if not None), which moves
+    toward ``fresh_target``.  The float operations are those of one
+    ``q_update`` per entry, so the table ends up bit-identical to that loop.
+    """
+    flat = q._values.reshape(-1)  # a view: the table is C-contiguous
+    v = flat[idx]
+    targets = v + delta * traces
+    if fresh is not None:
+        targets[fresh] = fresh_target
+    flat[idx] = v + alpha * (targets - v)
+    q._writes += len(targets)
+    return targets

@@ -22,7 +22,6 @@ from .agents import (
     ALGORITHM_NAMES,
     ORDER_ACCUMULATE,
     ORDER_LITERAL,
-    EligibilityTraces,
     cvs_episode,
     mc_episode,
     n_step_sarsa_episode,
@@ -62,6 +61,18 @@ def _positive_int(value) -> int:
     if not _is_int(value) or value < 1:
         raise ValueError(f"must be a positive integer, got {value!r}")
     return value
+
+
+def _finite_real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _int_list(value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
+        raise ValueError(f"must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def make_env(env_cfg: dict) -> Environment:
@@ -107,12 +118,14 @@ def make_env(env_cfg: dict) -> Environment:
             raise ConfigError("environment.tree", str(exc)) from exc
     if name == "shooter":
         max_steps = take("max_steps", 200, _positive_int)
-        config = take("obstacle_rows", (4, 5, 6), lambda rows: ShooterConfig(tuple(rows), max_steps))
+        config = take(
+            "obstacle_rows", (4, 5, 6), lambda rows: ShooterConfig(_int_list(rows), max_steps)
+        )
         reject_unknown()
         return ShooterEnv(config)
     if name == "tennis":
         max_steps = take("max_steps", 1000, _positive_int)
-        config = take("p_optimal", 0.8, lambda p: TennisConfig(float(p), max_steps))
+        config = take("p_optimal", 0.8, lambda p: TennisConfig(_finite_real(p), max_steps))
         reject_unknown()
         return TennisEnv(config)
     raise ConfigError("environment.name", f"unknown environment {name!r}")
@@ -139,9 +152,10 @@ class ExperimentConfig:
                 raise ConfigError(key, "must be a positive integer")
         if not _is_int(self.seed):
             raise ConfigError("seed", "must be an integer")
-        q_init = self.q_init
-        if isinstance(q_init, bool) or not isinstance(q_init, Real) or not math.isfinite(q_init):
-            raise ConfigError("q_init", f"must be a finite number, got {q_init!r}")
+        try:
+            _finite_real(self.q_init)
+        except ValueError as exc:
+            raise ConfigError("q_init", str(exc)) from exc
         if self.cvs_order not in (ORDER_ACCUMULATE, ORDER_LITERAL):
             raise ConfigError("cvs_order", f"must be '{ORDER_ACCUMULATE}' or '{ORDER_LITERAL}'")
         make_env(self.environment)
@@ -179,7 +193,6 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
     q = QTable.for_env(env, cfg.q_init)
     params = cfg.params
     algorithm = cfg.algorithm
-    traces = EligibilityTraces() if algorithm == "qlambda" else None
     h = env.criticality() if algorithm == "cvs" else None
 
     oracle_return: float | None = None
@@ -197,7 +210,7 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
         elif algorithm == "nstep_sarsa":
             log = n_step_sarsa_episode(env, q, params, rng)
         elif algorithm == "qlambda":
-            log = watkins_qlambda_episode(env, q, traces, params, rng)
+            log = watkins_qlambda_episode(env, q, params, rng)
         elif algorithm == "mc":
             log = mc_episode(env, q, params, rng)
         else:  # pragma: no cover - validate() rejects this earlier

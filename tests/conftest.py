@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+
+# Fixed examples on every run, independent of any local example database.
+settings.register_profile("cvslab", derandomize=True, database=None, deadline=None)
+settings.load_profile("cvslab")
 
 _SCOREBOARD: list[str] = []
 

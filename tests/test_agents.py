@@ -1,30 +1,39 @@
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvslab import (
     AgentParams,
-    EligibilityTraces,
     Environment,
     QTable,
     RoadTreeEnv,
+    ShooterConfig,
     ShooterEnv,
+    TennisConfig,
+    TennisEnv,
     Transition,
     TreeEdge,
     TreeNode,
     TreeSpec,
     cvs_episode,
+    epsilon_greedy,
     fig1_tree,
     fig3_tree,
+    greedy_actions,
     mc_episode,
     n_step_sarsa_episode,
     q_learning_episode,
     q_update,
     watkins_qlambda_episode,
 )
-from cvslab.agents import ORDER_ACCUMULATE, ORDER_LITERAL
+from cvslab.agents import _CRT_EPS, ORDER_ACCUMULATE, ORDER_LITERAL, UpdateRecord
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
+from strategies import road_trees
 
 approx = lambda x: pytest.approx(x, rel=1e-12, abs=0.0)
 
@@ -52,6 +61,39 @@ class ChainEnv(Environment):
     def step(self, s, a, rng):
         nxt = s + 1
         return Transition(self._rewards[s], nxt, nxt == self.terminal)
+
+    def criticality(self):
+        return lambda s: 1.0
+
+
+class LoopEnv(Environment):
+    """One state with one action that loops back to itself: step i pays
+    rewards[i], the last one terminates."""
+
+    def __init__(self, rewards):
+        self._rewards = tuple(float(r) for r in rewards)
+        self._t = 0
+
+    @property
+    def num_states(self):
+        return 2
+
+    @property
+    def terminal(self):
+        return 1
+
+    def num_actions(self, s):
+        return 1 - s
+
+    def reset(self, rng):
+        self._t = 0
+        return 0
+
+    def step(self, s, a, rng):
+        r = self._rewards[self._t]
+        self._t += 1
+        done = self._t == len(self._rewards)
+        return Transition(r, 1 if done else 0, done)
 
     def criticality(self):
         return lambda s: 1.0
@@ -124,27 +166,44 @@ def test_watkins_trace_decay_on_chain():
     env = ChainEnv([0.0, 0.0, 1.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, lam=0.9)
-    watkins_qlambda_episode(env, q, EligibilityTraces(), params, rng_for(0))
+    watkins_qlambda_episode(env, q, params, rng_for(0))
     assert q[2, 0] == approx(0.1)
     assert q[1, 0] == approx(0.1 * 0.9)
     assert q[0, 0] == approx(0.1 * 0.81)
 
 
-def test_eligibility_traces_operations():
-    e = EligibilityTraces()
-    assert len(e) == 0
-    e.bump(3, 1)
-    e.bump(3, 1)
-    assert e.get(3, 1) == 2.0
-    e.scale(0.5)
-    assert e.get(3, 1) == 1.0
-    e.bump(0, 0)
-    assert len(e) == 2
-    e.scale(0.0)
-    assert len(e) == 0
-    e.bump(1, 0)
-    e.clear()
-    assert e.get(1, 0) == 0.0
+@pytest.mark.parametrize("lam, last_trace", [(1.0, 3.0), (0.5, 1.75)])
+def test_watkins_traces_accumulate_on_revisits(lam, last_trace):
+    env = LoopEnv([0.0, 0.0, 1.0])
+    q = fresh(env)
+    params = AgentParams(alpha=0.1, gamma=1.0, lam=lam)
+    log = watkins_qlambda_episode(env, q, params, rng_for(0), record_updates=True)
+    # one traced pair, bumped on each of three visits and decayed by lambda
+    # in between; only the last step has a nonzero TD error
+    assert [(u.state, u.action, u.target) for u in log.updates] == [
+        (0, 0, 0.0),
+        (0, 0, 0.0),
+        (0, 0, last_trace),
+    ]
+    assert q[0, 0] == approx(0.1 * last_trace)
+    # the next episode starts from zero traces, not from the carried-over one
+    v = q[0, 0]
+    log = watkins_qlambda_episode(env, q, params, rng_for(0), record_updates=True)
+    assert log.updates[-1].target == approx(v + (1.0 - v) * last_trace)
+    assert q.writes == 6
+
+
+def test_watkins_zero_lambda_clears_traces():
+    env = ChainEnv([0.0, 0.0, 1.0])
+    q = fresh(env)
+    params = AgentParams(alpha=0.1, gamma=1.0, lam=0.0)
+    log = watkins_qlambda_episode(env, q, params, rng_for(0), record_updates=True)
+    # a zero decay factor drops every trace, so each step updates only the
+    # pair just acted on
+    assert [(u.state, u.action) for u in log.updates] == [(0, 0), (1, 0), (2, 0)]
+    assert q.writes == 3
+    assert q[2, 0] == approx(0.1)
+    assert q[1, 0] == 0.0
 
 
 def mini_two_junction_tree() -> TreeSpec:
@@ -243,7 +302,7 @@ def test_watkins_cuts_traces_after_exploratory_action():
         if (lambda g: g.random() < 1.0 and int(g.integers(2)) == 1)(np.random.default_rng(s))
     )
     log = watkins_qlambda_episode(
-        env, q, EligibilityTraces(), params, np.random.default_rng(seed), record_trace=True
+        env, q, params, np.random.default_rng(seed), record_trace=True
     )
     assert log.trace[0][1] == 1
     assert log.total_reward == 2.0
@@ -326,7 +385,7 @@ def test_qlambda_zero_lambda_equals_q_learning():
     params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1, lam=0.0)
     ok, where = paired_tables_match(
         lambda: RoadTreeEnv(fig3_tree()),
-        lambda env, q, rng: watkins_qlambda_episode(env, q, EligibilityTraces(), params, rng),
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
         lambda env, q, rng: q_learning_episode(env, q, params, rng),
         seeds=(0, 1),
         episodes=20,
@@ -357,7 +416,7 @@ def test_terminal_row_stays_zero_across_agents():
         lambda e, q, r: cvs_episode(e, q, e.criticality(), params, r),
         lambda e, q, r: q_learning_episode(e, q, params, r),
         lambda e, q, r: n_step_sarsa_episode(e, q, params, r),
-        lambda e, q, r: watkins_qlambda_episode(e, q, EligibilityTraces(), params, r),
+        lambda e, q, r: watkins_qlambda_episode(e, q, params, r),
         lambda e, q, r: mc_episode(e, q, params, r),
     ]
     for i, run in enumerate(runs):
@@ -366,3 +425,218 @@ def test_terminal_row_stays_zero_across_agents():
         for _ in range(5):
             run(env, q, rng)
         assert np.all(q.as_array()[env.terminal] == 0.0)
+
+
+# ----------------------------------------------------------------------
+# Slow references: the per-entry loops the agents replaced.  The fast agents
+# must reproduce them bit for bit (same RNG draws, same float operations).
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _WaitEntry:
+    state: int
+    action: int
+    reward_acc: float = 0.0
+    crt_cum: float = 0.0
+    steps: int = 0
+
+
+def reference_cvs_episode(env, q, h, params, rng, *, order=ORDER_ACCUMULATE):
+    """cvs with a list waitlist that every step walks in full."""
+    alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
+    updates = []
+    waitlist = []
+    total = 0.0
+    steps = 0
+    s = env.reset(rng)
+    a = epsilon_greedy(q, s, eps, rng)
+    while True:
+        tr = env.step(s, a, rng)
+        steps += 1
+        total += tr.reward
+        waitlist.append(_WaitEntry(s, a))
+        for e in waitlist:
+            e.reward_acc += (gamma**e.steps) * tr.reward
+            e.steps += 1
+        if tr.terminal:
+            for e in waitlist:
+                q_update(q, e.state, e.action, e.reward_acc, alpha)
+                updates.append(UpdateRecord(e.state, e.action, e.reward_acc, None))
+            break
+        s2 = tr.next_state
+        a2 = epsilon_greedy(q, s2, eps, rng)
+        hs = float(h(s2))
+        if order == ORDER_ACCUMULATE:
+            for e in waitlist:
+                e.crt_cum += hs
+        boot = q[s2, a2]
+        keep = []
+        for e in waitlist:
+            if e.crt_cum >= 1.0 - _CRT_EPS:
+                target = e.reward_acc + (gamma**e.steps) * boot
+                q_update(q, e.state, e.action, target, alpha)
+                updates.append(UpdateRecord(e.state, e.action, target, s2))
+            else:
+                if order == ORDER_LITERAL:
+                    e.crt_cum += hs
+                keep.append(e)
+        waitlist = keep
+        s, a = s2, a2
+    return total, steps, updates
+
+
+def reference_qlambda_episode(env, q, params, rng):
+    """Watkins Q(lambda) with a trace dict walked by one q_update per entry."""
+    alpha, gamma, eps, lam = params.alpha, params.gamma, params.epsilon, params.lam
+    updates = []
+    traces: dict[tuple[int, int], float] = {}
+    total = 0.0
+    steps = 0
+    s = env.reset(rng)
+    while True:
+        exploratory_pool = greedy_actions(q, s)
+        a = epsilon_greedy(q, s, eps, rng)
+        exploratory = a not in exploratory_pool
+        tr = env.step(s, a, rng)
+        steps += 1
+        total += tr.reward
+        boot_value = 0.0 if tr.terminal else q.row_max(tr.next_state)
+        td_target = tr.reward + gamma * boot_value
+        delta = td_target - q[s, a]
+        traces[s, a] = traces.get((s, a), 0.0) + 1.0
+        boot = None if tr.terminal else tr.next_state
+        for (es, ea), e in traces.items():
+            if es == s and ea == a and e == 1.0:
+                target = td_target
+            else:
+                target = q[es, ea] + delta * e
+            q_update(q, es, ea, target, alpha)
+            updates.append(UpdateRecord(es, ea, target, boot))
+        if tr.terminal:
+            break
+        factor = gamma * lam
+        if exploratory or factor == 0.0:
+            traces.clear()
+        else:
+            for key in traces:
+                traces[key] *= factor
+        s = tr.next_state
+    return total, steps, updates
+
+
+def hexed(updates):
+    return [(u.state, u.action, float(u.target).hex(), u.bootstrap) for u in updates]
+
+
+def assert_matches_reference(make_env, q_init, seed, episodes, run, reference):
+    """Run ``run`` and ``reference`` side by side from equal tables and seeds."""
+    env, env_ref = make_env(), make_env()
+    q, q_ref = fresh(env, q_init), fresh(env_ref, q_init)
+    rng, rng_ref = rng_for(seed), rng_for(seed)
+    for episode in range(episodes):
+        log = run(env, q, rng)
+        total, steps, updates = reference(env_ref, q_ref, rng_ref)
+        assert (log.total_reward, log.steps) == (total, steps), f"episode {episode}"
+        assert hexed(log.updates) == hexed(updates), f"episode {episode}"
+    assert q.writes == q_ref.writes
+    assert q.as_array().tobytes() == q_ref.as_array().tobytes()
+
+
+GAMMAS = (1.0, 0.9, 0.5)
+LAMBDAS = (0.0, 0.5, 0.9, 1.0)
+# Uneven per-state criticalities put float rounding on the claim that the
+# mature waitlist entries are always a prefix.
+H_VALUES = (0.0, 0.1, 0.3, 1 / 3, 0.7, 1.0)
+
+
+def draw_criticality(data, env):
+    kind = data.draw(st.sampled_from(("env", "constant", "per_state")))
+    if kind == "env":
+        return env.criticality()
+    if kind == "constant":
+        return const_h(data.draw(st.sampled_from((0.0, 1 / 3, 1.0))))
+    n = env.num_states
+    values = data.draw(st.lists(st.sampled_from(H_VALUES), min_size=n, max_size=n))
+    return values.__getitem__
+
+
+@given(
+    tree=road_trees(),
+    gamma=st.sampled_from(GAMMAS),
+    order=st.sampled_from((ORDER_ACCUMULATE, ORDER_LITERAL)),
+    epsilon=st.sampled_from((0.1, 0.5)),
+    q_init=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_cvs_matches_list_reference(tree, gamma, order, epsilon, q_init, seed, data):
+    h = draw_criticality(data, RoadTreeEnv(tree))
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon)
+    assert_matches_reference(
+        lambda: RoadTreeEnv(tree),
+        q_init,
+        seed,
+        5,
+        lambda env, q, rng: cvs_episode(env, q, h, params, rng, order=order, record_updates=True),
+        lambda env, q, rng: reference_cvs_episode(env, q, h, params, rng, order=order),
+    )
+
+
+@given(
+    tree=road_trees(),
+    gamma=st.sampled_from(GAMMAS),
+    lam=st.sampled_from(LAMBDAS),
+    epsilon=st.sampled_from((0.1, 0.5)),
+    q_init=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qlambda_matches_dict_reference(tree, gamma, lam, epsilon, q_init, seed):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon, lam=lam)
+    assert_matches_reference(
+        lambda: RoadTreeEnv(tree),
+        q_init,
+        seed,
+        5,
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng, record_updates=True),
+        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
+    )
+
+
+# Shooter and tennis criticality is 1 in mid-episode states, so cvs updates
+# bootstrap inside episodes as well as flushing at the end.
+GRID_ENVS = {
+    "shooter": lambda: ShooterEnv(ShooterConfig(max_steps=200)),
+    "tennis": lambda: TennisEnv(TennisConfig(max_steps=200)),
+}
+
+
+@pytest.mark.parametrize("order", [ORDER_ACCUMULATE, ORDER_LITERAL])
+@pytest.mark.parametrize("name", sorted(GRID_ENVS))
+def test_cvs_matches_list_reference_on_grid_envs(name, order):
+    params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.1)
+    assert_matches_reference(
+        GRID_ENVS[name],
+        0.0,
+        11,
+        20,
+        lambda env, q, rng: cvs_episode(
+            env, q, env.criticality(), params, rng, order=order, record_updates=True
+        ),
+        lambda env, q, rng: reference_cvs_episode(
+            env, q, env.criticality(), params, rng, order=order
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GRID_ENVS))
+def test_qlambda_matches_dict_reference_on_grid_envs(name):
+    params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.1, lam=0.9)
+    assert_matches_reference(
+        GRID_ENVS[name],
+        0.0,
+        11,
+        20,
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng, record_updates=True),
+        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvslab import AgentParams, QTable, epsilon_greedy, greedy_actions, q_update
+from cvslab.core import q_index, q_update_traced
 
 
 def make_table(counts, terminal, initial=0.0):
@@ -89,6 +90,32 @@ def test_q_update_guards():
     with pytest.raises(ValueError):
         q_update(q, 0, 2, 1.0, 0.1)
     assert q.writes == 0
+
+
+def test_q_index_applies_the_q_update_guards():
+    q = make_table([2, 1], terminal=1)
+    assert q_index(q, 0, 1) == 1
+    with pytest.raises(ValueError, match="TERMINAL"):
+        q_index(q, 1, 0)
+    with pytest.raises(ValueError, match="invalid"):
+        q_index(q, 0, 2)
+
+
+def test_q_update_traced_matches_one_q_update_per_entry():
+    rng = np.random.default_rng(9)
+    q = make_table([3, 2, 0, 3], terminal=2, initial=0.7)
+    ref = make_table([3, 2, 0, 3], terminal=2, initial=0.7)
+    pairs = [(3, 2), (0, 1), (1, 0), (0, 0)]
+    idx = np.array([q_index(q, s, a) for s, a in pairs])
+    traces = rng.random(len(pairs))
+    delta, alpha = 0.37, 0.3
+    targets = q_update_traced(q, idx, traces, delta, alpha, fresh=2, fresh_target=-1.25)
+    for i, (s, a) in enumerate(pairs):
+        target = -1.25 if i == 2 else ref[s, a] + delta * traces[i]
+        assert targets[i] == target
+        q_update(ref, s, a, target, alpha)
+    assert q.as_array().tobytes() == ref.as_array().tobytes()
+    assert q.writes == ref.writes == 4
 
 
 def test_greedy_actions_orders_ties_ascending():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cvslab import (
@@ -14,9 +14,6 @@ from cvslab import (
     RunResult,
     ShooterEnv,
     TennisEnv,
-    TreeEdge,
-    TreeNode,
-    TreeSpec,
     average_over_runs,
     episodes_to_convergence,
     episodes_to_threshold,
@@ -30,7 +27,7 @@ from cvslab import (
 )
 from cvslab import harness
 from cvslab.harness import _run_one
-from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
+from strategies import road_trees
 
 
 def small_cfg(**overrides):
@@ -115,6 +112,11 @@ def test_make_env_builds_every_name():
         ({"name": "tennis", "max_steps": 2.5}, "environment.max_steps"),
         ({"name": "shooter", "max_steps": True}, "environment.max_steps"),
         ({"name": "tennis", "p_optimal": "high"}, "environment.p_optimal"),
+        ({"name": "tennis", "p_optimal": True}, "environment.p_optimal"),
+        ({"name": "tennis", "p_optimal": "0.5"}, "environment.p_optimal"),
+        ({"name": "shooter", "obstacle_rows": [4.5, True]}, "environment.obstacle_rows"),
+        ({"name": "shooter", "obstacle_rows": [4, True]}, "environment.obstacle_rows"),
+        ({"name": "shooter", "obstacle_rows": [4.0]}, "environment.obstacle_rows"),
     ],
 )
 def test_make_env_names_offending_key(cfg, key):
@@ -247,28 +249,6 @@ def greedy_rollout_return(env, q):
 Q_VALUES = (-1.0, 0.0, 1.0, 2.0)
 
 
-@st.composite
-def road_trees(draw):
-    """Valid trees of height <= 3, 1-3 children per junction, distances
-    1-30 and integer rewards."""
-    nodes = [TreeNode(0, float(draw(st.integers(-3, 3))), KIND_JUNCTION)]
-    edges = []
-
-    def grow(parent, depth):
-        for _ in range(draw(st.integers(1, 3))):
-            child = len(nodes)
-            junction = depth < 3 and draw(st.booleans())
-            kind = KIND_JUNCTION if junction else KIND_TERMINAL
-            nodes.append(TreeNode(child, float(draw(st.integers(-3, 7))), kind))
-            edges.append(TreeEdge(parent, child, draw(st.integers(1, 30))))
-            if junction:
-                grow(child, depth + 1)
-
-    grow(0, 1)
-    return TreeSpec(root=0, nodes=tuple(nodes), edges=tuple(edges))
-
-
-@settings(deadline=None)
 @given(
     tree=road_trees(),
     q_init=st.one_of(st.sampled_from(Q_VALUES), st.floats(-5.0, 5.0)),
