@@ -371,7 +371,7 @@ class RoadTreeEnv(Environment):
     def step(self, s: StateId, a: int, rng: np.random.Generator) -> Transition:
         if s == self._sink:
             raise ValueError("cannot step from the TERMINAL state")
-        if not 0 <= a < self._counts[s]:
+        if not 0 <= a < len(self._next[s]):
             raise ValueError(f"action {a} invalid for state {s}")
         return Transition(self._reward[s][a], self._next[s][a], self._terminal_flag[s][a])
 

@@ -101,6 +101,9 @@ def test_bad_value_exits_two_and_names_the_key(tmp_path, capsys):
         ({"seed": True}, "seed"),
         ({"algorithms": [{"label": "x", "algorithm": "nstep_sarsa", "n": 2.5}]}, "algorithms[0]"),
         ({"algorithms": [{"label": "x", "algorithm": "nstep_sarsa", "n": True}]}, "algorithms[0]"),
+        ({"algorithms": [{"label": "x", "algorithm": "cvs", "alpha": True, "epsilon": False}]}, "algorithms[0]"),
+        ({"algorithms": [{"label": "x", "algorithm": "qlambda", "lambda": True}]}, "algorithms[0]"),
+        ({"algorithms": [{"label": "x", "algorithm": "mc", "gamma": "0.9"}]}, "algorithms[0]"),
     ],
 )
 def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides, key):

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cvslab import AgentParams, QTable, epsilon_greedy, greedy_actions, q_update
+from cvslab import AgentParams, QTable, Transition, epsilon_greedy, greedy_actions, q_update
 from cvslab.core import q_index, q_update_traced
 
 
@@ -34,6 +36,12 @@ def test_agent_params_defaults():
         ({"n": 0}, "n"),
         ({"n": 2.5}, "n"),
         ({"n": True}, "n"),
+        ({"alpha": True}, "alpha"),
+        ({"epsilon": False}, "epsilon"),
+        ({"gamma": True}, "gamma"),
+        ({"lam": False}, "lambda"),
+        ({"alpha": "0.5"}, "alpha"),
+        ({"lam": None}, "lambda"),
     ],
 )
 def test_agent_params_rejects_bad_values(kwargs, fragment):
@@ -53,6 +61,28 @@ def test_qtable_padding_and_terminal_row():
     assert np.all(arr[0, :2] == 0.5)
     assert q[1, 2] == 0.5
     assert q.initial_value == 0.5
+
+
+def reference_qtable_values(counts, terminal, initial):
+    """Construction before zero pages: fill every slot, then mask the padding."""
+    counts = np.asarray(counts, dtype=np.int16)
+    width = max(1, int(counts.max()))
+    values = np.full((len(counts), width), float(initial), dtype=np.float64)
+    values[np.arange(width) >= counts[:, None]] = -np.inf
+    values[terminal, :] = 0.0
+    return values
+
+
+@given(
+    counts=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+    initial=st.sampled_from((0.0, -0.0, 5.0, -1.5)),
+    data=st.data(),
+)
+def test_qtable_construction_matches_fill_and_mask_reference(counts, initial, data):
+    terminal = data.draw(st.integers(0, len(counts) - 1))
+    q = make_table(counts, terminal, initial)
+    # tobytes tells -0.0 from 0.0, which == does not
+    assert q.as_array().tobytes() == reference_qtable_values(counts, terminal, initial).tobytes()
 
 
 def test_qtable_row_and_row_max():
@@ -186,3 +216,103 @@ def test_terminal_row_survives_everything():
         q_update(q, 0, int(rng.integers(2)), float(rng.normal()), 0.3)
         q_update(q, 2, 0, float(rng.normal()), 0.3)
     assert np.all(q.as_array()[1] == 0.0)
+
+
+def test_transition_is_an_immutable_tuple():
+    tr = Transition(1.5, 3, False)
+    assert (tr.reward, tr.next_state, tr.terminal) == (1.5, 3, False)
+    assert tuple(tr) == (1.5, 3, False)
+    with pytest.raises(AttributeError):
+        tr.reward = 2.0
+
+
+# The numpy-scalar versions of the per-step helpers, kept as references for
+# the Python-scalar ones in cvslab.core.
+
+
+def reference_getitem(q, sa):
+    return float(q._values[sa])
+
+
+def reference_row_max(q, s):
+    k = q._counts[s]
+    if k == 0:
+        raise ValueError(f"state {s} has no actions")
+    return float(q._values[s, :k].max())
+
+
+def reference_greedy_actions(q, s):
+    if s == q.terminal:
+        raise ValueError("greedy_actions is undefined at the TERMINAL state")
+    k = q._counts[s]
+    if k == 0:
+        raise ValueError(f"state {s} has no actions")
+    row = q._values[s]
+    best = row[0]
+    ties = [0]
+    for a in range(1, k):
+        v = row[a]
+        if v > best:
+            best = v
+            ties = [a]
+        elif v == best:
+            ties.append(a)
+    return ties
+
+
+def reference_epsilon_greedy(q, s, epsilon, rng):
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    if s == q.terminal:
+        raise ValueError("epsilon_greedy is undefined at the TERMINAL state")
+    k = q._counts[s]
+    if k == 0:
+        raise ValueError(f"state {s} has no actions")
+    if k == 1:
+        return 0
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(k))
+    ties = reference_greedy_actions(q, s)
+    if len(ties) == 1:
+        return ties[0]
+    return ties[int(rng.integers(len(ties)))]
+
+
+# Few distinct values, so that ties (and ties between 0.0 and -0.0) are common.
+ROW_VALUES = (-1.0, -0.0, 0.0, 1.0, 2.0)
+
+
+@st.composite
+def filled_tables(draw):
+    """A table of 1-4 action rows plus a TERMINAL, valid slots drawn from
+    ROW_VALUES; narrower rows keep their -inf padding."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)) + [0]
+    q = make_table(counts, terminal=len(counts) - 1)
+    for s, k in enumerate(counts[:-1]):
+        q._values[s, :k] = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=k, max_size=k))
+    return q
+
+
+@given(q=filled_tables(), seed=st.integers(0, 2**32 - 1))
+def test_hot_path_matches_numpy_scalar_references(q, seed):
+    width = q._values.shape[1]
+    for s in range(q.num_states - 1):
+        assert greedy_actions(q, s) == reference_greedy_actions(q, s)
+        for a in range(width):
+            assert q[s, a].hex() == reference_getitem(q, (s, a)).hex()
+        got, want = q.row_max(s), reference_row_max(q, s)
+        if want != 0.0:
+            assert got.hex() == want.hex()
+        else:
+            # Only the sign of a zero maximum may differ, and it vanishes in
+            # every target built from it: rewards are never -0.0.
+            assert got == 0.0
+            for r in (0.0, 1.0, -1.0):
+                for gamma in (1.0, 0.9):
+                    assert (r + gamma * got).hex() == (r + gamma * want).hex()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for epsilon in (0.0, 0.1, 0.5, 1.0):
+        for s in range(q.num_states - 1):
+            for _ in range(3):
+                assert epsilon_greedy(q, s, epsilon, rng) == reference_epsilon_greedy(q, s, epsilon, ref_rng)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
