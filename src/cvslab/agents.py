@@ -329,7 +329,10 @@ def mc_episode(
     """One episode of every-visit constant-alpha Monte-Carlo control.
 
     The whole episode runs first; afterwards every visited pair updates toward
-    its discounted return from that visit, in visit order.
+    its discounted return from that visit, in visit order.  Each return is
+    summed left to right over the nonzero rewards from its visit on, the
+    float operations of cvs's waitlist, so that ``h = 0`` cvs matches this
+    agent bit for bit at every gamma.
     """
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
     trace = [] if record_trace else None
@@ -350,12 +353,14 @@ def mc_episode(
             break
         s = tr.next_state
 
-    g = 0.0
-    targets = [0.0] * len(rewards)
-    for i in range(len(rewards) - 1, -1, -1):
-        g = rewards[i] + gamma * g
-        targets[i] = g
-    for (vs, va), tgt in zip(visited, targets):
+    # (step, reward) of the nonzero rewards at or after the current visit
+    paid = deque((j, r) for j, r in enumerate(rewards) if r != 0.0)
+    for i, (vs, va) in enumerate(visited):
+        while paid and paid[0][0] < i:
+            paid.popleft()
+        tgt = 0.0
+        for j, r in paid:
+            tgt += (gamma ** (j - i)) * r
         q_update(q, vs, va, tgt, alpha)
         if updates is not None:
             updates.append(UpdateRecord(vs, va, tgt, None))

@@ -13,6 +13,13 @@ single values as Python floats and ints (``ndarray.item``/``tolist``) rather
 than as numpy scalars: the comparisons and float values are the same, and a
 numpy scalar or reduction per step costs several times more on rows of 1-4
 actions.
+
+All randomness of a run flows through one draw source, which the harness
+passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
+environments call only ``rng.random()`` and ``rng.integers(k)``, so the source
+may be a ``numpy.random.Generator`` or the harness's ``DrawStream``, which
+serves the same values from blocks of raw PCG64 words at a fraction of
+numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -183,10 +190,6 @@ class QTable:
     def __getitem__(self, sa: tuple[StateId, ActionId]) -> float:
         return self._values.item(sa)
 
-    def row(self, s: StateId) -> np.ndarray:
-        """Copy of the valid action values at ``s``."""
-        return self._values[s, : self._counts[s]].copy()
-
     def row_max(self, s: StateId) -> float:
         k = self._counts.item(s)
         if k == 0:
@@ -217,6 +220,69 @@ def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:
         elif v == best:
             ties.append(a)
     return ties
+
+
+# Raw PCG64 words pulled per refill of a DrawStream.
+_DRAW_BLOCK = 256
+_TWO_POW_32 = 1 << 32
+_TWO_POW_M53 = 2.0**-53
+
+
+class DrawStream:
+    """The ``random()`` and ``integers(k)`` draws of ``np.random.default_rng(seed_seq)``.
+
+    Each call returns the value numpy's ``Generator`` would, in the same
+    order, computed from raw PCG64 words pulled in blocks of ``_DRAW_BLOCK``.
+    ``random()`` is numpy's ``next_double``: the top 53 bits of the next word.
+    ``integers(k)`` is numpy's bounded Lemire draw
+    (``buffered_bounded_lemire_uint32``; Lemire 2019) on PCG64's 32-bit
+    half-words: a word yields its low half and buffers its high half for the
+    next half-word draw, and ``random()`` neither reads nor clears that
+    buffer.  ``k == 1`` draws nothing.
+    """
+
+    __slots__ = ("_bitgen", "_next", "_half")
+
+    def __init__(self, seed_seq: np.random.SeedSequence):
+        self._bitgen = np.random.PCG64(seed_seq)
+        self._next = iter(()).__next__
+        self._half: int | None = None
+
+    def _refill(self) -> int:
+        """Pull the next block of words and return its first one."""
+        self._next = iter(self._bitgen.random_raw(_DRAW_BLOCK).tolist()).__next__
+        return self._next()
+
+    def random(self) -> float:
+        try:
+            w = self._next()
+        except StopIteration:
+            w = self._refill()
+        return (w >> 11) * _TWO_POW_M53
+
+    def integers(self, k: int) -> int:
+        """Uniform int in ``[0, k)`` for ``1 <= k <= 2**32``."""
+        if type(k) is not int or not 0 < k <= _TWO_POW_32:
+            raise ValueError(f"k must be an int in [1, 2**32], got {k!r}")
+        if k == 1:
+            return 0
+        while True:
+            half = self._half
+            if half is not None:
+                self._half = None
+                m = half * k
+            else:
+                try:
+                    w = self._next()
+                except StopIteration:
+                    w = self._refill()
+                self._half = w >> 32
+                m = (w & 0xFFFFFFFF) * k
+            # numpy rejects a leftover below (2**32 - k) % k, which is < k,
+            # and computes that bound only for leftovers below k
+            leftover = m & 0xFFFFFFFF
+            if leftover >= k or leftover >= (_TWO_POW_32 - k) % k:
+                return m >> 32
 
 
 def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: np.random.Generator) -> ActionId:

@@ -1,9 +1,11 @@
 """Seeded experiment harness.
 
 An experiment is (environment, algorithm, hyper-parameters, episodes, runs,
-seed).  Run ``i`` draws its generator from ``SeedSequence(seed, spawn_key=(i,))``,
+seed).  Run ``i`` seeds its draws from ``SeedSequence(seed, spawn_key=(i,))``,
 so results are bit-reproducible from the config alone and independent of run
-order or worker count.  Runs may execute in parallel processes; the
+order or worker count.  Every draw of a run, env resets included, comes from
+one ``DrawStream`` on that seed, whose values equal those of
+``np.random.default_rng`` on it.  Runs may execute in parallel processes; the
 ``CVS_LAB_THREADS`` environment variable caps the worker count (default: the
 number of available processors).
 """
@@ -28,7 +30,7 @@ from .agents import (
     q_learning_episode,
     watkins_qlambda_episode,
 )
-from .core import AgentParams, Environment, QTable, greedy_actions
+from .core import AgentParams, DrawStream, Environment, QTable, greedy_actions
 from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, fig6_tree, optimal_return_oracle
 from .shooter import ShooterConfig, ShooterEnv
 from .tennis import TennisConfig, TennisEnv
@@ -188,7 +190,7 @@ def greedy_policy_return(env: RoadTreeEnv, q: QTable) -> float:
 
 
 def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run_index,)))
+    rng = DrawStream(np.random.SeedSequence(cfg.seed, spawn_key=(run_index,)))
     env = make_env(cfg.environment)
     q = QTable.for_env(env, cfg.q_init)
     params = cfg.params

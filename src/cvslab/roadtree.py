@@ -15,9 +15,7 @@ outcome hinges on a choice or has just been decided) and 0 on road states.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -130,14 +128,6 @@ class TreeSpec:
             raise ValueError(f"malformed tree document: {exc}") from exc
         spec.validate()
         return spec
-
-    @classmethod
-    def from_json(cls, text: str) -> "TreeSpec":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TreeSpec":
-        return cls.from_json(Path(path).read_text())
 
 
 # ----------------------------------------------------------------------

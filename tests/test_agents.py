@@ -32,6 +32,7 @@ from cvslab import (
     watkins_qlambda_episode,
 )
 from cvslab.agents import _CRT_EPS, ORDER_ACCUMULATE, ORDER_LITERAL, UpdateRecord
+from cvslab.core import DrawStream
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 from strategies import road_trees
 
@@ -367,6 +368,61 @@ def test_cvs_zero_criticality_equals_monte_carlo(gamma):
         episodes=15,
     )
     assert ok, f"tables diverged at (seed, episode) {where}"
+
+
+REDUCTION_GAMMAS = (1.0, 0.9, 0.5, 0.37)
+
+
+def assert_same_tables_on_tree(tree, q_init, seed, episodes, run_a, run_b):
+    """Run two agents side by side on one tree, each from its own DrawStream
+    on the same seed, and compare the table bytes after every episode."""
+    env_a, env_b = RoadTreeEnv(tree), RoadTreeEnv(tree)
+    q_a, q_b = fresh(env_a, q_init), fresh(env_b, q_init)
+    seed_seq = np.random.SeedSequence(seed)
+    rng_a, rng_b = DrawStream(seed_seq), DrawStream(seed_seq)
+    for episode in range(episodes):
+        run_a(env_a, q_a, rng_a)
+        run_b(env_b, q_b, rng_b)
+        assert q_a.as_array().tobytes() == q_b.as_array().tobytes(), f"episode {episode}"
+
+
+@given(
+    tree=road_trees(),
+    gamma=st.sampled_from(REDUCTION_GAMMAS),
+    q_init=st.sampled_from((0.0, 5.0, -1.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cvs_zero_criticality_equals_monte_carlo_on_random_trees(tree, gamma, q_init, seed):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1)
+    assert_same_tables_on_tree(
+        tree,
+        q_init,
+        seed,
+        15,
+        lambda env, q, rng: cvs_episode(env, q, const_h(0.0), params, rng),
+        lambda env, q, rng: mc_episode(env, q, params, rng),
+    )
+
+
+@given(
+    tree=road_trees(),
+    n=st.integers(1, 6),
+    gamma=st.sampled_from(REDUCTION_GAMMAS),
+    q_init=st.sampled_from((0.0, 5.0, -1.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cvs_constant_criticality_equals_n_step_sarsa_on_random_trees(
+    tree, n, gamma, q_init, seed
+):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=n)
+    assert_same_tables_on_tree(
+        tree,
+        q_init,
+        seed,
+        15,
+        lambda env, q, rng: cvs_episode(env, q, const_h(1 / n), params, rng),
+        lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
+    )
 
 
 def test_cvs_unit_criticality_equals_sarsa_on_shooter():

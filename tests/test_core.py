@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cvslab import AgentParams, QTable, Transition, epsilon_greedy, greedy_actions, q_update
-from cvslab.core import q_index, q_update_traced
+from cvslab.core import _DRAW_BLOCK, DrawStream, q_index, q_update_traced
 
 
 def make_table(counts, terminal, initial=0.0):
@@ -88,10 +88,12 @@ def test_qtable_construction_matches_fill_and_mask_reference(counts, initial, da
 def test_qtable_row_and_row_max():
     q = make_table([3, 1], terminal=1)
     q_update(q, 0, 1, 5.0, 1.0)
-    assert q.row(0).tolist() == [0.0, 5.0, 0.0]
+    # the valid action values of a row, copied out of the table
+    row = q.as_array()[0, : q.num_actions(0)]
+    assert row.tolist() == [0.0, 5.0, 0.0]
     assert q.row_max(0) == 5.0
-    # row() hands out a copy, not a view
-    q.row(0)[0] = 99.0
+    # as_array() hands out a copy, not a view
+    row[0] = 99.0
     assert q[0, 0] == 0.0
 
 
@@ -316,3 +318,52 @@ def test_hot_path_matches_numpy_scalar_references(q, seed):
             for _ in range(3):
                 assert epsilon_greedy(q, s, epsilon, rng) == reference_epsilon_greedy(q, s, epsilon, ref_rng)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# DrawStream against numpy's Generator on the same SeedSequence
+# ----------------------------------------------------------------------
+
+# Bounds around the Lemire rejection edge cases: powers of two, the largest
+# 32-bit bounds (tiny and huge thresholds) and 2**32 itself.
+DRAW_BOUNDS = (1, 2, 3, 4, 5, 10, 20, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+DRAW_OPS = st.one_of(
+    st.just(None),  # random()
+    st.sampled_from(DRAW_BOUNDS),
+    st.integers(1, 2**32),
+)
+
+
+@given(
+    entropy=st.integers(0, 2**64 - 1),
+    run=st.integers(0, 3),
+    pattern=st.lists(DRAW_OPS, min_size=1, max_size=20).filter(
+        lambda ops: any(k != 1 for k in ops)
+    ),
+)
+def test_draw_stream_matches_default_rng(entropy, run, pattern):
+    seed_seq = np.random.SeedSequence(entropy, spawn_key=(run,))
+    rng, stream = np.random.default_rng(seed_seq), DrawStream(seed_seq)
+    # Every call but integers(1) takes at least half a word, so this many
+    # calls cross several blocks.
+    calls = 6 * _DRAW_BLOCK
+    for i in range(calls):
+        k = pattern[i % len(pattern)]
+        if k is None:
+            got, want = stream.random(), rng.random()
+            assert type(got) is float
+            assert got.hex() == want.hex(), f"call {i}: random()"
+        else:
+            got, want = stream.integers(k), int(rng.integers(k))
+            assert type(got) is int
+            assert got == want, f"call {i}: integers({k})"
+    # Same word position, then the same buffered half-word.
+    assert stream.random().hex() == rng.random().hex()
+    assert stream.integers(2**32) == int(rng.integers(2**32))
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32 + 1, True, False, 3.0, "3", None])
+def test_draw_stream_rejects_bad_bounds(k):
+    stream = DrawStream(np.random.SeedSequence(0))
+    with pytest.raises(ValueError, match="k must be an int"):
+        stream.integers(k)

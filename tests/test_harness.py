@@ -15,15 +15,21 @@ from cvslab import (
     ShooterEnv,
     TennisEnv,
     average_over_runs,
+    cvs_episode,
     episodes_to_convergence,
     episodes_to_threshold,
     fig3_tree,
     greedy_actions,
     greedy_policy_return,
     make_env,
+    mc_episode,
+    n_step_sarsa_episode,
+    optimal_return_oracle,
+    q_learning_episode,
     q_update,
     run_experiment,
     running_average,
+    watkins_qlambda_episode,
 )
 from cvslab import harness
 from cvslab.harness import _run_one
@@ -281,3 +287,56 @@ def test_run_flags_match_step_rollout(monkeypatch, algorithm, q_init):
     rolled = _run_one(cfg, 0)
     assert walked.returns == rolled.returns
     assert walked.greedy_optimal == rolled.greedy_optimal
+
+
+def reference_run_one(cfg, run_index):
+    """``_run_one`` as it was before DrawStream: one numpy Generator per run."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run_index,)))
+    env = make_env(cfg.environment)
+    q = QTable.for_env(env, cfg.q_init)
+    params = cfg.params
+    algorithm = cfg.algorithm
+    h = env.criticality() if algorithm == "cvs" else None
+
+    oracle_return = None
+    flags = None
+    if isinstance(env, RoadTreeEnv):
+        oracle_return, _ = optimal_return_oracle(env)
+        flags = []
+
+    returns = []
+    for _ in range(cfg.episodes):
+        if algorithm == "cvs":
+            log = cvs_episode(env, q, h, params, rng, order=cfg.cvs_order)
+        elif algorithm == "qlearning":
+            log = q_learning_episode(env, q, params, rng)
+        elif algorithm == "nstep_sarsa":
+            log = n_step_sarsa_episode(env, q, params, rng)
+        elif algorithm == "qlambda":
+            log = watkins_qlambda_episode(env, q, params, rng)
+        else:
+            log = mc_episode(env, q, params, rng)
+        returns.append(log.total_reward)
+        if flags is not None:
+            flags.append(greedy_policy_return(env, q) == oracle_return)
+    return RunResult(returns, flags)
+
+
+@pytest.mark.parametrize(
+    "env_name, algorithm",
+    [("roadtree:fig6", a) for a in ("cvs", "qlearning", "nstep_sarsa", "qlambda", "mc")]
+    + [(name, a) for name in ("shooter", "tennis") for a in ("cvs", "qlearning")],
+)
+def test_run_matches_default_rng_reference(env_name, algorithm):
+    environment = {"name": env_name}
+    if env_name in ("shooter", "tennis"):
+        environment["max_steps"] = 100
+    cfg = small_cfg(
+        environment=environment,
+        algorithm=algorithm,
+        episodes=30,
+        seed=5,
+        params=AgentParams(gamma=0.9, n=3),
+    )
+    for run_index in range(2):
+        assert _run_one(cfg, run_index) == reference_run_one(cfg, run_index)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from cvslab import (
     RoadTreeEnv,
@@ -17,6 +18,7 @@ from cvslab import (
     optimal_return_oracle,
 )
 from cvslab.roadtree import KIND_JUNCTION, KIND_ROAD, KIND_SINK, KIND_TERMINAL
+from strategies import road_trees
 
 ALL_TREES = {
     "fig1": fig1_tree(),
@@ -191,13 +193,20 @@ def test_tree_spec_round_trip():
     tree = fig6_tree(k=4, distance=3)
     again = TreeSpec.from_dict(tree.to_dict())
     assert again == tree
-    assert TreeSpec.from_json(json.dumps(tree.to_dict())) == tree
+    assert TreeSpec.from_dict(json.loads(json.dumps(tree.to_dict()))) == tree
 
 
 def test_tree_spec_from_file(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(fig3_tree().to_dict()))
-    assert TreeSpec.from_file(path) == fig3_tree()
+    assert TreeSpec.from_dict(json.loads(path.read_text())) == fig3_tree()
+
+
+@given(tree=road_trees())
+def test_tree_spec_dict_round_trip_on_random_trees(tree):
+    doc = tree.to_dict()
+    assert TreeSpec.from_dict(doc) == tree
+    assert TreeSpec.from_dict(json.loads(json.dumps(doc))) == tree
 
 
 def junction(i, reward=0.0):
