@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     AgentParams,
     CriticalityFn,
+    Draws,
     Environment,
     QTable,
     epsilon_greedy,
@@ -81,7 +82,7 @@ def cvs_episode(
     q: QTable,
     h: CriticalityFn,
     params: AgentParams,
-    rng: np.random.Generator,
+    rng: Draws,
     *,
     order: str = ORDER_ACCUMULATE,
     record_trace: bool = False,
@@ -163,7 +164,7 @@ def q_learning_episode(
     env: Environment,
     q: QTable,
     params: AgentParams,
-    rng: np.random.Generator,
+    rng: Draws,
     *,
     record_trace: bool = False,
     record_updates: bool = False,
@@ -201,7 +202,7 @@ def n_step_sarsa_episode(
     env: Environment,
     q: QTable,
     params: AgentParams,
-    rng: np.random.Generator,
+    rng: Draws,
     *,
     record_trace: bool = False,
     record_updates: bool = False,
@@ -254,7 +255,7 @@ def watkins_qlambda_episode(
     env: Environment,
     q: QTable,
     params: AgentParams,
-    rng: np.random.Generator,
+    rng: Draws,
     *,
     record_trace: bool = False,
     record_updates: bool = False,
@@ -321,7 +322,7 @@ def mc_episode(
     env: Environment,
     q: QTable,
     params: AgentParams,
-    rng: np.random.Generator,
+    rng: Draws,
     *,
     record_trace: bool = False,
     record_updates: bool = False,

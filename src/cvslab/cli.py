@@ -2,8 +2,10 @@
 
 ``cvslab run <config>`` executes a comparison described by a JSON document
 (a file path or the name of a bundled preset) and writes one CSV per
-algorithm plus a plot spec.  ``cvslab plot <spec>`` turns that spec into an
-SVG.  ``cvslab list`` shows what is available.
+algorithm plus a plot spec; all its algorithm blocks share one process pool,
+sized by the largest block and capped by ``CVS_LAB_THREADS``, or run in this
+process at one worker.  ``cvslab plot <spec>`` turns that spec into an SVG.
+``cvslab list`` shows what is available.
 
 Exit codes: 0 on success, 2 for configuration problems (the message names
 the offending entry), 3 when an output file cannot be written.
@@ -15,6 +17,8 @@ import argparse
 import json
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from .harness import (
     ENVIRONMENT_NAMES,
     ConfigError,
     ExperimentConfig,
+    _resolve_workers,
     average_over_runs,
     run_experiment,
     running_average,
@@ -140,18 +145,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     name, jobs, window = _parse_compare(doc)
+    workers = min(_resolve_workers(None), max(cfg.runs for _, cfg in jobs))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
-    for label, cfg in jobs:
-        results = run_experiment(cfg)
-        mean = average_over_runs(results)
-        smoothed = running_average(mean, window)
-        csv_name = f"{name}_{label}.csv"
-        _write_csv(out_dir / csv_name, mean, smoothed)
-        curves.append({"label": label, "csv": csv_name})
-        print(f"wrote {out_dir / csv_name}")
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for label, cfg in jobs:
+            results = run_experiment(cfg, pool=pool)
+            mean = average_over_runs(results)
+            smoothed = running_average(mean, window)
+            csv_name = f"{name}_{label}.csv"
+            _write_csv(out_dir / csv_name, mean, smoothed)
+            curves.append({"label": label, "csv": csv_name})
+            print(f"wrote {out_dir / csv_name}")
 
     spec = {
         "title": name,

@@ -4,31 +4,31 @@ States and actions are dense non-negative integers.  Each environment owns a
 single absorbing TERMINAL sink state whose Q-row is pinned to zero; episodes
 end on the transition that enters it.  All value mutation goes through
 :func:`q_update` or its batched twin :func:`q_update_traced` so that learning
-code can be audited via the table's write counter, and all randomness flows
-through one ``numpy.random.Generator`` per run.
+code can be audited via the table's write counter.
 
 The per-step helpers (:class:`Transition`, :func:`greedy_actions`,
-:func:`epsilon_greedy`, :meth:`QTable.row_max`, ``QTable.__getitem__``) read
-single values as Python floats and ints (``ndarray.item``/``tolist``) rather
-than as numpy scalars: the comparisons and float values are the same, and a
-numpy scalar or reduction per step costs several times more on rows of 1-4
-actions.
+:func:`epsilon_greedy`, :func:`q_update`, :meth:`QTable.row_max`,
+``QTable.__getitem__``) read single values as Python floats and ints
+(``ndarray.item``/``tolist``) rather than as numpy scalars: the comparisons
+and float values are the same, and a numpy scalar or reduction per step costs
+several times more on rows of 1-4 actions.
 
 All randomness of a run flows through one draw source, which the harness
 passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
-environments call only ``rng.random()`` and ``rng.integers(k)``, so the source
-may be a ``numpy.random.Generator`` or the harness's ``DrawStream``, which
-serves the same values from blocks of raw PCG64 words at a fraction of
-numpy's per-call cost.
+environments call only ``rng.random()`` and ``rng.integers(k)`` (the
+:class:`Draws` protocol), so the source may be a ``numpy.random.Generator`` or
+the harness's ``DrawStream``, which serves the same values from blocks of raw
+PCG64 words at a fraction of numpy's per-call cost.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -37,6 +37,15 @@ ActionId = int
 
 # Criticality function: maps a state id to a value in [0, 1].
 CriticalityFn = Callable[[StateId], float]
+
+
+class Draws(Protocol):
+    """The draw calls agents and environments make: a ``numpy.random.Generator``
+    or a :class:`DrawStream` serves them."""
+
+    def random(self) -> float: ...
+
+    def integers(self, k: int) -> int: ...
 
 
 class Transition(NamedTuple):
@@ -108,12 +117,12 @@ class Environment(ABC):
         raise NotImplementedError
 
     @abstractmethod
-    def reset(self, rng: np.random.Generator) -> StateId:
+    def reset(self, rng: Draws) -> StateId:
         """Start a new episode and return a non-terminal initial state."""
         raise NotImplementedError
 
     @abstractmethod
-    def step(self, s: StateId, a: ActionId, rng: np.random.Generator) -> Transition:
+    def step(self, s: StateId, a: ActionId, rng: Draws) -> Transition:
         raise NotImplementedError
 
     @abstractmethod
@@ -134,10 +143,12 @@ class QTable:
     writes.  ``writes`` counts every value written by :func:`q_update` or
     :func:`q_update_traced`.
 
-    A +0.0 initial value allocates with ``np.zeros``, so the table starts on
-    zero pages instead of being filled; any other value (``-0.0`` included)
-    is filled with ``np.full``.  The ``-inf`` padding is written only into the
-    rows narrower than the table.
+    A +0.0 initial value gets a private anonymous mapping of its own, so the
+    table starts on zero pages instead of being filled, only the 4 KiB pages
+    a run writes become resident, and all of them go back to the system when
+    the table is freed; any other value (``-0.0`` included) is filled with
+    ``np.full``.  The ``-inf`` padding is written only into the rows narrower
+    than the table.
     """
 
     def __init__(self, action_counts: np.ndarray, terminal: StateId, initial_value: float = 0.0):
@@ -152,7 +163,12 @@ class QTable:
         width = max(1, int(counts.max()))
         shape = (len(counts), width)
         if self._initial == 0.0 and math.copysign(1.0, self._initial) > 0.0:
-            values = np.zeros(shape, dtype=np.float64)
+            # Not np.zeros: malloc would reuse a freed table's heap pages or
+            # map new ones depending on the heap's history, and numpy backs
+            # arrays of 4 MiB and more with 2 MiB huge pages; either makes
+            # peak RSS depend on more than the pages a run writes.
+            buf = mmap.mmap(-1, len(counts) * width * 8, access=mmap.ACCESS_COPY)
+            values = np.frombuffer(buf, dtype=np.float64).reshape(shape)
         else:
             values = np.full(shape, self._initial, dtype=np.float64)
         short = np.flatnonzero(counts < width)
@@ -285,7 +301,7 @@ class DrawStream:
                 return m >> 32
 
 
-def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: np.random.Generator) -> ActionId:
+def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: Draws) -> ActionId:
     """Pick a greedy action, exploring uniformly with probability ``epsilon``.
 
     Greedy ties are broken uniformly at random.  Single-action states return
@@ -315,7 +331,7 @@ def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) ->
     a QTable.
     """
     _check_writable(q, s, a)
-    v = q._values[s, a]
+    v = q._values.item(s, a)
     q._values[s, a] = v + alpha * (target - v)
     q._writes += 1
 
@@ -323,7 +339,7 @@ def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) ->
 def _check_writable(q: QTable, s: StateId, a: ActionId) -> None:
     if s == q.terminal:
         raise ValueError("the TERMINAL Q-row is immutable")
-    if not 0 <= a < q._counts[s]:
+    if not 0 <= a < q._counts.item(s):
         raise ValueError(f"action {a} invalid for state {s}")
 
 

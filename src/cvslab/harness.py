@@ -7,14 +7,17 @@ order or worker count.  Every draw of a run, env resets included, comes from
 one ``DrawStream`` on that seed, whose values equal those of
 ``np.random.default_rng`` on it.  Runs may execute in parallel processes; the
 ``CVS_LAB_THREADS`` environment variable caps the worker count (default: the
-number of available processors).
+number of available processors).  ``run_experiment`` submits its runs to a
+caller's process pool when given one, so several experiments can share one
+pool (the CLI opens one per comparison, sized by its largest block), and
+otherwise opens and closes its own.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -225,8 +228,8 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
 
 def _resolve_workers(max_workers: int | None) -> int:
     if max_workers is not None:
-        if max_workers < 1:
-            raise ConfigError("max_workers", "must be a positive integer")
+        if not _is_int(max_workers) or max_workers < 1:
+            raise ConfigError("max_workers", f"must be a positive integer, got {max_workers!r}")
         return max_workers
     raw = os.environ.get("CVS_LAB_THREADS")
     if raw is not None:
@@ -243,15 +246,29 @@ def _resolve_workers(max_workers: int | None) -> int:
         return os.cpu_count() or 1
 
 
-def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> list[RunResult]:
-    """Execute all runs of an experiment; results are ordered by run index."""
+def run_experiment(
+    cfg: ExperimentConfig, max_workers: int | None = None, pool: Executor | None = None
+) -> list[RunResult]:
+    """Execute all runs of an experiment; results are ordered by run index.
+
+    With a ``pool``, the runs go to it and it is left open for the caller
+    (``max_workers`` is then not used).  Without one, at most
+    ``min(max_workers, cfg.runs)`` workers run them, in a pool opened and
+    closed here, or in this process when that is 1.
+    """
     cfg.validate()
+    if pool is not None:
+        return _run_all(pool, cfg)
     workers = min(_resolve_workers(max_workers), cfg.runs)
     if workers <= 1:
         return [_run_one(cfg, i) for i in range(cfg.runs)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_one, cfg, i) for i in range(cfg.runs)]
-        return [f.result() for f in futures]
+    with ProcessPoolExecutor(max_workers=workers) as own:
+        return _run_all(own, cfg)
+
+
+def _run_all(pool: Executor, cfg: ExperimentConfig) -> list[RunResult]:
+    futures = [pool.submit(_run_one, cfg, i) for i in range(cfg.runs)]
+    return [f.result() for f in futures]
 
 
 # ----------------------------------------------------------------------

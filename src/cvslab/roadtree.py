@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CriticalityFn, Environment, StateId, Transition
+from .core import CriticalityFn, Draws, Environment, StateId, Transition
 
 KIND_JUNCTION = "junction"
 KIND_TERMINAL = "terminal"
@@ -242,93 +242,50 @@ class RoadTreeEnv(Environment):
         tree.validate()
         self.tree = tree
         kinds: list[str] = []
-        node_state: dict[int, StateId] = {}
+        table: list[list[Transition]] = []  # state -> action -> its transition
 
         def new_state(kind: str) -> StateId:
             kinds.append(kind)
+            table.append([])
             return len(kinds) - 1
 
-        node_state[tree.root] = new_state(KIND_JUNCTION)
-        # Allocate edge chains and child nodes in declaration order so that a
-        # parent's action k follows its k-th declared edge.
-        order: list[int] = [tree.root]
-        i = 0
-        while i < len(order):
-            p = order[i]
-            i += 1
-            for e in tree.children(p):
-                child = tree.node(e.child)
-                for _ in range(e.distance - 1):
-                    new_state(KIND_ROAD)
-                node_state[child.id] = new_state(
-                    KIND_JUNCTION if child.kind == KIND_JUNCTION else KIND_TERMINAL
-                )
-                if child.kind == KIND_JUNCTION:
-                    order.append(child.id)
-        sink = new_state(KIND_SINK)
-
-        n = len(kinds)
-        nxt: list[list[int]] = [[] for _ in range(n)]
-        rew: list[list[float]] = [[] for _ in range(n)]
-        term: list[list[bool]] = [[] for _ in range(n)]
+        # Every non-root node adds its edge's d - 1 road states plus its own,
+        # so the sink, allocated last, gets this id.
+        sink = 1 + sum(e.distance for e in tree.edges)
+        node_state = {tree.root: new_state(KIND_JUNCTION)}
         # junction state -> per action (child node reward, child junction state
         # or None for a terminal child): the tree with its roads contracted.
         moves: dict[StateId, list[tuple[float, StateId | None]]] = {}
-
-        # Rebuild the chains; allocation above fixed the ids, so walk edges in
-        # the same order to wire transitions.
-        cursor: dict[int, int] = {}  # parent node id -> first chain state of next edge
-
-        def chain_ids(edge: TreeEdge) -> list[StateId]:
-            start = cursor[edge.parent]
-            ids = list(range(start, start + edge.distance - 1))
-            cursor[edge.parent] = start + edge.distance  # chain plus the child node state
-            return ids
-
-        cursor_pos = 1  # state 0 is the root
-        for p in order:
-            cursor[p] = cursor_pos
-            span = sum(e.distance for e in tree.children(p))
-            cursor_pos += span
-        # order lists junctions in allocation order; spans are contiguous per parent.
-
-        for p in order:
+        # Junctions are expanded in allocation order, each edge's chain and
+        # child right after the previous edge's, so a parent's action k
+        # follows its k-th declared edge.
+        order = [tree.root]
+        for p in order:  # grows as junction children are allocated
             p_state = node_state[p]
             moves[p_state] = []
             for e in tree.children(p):
+                last = p_state
+                for _ in range(e.distance - 1):
+                    road = new_state(KIND_ROAD)
+                    table[last].append(Transition(0.0, road, False))
+                    last = road
                 child = tree.node(e.child)
-                chain = chain_ids(e)
-                c_state = node_state[child.id]
-                entering_terminal = child.kind == KIND_TERMINAL
-                moves[p_state].append((child.reward, None if entering_terminal else c_state))
-                entry = (
-                    Transition(child.reward, sink, True)
-                    if entering_terminal
-                    else Transition(child.reward, c_state, False)
-                )
-                if chain:
-                    nxt[p_state].append(chain[0])
-                    rew[p_state].append(0.0)
-                    term[p_state].append(False)
-                    for a, b in zip(chain, chain[1:]):
-                        nxt[a].append(b)
-                        rew[a].append(0.0)
-                        term[a].append(False)
-                    last = chain[-1]
+                c_state = node_state[child.id] = new_state(child.kind)
+                if child.kind == KIND_TERMINAL:
+                    table[last].append(Transition(child.reward, sink, True))
+                    moves[p_state].append((child.reward, None))
                 else:
-                    last = p_state
-                nxt[last].append(entry.next_state)
-                rew[last].append(entry.reward)
-                term[last].append(entry.terminal)
+                    table[last].append(Transition(child.reward, c_state, False))
+                    moves[p_state].append((child.reward, c_state))
+                    order.append(child.id)
+        new_state(KIND_SINK)
 
         self._kinds = kinds
         self._node_state = node_state
         self._sink = sink
-        self._next = nxt
-        self._reward = rew
-        self._terminal_flag = term
-        self._counts = np.array([len(row) for row in nxt], dtype=np.int16)
-        self._crit = np.array([0.0 if k == KIND_ROAD else 1.0 for k in kinds])
+        self._table = table
+        self._counts = np.array([len(row) for row in table], dtype=np.int16)
+        self._crit = [0.0 if k == KIND_ROAD else 1.0 for k in kinds]
         self.junction_moves = moves
 
     @property
@@ -355,21 +312,22 @@ class RoadTreeEnv(Environment):
     def action_counts(self) -> np.ndarray:
         return self._counts.copy()
 
-    def reset(self, rng: np.random.Generator) -> StateId:
+    def reset(self, rng: Draws) -> StateId:
         return self.root_state
 
-    def step(self, s: StateId, a: int, rng: np.random.Generator) -> Transition:
+    def step(self, s: StateId, a: int, rng: Draws) -> Transition:
         if s == self._sink:
             raise ValueError("cannot step from the TERMINAL state")
-        if not 0 <= a < len(self._next[s]):
+        row = self._table[s]
+        if not 0 <= a < len(row):
             raise ValueError(f"action {a} invalid for state {s}")
-        return Transition(self._reward[s][a], self._next[s][a], self._terminal_flag[s][a])
+        return row[a]
 
     def criticality(self) -> CriticalityFn:
         crit = self._crit
 
         def h(s: StateId) -> float:
-            return float(crit[s])
+            return crit[s]
 
         return h
 

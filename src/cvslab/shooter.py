@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriticalityFn, Environment, StateId, Transition
+from .core import CriticalityFn, Draws, Environment, StateId, Transition
 
 ROWS = 10
 COLS = 20
@@ -153,14 +153,14 @@ class ShooterEnv(Environment):
             gun_row=gun, target_row=trow, target_dir=tdir, bullet=Bullet(brow, bcol, bdir)
         )
 
-    def reset(self, rng: np.random.Generator) -> StateId:
+    def reset(self, rng: Draws) -> StateId:
         self._steps = 0
         gun = int(rng.integers(ROWS))
         trow = int(rng.integers(ROWS))
         tdir = -1 if int(rng.integers(2)) == 0 else 1
         return (gun * ROWS + trow) * 2 + tdir_index(tdir)
 
-    def step(self, s: StateId, a: int, rng: np.random.Generator) -> Transition:
+    def step(self, s: StateId, a: int, rng: Draws) -> Transition:
         if s == self.terminal:
             raise ValueError("cannot step from the TERMINAL state")
         if not 0 <= a < 4:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CriticalityFn, Environment, StateId, Transition
+from .core import CriticalityFn, Draws, Environment, StateId, Transition
 
 ROWS = 20
 COLS = 40
@@ -128,7 +128,7 @@ class TennisEnv(Environment):
             opponent_row=opp,
         )
 
-    def reset(self, rng: np.random.Generator) -> StateId:
+    def reset(self, rng: Draws) -> StateId:
         self._steps = 0
         v = int(rng.integers(3)) - 1
         return self.encode_state(
@@ -150,7 +150,7 @@ class TennisEnv(Environment):
             return -1
         return 0
 
-    def step(self, s: StateId, a: int, rng: np.random.Generator) -> Transition:
+    def step(self, s: StateId, a: int, rng: Draws) -> Transition:
         if s == self.terminal:
             raise ValueError("cannot step from the TERMINAL state")
         if not 0 <= a < 3:

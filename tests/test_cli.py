@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from cvslab import cli, harness
 from cvslab.cli import _parse_compare, main, preset_names
 
 
@@ -69,6 +71,89 @@ def test_seed_flag_overrides_config(tmp_path):
     a = (tmp_path / "a" / "demo_cvs.csv").read_bytes()
     assert a == (tmp_path / "b" / "demo_cvs.csv").read_bytes()
     assert a != (tmp_path / "c" / "demo_cvs.csv").read_bytes()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool the CLI or the harness opens, recorded in order."""
+    made = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.max_workers = kwargs.get("max_workers", args[0] if args else None)
+            self.closed = False
+            made.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.closed = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+THREE_BLOCKS = [
+    {"label": "cvs", "algorithm": "cvs"},
+    {"label": "mc", "algorithm": "mc"},
+    {"label": "ql", "algorithm": "qlearning"},
+]
+
+
+def test_one_pool_serves_every_block(tmp_path, monkeypatch, pools):
+    monkeypatch.setenv("CVS_LAB_THREADS", "2")
+    cfg = write_config(tmp_path / "demo.json", algorithms=THREE_BLOCKS, runs=3)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert [(p.max_workers, p.closed) for p in pools] == [(2, True)]
+    for label in ("cvs", "mc", "ql"):
+        assert (tmp_path / "out" / f"demo_{label}.csv").exists()
+
+
+def test_pool_is_sized_by_the_largest_block(tmp_path, monkeypatch, pools):
+    monkeypatch.setenv("CVS_LAB_THREADS", "8")
+    cfg = write_config(tmp_path / "demo.json", algorithms=THREE_BLOCKS, runs=2)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert [(p.max_workers, p.closed) for p in pools] == [(2, True)]
+
+
+@pytest.mark.parametrize("threads, runs", [("1", 3), ("2", 1)])
+def test_one_worker_opens_no_pool(tmp_path, monkeypatch, pools, threads, runs):
+    monkeypatch.setenv("CVS_LAB_THREADS", threads)
+    cfg = write_config(tmp_path / "demo.json", algorithms=THREE_BLOCKS, runs=runs)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert pools == []
+
+
+def test_failed_csv_write_still_closes_the_pool(tmp_path, monkeypatch, pools):
+    monkeypatch.setenv("CVS_LAB_THREADS", "2")
+    cfg = write_config(tmp_path / "demo.json", algorithms=THREE_BLOCKS, runs=2)
+    out = tmp_path / "out"
+    (out / "demo_mc.csv").mkdir(parents=True)  # a directory where a CSV goes
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert [(p.max_workers, p.closed) for p in pools] == [(2, True)]
+
+
+def test_fig1_csvs_are_byte_identical_at_one_and_two_workers(tmp_path, monkeypatch):
+    algorithms = [
+        {"label": "cvs", "algorithm": "cvs"},
+        {"label": "qlearning", "algorithm": "qlearning"},
+        {"label": "nstep_sarsa", "algorithm": "nstep_sarsa", "n": 3},
+        {"label": "mc", "algorithm": "mc"},
+    ]
+    cfg = write_config(
+        tmp_path / "fig1.json",
+        environment={"name": "roadtree:fig1"},
+        algorithms=algorithms,
+        episodes=30,
+        runs=3,
+    )
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CVS_LAB_THREADS", threads)
+        assert main(["run", str(cfg), "--out", str(tmp_path / threads)]) == 0
+    names = [f"demo_{a['label']}.csv" for a in algorithms] + ["demo_plot.json"]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

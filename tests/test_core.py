@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -95,6 +97,21 @@ def test_qtable_row_and_row_max():
     # as_array() hands out a copy, not a view
     row[0] = 99.0
     assert q[0, 0] == 0.0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("initial", [0.0, 0.5])
+def test_qtable_memory_is_private_to_its_process(initial):
+    q = make_table([2, 1], terminal=1, initial=initial)
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - child process
+        q_update(q, 0, 0, 7.0, 1.0)
+        os._exit(0 if q[0, 0] == 7.0 else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert q[0, 0] == initial
+    q_update(q, 0, 1, 3.0, 1.0)
+    assert q[0, 1] == 3.0
 
 
 def test_qtable_rejects_bad_shapes():
@@ -318,6 +335,56 @@ def test_hot_path_matches_numpy_scalar_references(q, seed):
             for _ in range(3):
                 assert epsilon_greedy(q, s, epsilon, rng) == reference_epsilon_greedy(q, s, epsilon, ref_rng)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_q_update(q, s, a, target, alpha):
+    """The numpy-scalar q_update, kept as the reference for the Python-float one."""
+    if s == q.terminal:
+        raise ValueError("the TERMINAL Q-row is immutable")
+    if not 0 <= a < q._counts[s]:
+        raise ValueError(f"action {a} invalid for state {s}")
+    v = q._values[s, a]
+    q._values[s, a] = v + alpha * (target - v)
+    q._writes += 1
+
+
+# Signed zeros and a few exact values, plus arbitrary finite ones.
+UPDATE_VALUES = st.one_of(
+    st.sampled_from((-1.5, -0.0, 0.0, 2.0)),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@given(
+    counts=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    terminal_at=st.integers(0, 5),
+    data=st.data(),
+)
+def test_q_update_matches_numpy_scalar_reference(counts, terminal_at, data):
+    terminal = terminal_at % len(counts)
+    q = make_table(counts, terminal)
+    for s, k in enumerate(counts):
+        if s != terminal:
+            q._values[s, :k] = data.draw(st.lists(UPDATE_VALUES, min_size=k, max_size=k))
+    ref = make_table(counts, terminal)
+    ref._values[:] = q._values
+    ops = st.tuples(
+        st.integers(0, len(counts) - 1),
+        st.integers(-1, 3),
+        UPDATE_VALUES,
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    for s, a, target, alpha in data.draw(st.lists(ops, max_size=40)):
+        errors = []
+        for update, table in ((q_update, q), (reference_q_update, ref)):
+            try:
+                update(table, s, a, target, alpha)
+                errors.append(None)
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        assert q._values.tobytes() == ref._values.tobytes()
+        assert q.writes == ref.writes
 
 
 # ----------------------------------------------------------------------

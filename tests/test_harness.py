@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -194,6 +196,22 @@ def test_worker_env_var_is_validated(monkeypatch):
 def test_explicit_worker_count_is_validated():
     with pytest.raises(ConfigError, match="max_workers"):
         run_experiment(small_cfg(), max_workers=0)
+    for bad in (2.5, "2", True, False, -1):
+        with pytest.raises(ConfigError, match="max_workers"):
+            run_experiment(small_cfg(), max_workers=bad)
+
+
+def test_caller_pool_gives_the_same_results_and_stays_open():
+    cfg = small_cfg(runs=3)
+    own = run_experiment(cfg, max_workers=2)
+    serial = run_experiment(cfg, max_workers=1)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        shared = run_experiment(cfg, pool=pool)
+        assert pool.submit(pow, 2, 10).result() == 1024
+        again = run_experiment(cfg, pool=pool)
+    for results in (own, shared, again):
+        assert [r.returns for r in results] == [r.returns for r in serial]
+        assert [r.greedy_optimal for r in results] == [r.greedy_optimal for r in serial]
 
 
 def test_result_shapes():

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from cvslab import (
     RoadTreeEnv,
+    Transition,
     TreeEdge,
     TreeNode,
     TreeSpec,
@@ -207,6 +208,110 @@ def test_tree_spec_dict_round_trip_on_random_trees(tree):
     doc = tree.to_dict()
     assert TreeSpec.from_dict(doc) == tree
     assert TreeSpec.from_dict(json.loads(json.dumps(doc))) == tree
+
+
+def reference_tables(tree: TreeSpec):
+    """The two-pass construction of parallel next/reward/terminal lists that
+    ``RoadTreeEnv`` used before it stored one ``Transition`` per pair; kept as
+    the reference for the one-pass build.  Returns (kinds, next, reward,
+    terminal flag, criticality array)."""
+    kinds: list[str] = []
+    node_state: dict[int, int] = {}
+
+    def new_state(kind):
+        kinds.append(kind)
+        return len(kinds) - 1
+
+    node_state[tree.root] = new_state(KIND_JUNCTION)
+    order = [tree.root]
+    i = 0
+    while i < len(order):
+        p = order[i]
+        i += 1
+        for e in tree.children(p):
+            child = tree.node(e.child)
+            for _ in range(e.distance - 1):
+                new_state(KIND_ROAD)
+            node_state[child.id] = new_state(
+                KIND_JUNCTION if child.kind == KIND_JUNCTION else KIND_TERMINAL
+            )
+            if child.kind == KIND_JUNCTION:
+                order.append(child.id)
+    sink = new_state(KIND_SINK)
+
+    n = len(kinds)
+    nxt = [[] for _ in range(n)]
+    rew = [[] for _ in range(n)]
+    term = [[] for _ in range(n)]
+    cursor = {}
+
+    def chain_ids(edge):
+        start = cursor[edge.parent]
+        ids = list(range(start, start + edge.distance - 1))
+        cursor[edge.parent] = start + edge.distance
+        return ids
+
+    cursor_pos = 1
+    for p in order:
+        cursor[p] = cursor_pos
+        cursor_pos += sum(e.distance for e in tree.children(p))
+
+    for p in order:
+        p_state = node_state[p]
+        for e in tree.children(p):
+            child = tree.node(e.child)
+            chain = chain_ids(e)
+            c_state = node_state[child.id]
+            entering_terminal = child.kind == KIND_TERMINAL
+            entry = (
+                Transition(child.reward, sink, True)
+                if entering_terminal
+                else Transition(child.reward, c_state, False)
+            )
+            if chain:
+                nxt[p_state].append(chain[0])
+                rew[p_state].append(0.0)
+                term[p_state].append(False)
+                for a, b in zip(chain, chain[1:]):
+                    nxt[a].append(b)
+                    rew[a].append(0.0)
+                    term[a].append(False)
+                last = chain[-1]
+            else:
+                last = p_state
+            nxt[last].append(entry.next_state)
+            rew[last].append(entry.reward)
+            term[last].append(entry.terminal)
+    crit = np.array([0.0 if k == KIND_ROAD else 1.0 for k in kinds])
+    return kinds, nxt, rew, term, crit
+
+
+@given(tree=road_trees())
+def test_transition_table_matches_two_pass_reference(tree):
+    env = RoadTreeEnv(tree)
+    kinds, nxt, rew, term, crit = reference_tables(tree)
+    rng = np.random.default_rng(0)
+    h = env.criticality()
+    assert env.num_states == len(kinds)
+    assert env.terminal == len(kinds) - 1
+    for s in range(env.num_states):
+        assert env.state_kind(s) == kinds[s]
+        assert env.num_actions(s) == len(nxt[s])
+        got_h, want_h = h(s), float(crit[s])
+        assert type(got_h) is float and got_h.hex() == want_h.hex()
+        if s == env.terminal:
+            with pytest.raises(ValueError, match="TERMINAL"):
+                env.step(s, 0, rng)
+            continue
+        for a in range(len(nxt[s])):
+            tr = env.step(s, a, rng)
+            assert type(tr) is Transition
+            assert tr.reward.hex() == rew[s][a].hex()
+            assert (tr.next_state, tr.terminal) == (nxt[s][a], term[s][a])
+        for a in (-1, len(nxt[s])):
+            with pytest.raises(ValueError, match="invalid"):
+                env.step(s, a, rng)
+    assert env.action_counts().tolist() == [len(row) for row in nxt]
 
 
 def junction(i, reward=0.0):
