@@ -13,6 +13,10 @@ The per-step helpers (:class:`Transition`, :func:`greedy_actions`,
 and float values are the same, and a numpy scalar or reduction per step costs
 several times more on rows of 1-4 actions.
 
+A table is built from its environment's action layout: the widest action
+count plus the few states with fewer actions (TERMINAL among them).  It holds
+no per-state count array, so a run's resident table is the pages it writes.
+
 All randomness of a run flows through one draw source, which the harness
 passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
 environments call only ``rng.random()`` and ``rng.integers(k)`` (the
@@ -130,62 +134,82 @@ class Environment(ABC):
         """Deterministic state criticality, values in [0, 1]."""
         raise NotImplementedError
 
-    def action_counts(self) -> np.ndarray:
-        """Per-state action counts (0 for states without actions)."""
-        return np.array([self.num_actions(s) for s in range(self.num_states)], dtype=np.int16)
+    def action_layout(self) -> tuple[int, dict[StateId, int]]:
+        """``(width, narrow)``: the widest action count (at least 1), and each
+        state with fewer actions mapped to its count, TERMINAL included.
+
+        This default asks ``num_actions`` of every state twice and keeps no
+        per-state list; environments that know their layout override it.
+        """
+        n = self.num_states
+        width = max(1, max(self.num_actions(s) for s in range(n)))
+        return width, {s: k for s in range(n) if (k := self.num_actions(s)) < width}
 
 
 class QTable:
     """Dense (state x action) value table.
 
-    Rows are padded to the widest action set; padding slots hold ``-inf`` so
-    they can never win an argmax.  The TERMINAL row reads as zero and rejects
-    writes.  ``writes`` counts every value written by :func:`q_update` or
-    :func:`q_update_traced`.
+    Built from an action layout ``(width, narrow)`` (see
+    :meth:`Environment.action_layout`): every row is ``width`` slots wide,
+    and a state in ``narrow`` with ``k`` actions has its slots from ``k`` on
+    padded with ``-inf``, so they can never win an argmax.  A state's action
+    count is ``narrow.get(s, width)``; the table keeps no per-state array.
+    Every reader checks ``0 <= s < num_states`` first: that lookup would give
+    ``s = -1`` a full row, and numpy would index it as the last one.  The
+    TERMINAL row reads as zero and rejects writes.  ``writes`` counts every
+    value written by :func:`q_update` or :func:`q_update_traced`.
 
     A +0.0 initial value gets a private anonymous mapping of its own, so the
     table starts on zero pages instead of being filled, only the 4 KiB pages
     a run writes become resident, and all of them go back to the system when
     the table is freed; any other value (``-0.0`` included) is filled with
-    ``np.full``.  The ``-inf`` padding is written only into the rows narrower
-    than the table.
+    ``np.full``.
     """
 
-    def __init__(self, action_counts: np.ndarray, terminal: StateId, initial_value: float = 0.0):
-        counts = np.asarray(action_counts, dtype=np.int16)
-        if counts.ndim != 1 or len(counts) == 0:
-            raise ValueError("action_counts must be a non-empty 1-D array")
-        if not 0 <= terminal < len(counts):
+    def __init__(
+        self,
+        num_states: int,
+        layout: tuple[int, dict[StateId, int]],
+        terminal: StateId,
+        initial_value: float = 0.0,
+    ):
+        width, narrow = layout
+        if num_states < 1:
+            raise ValueError(f"num_states must be >= 1, got {num_states}")
+        if width < 1:
+            raise ValueError(f"width must be >= 1, got {width}")
+        if not 0 <= terminal < num_states:
             raise ValueError(f"terminal id {terminal} out of range")
-        self._counts = counts
+        self._num_states = int(num_states)
+        self._width = int(width)
+        self._narrow = dict(narrow)
         self._terminal = int(terminal)
         self._initial = float(initial_value)
-        width = max(1, int(counts.max()))
-        shape = (len(counts), width)
+        shape = (self._num_states, self._width)
         if self._initial == 0.0 and math.copysign(1.0, self._initial) > 0.0:
             # Not np.zeros: malloc would reuse a freed table's heap pages or
             # map new ones depending on the heap's history, and numpy backs
             # arrays of 4 MiB and more with 2 MiB huge pages; either makes
             # peak RSS depend on more than the pages a run writes.
-            buf = mmap.mmap(-1, len(counts) * width * 8, access=mmap.ACCESS_COPY)
+            buf = mmap.mmap(-1, shape[0] * shape[1] * 8, access=mmap.ACCESS_COPY)
             values = np.frombuffer(buf, dtype=np.float64).reshape(shape)
         else:
             values = np.full(shape, self._initial, dtype=np.float64)
-        short = np.flatnonzero(counts < width)
-        # int16 against int16: an int64 arange here cost 0.1-0.2 MB of peak RSS
-        rows, cols = np.nonzero(np.arange(width, dtype=counts.dtype) >= counts[short, None])
-        values[short[rows], cols] = -np.inf
+        for s, k in self._narrow.items():
+            if not (0 <= s < num_states and 0 <= k < width):
+                raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
+            values[s, k:] = -np.inf
         values[self._terminal, :] = 0.0
         self._values = values
         self._writes = 0
 
     @classmethod
     def for_env(cls, env: Environment, initial_value: float = 0.0) -> "QTable":
-        return cls(env.action_counts(), env.terminal, initial_value)
+        return cls(env.num_states, env.action_layout(), env.terminal, initial_value)
 
     @property
     def num_states(self) -> int:
-        return len(self._counts)
+        return self._num_states
 
     @property
     def terminal(self) -> StateId:
@@ -201,13 +225,19 @@ class QTable:
         return self._writes
 
     def num_actions(self, s: StateId) -> int:
-        return int(self._counts[s])
+        if not 0 <= s < self._num_states:
+            raise ValueError(f"state {s} out of range")
+        return self._narrow.get(s, self._width)
 
     def __getitem__(self, sa: tuple[StateId, ActionId]) -> float:
+        if not 0 <= sa[0] < self._num_states:
+            raise ValueError(f"state {sa[0]} out of range")
         return self._values.item(sa)
 
     def row_max(self, s: StateId) -> float:
-        k = self._counts.item(s)
+        if not 0 <= s < self._num_states:
+            raise ValueError(f"state {s} out of range")
+        k = self._narrow.get(s, self._width)
         if k == 0:
             raise ValueError(f"state {s} has no actions")
         row = self._values[s].tolist()
@@ -222,7 +252,9 @@ def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:
     """All actions of ``s`` tied at the maximal Q value, ascending."""
     if s == q.terminal:
         raise ValueError("greedy_actions is undefined at the TERMINAL state")
-    k = q._counts.item(s)
+    if not 0 <= s < q._num_states:
+        raise ValueError(f"state {s} out of range")
+    k = q._narrow.get(s, q._width)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
     row = q._values[s].tolist()
@@ -311,7 +343,9 @@ def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: Draws) -> ActionI
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if s == q.terminal:
         raise ValueError("epsilon_greedy is undefined at the TERMINAL state")
-    k = q._counts.item(s)
+    if not 0 <= s < q._num_states:
+        raise ValueError(f"state {s} out of range")
+    k = q._narrow.get(s, q._width)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
     if k == 1:
@@ -339,7 +373,9 @@ def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) ->
 def _check_writable(q: QTable, s: StateId, a: ActionId) -> None:
     if s == q.terminal:
         raise ValueError("the TERMINAL Q-row is immutable")
-    if not 0 <= a < q._counts.item(s):
+    if not 0 <= s < q._num_states:
+        raise ValueError(f"state {s} out of range")
+    if not 0 <= a < q._narrow.get(s, q._width):
         raise ValueError(f"action {a} invalid for state {s}")
 
 

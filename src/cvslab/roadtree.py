@@ -15,7 +15,9 @@ outcome hinges on a choice or has just been decided) and 0 on road states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,19 +49,34 @@ class TreeSpec:
     nodes: tuple[TreeNode, ...]
     edges: tuple[TreeEdge, ...]
 
-    def node(self, node_id: int) -> TreeNode:
+    @cached_property
+    def _node_by_id(self) -> dict[int, TreeNode]:
+        by_id: dict[int, TreeNode] = {}
         for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"no node {node_id}")
+            by_id.setdefault(n.id, n)  # the first of duplicate ids, as a scan finds
+        return by_id
+
+    @cached_property
+    def _edges_by_parent(self) -> dict[int, list[TreeEdge]]:
+        by_parent: dict[int, list[TreeEdge]] = {}
+        for e in self.edges:
+            by_parent.setdefault(e.parent, []).append(e)
+        return by_parent
+
+    def node(self, node_id: int) -> TreeNode:
+        try:
+            return self._node_by_id[node_id]
+        except KeyError:
+            raise KeyError(f"no node {node_id}") from None
 
     def children(self, node_id: int) -> list[TreeEdge]:
-        return [e for e in self.edges if e.parent == node_id]
+        return list(self._edges_by_parent.get(node_id, ()))
 
     def validate(self) -> None:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
+            counts = Counter(ids)
+            dup = next(i for i in ids if counts[i] > 1)
             raise ValueError(f"duplicate node id {dup}")
         known = set(ids)
         if self.root not in known:
@@ -284,7 +301,6 @@ class RoadTreeEnv(Environment):
         self._node_state = node_state
         self._sink = sink
         self._table = table
-        self._counts = np.array([len(row) for row in table], dtype=np.int16)
         self._crit = [0.0 if k == KIND_ROAD else 1.0 for k in kinds]
         self.junction_moves = moves
 
@@ -307,10 +323,11 @@ class RoadTreeEnv(Environment):
         return self._kinds[s]
 
     def num_actions(self, s: StateId) -> int:
-        return int(self._counts[s])
+        return len(self._table[s])
 
-    def action_counts(self) -> np.ndarray:
-        return self._counts.copy()
+    def action_layout(self) -> tuple[int, dict[StateId, int]]:
+        width = max(map(len, self._table))
+        return width, {s: len(row) for s, row in enumerate(self._table) if len(row) < width}
 
     def reset(self, rng: Draws) -> StateId:
         return self.root_state

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CriticalityFn, Draws, Environment, StateId, Transition
 
 ROWS = 10
@@ -101,10 +99,8 @@ class ShooterEnv(Environment):
     def num_actions(self, s: StateId) -> int:
         return 0 if s == self.terminal else 4
 
-    def action_counts(self) -> np.ndarray:
-        counts = np.full(self.num_states, 4, dtype=np.int16)
-        counts[self.terminal] = 0
-        return counts
+    def action_layout(self) -> tuple[int, dict[StateId, int]]:
+        return 4, {self.terminal: 0}
 
     def encode_state(self, state: ShooterState) -> StateId:
         if not 0 <= state.gun_row < ROWS:

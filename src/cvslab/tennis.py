@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CriticalityFn, Draws, Environment, StateId, Transition
 
 ROWS = 20
@@ -82,10 +80,8 @@ class TennisEnv(Environment):
     def num_actions(self, s: StateId) -> int:
         return 0 if s == self.terminal else 3
 
-    def action_counts(self) -> np.ndarray:
-        counts = np.full(self.num_states, 3, dtype=np.int16)
-        counts[self.terminal] = 0
-        return counts
+    def action_layout(self) -> tuple[int, dict[StateId, int]]:
+        return 3, {self.terminal: 0}
 
     def encode_state(self, state: TennisState) -> StateId:
         if not 0 <= state.ball_row < ROWS:

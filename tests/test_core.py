@@ -1,18 +1,37 @@
 from __future__ import annotations
 
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvslab import AgentParams, QTable, Transition, epsilon_greedy, greedy_actions, q_update
+from cvslab import (
+    AgentParams,
+    QTable,
+    RoadTreeEnv,
+    ShooterEnv,
+    TennisEnv,
+    Transition,
+    epsilon_greedy,
+    fig1_tree,
+    greedy_actions,
+    q_update,
+)
 from cvslab.core import _DRAW_BLOCK, DrawStream, q_index, q_update_traced
 
 
+def layout_of(counts):
+    """The action layout of a per-state count list."""
+    width = max(1, max(counts))
+    return width, {s: k for s, k in enumerate(counts) if k < width}
+
+
 def make_table(counts, terminal, initial=0.0):
-    return QTable(np.array(counts, dtype=np.int16), terminal, initial)
+    return QTable(len(counts), layout_of(counts), terminal, initial)
 
 
 def test_agent_params_defaults():
@@ -65,6 +84,37 @@ def test_qtable_padding_and_terminal_row():
     assert q.initial_value == 0.5
 
 
+GUARDED_CALLS = {
+    "q_update": lambda q, s: q_update(q, s, 0, 1.0, 0.5),
+    "q_index": lambda q, s: q_index(q, s, 0),
+    "greedy_actions": greedy_actions,
+    "epsilon_greedy": lambda q, s: epsilon_greedy(q, s, 0.5, np.random.default_rng(0)),
+    "row_max": lambda q, s: q.row_max(s),
+    "num_actions": lambda q, s: q.num_actions(s),
+    "getitem": lambda q, s: q[s, 0],
+}
+GUARD_ENVS = {
+    "tennis": TennisEnv,
+    "shooter": ShooterEnv,
+    "fig1": lambda: RoadTreeEnv(fig1_tree()),
+}
+
+
+@pytest.mark.parametrize("call", sorted(GUARDED_CALLS))
+@pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
+def test_out_of_range_states_are_rejected(env_name, call):
+    env = GUARD_ENVS[env_name]()
+    q = QTable.for_env(env, 0.0)
+    # Row -1 is TERMINAL's; a call that took s = -1 for a full row would
+    # write or read there through numpy's negative indexing.
+    before = hashlib.sha256(q._values).digest()
+    for s in (-1, env.num_states):
+        with pytest.raises(ValueError, match="out of range"):
+            GUARDED_CALLS[call](q, s)
+    assert hashlib.sha256(q._values).digest() == before
+    assert q.writes == 0
+
+
 def reference_qtable_values(counts, terminal, initial):
     """Construction before zero pages: fill every slot, then mask the padding."""
     counts = np.asarray(counts, dtype=np.int16)
@@ -115,12 +165,37 @@ def test_qtable_memory_is_private_to_its_process(initial):
 
 
 def test_qtable_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        QTable(np.zeros((2, 2), dtype=np.int16), 0)
-    with pytest.raises(ValueError):
-        QTable(np.array([], dtype=np.int16), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_states"):
+        QTable(0, (1, {}), 0)
+    with pytest.raises(ValueError, match="width"):
+        QTable(2, (0, {}), 0)
+    with pytest.raises(ValueError, match="terminal"):
         make_table([1, 1], terminal=5)
+    for narrow in ({2: 0}, {-1: 0}, {0: 2}, {0: -1}):
+        with pytest.raises(ValueError, match="does not fit"):
+            QTable(2, (2, narrow), 1)
+
+
+@pytest.mark.parametrize("env_cls, width", [(ShooterEnv, 4), (TennisEnv, 3)])
+def test_uniform_env_layout_agrees_with_num_actions(env_cls, width):
+    env = env_cls()
+    assert env.action_layout() == (width, {env.terminal: 0})
+    assert env.num_actions(env.terminal) == 0
+    rng = np.random.default_rng(5)
+    for s in [0, env.terminal - 1, *rng.integers(env.terminal, size=200).tolist()]:
+        assert env.num_actions(s) == width
+
+
+def test_tennis_table_allocates_no_per_state_array():
+    env = TennisEnv()
+    tracemalloc.start()
+    try:
+        q = QTable.for_env(env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q._values.nbytes > 40e6  # the table itself lives on zero pages
+    assert peak < 64 * 1024
 
 
 def test_q_update_moves_toward_target():
@@ -254,7 +329,7 @@ def reference_getitem(q, sa):
 
 
 def reference_row_max(q, s):
-    k = q._counts[s]
+    k = q.num_actions(s)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
     return float(q._values[s, :k].max())
@@ -263,7 +338,7 @@ def reference_row_max(q, s):
 def reference_greedy_actions(q, s):
     if s == q.terminal:
         raise ValueError("greedy_actions is undefined at the TERMINAL state")
-    k = q._counts[s]
+    k = q.num_actions(s)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
     row = q._values[s]
@@ -284,7 +359,7 @@ def reference_epsilon_greedy(q, s, epsilon, rng):
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if s == q.terminal:
         raise ValueError("epsilon_greedy is undefined at the TERMINAL state")
-    k = q._counts[s]
+    k = q.num_actions(s)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
     if k == 1:
@@ -341,7 +416,7 @@ def reference_q_update(q, s, a, target, alpha):
     """The numpy-scalar q_update, kept as the reference for the Python-float one."""
     if s == q.terminal:
         raise ValueError("the TERMINAL Q-row is immutable")
-    if not 0 <= a < q._counts[s]:
+    if not 0 <= a < q.num_actions(s):
         raise ValueError(f"action {a} invalid for state {s}")
     v = q._values[s, a]
     q._values[s, a] = v + alpha * (target - v)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from cvslab import (
+    Environment,
     RoadTreeEnv,
     Transition,
     TreeEdge,
@@ -183,6 +185,20 @@ def test_fig6_fan_out():
     assert path == [1, 3]
 
 
+def test_wide_tree_builds_in_linear_time():
+    # Scanning the node and edge lists once per node or edge made this take
+    # about 38 s on a 2-core Xeon, against 0.1 s indexed.  No QTable: its
+    # 20001-wide -inf padding would fault in GBs.
+    k = 20_000
+    start = time.perf_counter()
+    env = RoadTreeEnv(fig6_tree(k=k, distance=1))
+    value, path = optimal_return_oracle(env)
+    assert time.perf_counter() - start < 10.0
+    assert (value, path) == (2.0, [1, k])
+    assert env.num_actions(env.node_state(2)) == k + 1
+    assert env.action_layout()[0] == k + 1
+
+
 def test_fig6_rejects_bad_arguments():
     with pytest.raises(ValueError, match="k"):
         fig6_tree(k=0)
@@ -311,7 +327,19 @@ def test_transition_table_matches_two_pass_reference(tree):
         for a in (-1, len(nxt[s])):
             with pytest.raises(ValueError, match="invalid"):
                 env.step(s, a, rng)
-    assert env.action_counts().tolist() == [len(row) for row in nxt]
+    width, narrow = env.action_layout()
+    assert [narrow.get(s, width) for s in range(env.num_states)] == [len(row) for row in nxt]
+
+
+@given(tree=road_trees())
+def test_action_layout_agrees_with_num_actions(tree):
+    env = RoadTreeEnv(tree)
+    counts = {s: env.num_actions(s) for s in range(env.num_states)}
+    width, narrow = env.action_layout()
+    assert width == max(counts.values())
+    assert narrow == {s: k for s, k in counts.items() if k < width}
+    assert narrow[env.terminal] == 0
+    assert Environment.action_layout(env) == (width, narrow)  # the num_actions default
 
 
 def junction(i, reward=0.0):
