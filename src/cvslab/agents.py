@@ -16,7 +16,15 @@ Five episodic learners over the shared :class:`~cvslab.core.QTable`:
 
 All of them pick actions with the same epsilon-greedy rule, mutate values
 only through ``q_update`` (Q(lambda) through its batched twin
-``q_update_traced``), and treat the TERMINAL state as worth zero.
+``q_update_traced``), and treat the TERMINAL state as worth zero.  Each
+returns an :class:`EpisodeLog` of its return and step count and records
+nothing else.
+
+``epsilon_greedy``, ``greedy_actions``, ``q_update`` and ``q_update_traced``
+are looked up as names of this module at call time, on purpose: that and
+``env.step`` are the seams through which an agent is observed.  The tests
+wrap them to record each step and each value written, and the benchmark's
+tracer wraps most of them to time and count; neither needs an option here.
 
 The cvs waitlist is a deque popped from the left: an older entry's
 criticality sum is a left-to-right float sum over a superset of a younger
@@ -59,22 +67,10 @@ ALGORITHM_NAMES = ("cvs", "qlearning", "nstep_sarsa", "qlambda", "mc")
 _CRT_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
-    """One applied value update; ``bootstrap`` is the bootstrap state, if any."""
-
-    state: int
-    action: int
-    target: float
-    bootstrap: int | None = None
-
-
 @dataclass
 class EpisodeLog:
     total_reward: float
     steps: int
-    trace: list[tuple[int, int, float]] | None = None
-    updates: list[UpdateRecord] | None = None
 
 
 def cvs_episode(
@@ -85,8 +81,6 @@ def cvs_episode(
     rng: Draws,
     *,
     order: str = ORDER_ACCUMULATE,
-    record_trace: bool = False,
-    record_updates: bool = False,
 ) -> EpisodeLog:
     """One episode of criticality-driven variable-stepnumber control.
 
@@ -107,8 +101,6 @@ def cvs_episode(
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
     accumulate = order == ORDER_ACCUMULATE
     mature = 1.0 - _CRT_EPS
-    trace = [] if record_trace else None
-    updates = [] if record_updates else None
     # Oldest first: [state, action, enqueue step, reward sum, criticality sum].
     waitlist: deque[list] = deque()
     total = 0.0
@@ -120,8 +112,6 @@ def cvs_episode(
         tr = env.step(s, a, rng)
         r = tr.reward
         total += r
-        if trace is not None:
-            trace.append((s, a, r))
         waitlist.append([s, a, steps, 0.0, 0.0])
         if r != 0.0:
             for e in waitlist:
@@ -131,8 +121,6 @@ def cvs_episode(
         if tr.terminal:
             for es, ea, _, reward_acc, _ in waitlist:
                 q_update(q, es, ea, reward_acc, alpha)
-                if updates is not None:
-                    updates.append(UpdateRecord(es, ea, reward_acc, None))
             break
 
         s2 = tr.next_state
@@ -150,14 +138,12 @@ def cvs_episode(
                 es, ea, enqueued, reward_acc, _ = waitlist.popleft()
                 target = reward_acc + (gamma ** (steps - enqueued)) * boot
                 q_update(q, es, ea, target, alpha)
-                if updates is not None:
-                    updates.append(UpdateRecord(es, ea, target, s2))
         if not accumulate and hs != 0.0:
             for e in waitlist:
                 e[4] += hs
         s, a = s2, a2
 
-    return EpisodeLog(total, steps, trace, updates)
+    return EpisodeLog(total, steps)
 
 
 def q_learning_episode(
@@ -165,14 +151,9 @@ def q_learning_episode(
     q: QTable,
     params: AgentParams,
     rng: Draws,
-    *,
-    record_trace: bool = False,
-    record_updates: bool = False,
 ) -> EpisodeLog:
     """One episode of 1-step Q-Learning (off-policy max bootstrap)."""
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
-    trace = [] if record_trace else None
-    updates = [] if record_updates else None
     total = 0.0
     steps = 0
     s = env.reset(rng)
@@ -181,21 +162,12 @@ def q_learning_episode(
         tr = env.step(s, a, rng)
         steps += 1
         total += tr.reward
-        if trace is not None:
-            trace.append((s, a, tr.reward))
         if tr.terminal:
-            target = tr.reward
-            boot = None
-        else:
-            target = tr.reward + gamma * q.row_max(tr.next_state)
-            boot = tr.next_state
-        q_update(q, s, a, target, alpha)
-        if updates is not None:
-            updates.append(UpdateRecord(s, a, target, boot))
-        if tr.terminal:
+            q_update(q, s, a, tr.reward, alpha)
             break
+        q_update(q, s, a, tr.reward + gamma * q.row_max(tr.next_state), alpha)
         s = tr.next_state
-    return EpisodeLog(total, steps, trace, updates)
+    return EpisodeLog(total, steps)
 
 
 def n_step_sarsa_episode(
@@ -203,14 +175,9 @@ def n_step_sarsa_episode(
     q: QTable,
     params: AgentParams,
     rng: Draws,
-    *,
-    record_trace: bool = False,
-    record_updates: bool = False,
 ) -> EpisodeLog:
     """One episode of on-policy n-step SARSA (``params.n`` rewards, then bootstrap)."""
     n, alpha, gamma, eps = params.n, params.alpha, params.gamma, params.epsilon
-    trace = [] if record_trace else None
-    updates = [] if record_updates else None
     total = 0.0
 
     s0 = env.reset(rng)
@@ -224,8 +191,6 @@ def n_step_sarsa_episode(
             tr = env.step(states[t], actions[t], rng)
             rewards.append(tr.reward)
             total += tr.reward
-            if trace is not None:
-                trace.append((states[t], actions[t], tr.reward))
             states.append(tr.next_state)
             if tr.terminal:
                 T = t + 1
@@ -239,16 +204,11 @@ def n_step_sarsa_episode(
                 g += (gamma ** (i - tau)) * rewards[i]
             if T is None or tau + n < T:
                 g += (gamma**n) * q[states[tau + n], actions[tau + n]]
-                boot = states[tau + n]
-            else:
-                boot = None
             q_update(q, states[tau], actions[tau], g, alpha)
-            if updates is not None:
-                updates.append(UpdateRecord(states[tau], actions[tau], g, boot))
         if T is not None and tau >= T - 1:
             break
         t += 1
-    return EpisodeLog(total, T, trace, updates)
+    return EpisodeLog(total, T)
 
 
 def watkins_qlambda_episode(
@@ -256,9 +216,6 @@ def watkins_qlambda_episode(
     q: QTable,
     params: AgentParams,
     rng: Draws,
-    *,
-    record_trace: bool = False,
-    record_updates: bool = False,
 ) -> EpisodeLog:
     """One episode of Watkins Q(lambda) with accumulating traces.
 
@@ -268,8 +225,6 @@ def watkins_qlambda_episode(
     every traced pair in one ``q_update_traced`` call, in first-bump order.
     """
     alpha, gamma, eps, lam = params.alpha, params.gamma, params.epsilon, params.lam
-    trace = [] if record_trace else None
-    updates = [] if record_updates else None
     # Traced pairs in first-bump order, mapped to their position in the flat
     # table indices ``idx`` and the traces ``e``.
     pos: dict[tuple[int, int], int] = {}
@@ -285,8 +240,6 @@ def watkins_qlambda_episode(
         tr = env.step(s, a, rng)
         steps += 1
         total += tr.reward
-        if trace is not None:
-            trace.append((s, a, tr.reward))
         boot_value = 0.0 if tr.terminal else q.row_max(tr.next_state)
         td_target = tr.reward + gamma * boot_value
         delta = td_target - q[s, a]
@@ -302,11 +255,7 @@ def watkins_qlambda_episode(
         # A fresh trace of the pair just acted on takes the TD target
         # directly, so that lambda = 0 matches 1-step updates exactly.
         fresh = i if e[i] == 1.0 else None
-        targets = q_update_traced(q, idx[:k], e[:k], delta, alpha, fresh, td_target)
-        if updates is not None:
-            boot = None if tr.terminal else tr.next_state
-            for (es, ea), target in zip(pos, targets.tolist()):
-                updates.append(UpdateRecord(es, ea, target, boot))
+        q_update_traced(q, idx[:k], e[:k], delta, alpha, fresh, td_target)
         if tr.terminal:
             break
         factor = gamma * lam
@@ -315,7 +264,7 @@ def watkins_qlambda_episode(
         else:
             e[:k] *= factor
         s = tr.next_state
-    return EpisodeLog(total, steps, trace, updates)
+    return EpisodeLog(total, steps)
 
 
 def mc_episode(
@@ -323,9 +272,6 @@ def mc_episode(
     q: QTable,
     params: AgentParams,
     rng: Draws,
-    *,
-    record_trace: bool = False,
-    record_updates: bool = False,
 ) -> EpisodeLog:
     """One episode of every-visit constant-alpha Monte-Carlo control.
 
@@ -336,8 +282,6 @@ def mc_episode(
     agent bit for bit at every gamma.
     """
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
-    trace = [] if record_trace else None
-    updates = [] if record_updates else None
     total = 0.0
     visited: list[tuple[int, int]] = []
     rewards: list[float] = []
@@ -346,8 +290,6 @@ def mc_episode(
         a = epsilon_greedy(q, s, eps, rng)
         tr = env.step(s, a, rng)
         total += tr.reward
-        if trace is not None:
-            trace.append((s, a, tr.reward))
         visited.append((s, a))
         rewards.append(tr.reward)
         if tr.terminal:
@@ -363,6 +305,4 @@ def mc_episode(
         for j, r in paid:
             tgt += (gamma ** (j - i)) * r
         q_update(q, vs, va, tgt, alpha)
-        if updates is not None:
-            updates.append(UpdateRecord(vs, va, tgt, None))
-    return EpisodeLog(total, len(rewards), trace, updates)
+    return EpisodeLog(total, len(rewards))

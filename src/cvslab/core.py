@@ -155,9 +155,12 @@ class QTable:
     padded with ``-inf``, so they can never win an argmax.  A state's action
     count is ``narrow.get(s, width)``; the table keeps no per-state array.
     Every reader checks ``0 <= s < num_states`` first: that lookup would give
-    ``s = -1`` a full row, and numpy would index it as the last one.  The
-    TERMINAL row reads as zero and rejects writes.  ``writes`` counts every
-    value written by :func:`q_update` or :func:`q_update_traced`.
+    ``s = -1`` a full row, and numpy would index it as the last one.
+    ``q[s, a]`` also rejects an action outside ``s``'s count, as
+    :func:`q_update` does, so it never returns padding.  The TERMINAL row,
+    which has no actions, is zero in :meth:`as_array` and rejects writes.
+    ``writes`` counts every value written by :func:`q_update` or
+    :func:`q_update_traced`.
 
     A +0.0 initial value gets a private anonymous mapping of its own, so the
     table starts on zero pages instead of being filled, only the 4 KiB pages
@@ -230,9 +233,12 @@ class QTable:
         return self._narrow.get(s, self._width)
 
     def __getitem__(self, sa: tuple[StateId, ActionId]) -> float:
-        if not 0 <= sa[0] < self._num_states:
-            raise ValueError(f"state {sa[0]} out of range")
-        return self._values.item(sa)
+        s, a = sa
+        if not 0 <= s < self._num_states:
+            raise ValueError(f"state {s} out of range")
+        if not 0 <= a < self._narrow.get(s, self._width):
+            raise ValueError(f"action {a} invalid for state {s}")
+        return self._values.item(s, a)
 
     def row_max(self, s: StateId) -> float:
         if not 0 <= s < self._num_states:

@@ -320,9 +320,13 @@ class RoadTreeEnv(Environment):
         return self._node_state[node_id]
 
     def state_kind(self, s: StateId) -> str:
+        if not 0 <= s < len(self._kinds):
+            raise ValueError(f"state {s} out of range")
         return self._kinds[s]
 
     def num_actions(self, s: StateId) -> int:
+        if not 0 <= s < len(self._kinds):
+            raise ValueError(f"state {s} out of range")
         return len(self._table[s])
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:

@@ -82,6 +82,41 @@ def _reflect(row: int, d: int) -> tuple[int, int]:
     return r, d
 
 
+def _pack(
+    gun: int,
+    trow: int,
+    tdir: int,
+    brow: int | None = None,
+    bcol: int | None = None,
+    bdir: int | None = None,
+) -> StateId:
+    """State id of a field; the bullet's row, column and direction are None
+    before the shot."""
+    tdir_idx = 0 if tdir == -1 else 1
+    if brow is None:
+        return (gun * ROWS + trow) * 2 + tdir_idx
+    idx = ((gun * ROWS + brow) * COLS + bcol) * 3 + (bdir + 1)
+    return _N_PRE + (idx * ROWS + trow) * 2 + tdir_idx
+
+
+def _unpack(s: StateId) -> tuple[int, int, int, int | None, int | None, int | None]:
+    """``(gun, trow, tdir, brow, bcol, bdir)`` of a field state id, the
+    inverse of :func:`_pack`."""
+    if s < _N_PRE:
+        rest = s // 2
+        return rest // ROWS, rest % ROWS, -1 if s % 2 == 0 else 1, None, None, None
+    idx = s - _N_PRE
+    tdir = -1 if idx % 2 == 0 else 1
+    idx //= 2
+    trow = idx % ROWS
+    idx //= ROWS
+    bdir = idx % 3 - 1
+    idx //= 3
+    bcol = idx % COLS
+    idx //= COLS
+    return idx // ROWS, trow, tdir, idx % ROWS, bcol, bdir
+
+
 class ShooterEnv(Environment):
     def __init__(self, config: ShooterConfig = ShooterConfig()):
         self.config = config
@@ -97,6 +132,8 @@ class ShooterEnv(Environment):
         return _N_PRE + _N_POST
 
     def num_actions(self, s: StateId) -> int:
+        if not 0 <= s < self.num_states:
+            raise ValueError(f"state {s} out of range")
         return 0 if s == self.terminal else 4
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
@@ -109,52 +146,32 @@ class ShooterEnv(Environment):
             raise ValueError(f"target_row {state.target_row} outside [0, {ROWS})")
         if state.target_dir not in (-1, 1):
             raise ValueError(f"target_dir must be -1 or +1, got {state.target_dir}")
-        tdir = 0 if state.target_dir == -1 else 1
-        if state.bullet is None:
-            return (state.gun_row * ROWS + state.target_row) * 2 + tdir
         b = state.bullet
+        if b is None:
+            return _pack(state.gun_row, state.target_row, state.target_dir)
         if not 0 <= b.row < ROWS:
             raise ValueError(f"bullet row {b.row} outside [0, {ROWS})")
         if not 0 <= b.col < COLS:
             raise ValueError(f"bullet col {b.col} outside [0, {COLS})")
         if b.vertical_dir not in (-1, 0, 1):
             raise ValueError(f"bullet vertical_dir must be in -1/0/+1, got {b.vertical_dir}")
-        idx = state.gun_row
-        idx = idx * ROWS + b.row
-        idx = idx * COLS + b.col
-        idx = idx * 3 + (b.vertical_dir + 1)
-        idx = idx * ROWS + state.target_row
-        idx = idx * 2 + tdir
-        return _N_PRE + idx
+        return _pack(
+            state.gun_row, state.target_row, state.target_dir, b.row, b.col, b.vertical_dir
+        )
 
     def decode_state(self, s: StateId) -> ShooterState:
         if not 0 <= s < self.terminal:
             raise ValueError(f"state id {s} is not a decodable field state")
-        if s < _N_PRE:
-            tdir = -1 if s % 2 == 0 else 1
-            s //= 2
-            return ShooterState(gun_row=s // ROWS, target_row=s % ROWS, target_dir=tdir)
-        idx = s - _N_PRE
-        tdir = -1 if idx % 2 == 0 else 1
-        idx //= 2
-        trow = idx % ROWS
-        idx //= ROWS
-        bdir = idx % 3 - 1
-        idx //= 3
-        bcol = idx % COLS
-        idx //= COLS
-        brow = idx % ROWS
-        gun = idx // ROWS
-        return ShooterState(
-            gun_row=gun, target_row=trow, target_dir=tdir, bullet=Bullet(brow, bcol, bdir)
-        )
+        gun, trow, tdir, brow, bcol, bdir = _unpack(s)
+        bullet = None if brow is None else Bullet(brow, bcol, bdir)
+        return ShooterState(gun_row=gun, target_row=trow, target_dir=tdir, bullet=bullet)
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0
         gun = int(rng.integers(ROWS))
         trow = int(rng.integers(ROWS))
         tdir = -1 if int(rng.integers(2)) == 0 else 1
-        return (gun * ROWS + trow) * 2 + tdir_index(tdir)
+        return _pack(gun, trow, tdir)
 
     def step(self, s: StateId, a: int, rng: Draws) -> Transition:
         if s == self.terminal:
@@ -163,31 +180,15 @@ class ShooterEnv(Environment):
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
 
-        if s < _N_PRE:
-            tdir_idx = s % 2
-            rest = s // 2
-            gun, trow = rest // ROWS, rest % ROWS
-            if a == ACTION_NOOP:
-                brow = bcol = bdir = None
-            else:
-                # The bullet leaves the gun and advances within the same step.
-                brow, bdir = _reflect(gun, _SHOT_DIR[a])
-                bcol = 1
-        else:
-            idx = s - _N_PRE
-            tdir_idx = idx % 2
-            idx //= 2
-            trow = idx % ROWS
-            idx //= ROWS
-            bdir = idx % 3 - 1
-            idx //= 3
-            bcol = idx % COLS
-            idx //= COLS
-            brow = idx % ROWS
-            gun = idx // ROWS
+        gun, trow, tdir, brow, bcol, bdir = _unpack(s)
+        if bcol is not None:
             # Shoot actions are spent; the bullet just flies on.
             brow, bdir = _reflect(brow, bdir)
             bcol += 1
+        elif a != ACTION_NOOP:
+            # The bullet leaves the gun and advances within the same step.
+            brow, bdir = _reflect(gun, _SHOT_DIR[a])
+            bcol = 1
 
         if bcol is not None:
             if bcol == OBSTACLE_COL and brow in self._obstacle:
@@ -196,28 +197,13 @@ class ShooterEnv(Environment):
                 hit = brow == trow
                 return Transition(1.0 if hit else -1.0, self.terminal, True)
 
-        tdir = -1 if tdir_idx == 0 else 1
         trow, tdir = _reflect(trow, tdir)
         if self._steps >= self.config.max_steps:
             return Transition(-1.0, self.terminal, True)
-
-        new_tdir_idx = tdir_index(tdir)
-        if bcol is None:
-            return Transition(0.0, (gun * ROWS + trow) * 2 + new_tdir_idx, False)
-        idx = gun
-        idx = idx * ROWS + brow
-        idx = idx * COLS + bcol
-        idx = idx * 3 + (bdir + 1)
-        idx = idx * ROWS + trow
-        idx = idx * 2 + new_tdir_idx
-        return Transition(0.0, _N_PRE + idx, False)
+        return Transition(0.0, _pack(gun, trow, tdir, brow, bcol, bdir), False)
 
     def criticality(self) -> CriticalityFn:
         def h(s: StateId) -> float:
             return 1.0 if s < _N_PRE else 0.0
 
         return h
-
-
-def tdir_index(tdir: int) -> int:
-    return 0 if tdir == -1 else 1

@@ -64,6 +64,23 @@ def _reflect_row(row: int, d: int) -> tuple[int, int]:
     return r, d
 
 
+def _pack(brow: int, bcol: int, h_dir: int, v_dir: int, agent: int, opp: int) -> StateId:
+    """State id of a field, in :class:`TennisState` field order."""
+    dir_idx = (0 if h_dir == -1 else 1) * 3 + (v_dir + 1)
+    return (((brow * COLS + bcol) * 6 + dir_idx) * ROWS + agent) * ROWS + opp
+
+
+def _unpack(s: StateId) -> tuple[int, int, int, int, int, int]:
+    """The fields of a field state id, the inverse of :func:`_pack`."""
+    opp = s % ROWS
+    s //= ROWS
+    agent = s % ROWS
+    s //= ROWS
+    dir_idx = s % 6
+    s //= 6
+    return s // COLS, s % COLS, -1 if dir_idx < 3 else 1, dir_idx % 3 - 1, agent, opp
+
+
 class TennisEnv(Environment):
     def __init__(self, config: TennisConfig = TennisConfig()):
         self.config = config
@@ -78,6 +95,8 @@ class TennisEnv(Environment):
         return _N_FIELD
 
     def num_actions(self, s: StateId) -> int:
+        if not 0 <= s < self.num_states:
+            raise ValueError(f"state {s} out of range")
         return 0 if s == self.terminal else 3
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
@@ -96,47 +115,24 @@ class TennisEnv(Environment):
             raise ValueError(f"agent_row {state.agent_row} outside [0, {ROWS})")
         if not 0 <= state.opponent_row < ROWS:
             raise ValueError(f"opponent_row {state.opponent_row} outside [0, {ROWS})")
-        dir_idx = (0 if state.h_dir == -1 else 1) * 3 + (state.v_dir + 1)
-        idx = state.ball_row
-        idx = idx * COLS + state.ball_col
-        idx = idx * 6 + dir_idx
-        idx = idx * ROWS + state.agent_row
-        idx = idx * ROWS + state.opponent_row
-        return idx
+        return _pack(
+            state.ball_row,
+            state.ball_col,
+            state.h_dir,
+            state.v_dir,
+            state.agent_row,
+            state.opponent_row,
+        )
 
     def decode_state(self, s: StateId) -> TennisState:
         if not 0 <= s < _N_FIELD:
             raise ValueError(f"state id {s} is not a decodable field state")
-        opp = s % ROWS
-        s //= ROWS
-        agent = s % ROWS
-        s //= ROWS
-        dir_idx = s % 6
-        s //= 6
-        bcol = s % COLS
-        brow = s // COLS
-        return TennisState(
-            ball_row=brow,
-            ball_col=bcol,
-            h_dir=-1 if dir_idx < 3 else 1,
-            v_dir=dir_idx % 3 - 1,
-            agent_row=agent,
-            opponent_row=opp,
-        )
+        return TennisState(*_unpack(s))
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0
         v = int(rng.integers(3)) - 1
-        return self.encode_state(
-            TennisState(
-                ball_row=ROWS // 2,
-                ball_col=COLS // 2,
-                h_dir=-1,
-                v_dir=v,
-                agent_row=ROWS // 2,
-                opponent_row=ROWS // 2,
-            )
-        )
+        return _pack(ROWS // 2, COLS // 2, -1, v, ROWS // 2, ROWS // 2)
 
     def opponent_optimal_action(self, state: TennisState) -> int:
         """Row delta in {-1, 0, +1} that closes the gap to the ball's row."""
@@ -153,17 +149,7 @@ class TennisEnv(Environment):
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
 
-        opp = s % ROWS
-        rest = s // ROWS
-        agent = rest % ROWS
-        rest //= ROWS
-        dir_idx = rest % 6
-        rest //= 6
-        bcol = rest % COLS
-        brow = rest // COLS
-        h_dir = -1 if dir_idx < 3 else 1
-        v_dir = dir_idx % 3 - 1
-
+        brow, bcol, h_dir, v_dir, agent, opp = _unpack(s)
         agent = min(ROWS - 1, max(0, agent + (a - 1)))
 
         if rng.random() < self.config.p_optimal:
@@ -189,13 +175,7 @@ class TennisEnv(Environment):
         if self._steps >= self.config.max_steps:
             return Transition(0.0, self.terminal, True)
 
-        dir_idx = (0 if h_dir == -1 else 1) * 3 + (v_dir + 1)
-        idx = brow
-        idx = idx * COLS + bcol
-        idx = idx * 6 + dir_idx
-        idx = idx * ROWS + agent
-        idx = idx * ROWS + opp
-        return Transition(0.0, idx, False)
+        return Transition(0.0, _pack(brow, bcol, h_dir, v_dir, agent, opp), False)
 
     def criticality(self) -> CriticalityFn:
         sink = self.terminal

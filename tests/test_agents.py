@@ -28,12 +28,12 @@ from cvslab import (
     mc_episode,
     n_step_sarsa_episode,
     q_learning_episode,
-    q_update,
     watkins_qlambda_episode,
 )
-from cvslab.agents import _CRT_EPS, ORDER_ACCUMULATE, ORDER_LITERAL, UpdateRecord
-from cvslab.core import DrawStream
+from cvslab.agents import _CRT_EPS, ORDER_ACCUMULATE, ORDER_LITERAL
+from cvslab.core import DrawStream, q_update
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
+from recorder import Recorder
 from strategies import road_trees
 
 approx = lambda x: pytest.approx(x, rel=1e-12, abs=0.0)
@@ -178,10 +178,11 @@ def test_watkins_traces_accumulate_on_revisits(lam, last_trace):
     env = LoopEnv([0.0, 0.0, 1.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, lam=lam)
-    log = watkins_qlambda_episode(env, q, params, rng_for(0), record_updates=True)
+    with Recorder(env) as rec:
+        watkins_qlambda_episode(env, q, params, rng_for(0))
     # one traced pair, bumped on each of three visits and decayed by lambda
     # in between; only the last step has a nonzero TD error
-    assert [(u.state, u.action, u.target) for u in log.updates] == [
+    assert [(s, a, target) for s, a, target, _ in rec.updates] == [
         (0, 0, 0.0),
         (0, 0, 0.0),
         (0, 0, last_trace),
@@ -189,8 +190,9 @@ def test_watkins_traces_accumulate_on_revisits(lam, last_trace):
     assert q[0, 0] == approx(0.1 * last_trace)
     # the next episode starts from zero traces, not from the carried-over one
     v = q[0, 0]
-    log = watkins_qlambda_episode(env, q, params, rng_for(0), record_updates=True)
-    assert log.updates[-1].target == approx(v + (1.0 - v) * last_trace)
+    with Recorder(env) as rec:
+        watkins_qlambda_episode(env, q, params, rng_for(0))
+    assert rec.updates[-1][2] == approx(v + (1.0 - v) * last_trace)
     assert q.writes == 6
 
 
@@ -198,10 +200,11 @@ def test_watkins_zero_lambda_clears_traces():
     env = ChainEnv([0.0, 0.0, 1.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, lam=0.0)
-    log = watkins_qlambda_episode(env, q, params, rng_for(0), record_updates=True)
+    with Recorder(env) as rec:
+        watkins_qlambda_episode(env, q, params, rng_for(0))
     # a zero decay factor drops every trace, so each step updates only the
     # pair just acted on
-    assert [(u.state, u.action) for u in log.updates] == [(0, 0), (1, 0), (2, 0)]
+    assert [(s, a) for s, a, _, _ in rec.updates] == [(0, 0), (1, 0), (2, 0)]
     assert q.writes == 3
     assert q[2, 0] == approx(0.1)
     assert q[1, 0] == 0.0
@@ -223,16 +226,17 @@ def test_cvs_matures_at_the_first_critical_state():
     env = RoadTreeEnv(mini_two_junction_tree())
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0)
-    log = cvs_episode(env, q, env.criticality(), params, rng_for(0), record_updates=True)
+    with Recorder(env) as rec:
+        log = cvs_episode(env, q, env.criticality(), params, rng_for(0))
     assert log.total_reward == 8.0
     j1 = env.node_state(1)
     root = env.root_state
     # pairs queued before the junction update toward it; later ones ride to the end
     assert q[root, 0] == approx(0.3)
     assert q[j1, 0] == approx(0.5)
-    by_pair = {(u.state, u.action): u for u in log.updates}
-    assert by_pair[(root, 0)].bootstrap == j1
-    assert by_pair[(j1, 0)].bootstrap is None
+    boot = {(s, a): b for s, a, _, b in rec.updates}
+    assert boot[root, 0] == j1
+    assert boot[j1, 0] is None
 
 
 def test_cvs_discounts_waiting_rewards():
@@ -252,15 +256,14 @@ def test_cvs_literal_order_defers_maturity_one_step():
     env = RoadTreeEnv(mini_two_junction_tree())
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0)
-    log = cvs_episode(
-        env, q, env.criticality(), params, rng_for(0), order=ORDER_LITERAL, record_updates=True
-    )
+    with Recorder(env) as rec:
+        cvs_episode(env, q, env.criticality(), params, rng_for(0), order=ORDER_LITERAL)
     root = env.root_state
     j1 = env.node_state(1)
-    by_pair = {(u.state, u.action): u for u in log.updates}
+    boot = {(s, a): b for s, a, _, b in rec.updates}
     # maturity is checked before the junction's criticality lands, so the
     # root pair bootstraps one state past the junction
-    assert by_pair[(root, 0)].bootstrap == j1 + 1
+    assert boot[root, 0] == j1 + 1
     assert env.state_kind(j1 + 1) == "road"
 
 
@@ -268,11 +271,12 @@ def test_cvs_flushes_whole_branch_on_terminal():
     env = RoadTreeEnv(fig3_tree())
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1)
-    log = cvs_episode(env, q, env.criticality(), params, rng_for(5), record_trace=True)
-    first_action = log.trace[0][1]
+    with Recorder(env) as rec:
+        log = cvs_episode(env, q, env.criticality(), params, rng_for(5))
+    first_action = rec.trace[0][1]
     branch_value = 2.0 if first_action == 1 else 1.0
     assert log.total_reward == branch_value
-    for s, a, _r in log.trace:
+    for s, a, _r in rec.trace:
         assert q[s, a] == approx(0.1 * branch_value)
     assert q[env.root_state, 1 - first_action] == 0.0
 
@@ -302,16 +306,15 @@ def test_watkins_cuts_traces_after_exploratory_action():
         for s in range(50)
         if (lambda g: g.random() < 1.0 and int(g.integers(2)) == 1)(np.random.default_rng(s))
     )
-    log = watkins_qlambda_episode(
-        env, q, params, np.random.default_rng(seed), record_trace=True
-    )
-    assert log.trace[0][1] == 1
+    with Recorder(env) as rec:
+        log = watkins_qlambda_episode(env, q, params, np.random.default_rng(seed))
+    assert rec.trace[0][1] == 1
     assert log.total_reward == 2.0
     # the exploratory root choice was cut from the traces, so the terminal
     # reward never reached it; the final pair got its plain 1-step update
     assert q[root, 1] == 0.0
     assert q[root, 0] == 0.5
-    last_s, last_a, _ = log.trace[-1]
+    last_s, last_a, _ = rec.trace[-1]
     assert q[last_s, last_a] == approx(0.2)
 
 
@@ -453,16 +456,13 @@ def test_episode_log_bookkeeping():
     env = RoadTreeEnv(fig1_tree())
     q = fresh(env)
     params = AgentParams()
-    log = cvs_episode(
-        env, q, env.criticality(), params, rng_for(3), record_trace=True, record_updates=True
-    )
-    assert log.total_reward == sum(r for _, _, r in log.trace)
-    assert log.steps == len(log.trace)
-    assert q.writes == len(log.updates)
+    with Recorder(env) as rec:
+        log = cvs_episode(env, q, env.criticality(), params, rng_for(3))
+    assert log.total_reward == sum(r for _, _, r in rec.trace)
+    assert log.steps == len(rec.trace)
+    assert q.writes == len(rec.updates)
     # every pair acted on received exactly one update
-    assert sorted((s, a) for s, a, _ in log.trace) == sorted(
-        (u.state, u.action) for u in log.updates
-    )
+    assert sorted((s, a) for s, a, _ in rec.trace) == sorted((s, a) for s, a, _, _ in rec.updates)
 
 
 def test_terminal_row_stays_zero_across_agents():
@@ -518,7 +518,7 @@ def reference_cvs_episode(env, q, h, params, rng, *, order=ORDER_ACCUMULATE):
         if tr.terminal:
             for e in waitlist:
                 q_update(q, e.state, e.action, e.reward_acc, alpha)
-                updates.append(UpdateRecord(e.state, e.action, e.reward_acc, None))
+                updates.append((e.state, e.action, e.reward_acc, None))
             break
         s2 = tr.next_state
         a2 = epsilon_greedy(q, s2, eps, rng)
@@ -532,7 +532,7 @@ def reference_cvs_episode(env, q, h, params, rng, *, order=ORDER_ACCUMULATE):
             if e.crt_cum >= 1.0 - _CRT_EPS:
                 target = e.reward_acc + (gamma**e.steps) * boot
                 q_update(q, e.state, e.action, target, alpha)
-                updates.append(UpdateRecord(e.state, e.action, target, s2))
+                updates.append((e.state, e.action, target, s2))
             else:
                 if order == ORDER_LITERAL:
                     e.crt_cum += hs
@@ -568,7 +568,7 @@ def reference_qlambda_episode(env, q, params, rng):
             else:
                 target = q[es, ea] + delta * e
             q_update(q, es, ea, target, alpha)
-            updates.append(UpdateRecord(es, ea, target, boot))
+            updates.append((es, ea, target, boot))
         if tr.terminal:
             break
         factor = gamma * lam
@@ -582,19 +582,21 @@ def reference_qlambda_episode(env, q, params, rng):
 
 
 def hexed(updates):
-    return [(u.state, u.action, float(u.target).hex(), u.bootstrap) for u in updates]
+    return [(s, a, float(target).hex(), boot) for s, a, target, boot in updates]
 
 
 def assert_matches_reference(make_env, q_init, seed, episodes, run, reference):
-    """Run ``run`` and ``reference`` side by side from equal tables and seeds."""
+    """Run ``run`` under a recorder and ``reference`` side by side from equal
+    tables and seeds."""
     env, env_ref = make_env(), make_env()
     q, q_ref = fresh(env, q_init), fresh(env_ref, q_init)
     rng, rng_ref = rng_for(seed), rng_for(seed)
     for episode in range(episodes):
-        log = run(env, q, rng)
+        with Recorder(env) as rec:
+            log = run(env, q, rng)
         total, steps, updates = reference(env_ref, q_ref, rng_ref)
         assert (log.total_reward, log.steps) == (total, steps), f"episode {episode}"
-        assert hexed(log.updates) == hexed(updates), f"episode {episode}"
+        assert hexed(rec.updates) == hexed(updates), f"episode {episode}"
     assert q.writes == q_ref.writes
     assert q.as_array().tobytes() == q_ref.as_array().tobytes()
 
@@ -634,7 +636,7 @@ def test_cvs_matches_list_reference(tree, gamma, order, epsilon, q_init, seed, d
         q_init,
         seed,
         5,
-        lambda env, q, rng: cvs_episode(env, q, h, params, rng, order=order, record_updates=True),
+        lambda env, q, rng: cvs_episode(env, q, h, params, rng, order=order),
         lambda env, q, rng: reference_cvs_episode(env, q, h, params, rng, order=order),
     )
 
@@ -654,7 +656,7 @@ def test_qlambda_matches_dict_reference(tree, gamma, lam, epsilon, q_init, seed)
         q_init,
         seed,
         5,
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng, record_updates=True),
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
         lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
     )
 
@@ -676,9 +678,7 @@ def test_cvs_matches_list_reference_on_grid_envs(name, order):
         0.0,
         11,
         20,
-        lambda env, q, rng: cvs_episode(
-            env, q, env.criticality(), params, rng, order=order, record_updates=True
-        ),
+        lambda env, q, rng: cvs_episode(env, q, env.criticality(), params, rng, order=order),
         lambda env, q, rng: reference_cvs_episode(
             env, q, env.criticality(), params, rng, order=order
         ),
@@ -693,6 +693,6 @@ def test_qlambda_matches_dict_reference_on_grid_envs(name):
         0.0,
         11,
         20,
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng, record_updates=True),
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
         lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
     )

@@ -19,9 +19,8 @@ from cvslab import (
     epsilon_greedy,
     fig1_tree,
     greedy_actions,
-    q_update,
 )
-from cvslab.core import _DRAW_BLOCK, DrawStream, q_index, q_update_traced
+from cvslab.core import _DRAW_BLOCK, DrawStream, q_index, q_update, q_update_traced
 
 
 def layout_of(counts):
@@ -112,6 +111,32 @@ def test_out_of_range_states_are_rejected(env_name, call):
         with pytest.raises(ValueError, match="out of range"):
             GUARDED_CALLS[call](q, s)
     assert hashlib.sha256(q._values).digest() == before
+    assert q.writes == 0
+
+
+@pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
+def test_envs_reject_out_of_range_states(env_name):
+    env = GUARD_ENVS[env_name]()
+    readers = [env.num_actions]
+    if isinstance(env, RoadTreeEnv):
+        readers.append(env.state_kind)
+    for read in readers:
+        for s in (-1, env.num_states):
+            with pytest.raises(ValueError, match=f"state {s} out of range"):
+                read(s)
+
+
+@pytest.mark.parametrize("a", [-1, 1, 2])
+def test_getitem_rejects_actions_the_state_lacks(a):
+    # fig1's state 1 is a road state: one action in a row two slots wide
+    env = RoadTreeEnv(fig1_tree())
+    q = QTable.for_env(env, 0.0)
+    assert env.num_actions(1) == 1
+    assert q._width == 2
+    for read in (lambda: q[1, a], lambda: q_update(q, 1, a, 1.0, 0.5)):
+        with pytest.raises(ValueError, match=f"action {a} invalid for state 1"):
+            read()
+    assert q[1, 0] == 0.0
     assert q.writes == 0
 
 
@@ -392,8 +417,12 @@ def test_hot_path_matches_numpy_scalar_references(q, seed):
     width = q._values.shape[1]
     for s in range(q.num_states - 1):
         assert greedy_actions(q, s) == reference_greedy_actions(q, s)
-        for a in range(width):
+        k = q.num_actions(s)
+        for a in range(k):
             assert q[s, a].hex() == reference_getitem(q, (s, a)).hex()
+        for a in (-1, *range(k, width + 1)):
+            with pytest.raises(ValueError, match="invalid"):
+                q[s, a]
         got, want = q.row_max(s), reference_row_max(q, s)
         if want != 0.0:
             assert got.hex() == want.hex()

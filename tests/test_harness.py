@@ -28,12 +28,12 @@ from cvslab import (
     n_step_sarsa_episode,
     optimal_return_oracle,
     q_learning_episode,
-    q_update,
     run_experiment,
     running_average,
     watkins_qlambda_episode,
 )
 from cvslab import harness
+from cvslab.core import q_update
 from cvslab.harness import _run_one
 from strategies import road_trees
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvslab import Bullet, ShooterConfig, ShooterEnv, ShooterState
+from cvslab import ShooterConfig, ShooterEnv
 from cvslab.shooter import (
     ACTION_NOOP,
     ACTION_SHOOT_DOWN,
@@ -11,6 +11,8 @@ from cvslab.shooter import (
     ACTION_SHOOT_UP,
     COLS,
     ROWS,
+    Bullet,
+    ShooterState,
 )
 
 

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvslab import TennisConfig, TennisEnv, TennisState
-from cvslab.tennis import ACTION_DOWN, ACTION_STAY, ACTION_UP, COLS, ROWS
+from cvslab import TennisConfig, TennisEnv
+from cvslab.tennis import ACTION_DOWN, ACTION_STAY, ACTION_UP, COLS, ROWS, TennisState
 
 
 def encode(env: TennisEnv, **kwargs) -> int:
