@@ -2,8 +2,6 @@
 
 from .agents import (
     ALGORITHM_NAMES,
-    ORDER_ACCUMULATE,
-    ORDER_LITERAL,
     EpisodeLog,
     cvs_episode,
     mc_episode,
@@ -50,8 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHM_NAMES",
-    "ORDER_ACCUMULATE",
-    "ORDER_LITERAL",
     "AgentParams",
     "BUILTIN_TREES",
     "ConfigError",

@@ -56,9 +56,6 @@ from .core import (
     q_update_traced,
 )
 
-ORDER_ACCUMULATE = "accumulate"
-ORDER_LITERAL = "literal"
-
 ALGORITHM_NAMES = ("cvs", "qlearning", "nstep_sarsa", "qlambda", "mc")
 
 # Maturity threshold slack: a pair whose accumulated criticality is within one
@@ -79,8 +76,6 @@ def cvs_episode(
     h: CriticalityFn,
     params: AgentParams,
     rng: Draws,
-    *,
-    order: str = ORDER_ACCUMULATE,
 ) -> EpisodeLog:
     """One episode of criticality-driven variable-stepnumber control.
 
@@ -90,16 +85,11 @@ def cvs_episode(
     discarded).  At episode end every remaining pair updates toward its plain
     accumulated return, the TERMINAL state being worth zero.
 
-    ``order`` controls when the current state's criticality is added: the
-    default adds it before the maturity check, so the update target is the
-    first state at which the accumulated criticality reaches 1; ``"literal"``
-    checks maturity first and accumulates afterwards, deferring every update
-    by one step.
+    The new state's criticality is added before the maturity check, so each
+    pair's update target is the first state at which its criticality sum
+    reaches 1.
     """
-    if order not in (ORDER_ACCUMULATE, ORDER_LITERAL):
-        raise ValueError(f"order must be '{ORDER_ACCUMULATE}' or '{ORDER_LITERAL}', got {order!r}")
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
-    accumulate = order == ORDER_ACCUMULATE
     mature = 1.0 - _CRT_EPS
     # Oldest first: [state, action, enqueue step, reward sum, criticality sum].
     waitlist: deque[list] = deque()
@@ -129,7 +119,7 @@ def cvs_episode(
         if not 0.0 <= hs <= 1.0:
             raise ValueError(f"criticality {hs} outside [0, 1] at state {s2}")
 
-        if accumulate and hs != 0.0:
+        if hs != 0.0:
             for e in waitlist:
                 e[4] += hs
         if waitlist[0][4] >= mature:
@@ -138,9 +128,6 @@ def cvs_episode(
                 es, ea, enqueued, reward_acc, _ = waitlist.popleft()
                 target = reward_acc + (gamma ** (steps - enqueued)) * boot
                 q_update(q, es, ea, target, alpha)
-        if not accumulate and hs != 0.0:
-            for e in waitlist:
-                e[4] += hs
         s, a = s2, a2
 
     return EpisodeLog(total, steps)

@@ -4,11 +4,14 @@
 (a file path or the name of a bundled preset) and writes one CSV per
 algorithm plus a plot spec; all its algorithm blocks share one process pool,
 sized by the largest block and capped by ``CVS_LAB_THREADS``, or run in this
-process at one worker.  ``cvslab plot <spec>`` turns that spec into an SVG.
-``cvslab list`` shows what is available.
+process at one worker.  Shared settings the document leaves out take
+``ExperimentConfig``'s defaults; ``window`` (default 10) only smooths the CSV.
+``cvslab plot <spec>`` turns that spec into an SVG.  ``cvslab list`` shows
+what is available.
 
-Exit codes: 0 on success, 2 for configuration problems (the message names
-the offending entry), 3 when an output file cannot be written.
+Exit codes: 0 on success, 2 for configuration problems and unreadable inputs
+(the message names the offending entry), 3 when an output file cannot be
+written.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 from .agents import ALGORITHM_NAMES
-from .core import AgentParams
+from .core import AgentParams, _is_int
 from .harness import (
     ENVIRONMENT_NAMES,
     ConfigError,
@@ -36,9 +39,9 @@ from .harness import (
 from .svgplot import render_line_chart, write_svg
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
-_TOP_KEYS = frozenset(
-    {"name", "environment", "algorithms", "episodes", "runs", "seed", "window", "q_init", "cvs_order"}
-)
+# Passed to ExperimentConfig only when present: their defaults live there.
+_SHARED_KEYS = ("episodes", "runs", "seed", "q_init")
+_TOP_KEYS = frozenset({"name", "environment", "algorithms", "window", *_SHARED_KEYS})
 _ALGO_KEYS = frozenset({"label", "algorithm", "alpha", "epsilon", "gamma", "lambda", "n"})
 _PARAM_KEYS = (("alpha", "alpha"), ("epsilon", "epsilon"), ("gamma", "gamma"), ("lambda", "lam"), ("n", "n"))
 
@@ -48,13 +51,20 @@ def preset_names() -> list[str]:
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
+def _read_text(path: Path, key: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(key, f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_config_text(arg: str) -> str:
     path = Path(arg)
     if path.exists():
         if path.is_dir():
             raise ConfigError("config", f"{arg} is a directory")
         try:
-            return path.read_text(encoding="utf-8")
+            return _read_text(path, "config")
         except OSError as exc:
             raise ConfigError("config", f"cannot read {arg}: {exc}") from exc
     if _LABEL_RE.match(arg) and arg in preset_names():
@@ -98,15 +108,10 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
     if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("algorithms", "required; must be a non-empty array")
 
-    common = dict(
-        environment=environment,
-        episodes=doc.get("episodes", 100),
-        runs=doc.get("runs", 1),
-        seed=doc.get("seed", 0),
-        window=doc.get("window", 10),
-        q_init=doc.get("q_init", 0.0),
-        cvs_order=doc.get("cvs_order", "accumulate"),
-    )
+    window = doc.get("window", 10)
+    if not _is_int(window) or window < 1:
+        raise ConfigError("window", "must be a positive integer")
+    common = {key: doc[key] for key in _SHARED_KEYS if key in doc}
 
     jobs: list[tuple[str, ExperimentConfig]] = []
     seen: set[str] = set()
@@ -127,10 +132,10 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
         if algorithm not in ALGORITHM_NAMES:
             raise ConfigError(f"{where}.algorithm", f"must be one of {', '.join(ALGORITHM_NAMES)}")
         params = _agent_params(entry, where)
-        cfg = ExperimentConfig(algorithm=algorithm, params=params, **common)
+        cfg = ExperimentConfig(environment, algorithm, params, **common)
         cfg.validate()
         jobs.append((label, cfg))
-    return name, jobs, common["window"]
+    return name, jobs, window
 
 
 def _write_csv(path: Path, mean: list[float], smoothed: list[float]) -> None:
@@ -145,12 +150,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     name, jobs, window = _parse_compare(doc)
-    workers = min(_resolve_workers(None), max(cfg.runs for _, cfg in jobs))
+    workers = min(_resolve_workers(), max(cfg.runs for _, cfg in jobs))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for label, cfg in jobs:
             results = run_experiment(cfg, pool=pool)
             mean = average_over_runs(results)
@@ -176,7 +181,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _read_curve_csv(path: Path) -> list[float]:
     if not path.exists():
         raise ConfigError("curves.csv", f"no such file: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path, "curves.csv").splitlines()
     if not lines:
         raise ConfigError("curves.csv", f"{path} is empty")
     header = lines[0].split(",")
@@ -202,7 +207,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise ConfigError("spec", f"no such file: {args.spec}")
-    doc = _parse_json(spec_path.read_text(encoding="utf-8"))
+    doc = _parse_json(_read_text(spec_path, "spec"))
     curves_doc = doc.get("curves")
     if not isinstance(curves_doc, list) or not curves_doc:
         raise ConfigError("curves", "required; must be a non-empty array")
@@ -215,7 +220,10 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     for i, entry in enumerate(curves_doc):
         if not isinstance(entry, dict) or "label" not in entry or "csv" not in entry:
             raise ConfigError(f"curves[{i}]", "each curve needs 'label' and 'csv'")
-        curves.append((str(entry["label"]), _read_curve_csv(base / entry["csv"])))
+        csv_name = entry["csv"]
+        if not isinstance(csv_name, str) or not csv_name:
+            raise ConfigError(f"curves[{i}].csv", "must be a file name")
+        curves.append((str(entry["label"]), _read_curve_csv(base / csv_name)))
 
     svg = render_line_chart(
         curves,

@@ -43,6 +43,17 @@ ActionId = int
 CriticalityFn = Callable[[StateId], float]
 
 
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 class Draws(Protocol):
     """The draw calls agents and environments make: a ``numpy.random.Generator``
     or a :class:`DrawStream` serves them."""
@@ -187,9 +198,9 @@ class QTable:
         self._width = int(width)
         self._narrow = dict(narrow)
         self._terminal = int(terminal)
-        self._initial = float(initial_value)
+        initial = float(initial_value)
         shape = (self._num_states, self._width)
-        if self._initial == 0.0 and math.copysign(1.0, self._initial) > 0.0:
+        if initial == 0.0 and math.copysign(1.0, initial) > 0.0:
             # Not np.zeros: malloc would reuse a freed table's heap pages or
             # map new ones depending on the heap's history, and numpy backs
             # arrays of 4 MiB and more with 2 MiB huge pages; either makes
@@ -197,7 +208,7 @@ class QTable:
             buf = mmap.mmap(-1, shape[0] * shape[1] * 8, access=mmap.ACCESS_COPY)
             values = np.frombuffer(buf, dtype=np.float64).reshape(shape)
         else:
-            values = np.full(shape, self._initial, dtype=np.float64)
+            values = np.full(shape, initial, dtype=np.float64)
         for s, k in self._narrow.items():
             if not (0 <= s < num_states and 0 <= k < width):
                 raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
@@ -217,10 +228,6 @@ class QTable:
     @property
     def terminal(self) -> StateId:
         return self._terminal
-
-    @property
-    def initial_value(self) -> float:
-        return self._initial
 
     @property
     def writes(self) -> int:

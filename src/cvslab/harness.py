@@ -5,28 +5,25 @@ seed).  Run ``i`` seeds its draws from ``SeedSequence(seed, spawn_key=(i,))``,
 so results are bit-reproducible from the config alone and independent of run
 order or worker count.  Every draw of a run, env resets included, comes from
 one ``DrawStream`` on that seed, whose values equal those of
-``np.random.default_rng`` on it.  Runs may execute in parallel processes; the
-``CVS_LAB_THREADS`` environment variable caps the worker count (default: the
-number of available processors).  ``run_experiment`` submits its runs to a
-caller's process pool when given one, so several experiments can share one
-pool (the CLI opens one per comparison, sized by its largest block), and
-otherwise opens and closes its own.
+``np.random.default_rng`` on it.  ``run_experiment`` submits its runs to a
+caller's process pool when given one (``pool=``), so several experiments can
+share one pool (the CLI opens one per comparison, sized by its largest block).
+Otherwise it sizes its own from the ``CVS_LAB_THREADS`` environment variable
+(default: the number of available processors), capped at the run count, and
+runs in this process at one worker.  An ``ExperimentConfig`` holds only what
+a run reads; smoothing windows belong to the caller of ``running_average``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
 from .agents import (
     ALGORITHM_NAMES,
-    ORDER_ACCUMULATE,
-    ORDER_LITERAL,
     cvs_episode,
     mc_episode,
     n_step_sarsa_episode,
@@ -34,19 +31,12 @@ from .agents import (
     watkins_qlambda_episode,
 )
 from .core import AgentParams, DrawStream, Environment, QTable, greedy_actions
+from .core import _finite_real, _is_int
 from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, fig6_tree, optimal_return_oracle
 from .shooter import ShooterConfig, ShooterEnv
 from .tennis import TennisConfig, TennisEnv
 
-ENVIRONMENT_NAMES = (
-    "roadtree:fig1",
-    "roadtree:fig3",
-    "roadtree:fig4",
-    "roadtree:fig6",
-    "roadtree",
-    "shooter",
-    "tennis",
-)
+ENVIRONMENT_NAMES = (*(f"roadtree:{tree}" for tree in BUILTIN_TREES), "roadtree", "shooter", "tennis")
 
 
 class ConfigError(ValueError):
@@ -57,21 +47,10 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-def _is_int(value) -> bool:
-    """True for an ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _positive_int(value) -> int:
     if not _is_int(value) or value < 1:
         raise ValueError(f"must be a positive integer, got {value!r}")
     return value
-
-
-def _finite_real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _int_list(value) -> tuple[int, ...]:
@@ -144,14 +123,12 @@ class ExperimentConfig:
     episodes: int = 100
     runs: int = 1
     seed: int = 0
-    window: int = 10
     q_init: float = 0.0
-    cvs_order: str = ORDER_ACCUMULATE
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHM_NAMES:
             raise ConfigError("algorithm", f"unknown algorithm {self.algorithm!r}")
-        for key in ("episodes", "runs", "window"):
+        for key in ("episodes", "runs"):
             value = getattr(self, key)
             if not _is_int(value) or value < 1:
                 raise ConfigError(key, "must be a positive integer")
@@ -161,8 +138,6 @@ class ExperimentConfig:
             _finite_real(self.q_init)
         except ValueError as exc:
             raise ConfigError("q_init", str(exc)) from exc
-        if self.cvs_order not in (ORDER_ACCUMULATE, ORDER_LITERAL):
-            raise ConfigError("cvs_order", f"must be '{ORDER_ACCUMULATE}' or '{ORDER_LITERAL}'")
         make_env(self.environment)
 
 
@@ -209,7 +184,7 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
     returns: list[float] = []
     for _ in range(cfg.episodes):
         if algorithm == "cvs":
-            log = cvs_episode(env, q, h, params, rng, order=cfg.cvs_order)
+            log = cvs_episode(env, q, h, params, rng)
         elif algorithm == "qlearning":
             log = q_learning_episode(env, q, params, rng)
         elif algorithm == "nstep_sarsa":
@@ -226,11 +201,7 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
     return RunResult(returns, flags)
 
 
-def _resolve_workers(max_workers: int | None) -> int:
-    if max_workers is not None:
-        if not _is_int(max_workers) or max_workers < 1:
-            raise ConfigError("max_workers", f"must be a positive integer, got {max_workers!r}")
-        return max_workers
+def _resolve_workers() -> int:
     raw = os.environ.get("CVS_LAB_THREADS")
     if raw is not None:
         try:
@@ -246,23 +217,21 @@ def _resolve_workers(max_workers: int | None) -> int:
         return os.cpu_count() or 1
 
 
-def run_experiment(
-    cfg: ExperimentConfig, max_workers: int | None = None, pool: Executor | None = None
-) -> list[RunResult]:
+def run_experiment(cfg: ExperimentConfig, *, pool: Executor | None = None) -> list[RunResult]:
     """Execute all runs of an experiment; results are ordered by run index.
 
-    With a ``pool``, the runs go to it and it is left open for the caller
-    (``max_workers`` is then not used).  Without one, at most
-    ``min(max_workers, cfg.runs)`` workers run them, in a pool opened and
-    closed here, or in this process when that is 1.
+    With a ``pool``, the runs go to it and it is left open for the caller.
+    Without one, ``min(workers, cfg.runs)`` processes run them, ``workers``
+    coming from ``CVS_LAB_THREADS`` or the processor count, in a pool opened
+    and closed here, or in this process when that is 1.
     """
     cfg.validate()
     if pool is not None:
         return _run_all(pool, cfg)
-    workers = min(_resolve_workers(max_workers), cfg.runs)
+    workers = min(_resolve_workers(), cfg.runs)
     if workers <= 1:
         return [_run_one(cfg, i) for i in range(cfg.runs)]
-    with ProcessPoolExecutor(max_workers=workers) as own:
+    with ProcessPoolExecutor(workers) as own:
         return _run_all(own, cfg)
 
 

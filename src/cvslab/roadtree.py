@@ -21,10 +21,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CriticalityFn, Draws, Environment, StateId, Transition
+from .core import CriticalityFn, Draws, Environment, StateId, Transition, _finite_real, _is_int
 
 KIND_JUNCTION = "junction"
 KIND_TERMINAL = "terminal"
+
+
+def _integer(value) -> int:
+    if not _is_int(value):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -132,15 +138,33 @@ class TreeSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeSpec":
+        """Ids, ``root`` and distances must be ints and rewards finite real
+        numbers, bools being neither; the error names a bad entry."""
+
+        def read(entry: dict, prefix: str, key: str, convert):
+            try:
+                return convert(entry[key])
+            except ValueError as exc:
+                raise ValueError(f"{prefix}{key} {exc}") from None
+
         try:
             nodes = tuple(
-                TreeNode(int(n["id"]), float(n["reward"]), str(n["kind"])) for n in doc["nodes"]
+                TreeNode(
+                    read(n, f"nodes[{i}].", "id", _integer),
+                    read(n, f"nodes[{i}].", "reward", _finite_real),
+                    str(n["kind"]),
+                )
+                for i, n in enumerate(doc["nodes"])
             )
             edges = tuple(
-                TreeEdge(int(e["parent"]), int(e["child"]), int(e["distance"]))
-                for e in doc["edges"]
+                TreeEdge(
+                    read(e, f"edges[{i}].", "parent", _integer),
+                    read(e, f"edges[{i}].", "child", _integer),
+                    read(e, f"edges[{i}].", "distance", _integer),
+                )
+                for i, e in enumerate(doc["edges"])
             )
-            spec = cls(root=int(doc["root"]), nodes=nodes, edges=edges)
+            spec = cls(root=read(doc, "", "root", _integer), nodes=nodes, edges=edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tree document: {exc}") from exc
         spec.validate()

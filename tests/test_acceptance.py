@@ -197,7 +197,6 @@ def test_acceptance_4_equal_distance_tree_returns(scoreboard):
             episodes=200,
             runs=20,
             seed=0,
-            window=20,
         )
         mean = average_over_runs(run_experiment(cfg))
         return running_average(mean, 20)[-1]
@@ -228,7 +227,6 @@ def test_acceptance_5_trap_tree_cvs_beats_mc(scoreboard):
             episodes=300,
             runs=10,
             seed=0,
-            window=10,
         )
         results = run_experiment(cfg)
         smoothed = running_average(average_over_runs(results), 10)
@@ -267,7 +265,6 @@ def test_acceptance_6_shooter_learning_pace(scoreboard):
             episodes=horizon,
             runs=10,
             seed=1,
-            window=100,
         )
         results = run_experiment(cfg)
         etts = []

@@ -30,7 +30,7 @@ from cvslab import (
     q_learning_episode,
     watkins_qlambda_episode,
 )
-from cvslab.agents import _CRT_EPS, ORDER_ACCUMULATE, ORDER_LITERAL
+from cvslab.agents import _CRT_EPS
 from cvslab.core import DrawStream, q_update
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 from recorder import Recorder
@@ -252,21 +252,6 @@ def test_cvs_discounts_waiting_rewards():
     assert q[j1, 0] == approx(0.1 * (0.5 * 5.0))
 
 
-def test_cvs_literal_order_defers_maturity_one_step():
-    env = RoadTreeEnv(mini_two_junction_tree())
-    q = fresh(env)
-    params = AgentParams(alpha=0.1, gamma=1.0)
-    with Recorder(env) as rec:
-        cvs_episode(env, q, env.criticality(), params, rng_for(0), order=ORDER_LITERAL)
-    root = env.root_state
-    j1 = env.node_state(1)
-    boot = {(s, a): b for s, a, _, b in rec.updates}
-    # maturity is checked before the junction's criticality lands, so the
-    # root pair bootstraps one state past the junction
-    assert boot[root, 0] == j1 + 1
-    assert env.state_kind(j1 + 1) == "road"
-
-
 def test_cvs_flushes_whole_branch_on_terminal():
     env = RoadTreeEnv(fig3_tree())
     q = fresh(env)
@@ -286,13 +271,6 @@ def test_cvs_rejects_criticality_outside_unit_interval():
     q = fresh(env)
     with pytest.raises(ValueError, match="criticality"):
         cvs_episode(env, q, lambda s: 1.5, AgentParams(), rng_for(0))
-
-
-def test_cvs_rejects_unknown_order():
-    env = ChainEnv([1.0])
-    q = fresh(env)
-    with pytest.raises(ValueError, match="order"):
-        cvs_episode(env, q, lambda s: 1.0, AgentParams(), rng_for(0), order="bogus")
 
 
 def test_watkins_cuts_traces_after_exploratory_action():
@@ -343,18 +321,6 @@ def test_cvs_constant_criticality_equals_n_step_sarsa(h, n):
         lambda env, q, rng: cvs_episode(env, q, const_h(h), params, rng),
         lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
         seeds=(0, 1, 2),
-        episodes=15,
-    )
-    assert ok, f"tables diverged at (seed, episode) {where}"
-
-
-def test_cvs_literal_order_equals_two_step_sarsa():
-    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1, n=2)
-    ok, where = paired_tables_match(
-        lambda: RoadTreeEnv(fig3_tree()),
-        lambda env, q, rng: cvs_episode(env, q, const_h(1.0), params, rng, order=ORDER_LITERAL),
-        lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
-        seeds=(0, 1),
         episodes=15,
     )
     assert ok, f"tables diverged at (seed, episode) {where}"
@@ -498,7 +464,7 @@ class _WaitEntry:
     steps: int = 0
 
 
-def reference_cvs_episode(env, q, h, params, rng, *, order=ORDER_ACCUMULATE):
+def reference_cvs_episode(env, q, h, params, rng):
     """cvs with a list waitlist that every step walks in full."""
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
     updates = []
@@ -523,9 +489,8 @@ def reference_cvs_episode(env, q, h, params, rng, *, order=ORDER_ACCUMULATE):
         s2 = tr.next_state
         a2 = epsilon_greedy(q, s2, eps, rng)
         hs = float(h(s2))
-        if order == ORDER_ACCUMULATE:
-            for e in waitlist:
-                e.crt_cum += hs
+        for e in waitlist:
+            e.crt_cum += hs
         boot = q[s2, a2]
         keep = []
         for e in waitlist:
@@ -534,8 +499,6 @@ def reference_cvs_episode(env, q, h, params, rng, *, order=ORDER_ACCUMULATE):
                 q_update(q, e.state, e.action, target, alpha)
                 updates.append((e.state, e.action, target, s2))
             else:
-                if order == ORDER_LITERAL:
-                    e.crt_cum += hs
                 keep.append(e)
         waitlist = keep
         s, a = s2, a2
@@ -622,13 +585,12 @@ def draw_criticality(data, env):
 @given(
     tree=road_trees(),
     gamma=st.sampled_from(GAMMAS),
-    order=st.sampled_from((ORDER_ACCUMULATE, ORDER_LITERAL)),
     epsilon=st.sampled_from((0.1, 0.5)),
     q_init=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_cvs_matches_list_reference(tree, gamma, order, epsilon, q_init, seed, data):
+def test_cvs_matches_list_reference(tree, gamma, epsilon, q_init, seed, data):
     h = draw_criticality(data, RoadTreeEnv(tree))
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon)
     assert_matches_reference(
@@ -636,8 +598,8 @@ def test_cvs_matches_list_reference(tree, gamma, order, epsilon, q_init, seed, d
         q_init,
         seed,
         5,
-        lambda env, q, rng: cvs_episode(env, q, h, params, rng, order=order),
-        lambda env, q, rng: reference_cvs_episode(env, q, h, params, rng, order=order),
+        lambda env, q, rng: cvs_episode(env, q, h, params, rng),
+        lambda env, q, rng: reference_cvs_episode(env, q, h, params, rng),
     )
 
 
@@ -669,19 +631,16 @@ GRID_ENVS = {
 }
 
 
-@pytest.mark.parametrize("order", [ORDER_ACCUMULATE, ORDER_LITERAL])
 @pytest.mark.parametrize("name", sorted(GRID_ENVS))
-def test_cvs_matches_list_reference_on_grid_envs(name, order):
+def test_cvs_matches_list_reference_on_grid_envs(name):
     params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.1)
     assert_matches_reference(
         GRID_ENVS[name],
         0.0,
         11,
         20,
-        lambda env, q, rng: cvs_episode(env, q, env.criticality(), params, rng, order=order),
-        lambda env, q, rng: reference_cvs_episode(
-            env, q, env.criticality(), params, rng, order=order
-        ),
+        lambda env, q, rng: cvs_episode(env, q, env.criticality(), params, rng),
+        lambda env, q, rng: reference_cvs_episode(env, q, env.criticality(), params, rng),
     )
 
 

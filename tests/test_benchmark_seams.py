@@ -34,7 +34,7 @@ def test_every_patched_name_resolves(tracer):
 def test_tracer_sees_every_agent_episode(tracer, algorithm):
     cfg = ExperimentConfig({"name": "roadtree:fig3"}, algorithm, episodes=3, runs=1)
     with tracer.Tracer(tracer.COUNT_SPANS) as t:
-        run_experiment(cfg, max_workers=1)
+        run_experiment(cfg)
     span = f"agents.{algorithm}"
     assert t.totals(span)[0] == 3
     assert t.agent_steps[span] > 0

@@ -162,11 +162,17 @@ def test_missing_config_exits_two(tmp_path, capsys):
     assert "no such file or preset" in err
 
 
+NOT_UTF8 = '{"name": "caf\u00e9"}'.encode("latin-1")
+
+
 def test_invalid_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert main(["run", str(bad)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    # JSON text must also be UTF-8
+    for content, message in ((b"{not json", "invalid JSON"), (NOT_UTF8, "is not UTF-8 text")):
+        bad.write_bytes(content)
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config: " in err and message in err
 
 
 def test_bad_value_exits_two_and_names_the_key(tmp_path, capsys):
@@ -198,9 +204,11 @@ def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides
 
 
 def test_unknown_top_level_key_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path / "demo.json", flavor="spicy")
-    assert main(["run", str(cfg)]) == 2
-    assert "flavor" in capsys.readouterr().err
+    # cvs_order was a key once; the cvs update order is no longer settable
+    for key, value in (("flavor", "spicy"), ("cvs_order", "accumulate")):
+        cfg = write_config(tmp_path / "demo.json", **{key: value})
+        assert main(["run", str(cfg)]) == 2
+        assert f"{key}: unknown configuration key" in capsys.readouterr().err
 
 
 def test_duplicate_labels_rejected(tmp_path, capsys):
@@ -303,6 +311,28 @@ def test_plot_csv_without_smoothed_column_exits_two(tmp_path, capsys):
 
 def test_plot_missing_spec_exits_two(tmp_path):
     assert main(["plot", str(tmp_path / "none.json")]) == 2
+
+
+def plot_spec(csv):
+    return json.dumps({"curves": [{"label": "a", "csv": csv}], "output": "x.svg"}).encode()
+
+
+@pytest.mark.parametrize(
+    "spec, csv_bytes, key",
+    [
+        (plot_spec(5), None, "curves[0].csv"),
+        (plot_spec(""), None, "curves[0].csv"),
+        (NOT_UTF8, None, "spec"),
+        (plot_spec("latin1.csv"), b"episode,return_mean,return_smoothed\n0,1,\xe9\n", "curves.csv"),
+    ],
+    ids=["csv-not-a-name", "csv-empty", "spec-not-utf8", "csv-not-utf8"],
+)
+def test_plot_bad_input_exits_two_and_names_the_key(tmp_path, capsys, spec, csv_bytes, key):
+    if csv_bytes is not None:
+        (tmp_path / "latin1.csv").write_bytes(csv_bytes)
+    (tmp_path / "plot.json").write_bytes(spec)
+    assert main(["plot", str(tmp_path / "plot.json")]) == 2
+    assert f"{key}: " in capsys.readouterr().err
 
 
 def test_list_shows_everything(capsys):

@@ -80,7 +80,6 @@ def test_qtable_padding_and_terminal_row():
     assert np.all(arr[2] == 0.0)
     assert np.all(arr[0, :2] == 0.5)
     assert q[1, 2] == 0.5
-    assert q.initial_value == 0.5
 
 
 GUARDED_CALLS = {

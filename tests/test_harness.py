@@ -101,6 +101,14 @@ def test_make_env_builds_every_name():
     assert env.tree == fig3_tree()
 
 
+def fig3_doc(part, key, value):
+    """A custom roadtree config: fig3's document with ``key`` of its first
+    ``part`` entry (``nodes`` or ``edges``) set to ``value``."""
+    doc = fig3_tree().to_dict()
+    doc[part][0][key] = value
+    return {"name": "roadtree", "tree": doc}
+
+
 @pytest.mark.parametrize(
     "cfg, key",
     [
@@ -125,6 +133,11 @@ def test_make_env_builds_every_name():
         ({"name": "shooter", "obstacle_rows": [4.5, True]}, "environment.obstacle_rows"),
         ({"name": "shooter", "obstacle_rows": [4, True]}, "environment.obstacle_rows"),
         ({"name": "shooter", "obstacle_rows": [4.0]}, "environment.obstacle_rows"),
+        (fig3_doc("nodes", "reward", "nan"), "environment.tree"),
+        (fig3_doc("nodes", "reward", True), "environment.tree"),
+        (fig3_doc("edges", "distance", 2.9), "environment.tree"),
+        (fig3_doc("edges", "distance", "3"), "environment.tree"),
+        (fig3_doc("nodes", "id", 0.7), "environment.tree"),
     ],
 )
 def test_make_env_names_offending_key(cfg, key):
@@ -142,13 +155,10 @@ def test_config_validation_names_offending_key():
         (small_cfg(runs=True), "runs"),
         (small_cfg(seed=1.5), "seed"),
         (small_cfg(seed=False), "seed"),
-        (small_cfg(window=0), "window"),
-        (small_cfg(window=True), "window"),
         (small_cfg(q_init="abc"), "q_init"),
         (small_cfg(q_init=True), "q_init"),
         (small_cfg(q_init=float("nan")), "q_init"),
         (small_cfg(q_init=float("inf")), "q_init"),
-        (small_cfg(cvs_order="sideways"), "cvs_order"),
         (small_cfg(environment={"name": "nope"}), "environment.name"),
     ]
     for cfg, key in cases:
@@ -157,26 +167,32 @@ def test_config_validation_names_offending_key():
         assert info.value.key == key, key
 
 
-def test_run_experiment_is_reproducible():
+def run_on(monkeypatch, threads, cfg):
+    """``run_experiment`` with ``CVS_LAB_THREADS`` set to ``threads``."""
+    monkeypatch.setenv("CVS_LAB_THREADS", str(threads))
+    return run_experiment(cfg)
+
+
+def test_run_experiment_is_reproducible(monkeypatch):
     cfg = small_cfg()
-    first = run_experiment(cfg, max_workers=1)
-    second = run_experiment(cfg, max_workers=1)
+    first = run_on(monkeypatch, 1, cfg)
+    second = run_on(monkeypatch, 1, cfg)
     assert [r.returns for r in first] == [r.returns for r in second]
     assert [r.greedy_optimal for r in first] == [r.greedy_optimal for r in second]
 
 
-def test_runs_are_independent_of_execution_order():
+def test_runs_are_independent_of_execution_order(monkeypatch):
     cfg = small_cfg()
-    whole = run_experiment(cfg, max_workers=1)
+    whole = run_on(monkeypatch, 1, cfg)
     for i in range(cfg.runs):
         alone = _run_one(cfg, i)
         assert alone.returns == whole[i].returns
 
 
-def test_parallel_runs_match_sequential():
+def test_parallel_runs_match_sequential(monkeypatch):
     cfg = small_cfg(runs=4)
-    sequential = run_experiment(cfg, max_workers=1)
-    parallel = run_experiment(cfg, max_workers=2)
+    sequential = run_on(monkeypatch, 1, cfg)
+    parallel = run_on(monkeypatch, 2, cfg)
     assert [r.returns for r in sequential] == [r.returns for r in parallel]
     assert [r.greedy_optimal for r in sequential] == [r.greedy_optimal for r in parallel]
 
@@ -193,18 +209,10 @@ def test_worker_env_var_is_validated(monkeypatch):
     assert len(run_experiment(cfg)) == 2
 
 
-def test_explicit_worker_count_is_validated():
-    with pytest.raises(ConfigError, match="max_workers"):
-        run_experiment(small_cfg(), max_workers=0)
-    for bad in (2.5, "2", True, False, -1):
-        with pytest.raises(ConfigError, match="max_workers"):
-            run_experiment(small_cfg(), max_workers=bad)
-
-
-def test_caller_pool_gives_the_same_results_and_stays_open():
+def test_caller_pool_gives_the_same_results_and_stays_open(monkeypatch):
     cfg = small_cfg(runs=3)
-    own = run_experiment(cfg, max_workers=2)
-    serial = run_experiment(cfg, max_workers=1)
+    own = run_on(monkeypatch, 2, cfg)
+    serial = run_on(monkeypatch, 1, cfg)
     with ProcessPoolExecutor(max_workers=2) as pool:
         shared = run_experiment(cfg, pool=pool)
         assert pool.submit(pow, 2, 10).result() == 1024
@@ -214,9 +222,9 @@ def test_caller_pool_gives_the_same_results_and_stays_open():
         assert [r.greedy_optimal for r in results] == [r.greedy_optimal for r in serial]
 
 
-def test_result_shapes():
+def test_result_shapes(monkeypatch):
     cfg = small_cfg(episodes=7, runs=2)
-    results = run_experiment(cfg, max_workers=1)
+    results = run_on(monkeypatch, 1, cfg)
     assert len(results) == 2
     for r in results:
         assert len(r.returns) == 7
@@ -227,14 +235,14 @@ def test_oracle_flags_only_on_road_trees():
     cfg = small_cfg(
         environment={"name": "shooter", "max_steps": 30}, episodes=2, runs=1, algorithm="qlearning"
     )
-    result = run_experiment(cfg, max_workers=1)[0]
+    result = run_experiment(cfg)[0]
     assert result.greedy_optimal is None
 
 
 def test_every_algorithm_runs_end_to_end():
     for algorithm in ("cvs", "qlearning", "nstep_sarsa", "qlambda", "mc"):
         cfg = small_cfg(algorithm=algorithm, episodes=3, runs=1)
-        result = run_experiment(cfg, max_workers=1)[0]
+        result = run_experiment(cfg)[0]
         assert len(result.returns) == 3
         assert all(v in (1.0, 2.0) for v in result.returns)
 
@@ -250,7 +258,7 @@ def test_greedy_policy_return_follows_the_table():
 
 def test_q_init_seeds_the_tables():
     cfg = small_cfg(q_init=5.0, episodes=1, runs=1)
-    optimistic = run_experiment(cfg, max_workers=1)[0]
+    optimistic = run_experiment(cfg)[0]
     assert optimistic.returns[0] in (1.0, 2.0)
 
 
@@ -325,7 +333,7 @@ def reference_run_one(cfg, run_index):
     returns = []
     for _ in range(cfg.episodes):
         if algorithm == "cvs":
-            log = cvs_episode(env, q, h, params, rng, order=cfg.cvs_order)
+            log = cvs_episode(env, q, h, params, rng)
         elif algorithm == "qlearning":
             log = q_learning_episode(env, q, params, rng)
         elif algorithm == "nstep_sarsa":

@@ -405,3 +405,21 @@ def test_from_dict_rejects_malformed_documents():
         TreeSpec.from_dict({"root": 0})
     with pytest.raises(ValueError, match="malformed tree document"):
         TreeSpec.from_dict({"root": 0, "nodes": [{"id": 0}], "edges": []})
+    # ids, root and distances are ints, rewards finite reals; bools are neither
+    bad = [
+        ("nodes", "reward", "nan"),
+        ("nodes", "reward", float("inf")),
+        ("nodes", "reward", True),
+        ("nodes", "id", 0.7),
+        ("edges", "parent", False),
+        ("edges", "child", "1"),
+        ("edges", "distance", 2.9),
+        ("edges", "distance", "3"),
+    ]
+    for part, key, value in bad:
+        doc = fig3_tree().to_dict()
+        doc[part][0][key] = value
+        with pytest.raises(ValueError, match=rf"malformed tree document: {part}\[0\]\.{key} "):
+            TreeSpec.from_dict(doc)
+    with pytest.raises(ValueError, match="malformed tree document: root "):
+        TreeSpec.from_dict({**fig3_tree().to_dict(), "root": True})
