@@ -52,6 +52,8 @@ def preset_names() -> list[str]:
 
 
 def _read_text(path: Path, key: str) -> str:
+    if path.is_dir():
+        raise ConfigError(key, f"{path} is a directory")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -61,8 +63,6 @@ def _read_text(path: Path, key: str) -> str:
 def _load_config_text(arg: str) -> str:
     path = Path(arg)
     if path.exists():
-        if path.is_dir():
-            raise ConfigError("config", f"{arg} is a directory")
         try:
             return _read_text(path, "config")
         except OSError as exc:
@@ -72,13 +72,13 @@ def _load_config_text(arg: str) -> str:
     raise ConfigError("config", f"no such file or preset: {arg}")
 
 
-def _parse_json(text: str) -> dict:
+def _parse_json(text: str, key: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
+        raise ConfigError(key, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config", "top level must be a JSON object")
+        raise ConfigError(key, "top level must be a JSON object")
     return doc
 
 
@@ -146,7 +146,7 @@ def _write_csv(path: Path, mean: list[float], smoothed: list[float]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    doc = _parse_json(_load_config_text(args.config))
+    doc = _parse_json(_load_config_text(args.config), "config")
     if args.seed is not None:
         doc["seed"] = args.seed
     name, jobs, window = _parse_compare(doc)
@@ -207,7 +207,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     if not spec_path.exists():
         raise ConfigError("spec", f"no such file: {args.spec}")
-    doc = _parse_json(_read_text(spec_path, "spec"))
+    doc = _parse_json(_read_text(spec_path, "spec"), "spec")
     curves_doc = doc.get("curves")
     if not isinstance(curves_doc, list) or not curves_doc:
         raise ConfigError("curves", "required; must be a non-empty array")

@@ -110,6 +110,10 @@ class AgentParams:
 class Environment(ABC):
     """Tabular episodic MDP with integer states and a shared TERMINAL sink.
 
+    Each fact of the dynamics is stated once: a state's action count only by
+    :meth:`action_layout`, which tables and agents read.  A custom environment
+    provides the six abstract members below.
+
     Implementations keep their dynamics immutable; the only per-episode
     bookkeeping an environment may hold is a step counter for episode caps,
     which ``reset`` clears.  Independent runs therefore each build their own
@@ -128,7 +132,10 @@ class Environment(ABC):
         raise NotImplementedError
 
     @abstractmethod
-    def num_actions(self, s: StateId) -> int:
+    def action_layout(self) -> tuple[int, dict[StateId, int]]:
+        """``(width, narrow)``: the widest action count (at least 1), and each
+        state with fewer actions mapped to its count, TERMINAL included.  A
+        state's action count is ``narrow.get(s, width)``."""
         raise NotImplementedError
 
     @abstractmethod
@@ -138,23 +145,14 @@ class Environment(ABC):
 
     @abstractmethod
     def step(self, s: StateId, a: ActionId, rng: Draws) -> Transition:
+        """Take action ``a`` in ``s``; raises ``ValueError`` for TERMINAL, an
+        id outside ``[0, num_states)`` or an action ``s`` lacks."""
         raise NotImplementedError
 
     @abstractmethod
     def criticality(self) -> CriticalityFn:
         """Deterministic state criticality, values in [0, 1]."""
         raise NotImplementedError
-
-    def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        """``(width, narrow)``: the widest action count (at least 1), and each
-        state with fewer actions mapped to its count, TERMINAL included.
-
-        This default asks ``num_actions`` of every state twice and keeps no
-        per-state list; environments that know their layout override it.
-        """
-        n = self.num_states
-        width = max(1, max(self.num_actions(s) for s in range(n)))
-        return width, {s: k for s in range(n) if (k := self.num_actions(s)) < width}
 
 
 class QTable:

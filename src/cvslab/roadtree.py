@@ -272,28 +272,30 @@ BUILTIN_TREES = {
 # Environment
 # ----------------------------------------------------------------------
 
-KIND_ROAD = "road"
-KIND_SINK = "sink"
-
 
 class RoadTreeEnv(Environment):
-    """Expanded tabular MDP for a :class:`TreeSpec`."""
+    """Expanded tabular MDP for a :class:`TreeSpec`.
+
+    Each state keeps its row of transitions, one per action (so its action
+    count is the row's length), and its criticality.  :meth:`node_state`
+    gives the state of a declared node; the sink is the last state.
+    """
 
     def __init__(self, tree: TreeSpec):
         tree.validate()
         self.tree = tree
-        kinds: list[str] = []
         table: list[list[Transition]] = []  # state -> action -> its transition
+        crit: list[float] = []
 
-        def new_state(kind: str) -> StateId:
-            kinds.append(kind)
+        def new_state(h: float) -> StateId:
             table.append([])
-            return len(kinds) - 1
+            crit.append(h)
+            return len(table) - 1
 
         # Every non-root node adds its edge's d - 1 road states plus its own,
         # so the sink, allocated last, gets this id.
         sink = 1 + sum(e.distance for e in tree.edges)
-        node_state = {tree.root: new_state(KIND_JUNCTION)}
+        node_state = {tree.root: new_state(1.0)}
         # junction state -> per action (child node reward, child junction state
         # or None for a terminal child): the tree with its roads contracted.
         moves: dict[StateId, list[tuple[float, StateId | None]]] = {}
@@ -307,11 +309,11 @@ class RoadTreeEnv(Environment):
             for e in tree.children(p):
                 last = p_state
                 for _ in range(e.distance - 1):
-                    road = new_state(KIND_ROAD)
+                    road = new_state(0.0)
                     table[last].append(Transition(0.0, road, False))
                     last = road
                 child = tree.node(e.child)
-                c_state = node_state[child.id] = new_state(child.kind)
+                c_state = node_state[child.id] = new_state(1.0)
                 if child.kind == KIND_TERMINAL:
                     table[last].append(Transition(child.reward, sink, True))
                     moves[p_state].append((child.reward, None))
@@ -319,18 +321,17 @@ class RoadTreeEnv(Environment):
                     table[last].append(Transition(child.reward, c_state, False))
                     moves[p_state].append((child.reward, c_state))
                     order.append(child.id)
-        new_state(KIND_SINK)
+        new_state(1.0)
 
-        self._kinds = kinds
         self._node_state = node_state
         self._sink = sink
         self._table = table
-        self._crit = [0.0 if k == KIND_ROAD else 1.0 for k in kinds]
+        self._crit = crit
         self.junction_moves = moves
 
     @property
     def num_states(self) -> int:
-        return len(self._kinds)
+        return len(self._table)
 
     @property
     def terminal(self) -> StateId:
@@ -343,16 +344,6 @@ class RoadTreeEnv(Environment):
     def node_state(self, node_id: int) -> StateId:
         return self._node_state[node_id]
 
-    def state_kind(self, s: StateId) -> str:
-        if not 0 <= s < len(self._kinds):
-            raise ValueError(f"state {s} out of range")
-        return self._kinds[s]
-
-    def num_actions(self, s: StateId) -> int:
-        if not 0 <= s < len(self._kinds):
-            raise ValueError(f"state {s} out of range")
-        return len(self._table[s])
-
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
         width = max(map(len, self._table))
         return width, {s: len(row) for s, row in enumerate(self._table) if len(row) < width}
@@ -361,8 +352,10 @@ class RoadTreeEnv(Environment):
         return self.root_state
 
     def step(self, s: StateId, a: int, rng: Draws) -> Transition:
-        if s == self._sink:
-            raise ValueError("cannot step from the TERMINAL state")
+        if not 0 <= s < self._sink:
+            if s == self._sink:
+                raise ValueError("cannot step from the TERMINAL state")
+            raise ValueError(f"state {s} out of range")
         row = self._table[s]
         if not 0 <= a < len(row):
             raise ValueError(f"action {a} invalid for state {s}")

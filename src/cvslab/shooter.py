@@ -36,27 +36,7 @@ _SHOT_DIR = {ACTION_SHOOT_UP: -1, ACTION_SHOOT_DOWN: 1, ACTION_SHOOT_FLAT: 0}
 
 _N_PRE = ROWS * ROWS * 2  # gun row x target row x target dir
 _N_POST = ROWS * ROWS * COLS * 3 * ROWS * 2  # gun x bullet (row, col, dir) x target
-
-
-@dataclass(frozen=True)
-class Bullet:
-    row: int
-    col: int
-    vertical_dir: int
-
-
-@dataclass(frozen=True)
-class ShooterState:
-    """Field state; ``bullet`` is None exactly while the gun has not fired."""
-
-    gun_row: int
-    target_row: int
-    target_dir: int
-    bullet: Bullet | None = None
-
-    @property
-    def fired(self) -> bool:
-        return self.bullet is not None
+_TERMINAL = _N_PRE + _N_POST
 
 
 @dataclass(frozen=True)
@@ -90,8 +70,10 @@ def _pack(
     bcol: int | None = None,
     bdir: int | None = None,
 ) -> StateId:
-    """State id of a field; the bullet's row, column and direction are None
-    before the shot."""
+    """State id of a field: the gun's row, the target's row and direction
+    (-1 up, +1 down), and the bullet's row, column and vertical direction
+    (-1, 0 or +1), which are None before the shot.  Field ids are
+    ``[0, _TERMINAL)``; the first ``_N_PRE`` are the states before the shot."""
     tdir_idx = 0 if tdir == -1 else 1
     if brow is None:
         return (gun * ROWS + trow) * 2 + tdir_idx
@@ -125,46 +107,14 @@ class ShooterEnv(Environment):
 
     @property
     def num_states(self) -> int:
-        return _N_PRE + _N_POST + 1
+        return _TERMINAL + 1
 
     @property
     def terminal(self) -> StateId:
-        return _N_PRE + _N_POST
-
-    def num_actions(self, s: StateId) -> int:
-        if not 0 <= s < self.num_states:
-            raise ValueError(f"state {s} out of range")
-        return 0 if s == self.terminal else 4
+        return _TERMINAL
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return 4, {self.terminal: 0}
-
-    def encode_state(self, state: ShooterState) -> StateId:
-        if not 0 <= state.gun_row < ROWS:
-            raise ValueError(f"gun_row {state.gun_row} outside [0, {ROWS})")
-        if not 0 <= state.target_row < ROWS:
-            raise ValueError(f"target_row {state.target_row} outside [0, {ROWS})")
-        if state.target_dir not in (-1, 1):
-            raise ValueError(f"target_dir must be -1 or +1, got {state.target_dir}")
-        b = state.bullet
-        if b is None:
-            return _pack(state.gun_row, state.target_row, state.target_dir)
-        if not 0 <= b.row < ROWS:
-            raise ValueError(f"bullet row {b.row} outside [0, {ROWS})")
-        if not 0 <= b.col < COLS:
-            raise ValueError(f"bullet col {b.col} outside [0, {COLS})")
-        if b.vertical_dir not in (-1, 0, 1):
-            raise ValueError(f"bullet vertical_dir must be in -1/0/+1, got {b.vertical_dir}")
-        return _pack(
-            state.gun_row, state.target_row, state.target_dir, b.row, b.col, b.vertical_dir
-        )
-
-    def decode_state(self, s: StateId) -> ShooterState:
-        if not 0 <= s < self.terminal:
-            raise ValueError(f"state id {s} is not a decodable field state")
-        gun, trow, tdir, brow, bcol, bdir = _unpack(s)
-        bullet = None if brow is None else Bullet(brow, bcol, bdir)
-        return ShooterState(gun_row=gun, target_row=trow, target_dir=tdir, bullet=bullet)
+        return 4, {_TERMINAL: 0}
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0
@@ -174,8 +124,10 @@ class ShooterEnv(Environment):
         return _pack(gun, trow, tdir)
 
     def step(self, s: StateId, a: int, rng: Draws) -> Transition:
-        if s == self.terminal:
-            raise ValueError("cannot step from the TERMINAL state")
+        if not 0 <= s < _TERMINAL:
+            if s == _TERMINAL:
+                raise ValueError("cannot step from the TERMINAL state")
+            raise ValueError(f"state {s} out of range")
         if not 0 <= a < 4:
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
@@ -192,14 +144,14 @@ class ShooterEnv(Environment):
 
         if bcol is not None:
             if bcol == OBSTACLE_COL and brow in self._obstacle:
-                return Transition(-1.0, self.terminal, True)
+                return Transition(-1.0, _TERMINAL, True)
             if bcol == COLS - 1:
                 hit = brow == trow
-                return Transition(1.0 if hit else -1.0, self.terminal, True)
+                return Transition(1.0 if hit else -1.0, _TERMINAL, True)
 
         trow, tdir = _reflect(trow, tdir)
         if self._steps >= self.config.max_steps:
-            return Transition(-1.0, self.terminal, True)
+            return Transition(-1.0, _TERMINAL, True)
         return Transition(0.0, _pack(gun, trow, tdir, brow, bcol, bdir), False)
 
     def criticality(self) -> CriticalityFn:

@@ -34,16 +34,6 @@ _N_FIELD = ROWS * COLS * 6 * ROWS * ROWS
 
 
 @dataclass(frozen=True)
-class TennisState:
-    ball_row: int
-    ball_col: int
-    h_dir: int  # -1 toward the agent, +1 toward the opponent
-    v_dir: int  # -1 up, 0 flat, +1 down
-    agent_row: int
-    opponent_row: int
-
-
-@dataclass(frozen=True)
 class TennisConfig:
     p_optimal: float = 0.8
     max_steps: int = 1000
@@ -65,7 +55,10 @@ def _reflect_row(row: int, d: int) -> tuple[int, int]:
 
 
 def _pack(brow: int, bcol: int, h_dir: int, v_dir: int, agent: int, opp: int) -> StateId:
-    """State id of a field, in :class:`TennisState` field order."""
+    """State id of a field: the ball's row and column, its horizontal
+    direction (-1 toward the agent, +1 toward the opponent) and vertical
+    direction (-1 up, 0 flat, +1 down), the agent's row and the opponent's
+    row.  Field ids are ``[0, _N_FIELD)``; ``_N_FIELD`` is TERMINAL."""
     dir_idx = (0 if h_dir == -1 else 1) * 3 + (v_dir + 1)
     return (((brow * COLS + bcol) * 6 + dir_idx) * ROWS + agent) * ROWS + opp
 
@@ -94,57 +87,19 @@ class TennisEnv(Environment):
     def terminal(self) -> StateId:
         return _N_FIELD
 
-    def num_actions(self, s: StateId) -> int:
-        if not 0 <= s < self.num_states:
-            raise ValueError(f"state {s} out of range")
-        return 0 if s == self.terminal else 3
-
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return 3, {self.terminal: 0}
-
-    def encode_state(self, state: TennisState) -> StateId:
-        if not 0 <= state.ball_row < ROWS:
-            raise ValueError(f"ball_row {state.ball_row} outside [0, {ROWS})")
-        if not 0 <= state.ball_col < COLS:
-            raise ValueError(f"ball_col {state.ball_col} outside [0, {COLS})")
-        if state.h_dir not in (-1, 1):
-            raise ValueError(f"h_dir must be -1 or +1, got {state.h_dir}")
-        if state.v_dir not in (-1, 0, 1):
-            raise ValueError(f"v_dir must be in -1/0/+1, got {state.v_dir}")
-        if not 0 <= state.agent_row < ROWS:
-            raise ValueError(f"agent_row {state.agent_row} outside [0, {ROWS})")
-        if not 0 <= state.opponent_row < ROWS:
-            raise ValueError(f"opponent_row {state.opponent_row} outside [0, {ROWS})")
-        return _pack(
-            state.ball_row,
-            state.ball_col,
-            state.h_dir,
-            state.v_dir,
-            state.agent_row,
-            state.opponent_row,
-        )
-
-    def decode_state(self, s: StateId) -> TennisState:
-        if not 0 <= s < _N_FIELD:
-            raise ValueError(f"state id {s} is not a decodable field state")
-        return TennisState(*_unpack(s))
+        return 3, {_N_FIELD: 0}
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0
         v = int(rng.integers(3)) - 1
         return _pack(ROWS // 2, COLS // 2, -1, v, ROWS // 2, ROWS // 2)
 
-    def opponent_optimal_action(self, state: TennisState) -> int:
-        """Row delta in {-1, 0, +1} that closes the gap to the ball's row."""
-        if state.opponent_row < state.ball_row:
-            return 1
-        if state.opponent_row > state.ball_row:
-            return -1
-        return 0
-
     def step(self, s: StateId, a: int, rng: Draws) -> Transition:
-        if s == self.terminal:
-            raise ValueError("cannot step from the TERMINAL state")
+        if not 0 <= s < _N_FIELD:
+            if s == _N_FIELD:
+                raise ValueError("cannot step from the TERMINAL state")
+            raise ValueError(f"state {s} out of range")
         if not 0 <= a < 3:
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
@@ -169,11 +124,11 @@ class TennisEnv(Environment):
             h_dir = -h_dir
 
         if bcol == 0:
-            return Transition(-1.0, self.terminal, True)
+            return Transition(-1.0, _N_FIELD, True)
         if bcol == COLS - 1:
-            return Transition(1.0, self.terminal, True)
+            return Transition(1.0, _N_FIELD, True)
         if self._steps >= self.config.max_steps:
-            return Transition(0.0, self.terminal, True)
+            return Transition(0.0, _N_FIELD, True)
 
         return Transition(0.0, _pack(brow, bcol, h_dir, v_dir, agent, opp), False)
 

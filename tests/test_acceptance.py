@@ -34,6 +34,7 @@ from cvslab import (
     running_average,
 )
 from cvslab.cli import main as cli_main
+from cvslab.tennis import _unpack
 
 TREE_PARAMS = AgentParams(alpha=0.1, epsilon=0.1, gamma=1.0)
 
@@ -307,10 +308,10 @@ def test_acceptance_7_tennis_dynamics(scoreboard):
 
     s = env.reset(rng)
     for _ in range(steps):
-        state = env.decode_state(s)
-        if h(s) != (1.0 if state.h_dir == -1 else 0.0):
+        brow, _, h_dir, _, _, opp = _unpack(s)
+        if h(s) != (1.0 if h_dir == -1 else 0.0):
             criticality_ok = False
-        want = env.opponent_optimal_action(state)
+        want = (opp < brow) - (opp > brow)  # the row delta that closes on the ball
         tr = env.step(s, int(rng.integers(3)), rng)
         if tr.terminal:
             if tr.reward not in (-1.0, 0.0, 1.0):
@@ -319,17 +320,17 @@ def test_acceptance_7_tennis_dynamics(scoreboard):
             continue
         if tr.reward != 0.0:
             rewards_ok = False
-        after = env.decode_state(tr.next_state)
+        next_brow, next_bcol, _, _, next_agent, next_opp = _unpack(tr.next_state)
         if not (
-            0 <= after.ball_row < 20
-            and 1 <= after.ball_col < 39
-            and 0 <= after.agent_row < 20
-            and 0 <= after.opponent_row < 20
+            0 <= next_brow < 20
+            and 1 <= next_bcol < 39
+            and 0 <= next_agent < 20
+            and 0 <= next_opp < 20
         ):
             bounds_ok = False
-        if 1 <= state.opponent_row <= 18:
+        if 1 <= opp <= 18:
             counted += 1
-            matched += (after.opponent_row - state.opponent_row) == want
+            matched += (next_opp - opp) == want
         s = tr.next_state
 
     freq = matched / counted

@@ -53,8 +53,8 @@ class ChainEnv(Environment):
     def terminal(self):
         return len(self._rewards)
 
-    def num_actions(self, s):
-        return 0 if s == self.terminal else 1
+    def action_layout(self):
+        return 1, {self.terminal: 0}
 
     def reset(self, rng):
         return 0
@@ -83,8 +83,8 @@ class LoopEnv(Environment):
     def terminal(self):
         return 1
 
-    def num_actions(self, s):
-        return 1 - s
+    def action_layout(self):
+        return 1, {1: 0}
 
     def reset(self, rng):
         self._t = 0

@@ -317,20 +317,36 @@ def plot_spec(csv):
     return json.dumps({"curves": [{"label": "a", "csv": csv}], "output": "x.svg"}).encode()
 
 
+DIRECTORY = "a directory where the file goes"
+
+
 @pytest.mark.parametrize(
     "spec, csv_bytes, key",
     [
         (plot_spec(5), None, "curves[0].csv"),
         (plot_spec(""), None, "curves[0].csv"),
         (NOT_UTF8, None, "spec"),
-        (plot_spec("latin1.csv"), b"episode,return_mean,return_smoothed\n0,1,\xe9\n", "curves.csv"),
+        (plot_spec("c.csv"), b"episode,return_mean,return_smoothed\n0,1,\xe9\n", "curves.csv"),
+        (plot_spec("c.csv"), DIRECTORY, "curves.csv"),
+        (DIRECTORY, None, "spec"),
+        (b"{not json", None, "spec"),
     ],
-    ids=["csv-not-a-name", "csv-empty", "spec-not-utf8", "csv-not-utf8"],
+    ids=[
+        "csv-not-a-name",
+        "csv-empty",
+        "spec-not-utf8",
+        "csv-not-utf8",
+        "csv-is-a-directory",
+        "spec-is-a-directory",
+        "spec-bad-json",
+    ],
 )
 def test_plot_bad_input_exits_two_and_names_the_key(tmp_path, capsys, spec, csv_bytes, key):
-    if csv_bytes is not None:
-        (tmp_path / "latin1.csv").write_bytes(csv_bytes)
-    (tmp_path / "plot.json").write_bytes(spec)
+    for path, content in ((tmp_path / "c.csv", csv_bytes), (tmp_path / "plot.json", spec)):
+        if content is DIRECTORY:
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
     assert main(["plot", str(tmp_path / "plot.json")]) == 2
     assert f"{key}: " in capsys.readouterr().err
 

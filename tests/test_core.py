@@ -116,13 +116,12 @@ def test_out_of_range_states_are_rejected(env_name, call):
 @pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
 def test_envs_reject_out_of_range_states(env_name):
     env = GUARD_ENVS[env_name]()
-    readers = [env.num_actions]
-    if isinstance(env, RoadTreeEnv):
-        readers.append(env.state_kind)
-    for read in readers:
-        for s in (-1, env.num_states):
-            with pytest.raises(ValueError, match=f"state {s} out of range"):
-                read(s)
+    rng = np.random.default_rng(0)
+    for s in (-1, env.num_states):
+        with pytest.raises(ValueError, match=f"state {s} out of range"):
+            env.step(s, 0, rng)
+    with pytest.raises(ValueError, match="cannot step from the TERMINAL state"):
+        env.step(env.terminal, 0, rng)
 
 
 @pytest.mark.parametrize("a", [-1, 1, 2])
@@ -130,7 +129,7 @@ def test_getitem_rejects_actions_the_state_lacks(a):
     # fig1's state 1 is a road state: one action in a row two slots wide
     env = RoadTreeEnv(fig1_tree())
     q = QTable.for_env(env, 0.0)
-    assert env.num_actions(1) == 1
+    assert env.action_layout()[1][1] == 1
     assert q._width == 2
     for read in (lambda: q[1, a], lambda: q_update(q, 1, a, 1.0, 0.5)):
         with pytest.raises(ValueError, match=f"action {a} invalid for state 1"):
@@ -198,16 +197,6 @@ def test_qtable_rejects_bad_shapes():
     for narrow in ({2: 0}, {-1: 0}, {0: 2}, {0: -1}):
         with pytest.raises(ValueError, match="does not fit"):
             QTable(2, (2, narrow), 1)
-
-
-@pytest.mark.parametrize("env_cls, width", [(ShooterEnv, 4), (TennisEnv, 3)])
-def test_uniform_env_layout_agrees_with_num_actions(env_cls, width):
-    env = env_cls()
-    assert env.action_layout() == (width, {env.terminal: 0})
-    assert env.num_actions(env.terminal) == 0
-    rng = np.random.default_rng(5)
-    for s in [0, env.terminal - 1, *rng.integers(env.terminal, size=200).tolist()]:
-        assert env.num_actions(s) == width
 
 
 def test_tennis_table_allocates_no_per_state_array():

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from cvslab import (
-    Environment,
     RoadTreeEnv,
     Transition,
     TreeEdge,
@@ -20,7 +20,7 @@ from cvslab import (
     fig6_tree,
     optimal_return_oracle,
 )
-from cvslab.roadtree import KIND_JUNCTION, KIND_ROAD, KIND_SINK, KIND_TERMINAL
+from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 from strategies import road_trees
 
 ALL_TREES = {
@@ -31,61 +31,56 @@ ALL_TREES = {
 }
 
 
-def kind_counts(env: RoadTreeEnv) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for s in range(env.num_states):
-        k = env.state_kind(s)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
+def action_counts(env: RoadTreeEnv) -> list[int]:
+    """Each state's action count, read from the action layout."""
+    width, narrow = env.action_layout()
+    return [narrow.get(s, width) for s in range(env.num_states)]
 
 
 def test_fig1_state_layout():
     env = RoadTreeEnv(fig1_tree())
-    counts = kind_counts(env)
+    counts = Counter(reference_tables(fig1_tree())[0])
     # six edges with distances 20/10/10/15/15/15 expand into 79 road states
-    assert counts[KIND_ROAD] == 79
-    assert counts[KIND_JUNCTION] == 3
-    assert counts[KIND_TERMINAL] == 4
-    assert counts[KIND_SINK] == 1
+    assert counts == {"road": 79, KIND_JUNCTION: 3, KIND_TERMINAL: 4, "sink": 1}
     assert env.num_states == 87
-    assert env.num_actions(env.root_state) == 2
+    assert action_counts(env)[env.root_state] == 2
 
 
 def test_fig3_state_layout():
     env = RoadTreeEnv(fig3_tree())
-    counts = kind_counts(env)
-    assert counts[KIND_ROAD] == 9 + 49
+    assert Counter(reference_tables(fig3_tree())[0])["road"] == 9 + 49
     assert env.num_states == 62
-    assert env.num_actions(env.root_state) == 2
+    assert action_counts(env)[env.root_state] == 2
 
 
 def test_road_states_have_one_action():
     env = RoadTreeEnv(fig1_tree())
-    for s in range(env.num_states):
-        kind = env.state_kind(s)
-        if kind == KIND_ROAD:
-            assert env.num_actions(s) == 1
-        elif kind == KIND_SINK:
-            assert env.num_actions(s) == 0
+    kinds = reference_tables(fig1_tree())[0]
+    for kind, k in zip(kinds, action_counts(env), strict=True):
+        if kind == "road":
+            assert k == 1
+        elif kind == "sink":
+            assert k == 0
 
 
 def test_reset_returns_root():
     env = RoadTreeEnv(fig3_tree())
     rng = np.random.default_rng(0)
     assert env.reset(rng) == env.root_state
-    assert env.state_kind(env.root_state) == KIND_JUNCTION
+    assert reference_tables(fig3_tree())[0][env.root_state] == KIND_JUNCTION
 
 
 def replay(env: RoadTreeEnv, actions: list[int]) -> tuple[float, int]:
     """Drive the action path from the root; junction choices come from
     ``actions``, road states take their only action."""
     rng = np.random.default_rng(0)
+    counts = action_counts(env)
     s = env.reset(rng)
     total = 0.0
     steps = 0
     it = iter(actions)
     while True:
-        a = next(it) if env.num_actions(s) > 1 else 0
+        a = next(it) if counts[s] > 1 else 0
         tr = env.step(s, a, rng)
         total += tr.reward
         steps += 1
@@ -131,9 +126,8 @@ def test_step_guards():
 def test_criticality_marks_roads_zero():
     env = RoadTreeEnv(fig1_tree())
     h = env.criticality()
-    for s in range(env.num_states):
-        expected = 0.0 if env.state_kind(s) == KIND_ROAD else 1.0
-        assert h(s) == expected
+    for s, kind in enumerate(reference_tables(fig1_tree())[0]):
+        assert h(s) == (0.0 if kind == "road" else 1.0)
 
 
 def enumerate_paths(tree: TreeSpec, node_id: int) -> list[tuple[float, list[int]]]:
@@ -179,7 +173,7 @@ def test_fig6_fan_out():
     tree = fig6_tree(k=3, distance=2)
     env = RoadTreeEnv(tree)
     right = env.node_state(2)
-    assert env.num_actions(right) == 4
+    assert action_counts(env)[right] == 4
     value, path = optimal_return_oracle(env)
     assert value == 2.0
     assert path == [1, 3]
@@ -195,8 +189,9 @@ def test_wide_tree_builds_in_linear_time():
     value, path = optimal_return_oracle(env)
     assert time.perf_counter() - start < 10.0
     assert (value, path) == (2.0, [1, k])
-    assert env.num_actions(env.node_state(2)) == k + 1
-    assert env.action_layout()[0] == k + 1
+    width, narrow = env.action_layout()
+    assert width == k + 1
+    assert env.node_state(2) not in narrow
 
 
 def test_fig6_rejects_bad_arguments():
@@ -247,13 +242,13 @@ def reference_tables(tree: TreeSpec):
         for e in tree.children(p):
             child = tree.node(e.child)
             for _ in range(e.distance - 1):
-                new_state(KIND_ROAD)
+                new_state("road")
             node_state[child.id] = new_state(
                 KIND_JUNCTION if child.kind == KIND_JUNCTION else KIND_TERMINAL
             )
             if child.kind == KIND_JUNCTION:
                 order.append(child.id)
-    sink = new_state(KIND_SINK)
+    sink = new_state("sink")
 
     n = len(kinds)
     nxt = [[] for _ in range(n)]
@@ -298,7 +293,7 @@ def reference_tables(tree: TreeSpec):
             nxt[last].append(entry.next_state)
             rew[last].append(entry.reward)
             term[last].append(entry.terminal)
-    crit = np.array([0.0 if k == KIND_ROAD else 1.0 for k in kinds])
+    crit = np.array([0.0 if k == "road" else 1.0 for k in kinds])
     return kinds, nxt, rew, term, crit
 
 
@@ -311,8 +306,6 @@ def test_transition_table_matches_two_pass_reference(tree):
     assert env.num_states == len(kinds)
     assert env.terminal == len(kinds) - 1
     for s in range(env.num_states):
-        assert env.state_kind(s) == kinds[s]
-        assert env.num_actions(s) == len(nxt[s])
         got_h, want_h = h(s), float(crit[s])
         assert type(got_h) is float and got_h.hex() == want_h.hex()
         if s == env.terminal:
@@ -327,19 +320,10 @@ def test_transition_table_matches_two_pass_reference(tree):
         for a in (-1, len(nxt[s])):
             with pytest.raises(ValueError, match="invalid"):
                 env.step(s, a, rng)
+    assert action_counts(env) == [len(row) for row in nxt]
     width, narrow = env.action_layout()
-    assert [narrow.get(s, width) for s in range(env.num_states)] == [len(row) for row in nxt]
-
-
-@given(tree=road_trees())
-def test_action_layout_agrees_with_num_actions(tree):
-    env = RoadTreeEnv(tree)
-    counts = {s: env.num_actions(s) for s in range(env.num_states)}
-    width, narrow = env.action_layout()
-    assert width == max(counts.values())
-    assert narrow == {s: k for s, k in counts.items() if k < width}
-    assert narrow[env.terminal] == 0
-    assert Environment.action_layout(env) == (width, narrow)  # the num_actions default
+    assert width == max(map(len, nxt))
+    assert all(k < width for k in narrow.values())
 
 
 def junction(i, reward=0.0):

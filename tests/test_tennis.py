@@ -1,56 +1,49 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cvslab import TennisConfig, TennisEnv
-from cvslab.tennis import ACTION_DOWN, ACTION_STAY, ACTION_UP, COLS, ROWS, TennisState
+from cvslab.tennis import ACTION_DOWN, ACTION_STAY, ACTION_UP, COLS, ROWS, _pack, _unpack
 
 
-def encode(env: TennisEnv, **kwargs) -> int:
-    return env.encode_state(TennisState(**kwargs))
+FIELDS = ("brow", "bcol", "h_dir", "v_dir", "agent", "opp")  # _pack's parameters
+
+
+def view(s: int) -> SimpleNamespace:
+    """The fields of a state id, by name."""
+    return SimpleNamespace(**dict(zip(FIELDS, _unpack(s))))
+
+
+def random_fields(rng) -> tuple[int, ...]:
+    """In-range ``_pack`` arguments drawn uniformly."""
+    return (
+        int(rng.integers(ROWS)),
+        int(rng.integers(COLS)),
+        -1 if rng.integers(2) == 0 else 1,
+        int(rng.integers(3)) - 1,
+        int(rng.integers(ROWS)),
+        int(rng.integers(ROWS)),
+    )
 
 
 def test_state_space_size():
     env = TennisEnv()
     assert env.num_states == ROWS * COLS * 6 * ROWS * ROWS + 1
     assert env.num_states == 1_920_001
-    assert env.num_actions(env.terminal) == 0
-    assert env.num_actions(0) == 3
+    assert env.action_layout() == (3, {env.terminal: 0})
 
 
 def test_encode_decode_round_trip():
     env = TennisEnv()
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        state = TennisState(
-            ball_row=int(rng.integers(ROWS)),
-            ball_col=int(rng.integers(COLS)),
-            h_dir=-1 if rng.integers(2) == 0 else 1,
-            v_dir=int(rng.integers(3)) - 1,
-            agent_row=int(rng.integers(ROWS)),
-            opponent_row=int(rng.integers(ROWS)),
-        )
-        sid = env.encode_state(state)
+        fields = random_fields(rng)
+        sid = _pack(*fields)
         assert 0 <= sid < env.terminal
-        assert env.decode_state(sid) == state
-
-
-def test_encode_rejects_out_of_range():
-    env = TennisEnv()
-    base = dict(ball_row=0, ball_col=0, h_dir=-1, v_dir=0, agent_row=0, opponent_row=0)
-    for key, bad in [
-        ("ball_row", ROWS),
-        ("ball_col", -1),
-        ("h_dir", 0),
-        ("v_dir", 2),
-        ("agent_row", 99),
-        ("opponent_row", -3),
-    ]:
-        with pytest.raises(ValueError, match=key):
-            env.encode_state(TennisState(**{**base, key: bad}))
-    with pytest.raises(ValueError):
-        env.decode_state(env.terminal)
+        assert _unpack(sid) == fields
 
 
 def test_reset_serves_toward_agent():
@@ -59,28 +52,26 @@ def test_reset_serves_toward_agent():
     n = 10_000
     v_counts = np.zeros(3)
     for _ in range(n):
-        state = env.decode_state(env.reset(rng))
-        assert (state.ball_row, state.ball_col) == (10, 20)
-        assert state.h_dir == -1
-        assert (state.agent_row, state.opponent_row) == (10, 10)
-        v_counts[state.v_dir + 1] += 1
+        brow, bcol, h_dir, v_dir, agent, opp = _unpack(env.reset(rng))
+        assert (brow, bcol, h_dir, agent, opp) == (10, 20, -1, 10, 10)
+        v_counts[v_dir + 1] += 1
     assert np.all(np.abs(v_counts / n - 1 / 3) < 0.02)
 
 
 def test_agent_racket_bounces_ball():
     env = TennisEnv(TennisConfig(p_optimal=1.0))
     rng = np.random.default_rng(0)
-    s = encode(env, ball_row=5, ball_col=2, h_dir=-1, v_dir=0, agent_row=5, opponent_row=5)
+    s = _pack(brow=5, bcol=2, h_dir=-1, v_dir=0, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
     assert not tr.terminal
-    state = env.decode_state(tr.next_state)
-    assert (state.ball_col, state.h_dir) == (1, 1)
+    state = view(tr.next_state)
+    assert (state.bcol, state.h_dir) == (1, 1)
 
 
 def test_missed_ball_scores_against_agent():
     env = TennisEnv(TennisConfig(p_optimal=1.0))
     rng = np.random.default_rng(0)
-    s = encode(env, ball_row=5, ball_col=2, h_dir=-1, v_dir=0, agent_row=0, opponent_row=5)
+    s = _pack(brow=5, bcol=2, h_dir=-1, v_dir=0, agent=0, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
     assert not tr.terminal
     tr = env.step(tr.next_state, ACTION_STAY, rng)
@@ -92,7 +83,7 @@ def test_ball_already_past_racket_is_lost():
     env = TennisEnv(TennisConfig(p_optimal=1.0))
     rng = np.random.default_rng(0)
     # at column 1 still heading left: the catch happened (or not) last step
-    s = encode(env, ball_row=5, ball_col=1, h_dir=-1, v_dir=0, agent_row=5, opponent_row=5)
+    s = _pack(brow=5, bcol=1, h_dir=-1, v_dir=0, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
     assert tr.terminal
     assert tr.reward == -1.0
@@ -102,7 +93,7 @@ def test_opponent_miss_scores_for_agent():
     env = TennisEnv(TennisConfig(p_optimal=1.0))
     rng = np.random.default_rng(0)
     # opponent too far away to reach row 0 in one move
-    s = encode(env, ball_row=0, ball_col=37, h_dir=1, v_dir=0, agent_row=5, opponent_row=19)
+    s = _pack(brow=0, bcol=37, h_dir=1, v_dir=0, agent=5, opp=19)
     tr = env.step(s, ACTION_STAY, rng)
     assert not tr.terminal
     tr = env.step(tr.next_state, ACTION_STAY, rng)
@@ -113,36 +104,36 @@ def test_opponent_miss_scores_for_agent():
 def test_perfect_opponent_returns_reachable_ball():
     env = TennisEnv(TennisConfig(p_optimal=1.0))
     rng = np.random.default_rng(0)
-    s = encode(env, ball_row=4, ball_col=37, h_dir=1, v_dir=0, agent_row=5, opponent_row=5)
+    s = _pack(brow=4, bcol=37, h_dir=1, v_dir=0, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
     assert not tr.terminal
-    state = env.decode_state(tr.next_state)
-    assert (state.ball_col, state.h_dir) == (38, -1)
-    assert state.opponent_row == 4
+    state = view(tr.next_state)
+    assert (state.bcol, state.h_dir) == (38, -1)
+    assert state.opp == 4
 
 
 def test_ball_reflects_off_walls():
     env = TennisEnv(TennisConfig(p_optimal=1.0))
     rng = np.random.default_rng(0)
-    s = encode(env, ball_row=0, ball_col=20, h_dir=1, v_dir=-1, agent_row=5, opponent_row=5)
+    s = _pack(brow=0, bcol=20, h_dir=1, v_dir=-1, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
-    state = env.decode_state(tr.next_state)
-    assert (state.ball_row, state.v_dir) == (1, 1)
-    s = encode(env, ball_row=19, ball_col=20, h_dir=1, v_dir=1, agent_row=5, opponent_row=5)
+    state = view(tr.next_state)
+    assert (state.brow, state.v_dir) == (1, 1)
+    s = _pack(brow=19, bcol=20, h_dir=1, v_dir=1, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
-    state = env.decode_state(tr.next_state)
-    assert (state.ball_row, state.v_dir) == (18, -1)
+    state = view(tr.next_state)
+    assert (state.brow, state.v_dir) == (18, -1)
 
 
 def test_agent_moves_clamp_at_walls():
     env = TennisEnv(TennisConfig(p_optimal=1.0))
     rng = np.random.default_rng(0)
-    s = encode(env, ball_row=10, ball_col=20, h_dir=1, v_dir=0, agent_row=0, opponent_row=10)
+    s = _pack(brow=10, bcol=20, h_dir=1, v_dir=0, agent=0, opp=10)
     tr = env.step(s, ACTION_UP, rng)
-    assert env.decode_state(tr.next_state).agent_row == 0
-    s = encode(env, ball_row=10, ball_col=20, h_dir=1, v_dir=0, agent_row=19, opponent_row=10)
+    assert view(tr.next_state).agent == 0
+    s = _pack(brow=10, bcol=20, h_dir=1, v_dir=0, agent=19, opp=10)
     tr = env.step(s, ACTION_DOWN, rng)
-    assert env.decode_state(tr.next_state).agent_row == 19
+    assert view(tr.next_state).agent == 19
 
 
 def test_rally_cap_ends_with_zero_reward():
@@ -154,18 +145,6 @@ def test_rally_cap_ends_with_zero_reward():
     assert tr.reward == 0.0
 
 
-def test_opponent_optimal_action_helper():
-    env = TennisEnv()
-    state = TennisState(ball_row=8, ball_col=20, h_dir=1, v_dir=0, agent_row=5, opponent_row=5)
-    assert env.opponent_optimal_action(state) == 1
-    assert env.opponent_optimal_action(
-        TennisState(ball_row=2, ball_col=20, h_dir=1, v_dir=0, agent_row=5, opponent_row=5)
-    ) == -1
-    assert env.opponent_optimal_action(
-        TennisState(ball_row=5, ball_col=20, h_dir=1, v_dir=0, agent_row=5, opponent_row=5)
-    ) == 0
-
-
 def test_opponent_follows_ball_at_stated_frequency():
     env = TennisEnv()
     rng = np.random.default_rng(3)
@@ -174,16 +153,15 @@ def test_opponent_follows_ball_at_stated_frequency():
     counted = 0
     s = env.reset(rng)
     for _ in range(n):
-        state = env.decode_state(s)
-        want = env.opponent_optimal_action(state)
+        brow, _, _, _, _, opp = _unpack(s)
+        want = (opp < brow) - (opp > brow)  # the row delta that closes on the ball
         tr = env.step(s, int(rng.integers(3)), rng)
         if tr.terminal:
             s = env.reset(rng)
             continue
-        after = env.decode_state(tr.next_state)
-        if 1 <= state.opponent_row <= ROWS - 2:
+        if 1 <= opp <= ROWS - 2:
             counted += 1
-            matched += (after.opponent_row - state.opponent_row) == want
+            matched += (_unpack(tr.next_state)[5] - opp) == want
         s = tr.next_state
     assert counted > n // 2
     freq = matched / counted
@@ -195,16 +173,9 @@ def test_criticality_tracks_ball_direction():
     h = env.criticality()
     rng = np.random.default_rng(4)
     for _ in range(5000):
-        state = TennisState(
-            ball_row=int(rng.integers(ROWS)),
-            ball_col=int(rng.integers(COLS)),
-            h_dir=-1 if rng.integers(2) == 0 else 1,
-            v_dir=int(rng.integers(3)) - 1,
-            agent_row=int(rng.integers(ROWS)),
-            opponent_row=int(rng.integers(ROWS)),
-        )
-        want = 1.0 if state.h_dir == -1 else 0.0
-        assert h(env.encode_state(state)) == want
+        fields = random_fields(rng)
+        want = 1.0 if fields[2] == -1 else 0.0
+        assert h(_pack(*fields)) == want
     assert h(env.terminal) == 0.0
 
 
