@@ -1,5 +1,9 @@
 """Tabular RL lab: criticality-driven multi-step updates and baselines."""
 
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy: no BLAS call is made
+
 from .agents import (
     ALGORITHM_NAMES,
     EpisodeLog,

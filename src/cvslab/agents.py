@@ -20,11 +20,12 @@ only through ``q_update`` (Q(lambda) through its batched twin
 returns an :class:`EpisodeLog` of its return and step count and records
 nothing else.
 
-``epsilon_greedy``, ``greedy_actions``, ``q_update`` and ``q_update_traced``
-are looked up as names of this module at call time, on purpose: that and
-``env.step`` are the seams through which an agent is observed.  The tests
-wrap them to record each step and each value written, and the benchmark's
-tracer wraps most of them to time and count; neither needs an option here.
+``epsilon_greedy``, ``q_update`` and ``q_update_traced`` are looked up as
+names of this module at call time, on purpose: they and ``env.step`` are the
+seams through which an agent is observed.  The tests wrap them to record each
+step and each value written, and the benchmark's tracer wraps most of them to
+time and count; neither needs an option here.  No agent calls
+``greedy_actions`` (Q(lambda) uses ``q.row_max``); it is imported for the tracer.
 
 The cvs waitlist is a deque popped from the left: an older entry's
 criticality sum is a left-to-right float sum over a superset of a younger
@@ -99,8 +100,7 @@ def cvs_episode(
     s = env.reset(rng)
     a = epsilon_greedy(q, s, eps, rng)
     while True:
-        tr = env.step(s, a, rng)
-        r = tr.reward
+        r, s2, done = env.step(s, a, rng)
         total += r
         waitlist.append([s, a, steps, 0.0, 0.0])
         if r != 0.0:
@@ -108,12 +108,11 @@ def cvs_episode(
                 e[3] += (gamma ** (steps - e[2])) * r
         steps += 1
 
-        if tr.terminal:
+        if done:
             for es, ea, _, reward_acc, _ in waitlist:
                 q_update(q, es, ea, reward_acc, alpha)
             break
 
-        s2 = tr.next_state
         a2 = epsilon_greedy(q, s2, eps, rng)
         hs = float(h(s2))
         if not 0.0 <= hs <= 1.0:
@@ -146,14 +145,14 @@ def q_learning_episode(
     s = env.reset(rng)
     while True:
         a = epsilon_greedy(q, s, eps, rng)
-        tr = env.step(s, a, rng)
+        r, s2, done = env.step(s, a, rng)
         steps += 1
-        total += tr.reward
-        if tr.terminal:
-            q_update(q, s, a, tr.reward, alpha)
+        total += r
+        if done:
+            q_update(q, s, a, r, alpha)
             break
-        q_update(q, s, a, tr.reward + gamma * q.row_max(tr.next_state), alpha)
-        s = tr.next_state
+        q_update(q, s, a, r + gamma * q.row_max(s2), alpha)
+        s = s2
     return EpisodeLog(total, steps)
 
 
@@ -171,30 +170,33 @@ def n_step_sarsa_episode(
     states = [s0]
     actions = [epsilon_greedy(q, s0, eps, rng)]
     rewards: list[float] = []
+    powers: list[float] = []  # gamma ** j at j, grown as needed: n is unbounded
     T: int | None = None
     t = 0
     while True:
         if T is None:
-            tr = env.step(states[t], actions[t], rng)
-            rewards.append(tr.reward)
-            total += tr.reward
-            states.append(tr.next_state)
-            if tr.terminal:
+            r, s2, done = env.step(states[t], actions[t], rng)
+            rewards.append(r)
+            total += r
+            states.append(s2)
+            if done:
                 T = t + 1
             else:
-                actions.append(epsilon_greedy(q, tr.next_state, eps, rng))
+                actions.append(epsilon_greedy(q, s2, eps, rng))
         tau = t - n + 1
         if tau >= 0:
             hi = tau + n if T is None else min(tau + n, T)
+            while len(powers) <= hi - tau:
+                powers.append(gamma ** len(powers))
             g = 0.0
-            for i in range(tau, hi):
-                g += (gamma ** (i - tau)) * rewards[i]
+            for reward, power in zip(rewards[tau:hi], powers):
+                g += power * reward
             if T is None or tau + n < T:
-                g += (gamma**n) * q[states[tau + n], actions[tau + n]]
+                g += powers[n] * q[states[tau + n], actions[tau + n]]
             q_update(q, states[tau], actions[tau], g, alpha)
         if T is not None and tau >= T - 1:
             break
-        t += 1
+        t = t + 1 if T is None else max(t + 1, n - 1)  # no update before tau = 0
     return EpisodeLog(total, T)
 
 
@@ -221,15 +223,15 @@ def watkins_qlambda_episode(
     steps = 0
     s = env.reset(rng)
     while True:
-        exploratory_pool = greedy_actions(q, s)
         a = epsilon_greedy(q, s, eps, rng)
-        exploratory = a not in exploratory_pool
-        tr = env.step(s, a, rng)
+        v = q[s, a]
+        exploratory = v < q.row_max(s)
+        r, s2, done = env.step(s, a, rng)
         steps += 1
-        total += tr.reward
-        boot_value = 0.0 if tr.terminal else q.row_max(tr.next_state)
-        td_target = tr.reward + gamma * boot_value
-        delta = td_target - q[s, a]
+        total += r
+        boot_value = 0.0 if done else q.row_max(s2)
+        td_target = r + gamma * boot_value
+        delta = td_target - v
         i = pos.get((s, a))
         if i is None:
             i = pos[s, a] = len(pos)
@@ -243,14 +245,14 @@ def watkins_qlambda_episode(
         # directly, so that lambda = 0 matches 1-step updates exactly.
         fresh = i if e[i] == 1.0 else None
         q_update_traced(q, idx[:k], e[:k], delta, alpha, fresh, td_target)
-        if tr.terminal:
+        if done:
             break
         factor = gamma * lam
         if exploratory or factor == 0.0:
             pos.clear()
         else:
             e[:k] *= factor
-        s = tr.next_state
+        s = s2
     return EpisodeLog(total, steps)
 
 
@@ -275,13 +277,13 @@ def mc_episode(
     s = env.reset(rng)
     while True:
         a = epsilon_greedy(q, s, eps, rng)
-        tr = env.step(s, a, rng)
-        total += tr.reward
+        r, s2, done = env.step(s, a, rng)
+        total += r
         visited.append((s, a))
-        rewards.append(tr.reward)
-        if tr.terminal:
+        rewards.append(r)
+        if done:
             break
-        s = tr.next_state
+        s = s2
 
     # (step, reward) of the nonzero rewards at or after the current visit
     paid = deque((j, r) for j, r in enumerate(rewards) if r != 0.0)

@@ -11,7 +11,7 @@ The per-step helpers (:class:`Transition`, :func:`greedy_actions`,
 ``QTable.__getitem__``) read single values as Python floats and ints
 (``ndarray.item``/``tolist``) rather than as numpy scalars: the comparisons
 and float values are the same, and a numpy scalar or reduction per step costs
-several times more on rows of 1-4 actions.
+several times more on rows of 1-4 actions.  Each checks its guards once.
 
 A table is built from its environment's action layout: the widest action
 count plus the few states with fewer actions (TERMINAL among them).  It holds
@@ -261,14 +261,18 @@ class QTable:
 
 def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:
     """All actions of ``s`` tied at the maximal Q value, ascending."""
-    if s == q.terminal:
+    if s == q._terminal:
         raise ValueError("greedy_actions is undefined at the TERMINAL state")
     if not 0 <= s < q._num_states:
         raise ValueError(f"state {s} out of range")
     k = q._narrow.get(s, q._width)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
-    row = q._values[s].tolist()
+    return _ties(q._values[s].tolist(), k)
+
+
+def _ties(row: list[float], k: int) -> list[ActionId]:
+    """The actions among ``row[:k]`` (``k >= 1``) tied at its maximum, ascending."""
     best = row[0]
     ties = [0]
     for a in range(1, k):
@@ -352,7 +356,7 @@ def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: Draws) -> ActionI
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if s == q.terminal:
+    if s == q._terminal:
         raise ValueError("epsilon_greedy is undefined at the TERMINAL state")
     if not 0 <= s < q._num_states:
         raise ValueError(f"state {s} out of range")
@@ -363,7 +367,7 @@ def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: Draws) -> ActionI
         return 0
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(k))
-    ties = greedy_actions(q, s)
+    ties = _ties(q._values[s].tolist(), k)
     if len(ties) == 1:
         return ties[0]
     return ties[int(rng.integers(len(ties)))]
@@ -382,7 +386,7 @@ def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) ->
 
 
 def _check_writable(q: QTable, s: StateId, a: ActionId) -> None:
-    if s == q.terminal:
+    if s == q._terminal:
         raise ValueError("the TERMINAL Q-row is immutable")
     if not 0 <= s < q._num_states:
         raise ValueError(f"state {s} out of range")

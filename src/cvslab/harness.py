@@ -132,8 +132,8 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _is_int(value) or value < 1:
                 raise ConfigError(key, "must be a positive integer")
-        if not _is_int(self.seed):
-            raise ConfigError("seed", "must be an integer")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("seed", "must be a non-negative integer")
         try:
             _finite_real(self.q_init)
         except ValueError as exc:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvslab import (
@@ -151,6 +151,20 @@ def test_n_step_longer_than_episode_falls_back_to_full_return():
     n_step_sarsa_episode(env, q, params, rng_for(0))
     assert q[0, 0] == approx(0.3)
     assert q[1, 0] == approx(0.2)
+
+
+def test_n_step_beyond_any_episode_ends_with_the_episode():
+    # An n past every episode's length updates toward full returns, as any
+    # such n does; the agent must not count up to n after the last step.
+    def run_with(n):
+        params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.1, n=n)
+        return lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng)
+
+    longest = RoadTreeEnv(fig3_tree()).num_states  # a tree visits no state twice
+    ok, where = paired_tables_match(
+        lambda: RoadTreeEnv(fig3_tree()), run_with(longest), run_with(10**12), seeds=(0, 1), episodes=10
+    )
+    assert ok, f"tables diverged at (seed, episode) {where}"
 
 
 def test_mc_discounted_returns_on_chain():
@@ -506,7 +520,10 @@ def reference_cvs_episode(env, q, h, params, rng):
 
 
 def reference_qlambda_episode(env, q, params, rng):
-    """Watkins Q(lambda) with a trace dict walked by one q_update per entry."""
+    """Watkins Q(lambda) with a trace dict walked by one q_update per entry.
+
+    An action is exploratory when it is not in ``greedy_actions``, scanned
+    before ``epsilon_greedy`` scans the same row again."""
     alpha, gamma, eps, lam = params.alpha, params.gamma, params.epsilon, params.lam
     updates = []
     traces: dict[tuple[int, int], float] = {}
@@ -542,6 +559,46 @@ def reference_qlambda_episode(env, q, params, rng):
                 traces[key] *= factor
         s = tr.next_state
     return total, steps, updates
+
+
+def reference_n_step_sarsa_episode(env, q, params, rng):
+    """n-step SARSA that computes ``gamma ** (i - tau)`` for every reward of
+    every update and counts t up to the end one by one."""
+    n, alpha, gamma, eps = params.n, params.alpha, params.gamma, params.epsilon
+    updates = []
+    total = 0.0
+    s0 = env.reset(rng)
+    states = [s0]
+    actions = [epsilon_greedy(q, s0, eps, rng)]
+    rewards = []
+    boot = None
+    T = None
+    t = 0
+    while True:
+        if T is None:
+            tr = env.step(states[t], actions[t], rng)
+            rewards.append(tr.reward)
+            total += tr.reward
+            states.append(tr.next_state)
+            boot = None if tr.terminal else tr.next_state
+            if tr.terminal:
+                T = t + 1
+            else:
+                actions.append(epsilon_greedy(q, tr.next_state, eps, rng))
+        tau = t - n + 1
+        if tau >= 0:
+            hi = tau + n if T is None else min(tau + n, T)
+            g = 0.0
+            for i in range(tau, hi):
+                g += (gamma ** (i - tau)) * rewards[i]
+            if T is None or tau + n < T:
+                g += (gamma**n) * q[states[tau + n], actions[tau + n]]
+            q_update(q, states[tau], actions[tau], g, alpha)
+            updates.append((states[tau], actions[tau], g, boot))
+        if T is not None and tau >= T - 1:
+            break
+        t += 1
+    return total, T, updates
 
 
 def hexed(updates):
@@ -620,6 +677,55 @@ def test_qlambda_matches_dict_reference(tree, gamma, lam, epsilon, q_init, seed)
         5,
         lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
         lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
+    )
+
+
+@pytest.mark.parametrize("lam, gamma", [(0.0, 0.9), (0.0, 1.0), (0.9, 0.9), (0.9, 1.0)])
+@settings(max_examples=25)
+@given(
+    tree=road_trees(),
+    epsilon=st.sampled_from((0.1, 0.5)),
+    q_init=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qlambda_one_scan_matches_two_scan_reference(lam, gamma, tree, epsilon, q_init, seed):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon, lam=lam)
+    assert_matches_reference(
+        lambda: RoadTreeEnv(tree),
+        q_init,
+        seed,
+        5,
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
+        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
+    )
+
+
+# Trees pay at junctions and leaves only; a loop pays a drawn reward at every
+# step, so every power of gamma meets a nonzero reward.
+ENV_FACTORIES = st.one_of(
+    road_trees().map(lambda tree: lambda: RoadTreeEnv(tree)),
+    st.lists(st.sampled_from((0.0, 1.0, -2.0, 0.3)), min_size=1, max_size=40).map(
+        lambda rewards: lambda: LoopEnv(rewards)
+    ),
+)
+
+
+@given(
+    make_env=ENV_FACTORIES,
+    n=st.integers(1, 45),
+    gamma=st.sampled_from(REDUCTION_GAMMAS),
+    q_init=st.sampled_from((0.0, 5.0, -1.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_n_step_sarsa_matches_power_per_reward_reference(make_env, n, gamma, q_init, seed):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=n)
+    assert_matches_reference(
+        make_env,
+        q_init,
+        seed,
+        5,
+        lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
+        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
     )
 
 

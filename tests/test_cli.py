@@ -156,6 +156,16 @@ def test_fig1_csvs_are_byte_identical_at_one_and_two_workers(tmp_path, monkeypat
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_negative_seed_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "demo.json")
+    negative = write_config(tmp_path / "negative.json", seed=-5)
+    for argv in ([str(cfg), "--seed", "-1"], [str(negative)]):
+        assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "seed: must be a non-negative integer" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     err = capsys.readouterr().err

@@ -307,6 +307,33 @@ def test_epsilon_greedy_single_action_consumes_no_randomness():
     assert rng.bit_generator.state == before
 
 
+def test_guard_messages():
+    # state 1 has no actions but is not TERMINAL; state 2 is TERMINAL
+    q = make_table([2, 0, 1], terminal=2)
+    rng = np.random.default_rng(0)
+    cases = [
+        (lambda: greedy_actions(q, 2), "greedy_actions is undefined at the TERMINAL state"),
+        (lambda: greedy_actions(q, 3), "state 3 out of range"),
+        (lambda: greedy_actions(q, 1), "state 1 has no actions"),
+        (lambda: epsilon_greedy(q, 0, 1.5, rng), "epsilon must be in [0, 1], got 1.5"),
+        (lambda: epsilon_greedy(q, -1, -0.5, rng), "epsilon must be in [0, 1], got -0.5"),
+        (lambda: epsilon_greedy(q, 2, 0.1, rng), "epsilon_greedy is undefined at the TERMINAL state"),
+        (lambda: epsilon_greedy(q, -1, 0.1, rng), "state -1 out of range"),
+        (lambda: epsilon_greedy(q, 1, 0.1, rng), "state 1 has no actions"),
+        (lambda: q_update(q, 2, 0, 1.0, 0.5), "the TERMINAL Q-row is immutable"),
+        (lambda: q_update(q, 3, 0, 1.0, 0.5), "state 3 out of range"),
+        (lambda: q_update(q, 0, 2, 1.0, 0.5), "action 2 invalid for state 0"),
+        (lambda: q_update(q, 1, 0, 1.0, 0.5), "action 0 invalid for state 1"),
+        (lambda: q_index(q, 2, 0), "the TERMINAL Q-row is immutable"),
+        (lambda: q_index(q, 0, -1), "action -1 invalid for state 0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert q.writes == 0
+
+
 def test_epsilon_greedy_guards():
     q = make_table([2, 1], terminal=1)
     rng = np.random.default_rng(0)
@@ -391,12 +418,17 @@ ROW_VALUES = (-1.0, -0.0, 0.0, 1.0, 2.0)
 
 @st.composite
 def filled_tables(draw):
-    """A table of 1-4 action rows plus a TERMINAL, valid slots drawn from
-    ROW_VALUES; narrower rows keep their -inf padding."""
-    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)) + [0]
+    """A single-action state, then 1-6 states of 1-4 actions, then a TERMINAL;
+    valid slots drawn from ROW_VALUES, some rows all tied, and narrower rows
+    keep their -inf padding."""
+    counts = [1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)), 0]
     q = make_table(counts, terminal=len(counts) - 1)
     for s, k in enumerate(counts[:-1]):
-        q._values[s, :k] = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=k, max_size=k))
+        if draw(st.booleans()):
+            row = [draw(st.sampled_from(ROW_VALUES))] * k
+        else:
+            row = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=k, max_size=k))
+        q._values[s, :k] = row
     return q
 
 

@@ -155,6 +155,7 @@ def test_config_validation_names_offending_key():
         (small_cfg(runs=True), "runs"),
         (small_cfg(seed=1.5), "seed"),
         (small_cfg(seed=False), "seed"),
+        (small_cfg(seed=-5), "seed"),
         (small_cfg(q_init="abc"), "q_init"),
         (small_cfg(q_init=True), "q_init"),
         (small_cfg(q_init=float("nan")), "q_init"),
@@ -165,6 +166,13 @@ def test_config_validation_names_offending_key():
         with pytest.raises(ConfigError) as info:
             cfg.validate()
         assert info.value.key == key, key
+
+
+def test_run_experiment_rejects_a_negative_seed():
+    for seed in (-1, -(2**70)):
+        with pytest.raises(ConfigError) as info:
+            run_experiment(small_cfg(seed=seed))
+        assert info.value.key == "seed"
 
 
 def run_on(monkeypatch, threads, cfg):
