@@ -15,6 +15,7 @@ from .agents import (
 )
 from .core import (
     AgentParams,
+    ConfigError,
     Environment,
     QTable,
     Transition,
@@ -22,7 +23,6 @@ from .core import (
     greedy_actions,
 )
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     RunResult,
     average_over_runs,
@@ -45,8 +45,8 @@ from .roadtree import (
     fig6_tree,
     optimal_return_oracle,
 )
-from .shooter import ShooterConfig, ShooterEnv
-from .tennis import TennisConfig, TennisEnv
+from .shooter import ShooterEnv
+from .tennis import TennisEnv
 
 __version__ = "0.1.0"
 
@@ -61,9 +61,7 @@ __all__ = [
     "QTable",
     "RoadTreeEnv",
     "RunResult",
-    "ShooterConfig",
     "ShooterEnv",
-    "TennisConfig",
     "TennisEnv",
     "Transition",
     "TreeEdge",

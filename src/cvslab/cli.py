@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 from .agents import ALGORITHM_NAMES
-from .core import AgentParams, _is_int
+from .core import AgentParams, _positive_int, _setting
 from .harness import (
     ENVIRONMENT_NAMES,
     ConfigError,
@@ -52,10 +52,16 @@ def preset_names() -> list[str]:
 
 
 def _read_text(path: Path, key: str) -> str:
-    if path.is_dir():
-        raise ConfigError(key, f"{path} is a directory")
+    """The UTF-8 text of an input; any failure to read it is a ``ConfigError``
+    naming ``key``."""
     try:
         return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(key, f"no such file: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(key, f"{path} is a directory") from None
+    except OSError as exc:
+        raise ConfigError(key, f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(key, f"{path} is not UTF-8 text: {exc}") from None
 
@@ -63,12 +69,9 @@ def _read_text(path: Path, key: str) -> str:
 def _load_config_text(arg: str) -> str:
     path = Path(arg)
     if path.exists():
-        try:
-            return _read_text(path, "config")
-        except OSError as exc:
-            raise ConfigError("config", f"cannot read {arg}: {exc}") from exc
+        return _read_text(path, "config")
     if _LABEL_RE.match(arg) and arg in preset_names():
-        return (resources.files("cvslab") / "configs" / f"{arg}.json").read_text(encoding="utf-8")
+        return _read_text(resources.files("cvslab") / "configs" / f"{arg}.json", "config")
     raise ConfigError("config", f"no such file or preset: {arg}")
 
 
@@ -89,7 +92,7 @@ def _agent_params(entry: dict, where: str) -> AgentParams:
             kwargs[attr] = entry[json_key]
     try:
         return AgentParams(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(where, str(exc)) from exc
 
 
@@ -108,9 +111,7 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
     if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("algorithms", "required; must be a non-empty array")
 
-    window = doc.get("window", 10)
-    if not _is_int(window) or window < 1:
-        raise ConfigError("window", "must be a positive integer")
+    window = _setting("window", doc.get("window", 10), _positive_int)
     common = {key: doc[key] for key in _SHARED_KEYS if key in doc}
 
     jobs: list[tuple[str, ExperimentConfig]] = []
@@ -179,8 +180,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _read_curve_csv(path: Path) -> list[float]:
-    if not path.exists():
-        raise ConfigError("curves.csv", f"no such file: {path}")
     lines = _read_text(path, "curves.csv").splitlines()
     if not lines:
         raise ConfigError("curves.csv", f"{path} is empty")
@@ -205,8 +204,6 @@ def _read_curve_csv(path: Path) -> list[float]:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise ConfigError("spec", f"no such file: {args.spec}")
     doc = _parse_json(_read_text(spec_path, "spec"), "spec")
     curves_doc = doc.get("curves")
     if not isinstance(curves_doc, list) or not curves_doc:

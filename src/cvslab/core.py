@@ -43,15 +43,69 @@ ActionId = int
 CriticalityFn = Callable[[StateId], float]
 
 
+class ConfigError(ValueError):
+    """An invalid setting; ``key`` names it.
+
+    Raised by the code that reads the setting: an environment's constructor
+    names its parameter (``max_steps``), ``make_env`` prefixes
+    ``environment.`` to that, and ``ExperimentConfig.validate`` and the CLI
+    name their own keys.  The message reads ``"<key>: <reason>"``.
+    """
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key}: {message}")
+
+
+def _setting(key: str, value, convert):
+    """``convert(value)``; a ``TypeError`` or ``ValueError`` it raises becomes
+    a :class:`ConfigError` naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
 def _is_int(value) -> bool:
     """True for an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer(value) -> int:
+    if not _is_int(value):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _positive_int(value) -> int:
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return value
+
+
 def _finite_real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a float
+        finite = False
+    if not finite:
         raise ValueError(f"must be a finite number, got {value!r}")
     return float(value)
+
+
+def _probability(value) -> float:
+    p = _finite_real(value)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {value!r}")
+    return p
+
+
+def _positive_fraction(value) -> float:
+    x = _finite_real(value)
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"must be in (0, 1], got {value!r}")
+    return x
 
 
 class Draws(Protocol):
@@ -77,7 +131,8 @@ class AgentParams:
 
     ``lam`` is the eligibility-trace decay (config key ``lambda``) and ``n``
     the lookahead of the fixed-stepnumber SARSA agent; both are ignored by
-    agents that do not use them.
+    agents that do not use them.  A bad value raises a :class:`ConfigError`
+    naming its key.
     """
 
     alpha: float = 0.1
@@ -87,24 +142,11 @@ class AgentParams:
     n: int = 1
 
     def __post_init__(self) -> None:
-        for key, value in (
-            ("alpha", self.alpha),
-            ("epsilon", self.epsilon),
-            ("gamma", self.gamma),
-            ("lambda", self.lam),
-        ):
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _setting("alpha", self.alpha, _positive_fraction)
+        _setting("epsilon", self.epsilon, _probability)
+        _setting("gamma", self.gamma, _positive_fraction)
+        _setting("lambda", self.lam, _probability)
+        _setting("n", self.n, _positive_int)
 
 
 class Environment(ABC):

@@ -16,6 +16,7 @@ a run reads; smoothing windows belong to the caller of ``running_average``.
 
 from __future__ import annotations
 
+import inspect
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -30,89 +31,59 @@ from .agents import (
     q_learning_episode,
     watkins_qlambda_episode,
 )
-from .core import AgentParams, DrawStream, Environment, QTable, greedy_actions
-from .core import _finite_real, _is_int
-from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, fig6_tree, optimal_return_oracle
-from .shooter import ShooterConfig, ShooterEnv
-from .tennis import TennisConfig, TennisEnv
-
-ENVIRONMENT_NAMES = (*(f"roadtree:{tree}" for tree in BUILTIN_TREES), "roadtree", "shooter", "tennis")
+from .core import AgentParams, ConfigError, DrawStream, Environment, QTable, greedy_actions
+from .core import _finite_real, _is_int, _positive_int, _setting
+from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, optimal_return_oracle
+from .shooter import ShooterEnv
+from .tennis import TennisEnv
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; ``key`` names the offending entry."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
+def _custom_tree(tree) -> TreeSpec:
+    return _setting("tree", tree, TreeSpec.from_dict)
 
 
-def _positive_int(value) -> int:
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"must be a positive integer, got {value!r}")
-    return value
-
-
-def _int_list(value) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not all(_is_int(v) for v in value):
-        raise ValueError(f"must be a list of integers, got {value!r}")
-    return tuple(value)
+# name -> builder of the environment or of its tree.  A builder's keyword
+# parameters are the environment's config keys; it states their defaults and
+# checks them, raising a ConfigError that names the parameter.
+_BUILDERS = {
+    **{f"roadtree:{name}": tree for name, tree in BUILTIN_TREES.items()},
+    "roadtree": _custom_tree,
+    "shooter": ShooterEnv,
+    "tennis": TennisEnv,
+}
+ENVIRONMENT_NAMES = tuple(_BUILDERS)
 
 
 def make_env(env_cfg: dict) -> Environment:
-    """Build an environment from its config block (``name`` plus parameters)."""
+    """Build an environment from its config block: ``name`` (one of
+    ``ENVIRONMENT_NAMES``) plus the keyword parameters of its builder.
+
+    ``roadtree:<fig>`` calls the built-in tree function (``fig6`` takes ``k``
+    and ``distance``), ``roadtree`` reads a ``tree`` document, and
+    ``shooter``/``tennis`` call :class:`ShooterEnv`/:class:`TennisEnv`.  Keys
+    the block leaves out take the builder's defaults.  An unknown name, an
+    unknown or missing key, or a bad value raises a :class:`ConfigError`
+    whose key starts with ``environment.``.
+    """
     if not isinstance(env_cfg, dict):
         raise ConfigError("environment", "must be an object with a 'name' entry")
     name = env_cfg.get("name")
-    if not isinstance(name, str):
-        raise ConfigError("environment.name", "missing or not a string")
+    builder = _BUILDERS.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise ConfigError("environment.name", f"must be one of {', '.join(_BUILDERS)}, got {name!r}")
     params = {k: v for k, v in env_cfg.items() if k != "name"}
-
-    def take(key: str, default, convert):
-        """Pop parameter ``key`` and convert it; failures name that key."""
-        try:
-            return convert(params.pop(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"environment.{key}", str(exc)) from exc
-
-    def reject_unknown() -> None:
-        if params:
-            key = sorted(params)[0]
+    accepted = inspect.signature(builder).parameters
+    for key in sorted(params):
+        if key not in accepted:
             raise ConfigError(f"environment.{key}", "unknown environment parameter")
-
-    if name.startswith("roadtree:"):
-        variant = name.split(":", 1)[1]
-        if variant not in BUILTIN_TREES:
-            raise ConfigError("environment.name", f"unknown built-in tree {variant!r}")
-        if variant == "fig6":
-            k = take("k", 10, _positive_int)
-            distance = take("distance", 10, _positive_int)
-            reject_unknown()
-            return RoadTreeEnv(fig6_tree(k=k, distance=distance))
-        reject_unknown()
-        return RoadTreeEnv(BUILTIN_TREES[variant]())
-    if name == "roadtree":
-        tree_doc = params.pop("tree", None)
-        reject_unknown()
-        if tree_doc is None:
-            raise ConfigError("environment.tree", "a custom roadtree needs a 'tree' document")
-        try:
-            return RoadTreeEnv(TreeSpec.from_dict(tree_doc))
-        except ValueError as exc:
-            raise ConfigError("environment.tree", str(exc)) from exc
-    if name == "shooter":
-        max_steps = take("max_steps", 200, _positive_int)
-        config = take(
-            "obstacle_rows", (4, 5, 6), lambda rows: ShooterConfig(_int_list(rows), max_steps)
-        )
-        reject_unknown()
-        return ShooterEnv(config)
-    if name == "tennis":
-        max_steps = take("max_steps", 1000, _positive_int)
-        config = take("p_optimal", 0.8, lambda p: TennisConfig(_finite_real(p), max_steps))
-        reject_unknown()
-        return TennisEnv(config)
-    raise ConfigError("environment.name", f"unknown environment {name!r}")
+    for key, parameter in accepted.items():
+        if parameter.default is parameter.empty and key not in params:
+            raise ConfigError(f"environment.{key}", f"{name} needs a {key!r} entry")
+    try:
+        built = builder(**params)
+    except ConfigError as exc:
+        raise ConfigError(f"environment.{exc.key}", exc.message) from exc
+    return RoadTreeEnv(built) if isinstance(built, TreeSpec) else built
 
 
 @dataclass(frozen=True)
@@ -128,16 +99,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHM_NAMES:
             raise ConfigError("algorithm", f"unknown algorithm {self.algorithm!r}")
-        for key in ("episodes", "runs"):
-            value = getattr(self, key)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(key, "must be a positive integer")
+        if not isinstance(self.params, AgentParams):
+            raise ConfigError("params", f"must be an AgentParams, got {self.params!r}")
+        _setting("episodes", self.episodes, _positive_int)
+        _setting("runs", self.runs, _positive_int)
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", "must be a non-negative integer")
-        try:
-            _finite_real(self.q_init)
-        except ValueError as exc:
-            raise ConfigError("q_init", str(exc)) from exc
+        _setting("q_init", self.q_init, _finite_real)
         make_env(self.environment)
 
 

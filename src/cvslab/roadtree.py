@@ -21,16 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CriticalityFn, Draws, Environment, StateId, Transition, _finite_real, _is_int
+from .core import CriticalityFn, Draws, Environment, StateId, Transition
+from .core import _finite_real, _integer, _positive_int, _setting
 
 KIND_JUNCTION = "junction"
 KIND_TERMINAL = "terminal"
-
-
-def _integer(value) -> int:
-    if not _is_int(value):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -232,11 +227,10 @@ def fig6_tree(k: int = 10, distance: int = 10) -> TreeSpec:
     The left junction pays 0 and leads to children worth 0 and 1; the right
     junction pays 1 and fans out into ``k`` children worth -2 plus a single
     child worth +1 (the last action).  Every edge has the same ``distance``.
+    Both are positive integers; a bad one raises a ``ConfigError`` naming it.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if distance < 1:
-        raise ValueError(f"distance must be >= 1, got {distance}")
+    k = _setting("k", k, _positive_int)
+    distance = _setting("distance", distance, _positive_int)
     nodes = [
         TreeNode(0, 0.0, KIND_JUNCTION),
         TreeNode(1, 0.0, KIND_JUNCTION),
@@ -374,24 +368,27 @@ def optimal_return_oracle(env: RoadTreeEnv) -> tuple[float, list[int]]:
     """Exhaustive best undiscounted root-to-terminal return and its action path.
 
     Walks the declared tree, not the expanded dynamics, so it can serve as an
-    independent check on them.  Ties prefer the lower action index.
+    independent check on them.  Ties prefer the lower action index.  The walk
+    is iterative (children are solved before their parent), so a tree of any
+    depth works.
     """
-
     tree = env.tree
-
-    def best_from(node_id: int) -> tuple[float, list[int]]:
+    order = [tree.root]
+    for node_id in order:  # grows: every node after its parent
+        order.extend(e.child for e in tree.children(node_id))
+    # node -> (best return below it, its action or None at a leaf)
+    best: dict[int, tuple[float, int | None]] = {}
+    for node_id in reversed(order):
         edges = tree.children(node_id)
-        if not edges:
-            return 0.0, []
-        best_val = -np.inf
-        best_path: list[int] = []
+        best_val, best_idx = (-np.inf if edges else 0.0), None
         for idx, e in enumerate(edges):
-            child = tree.node(e.child)
-            sub_val, sub_path = best_from(child.id)
-            val = child.reward + sub_val
+            val = tree.node(e.child).reward + best[e.child][0]
             if val > best_val:
-                best_val = val
-                best_path = [idx] + sub_path
-        return float(best_val), best_path
-
-    return best_from(tree.root)
+                best_val, best_idx = val, idx
+        best[node_id] = float(best_val), best_idx
+    path: list[int] = []
+    node_id = tree.root
+    while (idx := best[node_id][1]) is not None:
+        path.append(idx)
+        node_id = tree.children(node_id)[idx].child
+    return best[tree.root][0], path

@@ -19,9 +19,8 @@ and 0 afterwards, including the TERMINAL sink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CriticalityFn, Draws, Environment, StateId, Transition
+from .core import _is_int, _positive_int, _setting
 
 ROWS = 10
 COLS = 20
@@ -39,17 +38,10 @@ _N_POST = ROWS * ROWS * COLS * 3 * ROWS * 2  # gun x bullet (row, col, dir) x ta
 _TERMINAL = _N_PRE + _N_POST
 
 
-@dataclass(frozen=True)
-class ShooterConfig:
-    obstacle_rows: tuple[int, ...] = (4, 5, 6)
-    max_steps: int = 200
-
-    def __post_init__(self) -> None:
-        for r in self.obstacle_rows:
-            if not 0 <= r < ROWS:
-                raise ValueError(f"obstacle row {r} outside [0, {ROWS})")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+def _obstacle_rows(value) -> frozenset[int]:
+    if not isinstance(value, (list, tuple)) or not all(_is_int(r) and 0 <= r < ROWS for r in value):
+        raise ValueError(f"must be a list of integers in [0, {ROWS}), got {value!r}")
+    return frozenset(value)
 
 
 def _reflect(row: int, d: int) -> tuple[int, int]:
@@ -100,9 +92,13 @@ def _unpack(s: StateId) -> tuple[int, int, int, int | None, int | None, int | No
 
 
 class ShooterEnv(Environment):
-    def __init__(self, config: ShooterConfig = ShooterConfig()):
-        self.config = config
-        self._obstacle = frozenset(config.obstacle_rows)
+    """The shooter field with a wall segment at ``obstacle_rows`` of column 7
+    (a list of rows in ``[0, 10)``) and an episode cap of ``max_steps``
+    (a positive integer).  A bad parameter raises a ``ConfigError`` naming it."""
+
+    def __init__(self, obstacle_rows: tuple[int, ...] = (4, 5, 6), max_steps: int = 200):
+        self._obstacle = _setting("obstacle_rows", obstacle_rows, _obstacle_rows)
+        self._max_steps = _setting("max_steps", max_steps, _positive_int)
         self._steps = 0
 
     @property
@@ -150,7 +146,7 @@ class ShooterEnv(Environment):
                 return Transition(1.0 if hit else -1.0, _TERMINAL, True)
 
         trow, tdir = _reflect(trow, tdir)
-        if self._steps >= self.config.max_steps:
+        if self._steps >= self._max_steps:
             return Transition(-1.0, _TERMINAL, True)
         return Transition(0.0, _pack(gun, trow, tdir, brow, bcol, bdir), False)
 

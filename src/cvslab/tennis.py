@@ -17,9 +17,8 @@ Criticality is 1 exactly while the ball travels toward the agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CriticalityFn, Draws, Environment, StateId, Transition
+from .core import _positive_int, _probability, _setting
 
 ROWS = 20
 COLS = 40
@@ -31,18 +30,6 @@ ACTION_STAY = 1
 ACTION_DOWN = 2
 
 _N_FIELD = ROWS * COLS * 6 * ROWS * ROWS
-
-
-@dataclass(frozen=True)
-class TennisConfig:
-    p_optimal: float = 0.8
-    max_steps: int = 1000
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_optimal <= 1.0:
-            raise ValueError(f"p_optimal must be in [0, 1], got {self.p_optimal}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 def _reflect_row(row: int, d: int) -> tuple[int, int]:
@@ -75,8 +62,14 @@ def _unpack(s: StateId) -> tuple[int, int, int, int, int, int]:
 
 
 class TennisEnv(Environment):
-    def __init__(self, config: TennisConfig = TennisConfig()):
-        self.config = config
+    """The tennis rally against an opponent that plays its optimal move with
+    probability ``p_optimal`` (a number in ``[0, 1]``), with an episode cap of
+    ``max_steps`` (a positive integer).  A bad parameter raises a
+    ``ConfigError`` naming it."""
+
+    def __init__(self, p_optimal: float = 0.8, max_steps: int = 1000):
+        self._p_optimal = _setting("p_optimal", p_optimal, _probability)
+        self._max_steps = _setting("max_steps", max_steps, _positive_int)
         self._steps = 0
 
     @property
@@ -107,7 +100,7 @@ class TennisEnv(Environment):
         brow, bcol, h_dir, v_dir, agent, opp = _unpack(s)
         agent = min(ROWS - 1, max(0, agent + (a - 1)))
 
-        if rng.random() < self.config.p_optimal:
+        if rng.random() < self._p_optimal:
             if opp < brow:
                 delta = 1
             elif opp > brow:
@@ -127,7 +120,7 @@ class TennisEnv(Environment):
             return Transition(-1.0, _N_FIELD, True)
         if bcol == COLS - 1:
             return Transition(1.0, _N_FIELD, True)
-        if self._steps >= self.config.max_steps:
+        if self._steps >= self._max_steps:
             return Transition(0.0, _N_FIELD, True)
 
         return Transition(0.0, _pack(brow, bcol, h_dir, v_dir, agent, opp), False)

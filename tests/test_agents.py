@@ -12,9 +12,7 @@ from cvslab import (
     Environment,
     QTable,
     RoadTreeEnv,
-    ShooterConfig,
     ShooterEnv,
-    TennisConfig,
     TennisEnv,
     Transition,
     TreeEdge,
@@ -732,8 +730,8 @@ def test_n_step_sarsa_matches_power_per_reward_reference(make_env, n, gamma, q_i
 # Shooter and tennis criticality is 1 in mid-episode states, so cvs updates
 # bootstrap inside episodes as well as flushing at the end.
 GRID_ENVS = {
-    "shooter": lambda: ShooterEnv(ShooterConfig(max_steps=200)),
-    "tennis": lambda: TennisEnv(TennisConfig(max_steps=200)),
+    "shooter": lambda: ShooterEnv(max_steps=200),
+    "tennis": lambda: TennisEnv(max_steps=200),
 }
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -321,6 +322,26 @@ def test_plot_csv_without_smoothed_column_exits_two(tmp_path, capsys):
 
 def test_plot_missing_spec_exits_two(tmp_path):
     assert main(["plot", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize("key", ["config", "spec", "curves.csv"])
+def test_unreadable_input_exits_two_and_names_the_key(tmp_path, monkeypatch, capsys, key):
+    cfg = write_config(tmp_path / "demo.json")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    denied = {"config": ".json", "spec": "_plot.json", "curves.csv": ".csv"}[key]
+    read_text = Path.read_text
+
+    def refuse(path, *args, **kwargs):
+        if path.name.endswith(denied):
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    if key == "config":
+        assert main(["run", str(cfg), "--out", str(tmp_path / "again")]) == 2
+    else:
+        assert main(["plot", str(tmp_path / "out" / "demo_plot.json")]) == 2
+    assert f"{key}: cannot read" in capsys.readouterr().err
 
 
 def plot_spec(csv):

@@ -62,6 +62,7 @@ def test_agent_params_defaults():
         ({"lam": False}, "lambda"),
         ({"alpha": "0.5"}, "alpha"),
         ({"lam": None}, "lambda"),
+        ({"alpha": 10**400}, "alpha"),
     ],
 )
 def test_agent_params_rejects_bad_values(kwargs, fragment):

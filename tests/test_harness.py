@@ -138,6 +138,8 @@ def fig3_doc(part, key, value):
         (fig3_doc("edges", "distance", 2.9), "environment.tree"),
         (fig3_doc("edges", "distance", "3"), "environment.tree"),
         (fig3_doc("nodes", "id", 0.7), "environment.tree"),
+        ({"name": "tennis", "p_optimal": 10**400}, "environment.p_optimal"),
+        (fig3_doc("nodes", "reward", 10**400), "environment.tree"),
     ],
 )
 def test_make_env_names_offending_key(cfg, key):
@@ -160,7 +162,10 @@ def test_config_validation_names_offending_key():
         (small_cfg(q_init=True), "q_init"),
         (small_cfg(q_init=float("nan")), "q_init"),
         (small_cfg(q_init=float("inf")), "q_init"),
+        (small_cfg(q_init=10**400), "q_init"),
         (small_cfg(environment={"name": "nope"}), "environment.name"),
+        (small_cfg(params={"alpha": 0.2}), "params"),
+        (small_cfg(params=None), "params"),
     ]
     for cfg, key in cases:
         with pytest.raises(ConfigError) as info:

@@ -1,4 +1,5 @@
-"""What ``import cvslab`` does to its process, checked in a fresh interpreter."""
+"""What ``import cvslab`` does to its process, checked in a fresh interpreter,
+and the names it exports."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import cvslab
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -42,3 +45,43 @@ def test_import_limits_openblas_to_one_thread_unless_set(preset, want):
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
     assert json.loads(out.splitlines()[-1]) == [want, want]
+
+
+def test_public_surface():
+    assert sorted(cvslab.__all__) == [
+        "ALGORITHM_NAMES",
+        "AgentParams",
+        "BUILTIN_TREES",
+        "ConfigError",
+        "Environment",
+        "EpisodeLog",
+        "ExperimentConfig",
+        "QTable",
+        "RoadTreeEnv",
+        "RunResult",
+        "ShooterEnv",
+        "TennisEnv",
+        "Transition",
+        "TreeEdge",
+        "TreeNode",
+        "TreeSpec",
+        "average_over_runs",
+        "cvs_episode",
+        "episodes_to_convergence",
+        "episodes_to_threshold",
+        "epsilon_greedy",
+        "fig1_tree",
+        "fig3_tree",
+        "fig4_tree",
+        "fig6_tree",
+        "greedy_actions",
+        "greedy_policy_return",
+        "make_env",
+        "mc_episode",
+        "n_step_sarsa_episode",
+        "optimal_return_oracle",
+        "q_learning_episode",
+        "run_experiment",
+        "running_average",
+        "watkins_qlambda_episode",
+    ]

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 
 from cvslab import (
+    ConfigError,
+    ExperimentConfig,
     RoadTreeEnv,
     Transition,
     TreeEdge,
@@ -19,6 +21,7 @@ from cvslab import (
     fig4_tree,
     fig6_tree,
     optimal_return_oracle,
+    run_experiment,
 )
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 from strategies import road_trees
@@ -194,11 +197,40 @@ def test_wide_tree_builds_in_linear_time():
     assert env.node_state(2) not in narrow
 
 
+def junction_chain(n: int) -> TreeSpec:
+    """``n`` junctions in a line.  Junction ``i`` exits (action 0) to a
+    terminal worth 0 or goes on (action 1) to junction ``i + 1``, worth 1;
+    the last one's action 1 reaches a terminal worth 1.  Every edge has
+    distance 1, so the best return is ``n``, by taking action 1 ``n`` times."""
+    nodes = [TreeNode(i, float(i > 0), KIND_JUNCTION) for i in range(n)]
+    nodes += [TreeNode(n + i, 0.0, KIND_TERMINAL) for i in range(n)]
+    nodes.append(TreeNode(2 * n, 1.0, KIND_TERMINAL))
+    edges = []
+    for i in range(n):
+        edges += [TreeEdge(i, n + i, 1), TreeEdge(i, i + 1 if i < n - 1 else 2 * n, 1)]
+    return TreeSpec(root=0, nodes=tuple(nodes), edges=tuple(edges))
+
+
+def test_oracle_solves_a_tree_deeper_than_the_recursion_limit():
+    n = 2_000
+    tree = junction_chain(n)
+    assert optimal_return_oracle(RoadTreeEnv(tree)) == (float(n), [1] * n)
+    cfg = ExperimentConfig({"name": "roadtree", "tree": tree.to_dict()}, episodes=1, runs=1)
+    (result,) = run_experiment(cfg)
+    assert len(result.returns) == len(result.greedy_optimal) == 1
+
+
 def test_fig6_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="k"):
-        fig6_tree(k=0)
-    with pytest.raises(ValueError, match="distance"):
-        fig6_tree(distance=0)
+    cases = [
+        ({"k": 0}, "k"),
+        ({"k": True}, "k"),
+        ({"k": 2.5}, "k"),
+        ({"distance": 0}, "distance"),
+    ]
+    for kwargs, key in cases:
+        with pytest.raises(ConfigError) as info:
+            fig6_tree(**kwargs)
+        assert info.value.key == key, kwargs
 
 
 def test_tree_spec_round_trip():

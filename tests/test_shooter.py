@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvslab import ShooterConfig, ShooterEnv
+from cvslab import ConfigError, ShooterEnv
 from cvslab.shooter import (
     ACTION_NOOP,
     ACTION_SHOOT_DOWN,
@@ -154,7 +154,7 @@ def test_noop_before_firing_keeps_gun_row():
 
 
 def test_episode_cap_scores_minus_one():
-    env = ShooterEnv(ShooterConfig(max_steps=3))
+    env = ShooterEnv(max_steps=3)
     rng = np.random.default_rng(0)
     s = env.reset(rng)
     for i in range(3):
@@ -203,14 +203,22 @@ def test_criticality_is_one_only_before_the_shot():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="obstacle row"):
-        ShooterConfig(obstacle_rows=(4, 12))
-    with pytest.raises(ValueError, match="max_steps"):
-        ShooterConfig(max_steps=0)
+    cases = [
+        ({"obstacle_rows": (4, 12)}, "obstacle_rows"),
+        ({"obstacle_rows": [4, True]}, "obstacle_rows"),
+        ({"obstacle_rows": 5}, "obstacle_rows"),
+        ({"max_steps": 0}, "max_steps"),
+        ({"max_steps": True}, "max_steps"),
+        ({"max_steps": 2.5}, "max_steps"),
+    ]
+    for kwargs, key in cases:
+        with pytest.raises(ConfigError) as info:
+            ShooterEnv(**kwargs)
+        assert info.value.key == key, kwargs
 
 
 def test_custom_obstacle_rows():
-    env = ShooterEnv(ShooterConfig(obstacle_rows=(0,)))
+    env = ShooterEnv(obstacle_rows=(0,))
     rng = np.random.default_rng(0)
     s = _pack(gun=0, trow=9, tdir=1, brow=0, bcol=6, bdir=0)
     assert env.step(s, ACTION_NOOP, rng).reward == -1.0

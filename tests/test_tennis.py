@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cvslab import TennisConfig, TennisEnv
+from cvslab import ConfigError, TennisEnv
 from cvslab.tennis import ACTION_DOWN, ACTION_STAY, ACTION_UP, COLS, ROWS, _pack, _unpack
 
 
@@ -59,7 +59,7 @@ def test_reset_serves_toward_agent():
 
 
 def test_agent_racket_bounces_ball():
-    env = TennisEnv(TennisConfig(p_optimal=1.0))
+    env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=5, bcol=2, h_dir=-1, v_dir=0, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
@@ -69,7 +69,7 @@ def test_agent_racket_bounces_ball():
 
 
 def test_missed_ball_scores_against_agent():
-    env = TennisEnv(TennisConfig(p_optimal=1.0))
+    env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=5, bcol=2, h_dir=-1, v_dir=0, agent=0, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
@@ -80,7 +80,7 @@ def test_missed_ball_scores_against_agent():
 
 
 def test_ball_already_past_racket_is_lost():
-    env = TennisEnv(TennisConfig(p_optimal=1.0))
+    env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     # at column 1 still heading left: the catch happened (or not) last step
     s = _pack(brow=5, bcol=1, h_dir=-1, v_dir=0, agent=5, opp=5)
@@ -90,7 +90,7 @@ def test_ball_already_past_racket_is_lost():
 
 
 def test_opponent_miss_scores_for_agent():
-    env = TennisEnv(TennisConfig(p_optimal=1.0))
+    env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     # opponent too far away to reach row 0 in one move
     s = _pack(brow=0, bcol=37, h_dir=1, v_dir=0, agent=5, opp=19)
@@ -102,7 +102,7 @@ def test_opponent_miss_scores_for_agent():
 
 
 def test_perfect_opponent_returns_reachable_ball():
-    env = TennisEnv(TennisConfig(p_optimal=1.0))
+    env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=4, bcol=37, h_dir=1, v_dir=0, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
@@ -113,7 +113,7 @@ def test_perfect_opponent_returns_reachable_ball():
 
 
 def test_ball_reflects_off_walls():
-    env = TennisEnv(TennisConfig(p_optimal=1.0))
+    env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=0, bcol=20, h_dir=1, v_dir=-1, agent=5, opp=5)
     tr = env.step(s, ACTION_STAY, rng)
@@ -126,7 +126,7 @@ def test_ball_reflects_off_walls():
 
 
 def test_agent_moves_clamp_at_walls():
-    env = TennisEnv(TennisConfig(p_optimal=1.0))
+    env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=10, bcol=20, h_dir=1, v_dir=0, agent=0, opp=10)
     tr = env.step(s, ACTION_UP, rng)
@@ -137,7 +137,7 @@ def test_agent_moves_clamp_at_walls():
 
 
 def test_rally_cap_ends_with_zero_reward():
-    env = TennisEnv(TennisConfig(max_steps=1))
+    env = TennisEnv(max_steps=1)
     rng = np.random.default_rng(0)
     s = env.reset(rng)
     tr = env.step(s, ACTION_STAY, rng)
@@ -180,7 +180,13 @@ def test_criticality_tracks_ball_direction():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="p_optimal"):
-        TennisConfig(p_optimal=1.5)
-    with pytest.raises(ValueError, match="max_steps"):
-        TennisConfig(max_steps=0)
+    cases = [
+        ({"p_optimal": 1.5}, "p_optimal"),
+        ({"p_optimal": True}, "p_optimal"),
+        ({"max_steps": 0}, "max_steps"),
+        ({"max_steps": 2.5}, "max_steps"),
+    ]
+    for kwargs, key in cases:
+        with pytest.raises(ConfigError) as info:
+            TennisEnv(**kwargs)
+        assert info.value.key == key, kwargs
