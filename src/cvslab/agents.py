@@ -42,8 +42,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     AgentParams,
     CriticalityFn,
@@ -217,8 +215,8 @@ def watkins_qlambda_episode(
     # Traced pairs in first-bump order, mapped to their position in the flat
     # table indices ``idx`` and the traces ``e``.
     pos: dict[tuple[int, int], int] = {}
-    idx = np.empty(16, dtype=np.intp)
-    e = np.empty(16)
+    idx: list[int] = []
+    e: list[float] = []
     total = 0.0
     steps = 0
     s = env.reset(rng)
@@ -234,24 +232,23 @@ def watkins_qlambda_episode(
         delta = td_target - v
         i = pos.get((s, a))
         if i is None:
-            i = pos[s, a] = len(pos)
-            if i == len(idx):
-                idx, e = np.resize(idx, 2 * i), np.resize(e, 2 * i)
-            idx[i] = q_index(q, s, a)
-            e[i] = 0.0
+            i = pos[s, a] = len(idx)
+            idx.append(q_index(q, s, a))
+            e.append(0.0)
         e[i] += 1.0
-        k = len(pos)
         # A fresh trace of the pair just acted on takes the TD target
         # directly, so that lambda = 0 matches 1-step updates exactly.
         fresh = i if e[i] == 1.0 else None
-        q_update_traced(q, idx[:k], e[:k], delta, alpha, fresh, td_target)
+        q_update_traced(q, idx, e, delta, alpha, fresh, td_target)
         if done:
             break
         factor = gamma * lam
         if exploratory or factor == 0.0:
             pos.clear()
+            idx.clear()
+            e.clear()
         else:
-            e[:k] *= factor
+            e = [trace * factor for trace in e]
         s = s2
     return EpisodeLog(total, steps)
 

@@ -6,12 +6,12 @@ end on the transition that enters it.  All value mutation goes through
 :func:`q_update` or its batched twin :func:`q_update_traced` so that learning
 code can be audited via the table's write counter.
 
-The per-step helpers (:class:`Transition`, :func:`greedy_actions`,
-:func:`epsilon_greedy`, :func:`q_update`, :meth:`QTable.row_max`,
-``QTable.__getitem__``) read single values as Python floats and ints
-(``ndarray.item``/``tolist``) rather than as numpy scalars: the comparisons
-and float values are the same, and a numpy scalar or reduction per step costs
-several times more on rows of 1-4 actions.  Each checks its guards once.
+A table's values are a flat ``memoryview`` of doubles, so the per-step
+helpers (:class:`Transition`, :func:`greedy_actions`, :func:`epsilon_greedy`,
+:func:`q_update`, :meth:`QTable.row_max`, ``QTable.__getitem__``) read and
+write Python floats and ints, and a row is the ``tolist()`` of its slice.
+Each checks its guards once.  Nothing on a run's path imports numpy; only
+:meth:`QTable.as_array` does.
 
 A table is built from its environment's action layout: the widest action
 count plus the few states with fewer actions (TERMINAL among them).  It holds
@@ -21,8 +21,8 @@ All randomness of a run flows through one draw source, which the harness
 passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
 environments call only ``rng.random()`` and ``rng.integers(k)`` (the
 :class:`Draws` protocol), so the source may be a ``numpy.random.Generator`` or
-the harness's ``DrawStream``, which serves the same values from blocks of raw
-PCG64 words at a fraction of numpy's per-call cost.
+the harness's ``DrawStream``, which computes the same values in Python from
+its own PCG64 words.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 import mmap
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable, NamedTuple, Protocol
-
-import numpy as np
 
 StateId = int
 ActionId = int
@@ -205,9 +204,10 @@ class QTable:
     and a state in ``narrow`` with ``k`` actions has its slots from ``k`` on
     padded with ``-inf``, so they can never win an argmax.  A state's action
     count is ``narrow.get(s, width)``; the table keeps no per-state array.
-    Every reader checks ``0 <= s < num_states`` first: that lookup would give
-    ``s = -1`` a full row, and numpy would index it as the last one.
-    ``q[s, a]`` also rejects an action outside ``s``'s count, as
+    The values are one flat ``memoryview`` of doubles, ``(s, a)`` at
+    ``s * width + a``.  Every reader checks ``0 <= s < num_states`` first: that
+    lookup would give ``s = -1`` a full row, and a negative index counts from
+    the end.  ``q[s, a]`` also rejects an action outside ``s``'s count, as
     :func:`q_update` does, so it never returns padding.  The TERMINAL row,
     which has no actions, is zero in :meth:`as_array` and rejects writes.
     ``writes`` counts every value written by :func:`q_update` or
@@ -216,8 +216,8 @@ class QTable:
     A +0.0 initial value gets a private anonymous mapping of its own, so the
     table starts on zero pages instead of being filled, only the 4 KiB pages
     a run writes become resident, and all of them go back to the system when
-    the table is freed; any other value (``-0.0`` included) is filled with
-    ``np.full``.
+    the table is freed; any other value (``-0.0`` included) fills an
+    ``array("d")``.
     """
 
     def __init__(
@@ -235,25 +235,24 @@ class QTable:
         if not 0 <= terminal < num_states:
             raise ValueError(f"terminal id {terminal} out of range")
         self._num_states = int(num_states)
-        self._width = int(width)
+        self._width = width = int(width)
         self._narrow = dict(narrow)
         self._terminal = int(terminal)
         initial = float(initial_value)
-        shape = (self._num_states, self._width)
+        size = self._num_states * width
         if initial == 0.0 and math.copysign(1.0, initial) > 0.0:
-            # Not np.zeros: malloc would reuse a freed table's heap pages or
-            # map new ones depending on the heap's history, and numpy backs
-            # arrays of 4 MiB and more with 2 MiB huge pages; either makes
-            # peak RSS depend on more than the pages a run writes.
-            buf = mmap.mmap(-1, shape[0] * shape[1] * 8, access=mmap.ACCESS_COPY)
-            values = np.frombuffer(buf, dtype=np.float64).reshape(shape)
+            # Not a filled array: malloc would reuse a freed table's heap
+            # pages or map new ones depending on the heap's history, which
+            # makes peak RSS depend on more than the pages a run writes.
+            values = memoryview(mmap.mmap(-1, size * 8, access=mmap.ACCESS_COPY)).cast("d")
         else:
-            values = np.full(shape, initial, dtype=np.float64)
+            values = memoryview(array("d", [initial]) * size)
         for s, k in self._narrow.items():
             if not (0 <= s < num_states and 0 <= k < width):
                 raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
-            values[s, k:] = -np.inf
-        values[self._terminal, :] = 0.0
+            values[s * width + k : (s + 1) * width] = array("d", [-math.inf]) * (width - k)
+        row = self._terminal * width
+        values[row : row + width] = array("d", [0.0]) * width
         self._values = values
         self._writes = 0
 
@@ -285,7 +284,7 @@ class QTable:
             raise ValueError(f"state {s} out of range")
         if not 0 <= a < self._narrow.get(s, self._width):
             raise ValueError(f"action {a} invalid for state {s}")
-        return self._values.item(s, a)
+        return self._values[s * self._width + a]
 
     def row_max(self, s: StateId) -> float:
         if not 0 <= s < self._num_states:
@@ -293,12 +292,15 @@ class QTable:
         k = self._narrow.get(s, self._width)
         if k == 0:
             raise ValueError(f"state {s} has no actions")
-        row = self._values[s].tolist()
-        return max(row if k == len(row) else row[:k])
+        row = s * self._width
+        return max(self._values[row : row + k].tolist())
 
-    def as_array(self) -> np.ndarray:
-        """Copy of the full padded table (for snapshots and comparisons)."""
-        return self._values.copy()
+    def as_array(self) -> "numpy.ndarray":
+        """Copy of the full padded table as a ``(num_states, width)`` numpy
+        array (for snapshots and comparisons)."""
+        import numpy
+
+        return numpy.array(self._values).reshape(self._num_states, self._width)
 
 
 def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:
@@ -310,14 +312,15 @@ def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:
     k = q._narrow.get(s, q._width)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
-    return _ties(q._values[s].tolist(), k)
+    row = s * q._width
+    return _ties(q._values[row : row + k].tolist())
 
 
-def _ties(row: list[float], k: int) -> list[ActionId]:
-    """The actions among ``row[:k]`` (``k >= 1``) tied at its maximum, ascending."""
+def _ties(row: list[float]) -> list[ActionId]:
+    """The actions of a non-empty ``row`` tied at its maximum, ascending."""
     best = row[0]
     ties = [0]
-    for a in range(1, k):
+    for a in range(1, len(row)):
         v = row[a]
         if v > best:
             best = v
@@ -327,35 +330,115 @@ def _ties(row: list[float], k: int) -> list[ActionId]:
     return ties
 
 
-# Raw PCG64 words pulled per refill of a DrawStream.
+# Raw PCG64 words computed per refill of a DrawStream.
 _DRAW_BLOCK = 256
 _TWO_POW_32 = 1 << 32
 _TWO_POW_M53 = 2.0**-53
+_MASK32 = _TWO_POW_32 - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of ``n >= 0``, least significant first (``[0]`` for 0)."""
+    words = []
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            return words
+
+
+def _seed_sequence_state(entropy: int, spawn_key: tuple[int, ...]) -> list[int]:
+    """``np.random.SeedSequence(entropy, spawn_key=spawn_key).generate_state(4, np.uint64)``.
+
+    NumPy's hash mixing with its default pool of four 32-bit words, which
+    NumPy keeps fixed across releases (NEP 19).
+    """
+    run = _uint32_words(entropy)
+    spawn = [word for key in spawn_key for word in _uint32_words(key)]
+    if spawn and len(run) < 4:
+        run += [0] * (4 - len(run))  # so that spawn words never pass for run entropy
+    words = run + spawn
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
 
 
 class DrawStream:
-    """The ``random()`` and ``integers(k)`` draws of ``np.random.default_rng(seed_seq)``.
+    """The ``random()`` and ``integers(k)`` draws of
+    ``np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))``,
+    computed in plain Python.
 
+    The stream seeds NumPy's ``PCG64`` as NumPy does (``SeedSequence``, then
+    ``pcg64_set_seed``) and computes its raw words, ``_DRAW_BLOCK`` at a
+    time: each steps the 128-bit LCG and outputs XSL-RR (O'Neill 2014).
     Each call returns the value numpy's ``Generator`` would, in the same
-    order, computed from raw PCG64 words pulled in blocks of ``_DRAW_BLOCK``.
-    ``random()`` is numpy's ``next_double``: the top 53 bits of the next word.
-    ``integers(k)`` is numpy's bounded Lemire draw
+    order.  ``random()`` is numpy's ``next_double``: the top 53 bits of the
+    next word.  ``integers(k)`` is numpy's bounded Lemire draw
     (``buffered_bounded_lemire_uint32``; Lemire 2019) on PCG64's 32-bit
     half-words: a word yields its low half and buffers its high half for the
     next half-word draw, and ``random()`` neither reads nor clears that
     buffer.  ``k == 1`` draws nothing.
     """
 
-    __slots__ = ("_bitgen", "_next", "_half")
+    __slots__ = ("_state", "_inc", "_next", "_half")
 
-    def __init__(self, seed_seq: np.random.SeedSequence):
-        self._bitgen = np.random.PCG64(seed_seq)
+    def __init__(self, entropy: int, spawn_key: tuple[int, ...] = ()):
+        for value in (entropy, *spawn_key):
+            if not _is_int(value) or value < 0:
+                raise ValueError(f"entropy and spawn key must be non-negative ints, got {value!r}")
+        s_high, s_low, i_high, i_low = _seed_sequence_state(entropy, tuple(spawn_key))
+        self._inc = inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        # From state 0: step, add the seed, step.
+        self._state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
         self._next = iter(()).__next__
         self._half: int | None = None
 
+    def _block(self) -> list[int]:
+        """The next ``_DRAW_BLOCK`` raw PCG64 words."""
+        state, inc = self._state, self._inc
+        multiplier, mask64, mask128 = _PCG64_MULTIPLIER, _MASK64, _MASK128
+        words = []
+        append = words.append
+        for _ in range(_DRAW_BLOCK):
+            state = (state * multiplier + inc) & mask128
+            x = (state >> 64) ^ (state & mask64)
+            append(((x << 64 | x) >> (state >> 122)) & mask64)  # x rotated right by the top 6 bits
+        self._state = state
+        return words
+
     def _refill(self) -> int:
-        """Pull the next block of words and return its first one."""
-        self._next = iter(self._bitgen.random_raw(_DRAW_BLOCK).tolist()).__next__
+        """Compute the next block of words and return its first one."""
+        self._next = iter(self._block()).__next__
         return self._next()
 
     def random(self) -> float:
@@ -409,7 +492,8 @@ def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: Draws) -> ActionI
         return 0
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(k))
-    ties = _ties(q._values[s].tolist(), k)
+    row = s * q._width
+    ties = _ties(q._values[row : row + k].tolist())
     if len(ties) == 1:
         return ties[0]
     return ties[int(rng.integers(len(ties)))]
@@ -422,8 +506,9 @@ def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) ->
     a QTable.
     """
     _check_writable(q, s, a)
-    v = q._values.item(s, a)
-    q._values[s, a] = v + alpha * (target - v)
+    i = s * q._width + a
+    v = q._values[i]
+    q._values[i] = v + alpha * (target - v)
     q._writes += 1
 
 
@@ -443,18 +528,18 @@ def q_index(q: QTable, s: StateId, a: ActionId) -> int:
     may be written.
     """
     _check_writable(q, s, a)
-    return s * q._values.shape[1] + a
+    return s * q._width + a
 
 
 def q_update_traced(
     q: QTable,
-    idx: np.ndarray,
-    traces: np.ndarray,
+    idx: list[int],
+    traces: list[float],
     delta: float,
     alpha: float,
     fresh: int | None,
     fresh_target: float,
-) -> np.ndarray:
+) -> list[float]:
     """Batched :func:`q_update` for eligibility traces; returns the targets.
 
     The value ``v`` at each flat index ``idx[i]`` (from :func:`q_index`; the
@@ -463,11 +548,12 @@ def q_update_traced(
     toward ``fresh_target``.  The float operations are those of one
     ``q_update`` per entry, so the table ends up bit-identical to that loop.
     """
-    flat = q._values.reshape(-1)  # a view: the table is C-contiguous
-    v = flat[idx]
-    targets = v + delta * traces
+    values = q._values
+    targets = [values[i] + delta * trace for i, trace in zip(idx, traces)]
     if fresh is not None:
         targets[fresh] = fresh_target
-    flat[idx] = v + alpha * (targets - v)
+    for i, target in zip(idx, targets):
+        v = values[i]
+        values[i] = v + alpha * (target - v)
     q._writes += len(targets)
     return targets

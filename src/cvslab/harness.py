@@ -1,11 +1,11 @@
 """Seeded experiment harness.
 
 An experiment is (environment, algorithm, hyper-parameters, episodes, runs,
-seed).  Run ``i`` seeds its draws from ``SeedSequence(seed, spawn_key=(i,))``,
-so results are bit-reproducible from the config alone and independent of run
-order or worker count.  Every draw of a run, env resets included, comes from
-one ``DrawStream`` on that seed, whose values equal those of
-``np.random.default_rng`` on it.  ``run_experiment`` submits its runs to a
+seed).  Every draw of run ``i``, env resets included, comes from one
+``DrawStream(seed, (i,))``, whose values equal those of numpy's
+``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so results are
+bit-reproducible from the config alone and independent of run order or
+worker count.  ``run_experiment`` submits its runs to a
 caller's process pool when given one (``pool=``), so several experiments can
 share one pool (the CLI opens one per comparison, sized by its largest block).
 Otherwise it sizes its own from the ``CVS_LAB_THREADS`` environment variable
@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import inspect
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 from .agents import (
     ALGORITHM_NAMES,
@@ -136,7 +135,7 @@ def greedy_policy_return(env: RoadTreeEnv, q: QTable) -> float:
 
 
 def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
-    rng = DrawStream(np.random.SeedSequence(cfg.seed, spawn_key=(run_index,)))
+    rng = DrawStream(cfg.seed, (run_index,))
     env = make_env(cfg.environment)
     q = QTable.for_env(env, cfg.q_init)
     params = cfg.params
@@ -199,6 +198,9 @@ def run_experiment(cfg: ExperimentConfig, *, pool: Executor | None = None) -> li
     workers = min(_resolve_workers(), cfg.runs)
     if workers <= 1:
         return [_run_one(cfg, i) for i in range(cfg.runs)]
+    # imported here: 2.6 MB and ~40 ms that a serial run skips
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(workers) as own:
         return _run_all(own, cfg)
 
@@ -214,31 +216,63 @@ def _run_all(pool: Executor, cfg: ExperimentConfig) -> list[RunResult]:
 
 
 def running_average(series, window: int) -> list[float]:
-    """Trailing mean over ``window`` points; shorter prefixes average what exists."""
+    """Trailing mean over ``window`` points; shorter prefixes average what exists.
+
+    Each mean is a difference of left-to-right cumulative sums, as numpy's
+    ``cumsum`` computes them, divided by the point count.
+    """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    values = np.asarray(series, dtype=np.float64)
-    if values.size == 0:
-        return []
-    csum = np.cumsum(values)
-    out = np.empty_like(values)
-    if values.size <= window:
-        out[:] = csum / np.arange(1, values.size + 1)
-    else:
-        out[:window] = csum[:window] / np.arange(1, window + 1)
-        out[window:] = (csum[window:] - csum[:-window]) / window
-    return out.tolist()
+    csum = list(accumulate(map(float, series)))
+    out = [c / n for n, c in enumerate(csum[:window], 1)]
+    out += [(c - before) / window for c, before in zip(csum[window:], csum)]
+    return out
 
 
 def average_over_runs(results: list[RunResult]) -> list[float]:
-    """Element-wise mean of per-run return series (all runs same length)."""
+    """Element-wise mean of per-run return series (all runs same length).
+
+    Bit for bit numpy's ``mean(axis=0)`` over the runs x episodes array: each
+    episode's sum starts at 0.0 and adds the runs in run order, except that
+    a one-episode series is summed pairwise, as numpy sums a contiguous axis.
+    """
     if not results:
         raise ValueError("no runs to average")
     lengths = {len(r.returns) for r in results}
     if len(lengths) != 1:
         raise ValueError(f"runs have differing episode counts: {sorted(lengths)}")
-    stacked = np.array([r.returns for r in results], dtype=np.float64)
-    return stacked.mean(axis=0).tolist()
+    (episodes,) = lengths
+    runs = len(results)
+    if episodes == 1:
+        return [(0.0 + _pairwise_sum([float(r.returns[0]) for r in results])) / runs]
+    sums = [0.0] * episodes
+    for r in results:
+        sums = [total + float(x) for total, x in zip(sums, r.returns)]
+    return [total / runs for total in sums]
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's ``pairwise_sum`` for doubles: eight accumulators over blocks of
+    up to 128 values, and larger inputs split in halves on a multiple of 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n <= 128:
+        acc = values[:8]
+        end = n - n % 8
+        for i in range(8, end, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for x in values[end:]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
 
 
 def episodes_to_threshold(curve, threshold: float) -> int | None:

@@ -15,11 +15,10 @@ outcome hinges on a choice or has just been decided) and 0 on road states.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .core import CriticalityFn, Draws, Environment, StateId, Transition
 from .core import _finite_real, _integer, _positive_int, _setting
@@ -380,7 +379,7 @@ def optimal_return_oracle(env: RoadTreeEnv) -> tuple[float, list[int]]:
     best: dict[int, tuple[float, int | None]] = {}
     for node_id in reversed(order):
         edges = tree.children(node_id)
-        best_val, best_idx = (-np.inf if edges else 0.0), None
+        best_val, best_idx = (-math.inf if edges else 0.0), None
         for idx, e in enumerate(edges):
             val = tree.node(e.child).reward + best[e.child][0]
             if val > best_val:

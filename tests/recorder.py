@@ -43,7 +43,7 @@ class Recorder:
 
         def recording_traced(q, idx, traces, delta, alpha, fresh, fresh_target):
             targets = q_update_traced(q, idx, traces, delta, alpha, fresh, fresh_target)
-            for i, target in zip(idx.tolist(), targets.tolist()):
+            for i, target in zip(idx, targets):
                 s, a = divmod(i, q._width)
                 self.updates.append((s, a, target, self._boot))
             return targets

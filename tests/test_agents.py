@@ -359,8 +359,7 @@ def assert_same_tables_on_tree(tree, q_init, seed, episodes, run_a, run_b):
     on the same seed, and compare the table bytes after every episode."""
     env_a, env_b = RoadTreeEnv(tree), RoadTreeEnv(tree)
     q_a, q_b = fresh(env_a, q_init), fresh(env_b, q_init)
-    seed_seq = np.random.SeedSequence(seed)
-    rng_a, rng_b = DrawStream(seed_seq), DrawStream(seed_seq)
+    rng_a, rng_b = DrawStream(seed), DrawStream(seed)
     for episode in range(episodes):
         run_a(env_a, q_a, rng_a)
         run_b(env_b, q_b, rng_b)

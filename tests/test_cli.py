@@ -1,12 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from cvslab import cli, harness
 from cvslab.cli import _parse_compare, main, preset_names
 
 
@@ -90,8 +90,8 @@ def pools(monkeypatch):
             self.closed = True
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # cli and harness import the pool class where they open one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return made
 
 
@@ -209,6 +209,11 @@ def test_bad_value_exits_two_and_names_the_key(tmp_path, capsys):
     ],
 )
 def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides, key):
+    # A bad hyperparameter is named by its field within the block: the first
+    # one of the entry that is checked, e.g. algorithms[0].alpha.
+    fields = [k for k in overrides.get("algorithms", [{}])[0] if k not in ("label", "algorithm")]
+    if fields:
+        key = f"{key}.{fields[0]}"
     cfg = write_config(tmp_path / "demo.json", **overrides)
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
     assert f"{key}:" in capsys.readouterr().err

@@ -105,7 +105,7 @@ def test_out_of_range_states_are_rejected(env_name, call):
     env = GUARD_ENVS[env_name]()
     q = QTable.for_env(env, 0.0)
     # Row -1 is TERMINAL's; a call that took s = -1 for a full row would
-    # write or read there through numpy's negative indexing.
+    # write or read there through negative indexing.
     before = hashlib.sha256(q._values).digest()
     for s in (-1, env.num_states):
         with pytest.raises(ValueError, match="out of range"):
@@ -244,8 +244,8 @@ def test_q_update_traced_matches_one_q_update_per_entry():
     q = make_table([3, 2, 0, 3], terminal=2, initial=0.7)
     ref = make_table([3, 2, 0, 3], terminal=2, initial=0.7)
     pairs = [(3, 2), (0, 1), (1, 0), (0, 0)]
-    idx = np.array([q_index(q, s, a) for s, a in pairs])
-    traces = rng.random(len(pairs))
+    idx = [q_index(q, s, a) for s, a in pairs]
+    traces = rng.random(len(pairs)).tolist()
     delta, alpha = 0.37, 0.3
     targets = q_update_traced(q, idx, traces, delta, alpha, fresh=2, fresh_target=-1.25)
     for i, (s, a) in enumerate(pairs):
@@ -365,15 +365,20 @@ def test_transition_is_an_immutable_tuple():
 # the Python-scalar ones in cvslab.core.
 
 
+def grid(q):
+    """A writable (num_states, width) numpy view of the table's values."""
+    return np.frombuffer(q._values, dtype=np.float64).reshape(q.num_states, q._width)
+
+
 def reference_getitem(q, sa):
-    return float(q._values[sa])
+    return float(grid(q)[sa])
 
 
 def reference_row_max(q, s):
     k = q.num_actions(s)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
-    return float(q._values[s, :k].max())
+    return float(grid(q)[s, :k].max())
 
 
 def reference_greedy_actions(q, s):
@@ -382,7 +387,7 @@ def reference_greedy_actions(q, s):
     k = q.num_actions(s)
     if k == 0:
         raise ValueError(f"state {s} has no actions")
-    row = q._values[s]
+    row = grid(q)[s]
     best = row[0]
     ties = [0]
     for a in range(1, k):
@@ -429,13 +434,13 @@ def filled_tables(draw):
             row = [draw(st.sampled_from(ROW_VALUES))] * k
         else:
             row = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=k, max_size=k))
-        q._values[s, :k] = row
+        grid(q)[s, :k] = row
     return q
 
 
 @given(q=filled_tables(), seed=st.integers(0, 2**32 - 1))
 def test_hot_path_matches_numpy_scalar_references(q, seed):
-    width = q._values.shape[1]
+    width = q._width
     for s in range(q.num_states - 1):
         assert greedy_actions(q, s) == reference_greedy_actions(q, s)
         k = q.num_actions(s)
@@ -468,8 +473,9 @@ def reference_q_update(q, s, a, target, alpha):
         raise ValueError("the TERMINAL Q-row is immutable")
     if not 0 <= a < q.num_actions(s):
         raise ValueError(f"action {a} invalid for state {s}")
-    v = q._values[s, a]
-    q._values[s, a] = v + alpha * (target - v)
+    values = grid(q)
+    v = values[s, a]
+    values[s, a] = v + alpha * (target - v)
     q._writes += 1
 
 
@@ -490,7 +496,7 @@ def test_q_update_matches_numpy_scalar_reference(counts, terminal_at, data):
     q = make_table(counts, terminal)
     for s, k in enumerate(counts):
         if s != terminal:
-            q._values[s, :k] = data.draw(st.lists(UPDATE_VALUES, min_size=k, max_size=k))
+            grid(q)[s, :k] = data.draw(st.lists(UPDATE_VALUES, min_size=k, max_size=k))
     ref = make_table(counts, terminal)
     ref._values[:] = q._values
     ops = st.tuples(
@@ -534,8 +540,8 @@ DRAW_OPS = st.one_of(
     ),
 )
 def test_draw_stream_matches_default_rng(entropy, run, pattern):
-    seed_seq = np.random.SeedSequence(entropy, spawn_key=(run,))
-    rng, stream = np.random.default_rng(seed_seq), DrawStream(seed_seq)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(run,)))
+    stream = DrawStream(entropy, (run,))
     # Every call but integers(1) takes at least half a word, so this many
     # calls cross several blocks.
     calls = 6 * _DRAW_BLOCK
@@ -556,6 +562,25 @@ def test_draw_stream_matches_default_rng(entropy, run, pattern):
 
 @pytest.mark.parametrize("k", [0, -1, 2**32 + 1, True, False, 3.0, "3", None])
 def test_draw_stream_rejects_bad_bounds(k):
-    stream = DrawStream(np.random.SeedSequence(0))
+    stream = DrawStream(0)
     with pytest.raises(ValueError, match="k must be an int"):
         stream.integers(k)
+
+
+@given(
+    entropy=st.integers(0, 2**128),
+    spawn_key=st.lists(st.integers(0, 2**40), min_size=1, max_size=3).map(tuple),
+)
+def test_draw_stream_words_match_pcg64(entropy, spawn_key):
+    # Entropy above 2**64 and spawn keys above 2**32 take several 32-bit
+    # words each, so these cover every branch of SeedSequence's mixing.
+    stream = DrawStream(entropy, spawn_key)
+    words = [w for _ in range(3) for w in stream._block()]
+    want = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=spawn_key)).random_raw(3 * _DRAW_BLOCK)
+    assert words == want.tolist()
+
+
+@pytest.mark.parametrize("entropy, spawn_key", [(-1, ()), (1.5, ()), (True, ()), (0, (-1,)), (0, (2.0,))])
+def test_draw_stream_rejects_bad_seeds(entropy, spawn_key):
+    with pytest.raises(ValueError, match="non-negative ints"):
+        DrawStream(entropy, spawn_key)

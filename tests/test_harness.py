@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -88,6 +89,58 @@ def test_average_over_runs():
         average_over_runs([])
     with pytest.raises(ValueError, match="differing episode counts"):
         average_over_runs([RunResult([1.0]), RunResult([1.0, 2.0])])
+
+
+def curve_values(rnd, n):
+    """``n`` values mixing signed zeros with magnitudes 1e-20 to 1e20 of
+    either sign, so that the order of the additions shows in a sum."""
+    return [
+        rnd.choice((0.0, -0.0))
+        if rnd.random() < 0.2
+        else rnd.choice((-1, 1)) * rnd.random() * 10.0 ** rnd.randint(-20, 20)
+        for _ in range(n)
+    ]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@given(
+    runs=st.integers(1, 300),
+    episodes=st.sampled_from((1, 1, 2, 3, 7)),
+    seed=st.integers(0, 2**32 - 1),
+    negative_zeros=st.booleans(),
+)
+def test_average_over_runs_matches_numpy_mean(runs, episodes, seed, negative_zeros):
+    rnd = random.Random(seed)
+    if negative_zeros:
+        rows = [[-0.0] * episodes for _ in range(runs)]
+    else:
+        rows = [curve_values(rnd, episodes) for _ in range(runs)]
+    want = np.array(rows, dtype=np.float64).mean(axis=0)
+    assert hexes(average_over_runs([RunResult(row) for row in rows])) == hexes(want)
+
+
+def numpy_running_average(series, window):
+    """``running_average`` as it was computed with numpy, kept as its reference."""
+    values = np.asarray(series, dtype=np.float64)
+    if values.size == 0:
+        return []
+    csum = np.cumsum(values)
+    out = np.empty_like(values)
+    if values.size <= window:
+        out[:] = csum / np.arange(1, values.size + 1)
+    else:
+        out[:window] = csum[:window] / np.arange(1, window + 1)
+        out[window:] = (csum[window:] - csum[:-window]) / window
+    return out.tolist()
+
+
+@given(n=st.integers(0, 60), window=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_running_average_matches_numpy_cumsum(n, window, seed):
+    series = curve_values(random.Random(seed), n)
+    assert hexes(running_average(series, window)) == hexes(numpy_running_average(series, window))
 
 
 def test_make_env_builds_every_name():

@@ -9,42 +9,43 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import cvslab
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Records OPENBLAS_NUM_THREADS at the moment numpy is first imported, then
-# imports cvslab and prints [that value, the value afterwards].
+# Imports cvslab, runs a 1-worker, 2-episode fig3 comparison through the CLI,
+# and prints which of the watched modules were loaded after each step.
 PROBE = """
-import json, os, sys
+import json, os, sys, tempfile
 
-seen = []
-
-class Probe:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-        return None
-
-assert "numpy" not in sys.modules
-sys.meta_path.insert(0, Probe())
+WATCHED = ("numpy", "concurrent.futures.process")
+loaded = []
 import cvslab
-print(json.dumps([seen[0], os.environ.get("OPENBLAS_NUM_THREADS")]))
+loaded.append([m for m in WATCHED if m in sys.modules])
+import cvslab.cli
+
+with tempfile.TemporaryDirectory() as out:
+    config = os.path.join(out, "fig3.json")
+    with open(config, "w") as f:
+        json.dump({
+            "name": "probe",
+            "environment": {"name": "roadtree:fig3"},
+            "episodes": 2,
+            "runs": 2,
+            "algorithms": [{"label": a, "algorithm": a} for a in ("cvs", "qlambda")],
+        }, f)
+    assert cvslab.cli.main(["run", config, "--out", out]) == 0
+loaded.append([m for m in WATCHED if m in sys.modules])
+print(json.dumps(loaded))
 """
 
 
-@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
-def test_import_limits_openblas_to_one_thread_unless_set(preset, want):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(SRC)
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
+def test_a_one_worker_run_loads_neither_numpy_nor_a_process_pool():
+    env = dict(os.environ, PYTHONPATH=str(SRC), CVS_LAB_THREADS="1")
     out = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    assert json.loads(out.splitlines()[-1]) == [want, want]
+    assert json.loads(out.splitlines()[-1]) == [[], []]
 
 
 def test_public_surface():
