@@ -9,10 +9,12 @@ Five episodic learners over the shared :class:`~cvslab.core.QTable`:
   it to 1-step SARSA, constant 1/n to n-step SARSA, constant 0 to Monte-Carlo
   targets.
 * ``q_learning_episode`` - 1-step Q-Learning.
-* ``n_step_sarsa_episode`` - on-policy n-step SARSA.
+* ``n_step_sarsa_episode`` - on-policy n-step SARSA, run as cvs with
+  constant criticality ``1 / n``.
 * ``watkins_qlambda_episode`` - Watkins Q(lambda) with accumulating traces,
   cut after exploratory actions.
-* ``mc_episode`` - every-visit constant-alpha Monte-Carlo control.
+* ``mc_episode`` - every-visit constant-alpha Monte-Carlo control, run as cvs
+  with constant criticality 0.
 
 All of them pick actions with the same epsilon-greedy rule, mutate values
 only through ``q_update`` (Q(lambda) through its batched twin
@@ -26,6 +28,8 @@ seams through which an agent is observed.  The tests wrap them to record each
 step and each value written, and the benchmark's tracer wraps most of them to
 time and count; neither needs an option here.  No agent calls
 ``greedy_actions`` (Q(lambda) uses ``q.row_max``); it is imported for the tracer.
+The tracer wraps the harness's ``cvs_episode``, not this module's, which the
+n-step SARSA and MC agents call, so their steps stay under their own spans.
 
 The cvs waitlist is a deque popped from the left: an older entry's
 criticality sum is a left-to-right float sum over a superset of a younger
@@ -160,42 +164,15 @@ def n_step_sarsa_episode(
     params: AgentParams,
     rng: Draws,
 ) -> EpisodeLog:
-    """One episode of on-policy n-step SARSA (``params.n`` rewards, then bootstrap)."""
-    n, alpha, gamma, eps = params.n, params.alpha, params.gamma, params.epsilon
-    total = 0.0
+    """One episode of on-policy n-step SARSA (``params.n`` rewards, then bootstrap).
 
-    s0 = env.reset(rng)
-    states = [s0]
-    actions = [epsilon_greedy(q, s0, eps, rng)]
-    rewards: list[float] = []
-    powers: list[float] = []  # gamma ** j at j, grown as needed: n is unbounded
-    T: int | None = None
-    t = 0
-    while True:
-        if T is None:
-            r, s2, done = env.step(states[t], actions[t], rng)
-            rewards.append(r)
-            total += r
-            states.append(s2)
-            if done:
-                T = t + 1
-            else:
-                actions.append(epsilon_greedy(q, s2, eps, rng))
-        tau = t - n + 1
-        if tau >= 0:
-            hi = tau + n if T is None else min(tau + n, T)
-            while len(powers) <= hi - tau:
-                powers.append(gamma ** len(powers))
-            g = 0.0
-            for reward, power in zip(rewards[tau:hi], powers):
-                g += power * reward
-            if T is None or tau + n < T:
-                g += powers[n] * q[states[tau + n], actions[tau + n]]
-            q_update(q, states[tau], actions[tau], g, alpha)
-        if T is not None and tau >= T - 1:
-            break
-        t = t + 1 if T is None else max(t + 1, n - 1)  # no update before tau = 0
-    return EpisodeLog(total, T)
+    Runs cvs with constant criticality ``1 / n``.  That is exact because the
+    left-to-right float sum of ``n`` copies of ``1 / n`` first reaches
+    ``1 - _CRT_EPS`` at the ``n``-th term, as a test checks.  Int true
+    division gives 0.0, not an OverflowError, for an n past any float.
+    """
+    h = 1 / params.n
+    return cvs_episode(env, q, lambda _s: h, params, rng)
 
 
 def watkins_qlambda_episode(
@@ -259,36 +236,6 @@ def mc_episode(
     params: AgentParams,
     rng: Draws,
 ) -> EpisodeLog:
-    """One episode of every-visit constant-alpha Monte-Carlo control.
-
-    The whole episode runs first; afterwards every visited pair updates toward
-    its discounted return from that visit, in visit order.  Each return is
-    summed left to right over the nonzero rewards from its visit on, the
-    float operations of cvs's waitlist, so that ``h = 0`` cvs matches this
-    agent bit for bit at every gamma.
-    """
-    alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
-    total = 0.0
-    visited: list[tuple[int, int]] = []
-    rewards: list[float] = []
-    s = env.reset(rng)
-    while True:
-        a = epsilon_greedy(q, s, eps, rng)
-        r, s2, done = env.step(s, a, rng)
-        total += r
-        visited.append((s, a))
-        rewards.append(r)
-        if done:
-            break
-        s = s2
-
-    # (step, reward) of the nonzero rewards at or after the current visit
-    paid = deque((j, r) for j, r in enumerate(rewards) if r != 0.0)
-    for i, (vs, va) in enumerate(visited):
-        while paid and paid[0][0] < i:
-            paid.popleft()
-        tgt = 0.0
-        for j, r in paid:
-            tgt += (gamma ** (j - i)) * r
-        q_update(q, vs, va, tgt, alpha)
-    return EpisodeLog(total, len(rewards))
+    """One episode of every-visit constant-alpha Monte-Carlo control: cvs with
+    criticality 0, so every pair updates at episode end toward its return."""
+    return cvs_episode(env, q, lambda _s: 0.0, params, rng)

@@ -20,7 +20,6 @@ import argparse
 import json
 import re
 import sys
-from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .harness import (
     ENVIRONMENT_NAMES,
     ConfigError,
     ExperimentConfig,
-    _resolve_workers,
+    _open_pool,
     average_over_runs,
     run_experiment,
     running_average,
@@ -150,15 +149,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         doc["seed"] = args.seed
     name, jobs, window = _parse_compare(doc)
-    workers = min(_resolve_workers(), max(cfg.runs for _, cfg in jobs))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
-    if workers > 1:
-        # imported here, as in run_experiment: 2.6 MB and ~40 ms that a 1-worker run skips
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with _open_pool(max(cfg.runs for _, cfg in jobs)) as pool:
         for label, cfg in jobs:
             results = run_experiment(cfg, pool=pool)
             mean = average_over_runs(results)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import os
 from concurrent.futures import Executor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -158,10 +159,8 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
             log = n_step_sarsa_episode(env, q, params, rng)
         elif algorithm == "qlambda":
             log = watkins_qlambda_episode(env, q, params, rng)
-        elif algorithm == "mc":
+        else:
             log = mc_episode(env, q, params, rng)
-        else:  # pragma: no cover - validate() rejects this earlier
-            raise ConfigError("algorithm", f"unknown algorithm {algorithm!r}")
         returns.append(log.total_reward)
         if flags is not None:
             flags.append(greedy_policy_return(env, q) == oracle_return)
@@ -184,6 +183,17 @@ def _resolve_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _open_pool(runs: int):
+    """A pool of ``min(_resolve_workers(), runs)`` processes, or ``nullcontext()`` at 1."""
+    workers = min(_resolve_workers(), runs)
+    if workers <= 1:
+        return nullcontext()
+    # imported here: 2.6 MB and ~40 ms that a serial run skips
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers)
+
+
 def run_experiment(cfg: ExperimentConfig, *, pool: Executor | None = None) -> list[RunResult]:
     """Execute all runs of an experiment; results are ordered by run index.
 
@@ -193,21 +203,11 @@ def run_experiment(cfg: ExperimentConfig, *, pool: Executor | None = None) -> li
     and closed here, or in this process when that is 1.
     """
     cfg.validate()
-    if pool is not None:
-        return _run_all(pool, cfg)
-    workers = min(_resolve_workers(), cfg.runs)
-    if workers <= 1:
-        return [_run_one(cfg, i) for i in range(cfg.runs)]
-    # imported here: 2.6 MB and ~40 ms that a serial run skips
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers) as own:
-        return _run_all(own, cfg)
-
-
-def _run_all(pool: Executor, cfg: ExperimentConfig) -> list[RunResult]:
-    futures = [pool.submit(_run_one, cfg, i) for i in range(cfg.runs)]
-    return [f.result() for f in futures]
+    with nullcontext(pool) if pool is not None else _open_pool(cfg.runs) as pool:
+        if pool is None:
+            return [_run_one(cfg, i) for i in range(cfg.runs)]
+        futures = [pool.submit(_run_one, cfg, i) for i in range(cfg.runs)]
+        return [f.result() for f in futures]
 
 
 # ----------------------------------------------------------------------

@@ -27,14 +27,13 @@ from cvslab import (
     fig3_tree,
     fig4_tree,
     fig6_tree,
-    mc_episode,
-    n_step_sarsa_episode,
     optimal_return_oracle,
     run_experiment,
     running_average,
 )
 from cvslab.cli import main as cli_main
 from cvslab.tennis import _unpack
+from references import reference_mc_episode, reference_n_step_sarsa_episode
 
 TREE_PARAMS = AgentParams(alpha=0.1, epsilon=0.1, gamma=1.0)
 
@@ -69,7 +68,7 @@ def test_acceptance_1_constant_criticality_equivalences(scoreboard):
     def cvs_with(h_value, n):
         params = AgentParams(alpha=0.1, epsilon=0.1, gamma=1.0, n=n)
         run_a = lambda env, q, rng: cvs_episode(env, q, lambda s: h_value, params, rng)
-        run_b = lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng)
+        run_b = lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng)
         return run_a, run_b
 
     for env_name, factory, episodes in [
@@ -82,7 +81,7 @@ def test_acceptance_1_constant_criticality_equivalences(scoreboard):
             if problem:
                 failures.append(f"h={h_value:.3g} vs {n}-step on {env_name}: {problem}")
 
-    mc_run = lambda env, q, rng: mc_episode(env, q, TREE_PARAMS, rng)
+    mc_run = lambda env, q, rng: reference_mc_episode(env, q, TREE_PARAMS, rng)
     zero_run = lambda env, q, rng: cvs_episode(env, q, lambda s: 0.0, TREE_PARAMS, rng)
     problem = tables_stay_identical(lambda: RoadTreeEnv(fig3_tree()), zero_run, mc_run, seeds, 40)
     if problem:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
@@ -19,10 +20,8 @@ from cvslab import (
     TreeNode,
     TreeSpec,
     cvs_episode,
-    epsilon_greedy,
     fig1_tree,
     fig3_tree,
-    greedy_actions,
     mc_episode,
     n_step_sarsa_episode,
     q_learning_episode,
@@ -32,6 +31,12 @@ from cvslab.agents import _CRT_EPS
 from cvslab.core import DrawStream, q_update
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 from recorder import Recorder
+from references import (
+    reference_cvs_episode,
+    reference_mc_episode,
+    reference_n_step_sarsa_episode,
+    reference_qlambda_episode,
+)
 from strategies import road_trees
 
 approx = lambda x: pytest.approx(x, rel=1e-12, abs=0.0)
@@ -331,11 +336,21 @@ def test_cvs_constant_criticality_equals_n_step_sarsa(h, n):
     ok, where = paired_tables_match(
         lambda: RoadTreeEnv(fig3_tree()),
         lambda env, q, rng: cvs_episode(env, q, const_h(h), params, rng),
-        lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
+        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
         seeds=(0, 1, 2),
         episodes=15,
     )
     assert ok, f"tables diverged at (seed, episode) {where}"
+
+
+def test_n_copies_of_one_over_n_first_mature_at_the_nth():
+    # Why constant h = 1/n is n-step SARSA exactly: a pair's criticality sum
+    # reaches 1 - _CRT_EPS at its n-th term, not one step early or late.
+    mature = 1.0 - _CRT_EPS
+    for n in [*range(1, 2001), 10**4, 10**5, 10**6]:
+        # adding a positive term never lowers a float sum, so the list is sorted
+        sums = list(accumulate(repeat(1 / n, n)))
+        assert bisect_left(sums, mature) == n - 1, n
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
@@ -344,7 +359,7 @@ def test_cvs_zero_criticality_equals_monte_carlo(gamma):
     ok, where = paired_tables_match(
         lambda: RoadTreeEnv(fig1_tree()),
         lambda env, q, rng: cvs_episode(env, q, const_h(0.0), params, rng),
-        lambda env, q, rng: mc_episode(env, q, params, rng),
+        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
         seeds=(0, 1),
         episodes=15,
     )
@@ -380,7 +395,7 @@ def test_cvs_zero_criticality_equals_monte_carlo_on_random_trees(tree, gamma, q_
         seed,
         15,
         lambda env, q, rng: cvs_episode(env, q, const_h(0.0), params, rng),
-        lambda env, q, rng: mc_episode(env, q, params, rng),
+        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
     )
 
 
@@ -401,7 +416,7 @@ def test_cvs_constant_criticality_equals_n_step_sarsa_on_random_trees(
         seed,
         15,
         lambda env, q, rng: cvs_episode(env, q, const_h(1 / n), params, rng),
-        lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
+        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
     )
 
 
@@ -410,7 +425,7 @@ def test_cvs_unit_criticality_equals_sarsa_on_shooter():
     ok, where = paired_tables_match(
         ShooterEnv,
         lambda env, q, rng: cvs_episode(env, q, const_h(1.0), params, rng),
-        lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
+        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
         seeds=(0,),
         episodes=10,
     )
@@ -458,144 +473,6 @@ def test_terminal_row_stays_zero_across_agents():
         for _ in range(5):
             run(env, q, rng)
         assert np.all(q.as_array()[env.terminal] == 0.0)
-
-
-# ----------------------------------------------------------------------
-# Slow references: the per-entry loops the agents replaced.  The fast agents
-# must reproduce them bit for bit (same RNG draws, same float operations).
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class _WaitEntry:
-    state: int
-    action: int
-    reward_acc: float = 0.0
-    crt_cum: float = 0.0
-    steps: int = 0
-
-
-def reference_cvs_episode(env, q, h, params, rng):
-    """cvs with a list waitlist that every step walks in full."""
-    alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
-    updates = []
-    waitlist = []
-    total = 0.0
-    steps = 0
-    s = env.reset(rng)
-    a = epsilon_greedy(q, s, eps, rng)
-    while True:
-        tr = env.step(s, a, rng)
-        steps += 1
-        total += tr.reward
-        waitlist.append(_WaitEntry(s, a))
-        for e in waitlist:
-            e.reward_acc += (gamma**e.steps) * tr.reward
-            e.steps += 1
-        if tr.terminal:
-            for e in waitlist:
-                q_update(q, e.state, e.action, e.reward_acc, alpha)
-                updates.append((e.state, e.action, e.reward_acc, None))
-            break
-        s2 = tr.next_state
-        a2 = epsilon_greedy(q, s2, eps, rng)
-        hs = float(h(s2))
-        for e in waitlist:
-            e.crt_cum += hs
-        boot = q[s2, a2]
-        keep = []
-        for e in waitlist:
-            if e.crt_cum >= 1.0 - _CRT_EPS:
-                target = e.reward_acc + (gamma**e.steps) * boot
-                q_update(q, e.state, e.action, target, alpha)
-                updates.append((e.state, e.action, target, s2))
-            else:
-                keep.append(e)
-        waitlist = keep
-        s, a = s2, a2
-    return total, steps, updates
-
-
-def reference_qlambda_episode(env, q, params, rng):
-    """Watkins Q(lambda) with a trace dict walked by one q_update per entry.
-
-    An action is exploratory when it is not in ``greedy_actions``, scanned
-    before ``epsilon_greedy`` scans the same row again."""
-    alpha, gamma, eps, lam = params.alpha, params.gamma, params.epsilon, params.lam
-    updates = []
-    traces: dict[tuple[int, int], float] = {}
-    total = 0.0
-    steps = 0
-    s = env.reset(rng)
-    while True:
-        exploratory_pool = greedy_actions(q, s)
-        a = epsilon_greedy(q, s, eps, rng)
-        exploratory = a not in exploratory_pool
-        tr = env.step(s, a, rng)
-        steps += 1
-        total += tr.reward
-        boot_value = 0.0 if tr.terminal else q.row_max(tr.next_state)
-        td_target = tr.reward + gamma * boot_value
-        delta = td_target - q[s, a]
-        traces[s, a] = traces.get((s, a), 0.0) + 1.0
-        boot = None if tr.terminal else tr.next_state
-        for (es, ea), e in traces.items():
-            if es == s and ea == a and e == 1.0:
-                target = td_target
-            else:
-                target = q[es, ea] + delta * e
-            q_update(q, es, ea, target, alpha)
-            updates.append((es, ea, target, boot))
-        if tr.terminal:
-            break
-        factor = gamma * lam
-        if exploratory or factor == 0.0:
-            traces.clear()
-        else:
-            for key in traces:
-                traces[key] *= factor
-        s = tr.next_state
-    return total, steps, updates
-
-
-def reference_n_step_sarsa_episode(env, q, params, rng):
-    """n-step SARSA that computes ``gamma ** (i - tau)`` for every reward of
-    every update and counts t up to the end one by one."""
-    n, alpha, gamma, eps = params.n, params.alpha, params.gamma, params.epsilon
-    updates = []
-    total = 0.0
-    s0 = env.reset(rng)
-    states = [s0]
-    actions = [epsilon_greedy(q, s0, eps, rng)]
-    rewards = []
-    boot = None
-    T = None
-    t = 0
-    while True:
-        if T is None:
-            tr = env.step(states[t], actions[t], rng)
-            rewards.append(tr.reward)
-            total += tr.reward
-            states.append(tr.next_state)
-            boot = None if tr.terminal else tr.next_state
-            if tr.terminal:
-                T = t + 1
-            else:
-                actions.append(epsilon_greedy(q, tr.next_state, eps, rng))
-        tau = t - n + 1
-        if tau >= 0:
-            hi = tau + n if T is None else min(tau + n, T)
-            g = 0.0
-            for i in range(tau, hi):
-                g += (gamma ** (i - tau)) * rewards[i]
-            if T is None or tau + n < T:
-                g += (gamma**n) * q[states[tau + n], actions[tau + n]]
-            q_update(q, states[tau], actions[tau], g, alpha)
-            updates.append((states[tau], actions[tau], g, boot))
-        if T is not None and tau >= T - 1:
-            break
-        t += 1
-    return total, T, updates
 
 
 def hexed(updates):
@@ -744,6 +621,20 @@ def test_cvs_matches_list_reference_on_grid_envs(name):
         20,
         lambda env, q, rng: cvs_episode(env, q, env.criticality(), params, rng),
         lambda env, q, rng: reference_cvs_episode(env, q, env.criticality(), params, rng),
+    )
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.37])
+@pytest.mark.parametrize("name", sorted(GRID_ENVS))
+def test_mc_matches_full_return_reference_on_grid_envs(name, gamma):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1)
+    assert_matches_reference(
+        GRID_ENVS[name],
+        0.0,
+        11,
+        20,
+        lambda env, q, rng: mc_episode(env, q, params, rng),
+        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
     )
 
 
