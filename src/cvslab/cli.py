@@ -34,7 +34,6 @@ from .harness import (
     run_experiment,
     running_average,
 )
-from .svgplot import render_line_chart, write_svg
 
 _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 # Passed to ExperimentConfig only when present: their defaults live there.
@@ -200,6 +199,8 @@ def _read_curve_csv(path: Path) -> list[float]:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from .svgplot import render_line_chart, write_svg  # only plotting needs it
+
     spec_path = Path(args.spec)
     doc = _parse_json(_read_text(spec_path, "spec"), "spec")
     curves_doc = doc.get("curves")

@@ -158,7 +158,9 @@ class Environment(ABC):
     Implementations keep their dynamics immutable; the only per-episode
     bookkeeping an environment may hold is a step counter for episode caps,
     which ``reset`` clears.  Independent runs therefore each build their own
-    instance.
+    instance.  An environment may memoise the outcomes of dynamics that make
+    no draw, in a cache shared by instances with equal parameters, as long as
+    a lookup returns what the dynamics would compute.
     """
 
     @property

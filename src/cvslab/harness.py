@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import inspect
 import os
-from concurrent.futures import Executor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .agents import (
     ALGORITHM_NAMES,
@@ -36,6 +36,9 @@ from .core import _finite_real, _is_int, _positive_int, _setting
 from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, optimal_return_oracle
 from .shooter import ShooterEnv
 from .tennis import TennisEnv
+
+if TYPE_CHECKING:  # a serial run never loads concurrent.futures
+    from concurrent.futures import Executor
 
 
 def _custom_tree(tree) -> TreeSpec:

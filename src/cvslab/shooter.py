@@ -15,6 +15,14 @@ target occupied when the bullet arrived.
 
 Criticality is 1 before the shot (the only steps where anything is decided)
 and 0 afterwards, including the TERMINAL sink.
+
+A step's outcome before the episode cap is a pure function of the state, the
+action and the obstacle rows: it makes no draw, and once the bullet flies the
+action no longer matters.  So ``step`` looks outcomes up in a dict shared by
+every ``ShooterEnv`` with the same obstacle rows, keyed by ``(s, a)`` before
+the shot and by ``s`` after it, and applies the cap to what it finds.  A dict
+holds at most 800 + 120 000 entries; a whole shooter-serial benchmark run
+(20 runs of 400 episodes) fills about 7.9 k of them, about 1.2 MB.
 """
 
 from __future__ import annotations
@@ -36,6 +44,14 @@ _SHOT_DIR = {ACTION_SHOOT_UP: -1, ACTION_SHOOT_DOWN: 1, ACTION_SHOOT_FLAT: 0}
 _N_PRE = ROWS * ROWS * 2  # gun row x target row x target dir
 _N_POST = ROWS * ROWS * COLS * 3 * ROWS * 2  # gun x bullet (row, col, dir) x target
 _TERMINAL = _N_PRE + _N_POST
+
+# The step that meets the episode cap without deciding the shot.
+_CAPPED = Transition(-1.0, _TERMINAL, True)
+
+# Step outcomes before the cap, one dict per obstacle set (see the module
+# docstring).  Shared across instances because one run revisits too few
+# states to gain from a cache of its own.
+_OUTCOMES: dict[frozenset[int], dict[StateId | tuple[StateId, int], Transition]] = {}
 
 
 def _obstacle_rows(value) -> frozenset[int]:
@@ -99,6 +115,7 @@ class ShooterEnv(Environment):
     def __init__(self, obstacle_rows: tuple[int, ...] = (4, 5, 6), max_steps: int = 200):
         self._obstacle = _setting("obstacle_rows", obstacle_rows, _obstacle_rows)
         self._max_steps = _setting("max_steps", max_steps, _positive_int)
+        self._outcomes = _OUTCOMES.setdefault(self._obstacle, {})
         self._steps = 0
 
     @property
@@ -128,6 +145,16 @@ class ShooterEnv(Environment):
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
 
+        key = (s, a) if s < _N_PRE else s
+        tr = self._outcomes.get(key)
+        if tr is None:
+            tr = self._outcomes[key] = self._outcome(s, a)
+        if self._steps < self._max_steps or tr.terminal:
+            return tr
+        return _CAPPED
+
+    def _outcome(self, s: StateId, a: int) -> Transition:
+        """The step from ``s`` under ``a`` as if the episode had no cap."""
         gun, trow, tdir, brow, bcol, bdir = _unpack(s)
         if bcol is not None:
             # Shoot actions are spent; the bullet just flies on.
@@ -146,8 +173,6 @@ class ShooterEnv(Environment):
                 return Transition(1.0 if hit else -1.0, _TERMINAL, True)
 
         trow, tdir = _reflect(trow, tdir)
-        if self._steps >= self._max_steps:
-            return Transition(-1.0, _TERMINAL, True)
         return Transition(0.0, _pack(gun, trow, tdir, brow, bcol, bdir), False)
 
     def criticality(self) -> CriticalityFn:

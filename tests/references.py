@@ -1,4 +1,4 @@
-"""Slow agent references, kept apart from the code under test.
+"""Slow references, kept apart from the code under test.
 
 The cvs and Q(lambda) references are the per-entry loops the fast agents
 replaced.  The n-step SARSA and Monte-Carlo references follow the textbook
@@ -8,15 +8,28 @@ compare cvs with these, not with itself.  Each returns ``(return, steps,
 updates)``, ``updates`` as ``tests/recorder.py`` logs them, and must be
 matched bit for bit (same RNG draws, same float operations).  They write
 through ``cvslab.core.q_update``, which a ``Recorder`` does not wrap.
+
+``reference_shooter_step`` is the shooter's step computed afresh on every
+call, with no outcome cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cvslab import epsilon_greedy, greedy_actions
+from cvslab import Transition, epsilon_greedy, greedy_actions
 from cvslab.agents import _CRT_EPS
 from cvslab.core import q_update
+from cvslab.shooter import (
+    ACTION_NOOP,
+    COLS,
+    OBSTACLE_COL,
+    _SHOT_DIR,
+    _TERMINAL,
+    _pack,
+    _reflect,
+    _unpack,
+)
 
 
 @dataclass
@@ -178,3 +191,38 @@ def reference_mc_episode(env, q, params, rng):
         q_update(q, vs, va, g, alpha)
         updates.append((vs, va, g, None))
     return total, T, updates
+
+
+def reference_shooter_step(env, s, a, rng):
+    """``env.step(s, a, rng)`` for a ``ShooterEnv``, decoding, moving and
+    re-encoding the field on every call; it advances ``env``'s step counter
+    and reads its obstacle rows and cap."""
+    if not 0 <= s < _TERMINAL:
+        if s == _TERMINAL:
+            raise ValueError("cannot step from the TERMINAL state")
+        raise ValueError(f"state {s} out of range")
+    if not 0 <= a < 4:
+        raise ValueError(f"action {a} invalid for state {s}")
+    env._steps += 1
+
+    gun, trow, tdir, brow, bcol, bdir = _unpack(s)
+    if bcol is not None:
+        # Shoot actions are spent; the bullet just flies on.
+        brow, bdir = _reflect(brow, bdir)
+        bcol += 1
+    elif a != ACTION_NOOP:
+        # The bullet leaves the gun and advances within the same step.
+        brow, bdir = _reflect(gun, _SHOT_DIR[a])
+        bcol = 1
+
+    if bcol is not None:
+        if bcol == OBSTACLE_COL and brow in env._obstacle:
+            return Transition(-1.0, _TERMINAL, True)
+        if bcol == COLS - 1:
+            hit = brow == trow
+            return Transition(1.0 if hit else -1.0, _TERMINAL, True)
+
+    trow, tdir = _reflect(trow, tdir)
+    if env._steps >= env._max_steps:
+        return Transition(-1.0, _TERMINAL, True)
+    return Transition(0.0, _pack(gun, trow, tdir, brow, bcol, bdir), False)

@@ -65,8 +65,8 @@ def test_acceptance_1_constant_criticality_equivalences(scoreboard):
     seeds = (0, 1, 2, 3, 4)
     failures = []
 
-    def cvs_with(h_value, n):
-        params = AgentParams(alpha=0.1, epsilon=0.1, gamma=1.0, n=n)
+    def cvs_with(h_value, n, gamma):
+        params = AgentParams(alpha=0.1, epsilon=0.1, gamma=gamma, n=n)
         run_a = lambda env, q, rng: cvs_episode(env, q, lambda s: h_value, params, rng)
         run_b = lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng)
         return run_a, run_b
@@ -75,11 +75,14 @@ def test_acceptance_1_constant_criticality_equivalences(scoreboard):
         ("fig3 tree", lambda: RoadTreeEnv(fig3_tree()), 40),
         ("shooter", ShooterEnv, 15),
     ]:
-        for h_value, n in [(1.0, 1), (1 / 3, 3)]:
-            run_a, run_b = cvs_with(h_value, n)
-            problem = tables_stay_identical(factory, run_a, run_b, seeds, episodes)
-            if problem:
-                failures.append(f"h={h_value:.3g} vs {n}-step on {env_name}: {problem}")
+        # gamma < 1 makes a wrong discount power visible
+        for gamma in (1.0, 0.9):
+            for h_value, n in [(1.0, 1), (1 / 3, 3)]:
+                run_a, run_b = cvs_with(h_value, n, gamma)
+                problem = tables_stay_identical(factory, run_a, run_b, seeds, episodes)
+                if problem:
+                    where = f"h={h_value:.3g} vs {n}-step, gamma {gamma}, on {env_name}"
+                    failures.append(f"{where}: {problem}")
 
     mc_run = lambda env, q, rng: reference_mc_episode(env, q, TREE_PARAMS, rng)
     zero_run = lambda env, q, rng: cvs_episode(env, q, lambda s: 0.0, TREE_PARAMS, rng)
@@ -93,7 +96,7 @@ def test_acceptance_1_constant_criticality_equivalences(scoreboard):
         1,
         "constant-criticality equivalences",
         ok,
-        "bit-identical tables for h=1/1-step, h=1/3/3-step, h=0/MC, 5 seeds"
+        "bit-identical tables for h=1/1-step, h=1/3/3-step (γ 1 and 0.9), h=0/MC, 5 seeds"
         if ok
         else "; ".join(failures),
     )

@@ -313,10 +313,10 @@ def test_watkins_cuts_traces_after_exploratory_action():
     assert q[last_s, last_a] == approx(0.2)
 
 
-def paired_tables_match(env_factory, run_a, run_b, seeds, episodes):
+def paired_tables_match(env_factory, run_a, run_b, seeds, episodes, initial=0.0):
     for seed in seeds:
         env_a, env_b = env_factory(), env_factory()
-        q_a, q_b = fresh(env_a), fresh(env_b)
+        q_a, q_b = fresh(env_a, initial), fresh(env_b, initial)
         rng_a, rng_b = rng_for(seed), rng_for(seed)
         for ep in range(episodes):
             run_a(env_a, q_a, rng_a)
@@ -332,15 +332,17 @@ def const_h(value):
 
 @pytest.mark.parametrize("h, n", [(1.0, 1), (0.5, 2), (1 / 3, 3), (0.4, 3), (0.26, 4)])
 def test_cvs_constant_criticality_equals_n_step_sarsa(h, n):
-    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1, n=n)
-    ok, where = paired_tables_match(
-        lambda: RoadTreeEnv(fig3_tree()),
-        lambda env, q, rng: cvs_episode(env, q, const_h(h), params, rng),
-        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
-        seeds=(0, 1, 2),
-        episodes=15,
-    )
-    assert ok, f"tables diverged at (seed, episode) {where}"
+    # gamma < 1 makes a wrong discount power visible
+    for gamma in (1.0, 0.9):
+        params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=n)
+        ok, where = paired_tables_match(
+            lambda: RoadTreeEnv(fig3_tree()),
+            lambda env, q, rng: cvs_episode(env, q, const_h(h), params, rng),
+            lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
+            seeds=(0, 1, 2),
+            episodes=15,
+        )
+        assert ok, f"gamma {gamma}: tables diverged at (seed, episode) {where}"
 
 
 def test_n_copies_of_one_over_n_first_mature_at_the_nth():
@@ -421,15 +423,19 @@ def test_cvs_constant_criticality_equals_n_step_sarsa_on_random_trees(
 
 
 def test_cvs_unit_criticality_equals_sarsa_on_shooter():
-    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1, n=1)
-    ok, where = paired_tables_match(
-        ShooterEnv,
-        lambda env, q, rng: cvs_episode(env, q, const_h(1.0), params, rng),
-        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
-        seeds=(0,),
-        episodes=10,
-    )
-    assert ok, f"tables diverged at (seed, episode) {where}"
+    # Ten episodes from a zero table bootstrap on zeros only, whatever their
+    # discount, so the 0.5 start is what makes the discount power visible.
+    for gamma, initial in [(1.0, 0.0), (0.9, 0.0), (0.9, 0.5)]:
+        params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=1)
+        ok, where = paired_tables_match(
+            ShooterEnv,
+            lambda env, q, rng: cvs_episode(env, q, const_h(1.0), params, rng),
+            lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
+            seeds=(0,),
+            episodes=10,
+            initial=initial,
+        )
+        assert ok, f"gamma {gamma}, q_init {initial}: tables diverged at (seed, episode) {where}"
 
 
 def test_qlambda_zero_lambda_equals_q_learning():

@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = """
 import json, os, sys, tempfile
 
-WATCHED = ("numpy", "concurrent.futures.process")
+WATCHED = ("numpy", "concurrent.futures", "concurrent.futures.process", "cvslab.svgplot")
 loaded = []
 import cvslab
 loaded.append([m for m in WATCHED if m in sys.modules])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvslab import ConfigError, ShooterEnv
+from cvslab import ConfigError, ShooterEnv, Transition
 from cvslab.shooter import (
     ACTION_NOOP,
     ACTION_SHOOT_DOWN,
@@ -11,9 +11,11 @@ from cvslab.shooter import (
     ACTION_SHOOT_UP,
     COLS,
     ROWS,
+    _OUTCOMES,
     _pack,
     _unpack,
 )
+from references import reference_shooter_step
 
 
 def bullet(s: int) -> tuple:
@@ -224,3 +226,52 @@ def test_custom_obstacle_rows():
     assert env.step(s, ACTION_NOOP, rng).reward == -1.0
     s = _pack(gun=0, trow=9, tdir=1, brow=4, bcol=6, bdir=0)
     assert not env.step(s, ACTION_NOOP, rng).terminal
+
+
+def sweep(step, env, steps_before):
+    """``step(env, s, a, None)`` on every state x action, each as step
+    ``steps_before + 1`` of its episode.  No rng: a shooter step makes no
+    draw."""
+    out = []
+    for s in range(env.terminal):
+        for a in range(4):
+            env._steps = steps_before
+            out.append(step(env, s, a, None))
+    return out
+
+
+def test_cached_steps_equal_the_reference_on_every_state_and_action():
+    _OUTCOMES.pop(frozenset((4, 5, 6)), None)
+    env = ShooterEnv()
+    want = sweep(reference_shooter_step, env, 0)
+    for cache in ("cold", "warm"):
+        got = sweep(ShooterEnv.step, env, 0)
+        assert got == want, cache
+        assert all(type(tr) is Transition for tr in got), cache
+    assert len(env._outcomes) == 4 * 200 + 120_000
+
+    # At the cap the reference ends every step that decides nothing with -1.
+    end = Transition(-1.0, env.terminal, True)
+    capped = [tr if tr.terminal else end for tr in want]
+    for max_steps in (1, 2):
+        got = sweep(ShooterEnv.step, ShooterEnv(max_steps=max_steps), max_steps - 1)
+        assert got == capped, max_steps
+        assert all(type(tr) is Transition for tr in got), max_steps
+
+    # a first visit at the cap leaves the uncapped outcome behind
+    _OUTCOMES.pop(frozenset((4, 5, 6)), None)
+    assert ShooterEnv(max_steps=1).step(0, ACTION_NOOP, None) == end
+    assert ShooterEnv().step(0, ACTION_NOOP, None) == want[0] != end
+
+
+def test_obstacle_sets_keep_their_own_outcomes():
+    assert ShooterEnv(obstacle_rows=[6, 5, 4])._outcomes is ShooterEnv()._outcomes
+    # a flat bullet reaching column 7 at row 4 is stopped only by (4, 5, 6)
+    s = _pack(gun=4, trow=0, tdir=1, brow=4, bcol=6, bdir=0)
+    blocked = Transition(-1.0, ShooterEnv().terminal, True)
+    for order in [((4, 5, 6), (), (0, 9)), ((), (0, 9), (4, 5, 6))]:
+        for rows in order:
+            _OUTCOMES.pop(frozenset(rows), None)
+        for rows in order:
+            tr = ShooterEnv(obstacle_rows=rows).step(s, ACTION_NOOP, None)
+            assert (tr == blocked) == (rows == (4, 5, 6)), (order, rows)
