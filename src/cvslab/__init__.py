@@ -14,7 +14,6 @@ from .core import (
     ConfigError,
     Environment,
     QTable,
-    Transition,
     epsilon_greedy,
     greedy_actions,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "RunResult",
     "ShooterEnv",
     "TennisEnv",
-    "Transition",
     "TreeEdge",
     "TreeNode",
     "TreeSpec",

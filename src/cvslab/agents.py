@@ -18,9 +18,9 @@ Five episodic learners over the shared :class:`~cvslab.core.QTable`:
 
 All of them pick actions with the same epsilon-greedy rule, mutate values
 only through ``q_update`` (Q(lambda) through its batched twin
-``q_update_traced``), and treat the TERMINAL state as worth zero.  Each
-returns an :class:`EpisodeLog` of its return and step count and records
-nothing else.
+``q_update_traced``), treat the TERMINAL state as worth zero and end an
+episode on the step into it.  Each returns an :class:`EpisodeLog` of its
+return and step count and records nothing else.
 
 ``epsilon_greedy``, ``q_update`` and ``q_update_traced`` are looked up as
 names of this module at call time, on purpose: they and ``env.step`` are the
@@ -99,10 +99,11 @@ def cvs_episode(
     total = 0.0
     steps = 0
 
+    sink = env.terminal
     s = env.reset(rng)
     a = epsilon_greedy(q, s, eps, rng)
     while True:
-        r, s2, done = env.step(s, a, rng)
+        r, s2 = env.step(s, a, rng)
         total += r
         waitlist.append([s, a, steps, 0.0, 0.0])
         if r != 0.0:
@@ -110,7 +111,7 @@ def cvs_episode(
                 e[3] += (gamma ** (steps - e[2])) * r
         steps += 1
 
-        if done:
+        if s2 == sink:
             for es, ea, _, reward_acc, _ in waitlist:
                 q_update(q, es, ea, reward_acc, alpha)
             break
@@ -144,13 +145,14 @@ def q_learning_episode(
     alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
     total = 0.0
     steps = 0
+    sink = env.terminal
     s = env.reset(rng)
     while True:
         a = epsilon_greedy(q, s, eps, rng)
-        r, s2, done = env.step(s, a, rng)
+        r, s2 = env.step(s, a, rng)
         steps += 1
         total += r
-        if done:
+        if s2 == sink:
             q_update(q, s, a, r, alpha)
             break
         q_update(q, s, a, r + gamma * q.row_max(s2), alpha)
@@ -196,15 +198,16 @@ def watkins_qlambda_episode(
     e: list[float] = []
     total = 0.0
     steps = 0
+    sink = env.terminal
     s = env.reset(rng)
     while True:
         a = epsilon_greedy(q, s, eps, rng)
         v = q[s, a]
         exploratory = v < q.row_max(s)
-        r, s2, done = env.step(s, a, rng)
+        r, s2 = env.step(s, a, rng)
         steps += 1
         total += r
-        boot_value = 0.0 if done else q.row_max(s2)
+        boot_value = 0.0 if s2 == sink else q.row_max(s2)
         td_target = r + gamma * boot_value
         delta = td_target - v
         i = pos.get((s, a))
@@ -217,7 +220,7 @@ def watkins_qlambda_episode(
         # directly, so that lambda = 0 matches 1-step updates exactly.
         fresh = i if e[i] == 1.0 else None
         q_update_traced(q, idx, e, delta, alpha, fresh, td_target)
-        if done:
+        if s2 == sink:
             break
         factor = gamma * lam
         if exploratory or factor == 0.0:

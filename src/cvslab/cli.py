@@ -41,6 +41,8 @@ _SHARED_KEYS = ("episodes", "runs", "seed", "q_init")
 _TOP_KEYS = frozenset({"name", "environment", "algorithms", "window", *_SHARED_KEYS})
 _ALGO_KEYS = frozenset({"label", "algorithm", "alpha", "epsilon", "gamma", "lambda", "n"})
 _PARAM_KEYS = (("alpha", "alpha"), ("epsilon", "epsilon"), ("gamma", "gamma"), ("lambda", "lam"), ("n", "n"))
+# The largest |value| a curve may plot: any two span a finite padded y-range.
+_PLOT_LIMIT = sys.float_info.max / 4
 
 
 def preset_names() -> list[str]:
@@ -190,9 +192,12 @@ def _read_curve_csv(path: Path) -> list[float]:
             continue
         fields = line.split(",")
         try:
-            values.append(float(fields[col]))
+            value = float(fields[col])
         except (IndexError, ValueError):
             raise ConfigError("curves.csv", f"{path}:{ln}: bad row {line!r}") from None
+        if not abs(value) <= _PLOT_LIMIT:  # inf and nan fail it too
+            raise ConfigError("curves.csv", f"{path}:{ln}: {value!r} is not within ±{_PLOT_LIMIT:.3g}")
+        values.append(value)
     if not values:
         raise ConfigError("curves.csv", f"{path} has a header but no data rows")
     return values

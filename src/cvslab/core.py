@@ -1,15 +1,15 @@
 """Core tabular-MDP pieces shared by every agent and environment.
 
 States and actions are dense non-negative integers.  Each environment owns a
-single absorbing TERMINAL sink state whose Q-row is pinned to zero; episodes
-end on the transition that enters it.  All value mutation goes through
-:func:`q_update` or its batched twin :func:`q_update_traced` so that learning
-code can be audited via the table's write counter.
+single absorbing TERMINAL sink whose Q-row is pinned to zero; a step returns
+``(reward, next_state)``, and the step into the sink ends the episode.  All
+value mutation goes through :func:`q_update` or its batched twin
+:func:`q_update_traced`, so learning code can be audited by its write count.
 
 A table's values are a flat ``memoryview`` of doubles, so the per-step
-helpers (:class:`Transition`, :func:`greedy_actions`, :func:`epsilon_greedy`,
-:func:`q_update`, :meth:`QTable.row_max`, ``QTable.__getitem__``) read and
-write Python floats and ints, and a row is the ``tolist()`` of its slice.
+helpers (:func:`greedy_actions`, :func:`epsilon_greedy`, :func:`q_update`,
+:meth:`QTable.row_max`, ``QTable.__getitem__``) read and write Python floats
+and ints, and a row is the ``tolist()`` of its slice.
 Each checks its guards once.  Nothing on a run's path imports numpy; only
 :meth:`QTable.as_array` does.
 
@@ -33,7 +33,7 @@ from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple, Protocol
+from typing import Callable, Protocol
 
 StateId = int
 ActionId = int
@@ -116,14 +116,6 @@ class Draws(Protocol):
     def integers(self, k: int) -> int: ...
 
 
-class Transition(NamedTuple):
-    """Result of one environment step (an immutable tuple)."""
-
-    reward: float
-    next_state: StateId
-    terminal: bool
-
-
 @dataclass(frozen=True)
 class AgentParams:
     """Shared learning hyper-parameters.
@@ -152,8 +144,8 @@ class Environment(ABC):
     """Tabular episodic MDP with integer states and a shared TERMINAL sink.
 
     Each fact of the dynamics is stated once: a state's action count only by
-    :meth:`action_layout`, which tables and agents read.  A custom environment
-    provides the six abstract members below.
+    :meth:`action_layout`, and the end of an episode only by a step into
+    :attr:`terminal`.  A custom environment provides the six members below.
 
     Implementations keep their dynamics immutable; the only per-episode
     bookkeeping an environment may hold is a step counter for episode caps,
@@ -187,9 +179,9 @@ class Environment(ABC):
         raise NotImplementedError
 
     @abstractmethod
-    def step(self, s: StateId, a: ActionId, rng: Draws) -> Transition:
-        """Take action ``a`` in ``s``; raises ``ValueError`` for TERMINAL, an
-        id outside ``[0, num_states)`` or an action ``s`` lacks."""
+    def step(self, s: StateId, a: ActionId, rng: Draws) -> tuple[float, StateId]:
+        """``(reward, next_state)`` of action ``a`` in ``s``; raises ``ValueError``
+        for TERMINAL, an id outside ``[0, num_states)`` or an action ``s`` lacks."""
         raise NotImplementedError
 
     @abstractmethod

@@ -129,10 +129,10 @@ def greedy_policy_return(env: RoadTreeEnv, q: QTable) -> float:
     result equals a step-by-step rollout's bit for bit.  Trees are acyclic, so
     the walk ends.
     """
-    moves = env.junction_moves
+    moves, sink = env.junction_moves, env.terminal
     s = env.root_state
     total = 0.0
-    while s is not None:
+    while s != sink:
         reward, s = moves[s][greedy_actions(q, s)[0]]
         total += reward
     return total

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import CriticalityFn, Draws, Environment, StateId, Transition
+from .core import CriticalityFn, Draws, Environment, StateId
 from .core import _finite_real, _integer, _positive_int, _setting
 
 KIND_JUNCTION = "junction"
@@ -269,15 +269,15 @@ BUILTIN_TREES = {
 class RoadTreeEnv(Environment):
     """Expanded tabular MDP for a :class:`TreeSpec`.
 
-    Each state keeps its row of transitions, one per action (so its action
-    count is the row's length), and its criticality.  :meth:`node_state`
-    gives the state of a declared node; the sink is the last state.
+    Each state keeps its criticality and a row of ``(reward, next_state)``
+    steps, one per action.  :meth:`node_state` gives the state of a declared
+    node; the sink is the last state.
     """
 
     def __init__(self, tree: TreeSpec):
         tree.validate()
         self.tree = tree
-        table: list[list[Transition]] = []  # state -> action -> its transition
+        table: list[list[tuple[float, StateId]]] = []  # state -> action -> its step
         crit: list[float] = []
 
         def new_state(h: float) -> StateId:
@@ -290,8 +290,8 @@ class RoadTreeEnv(Environment):
         sink = 1 + sum(e.distance for e in tree.edges)
         node_state = {tree.root: new_state(1.0)}
         # junction state -> per action (child node reward, child junction state
-        # or None for a terminal child): the tree with its roads contracted.
-        moves: dict[StateId, list[tuple[float, StateId | None]]] = {}
+        # or the sink): the tree with its roads contracted.
+        moves: dict[StateId, list[tuple[float, StateId]]] = {}
         # Junctions are expanded in allocation order, each edge's chain and
         # child right after the previous edge's, so a parent's action k
         # follows its k-th declared edge.
@@ -303,16 +303,14 @@ class RoadTreeEnv(Environment):
                 last = p_state
                 for _ in range(e.distance - 1):
                     road = new_state(0.0)
-                    table[last].append(Transition(0.0, road, False))
+                    table[last].append((0.0, road))
                     last = road
                 child = tree.node(e.child)
                 c_state = node_state[child.id] = new_state(1.0)
-                if child.kind == KIND_TERMINAL:
-                    table[last].append(Transition(child.reward, sink, True))
-                    moves[p_state].append((child.reward, None))
-                else:
-                    table[last].append(Transition(child.reward, c_state, False))
-                    moves[p_state].append((child.reward, c_state))
+                entered = sink if child.kind == KIND_TERMINAL else c_state
+                table[last].append((child.reward, entered))
+                moves[p_state].append((child.reward, entered))
+                if entered != sink:
                     order.append(child.id)
         new_state(1.0)
 
@@ -344,7 +342,7 @@ class RoadTreeEnv(Environment):
     def reset(self, rng: Draws) -> StateId:
         return self.root_state
 
-    def step(self, s: StateId, a: int, rng: Draws) -> Transition:
+    def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
         if not 0 <= s < self._sink:
             if s == self._sink:
                 raise ValueError("cannot step from the TERMINAL state")

@@ -27,7 +27,7 @@ holds at most 800 + 120 000 entries; a whole shooter-serial benchmark run
 
 from __future__ import annotations
 
-from .core import CriticalityFn, Draws, Environment, StateId, Transition
+from .core import CriticalityFn, Draws, Environment, StateId
 from .core import _is_int, _positive_int, _setting
 
 ROWS = 10
@@ -38,6 +38,7 @@ ACTION_NOOP = 0
 ACTION_SHOOT_UP = 1
 ACTION_SHOOT_DOWN = 2
 ACTION_SHOOT_FLAT = 3
+_N_ACTIONS = 4
 
 _SHOT_DIR = {ACTION_SHOOT_UP: -1, ACTION_SHOOT_DOWN: 1, ACTION_SHOOT_FLAT: 0}
 
@@ -46,12 +47,12 @@ _N_POST = ROWS * ROWS * COLS * 3 * ROWS * 2  # gun x bullet (row, col, dir) x ta
 _TERMINAL = _N_PRE + _N_POST
 
 # The step that meets the episode cap without deciding the shot.
-_CAPPED = Transition(-1.0, _TERMINAL, True)
+_CAPPED = (-1.0, _TERMINAL)
 
 # Step outcomes before the cap, one dict per obstacle set (see the module
 # docstring).  Shared across instances because one run revisits too few
 # states to gain from a cache of its own.
-_OUTCOMES: dict[frozenset[int], dict[StateId | tuple[StateId, int], Transition]] = {}
+_OUTCOMES: dict[frozenset[int], dict[StateId | tuple[StateId, int], tuple[float, StateId]]] = {}
 
 
 def _obstacle_rows(value) -> frozenset[int]:
@@ -127,7 +128,7 @@ class ShooterEnv(Environment):
         return _TERMINAL
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return 4, {_TERMINAL: 0}
+        return _N_ACTIONS, {_TERMINAL: 0}
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0
@@ -136,24 +137,24 @@ class ShooterEnv(Environment):
         tdir = -1 if int(rng.integers(2)) == 0 else 1
         return _pack(gun, trow, tdir)
 
-    def step(self, s: StateId, a: int, rng: Draws) -> Transition:
+    def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
         if not 0 <= s < _TERMINAL:
             if s == _TERMINAL:
                 raise ValueError("cannot step from the TERMINAL state")
             raise ValueError(f"state {s} out of range")
-        if not 0 <= a < 4:
+        if not 0 <= a < _N_ACTIONS:
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
 
         key = (s, a) if s < _N_PRE else s
-        tr = self._outcomes.get(key)
-        if tr is None:
-            tr = self._outcomes[key] = self._outcome(s, a)
-        if self._steps < self._max_steps or tr.terminal:
-            return tr
+        out = self._outcomes.get(key)
+        if out is None:
+            out = self._outcomes[key] = self._outcome(s, a)
+        if self._steps < self._max_steps or out[1] == _TERMINAL:
+            return out
         return _CAPPED
 
-    def _outcome(self, s: StateId, a: int) -> Transition:
+    def _outcome(self, s: StateId, a: int) -> tuple[float, StateId]:
         """The step from ``s`` under ``a`` as if the episode had no cap."""
         gun, trow, tdir, brow, bcol, bdir = _unpack(s)
         if bcol is not None:
@@ -167,13 +168,13 @@ class ShooterEnv(Environment):
 
         if bcol is not None:
             if bcol == OBSTACLE_COL and brow in self._obstacle:
-                return Transition(-1.0, _TERMINAL, True)
+                return -1.0, _TERMINAL
             if bcol == COLS - 1:
                 hit = brow == trow
-                return Transition(1.0 if hit else -1.0, _TERMINAL, True)
+                return (1.0 if hit else -1.0), _TERMINAL
 
         trow, tdir = _reflect(trow, tdir)
-        return Transition(0.0, _pack(gun, trow, tdir, brow, bcol, bdir), False)
+        return 0.0, _pack(gun, trow, tdir, brow, bcol, bdir)
 
     def criticality(self) -> CriticalityFn:
         def h(s: StateId) -> float:

@@ -17,7 +17,7 @@ Criticality is 1 exactly while the ball travels toward the agent.
 
 from __future__ import annotations
 
-from .core import CriticalityFn, Draws, Environment, StateId, Transition
+from .core import CriticalityFn, Draws, Environment, StateId
 from .core import _positive_int, _probability, _setting
 
 ROWS = 20
@@ -28,6 +28,7 @@ OPPONENT_COL = 38
 ACTION_UP = 0
 ACTION_STAY = 1
 ACTION_DOWN = 2
+_N_ACTIONS = 3
 
 _N_FIELD = ROWS * COLS * 6 * ROWS * ROWS
 
@@ -81,19 +82,19 @@ class TennisEnv(Environment):
         return _N_FIELD
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return 3, {_N_FIELD: 0}
+        return _N_ACTIONS, {_N_FIELD: 0}
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0
         v = int(rng.integers(3)) - 1
         return _pack(ROWS // 2, COLS // 2, -1, v, ROWS // 2, ROWS // 2)
 
-    def step(self, s: StateId, a: int, rng: Draws) -> Transition:
+    def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
         if not 0 <= s < _N_FIELD:
             if s == _N_FIELD:
                 raise ValueError("cannot step from the TERMINAL state")
             raise ValueError(f"state {s} out of range")
-        if not 0 <= a < 3:
+        if not 0 <= a < _N_ACTIONS:
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
 
@@ -117,13 +118,13 @@ class TennisEnv(Environment):
             h_dir = -h_dir
 
         if bcol == 0:
-            return Transition(-1.0, _N_FIELD, True)
+            return -1.0, _N_FIELD
         if bcol == COLS - 1:
-            return Transition(1.0, _N_FIELD, True)
+            return 1.0, _N_FIELD
         if self._steps >= self._max_steps:
-            return Transition(0.0, _N_FIELD, True)
+            return 0.0, _N_FIELD
 
-        return Transition(0.0, _pack(brow, bcol, h_dir, v_dir, agent, opp), False)
+        return 0.0, _pack(brow, bcol, h_dir, v_dir, agent, opp)
 
     def criticality(self) -> CriticalityFn:
         sink = self.terminal

@@ -17,8 +17,8 @@ class Recorder:
     ``trace`` gets ``(s, a, r)`` for every ``env.step``.  ``updates`` gets
     ``(s, a, target, bootstrap)`` for every value written, in write order;
     ``bootstrap`` is the ``next_state`` of the latest step, or None when that
-    step was terminal.  Inside the ``with`` block every agent's writes are
-    recorded, so use one recorder at a time.
+    step entered the TERMINAL sink.  Inside the ``with`` block every agent's
+    writes are recorded, so use one recorder at a time.
     """
 
     def __init__(self, env):
@@ -29,13 +29,14 @@ class Recorder:
 
     def __enter__(self) -> "Recorder":
         step = self.env.step
+        sink = self.env.terminal
         q_update, q_update_traced = self._saved = agents.q_update, agents.q_update_traced
 
         def recording_step(s, a, rng):
-            tr = step(s, a, rng)
-            self.trace.append((s, a, tr.reward))
-            self._boot = None if tr.terminal else tr.next_state
-            return tr
+            r, s2 = step(s, a, rng)
+            self.trace.append((s, a, r))
+            self._boot = None if s2 == sink else s2
+            return r, s2
 
         def recording_update(q, s, a, target, alpha):
             q_update(q, s, a, target, alpha)

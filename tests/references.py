@@ -9,6 +9,11 @@ updates)``, ``updates`` as ``tests/recorder.py`` logs them, and must be
 matched bit for bit (same RNG draws, same float operations).  They write
 through ``cvslab.core.q_update``, which a ``Recorder`` does not wrap.
 
+``reference_sarsa_lambda_s_episode`` is SARSA(lambda) with the state-dependent
+lambda ``1 - h``, in the backward view (Sutton & Barto 2018, sec. 12.7 and
+12.8).  It shares nothing with cvs either, and matches it only where its
+docstring says.
+
 ``reference_shooter_step`` is the shooter's step computed afresh on every
 call, with no outcome cache.
 """
@@ -17,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cvslab import Transition, epsilon_greedy, greedy_actions
+from cvslab import epsilon_greedy, greedy_actions
 from cvslab.agents import _CRT_EPS
-from cvslab.core import q_update
+from cvslab.core import q_index, q_update
 from cvslab.shooter import (
     ACTION_NOOP,
     COLS,
@@ -51,19 +56,18 @@ def reference_cvs_episode(env, q, h, params, rng):
     s = env.reset(rng)
     a = epsilon_greedy(q, s, eps, rng)
     while True:
-        tr = env.step(s, a, rng)
+        r, s2 = env.step(s, a, rng)
         steps += 1
-        total += tr.reward
+        total += r
         waitlist.append(_WaitEntry(s, a))
         for e in waitlist:
-            e.reward_acc += (gamma**e.steps) * tr.reward
+            e.reward_acc += (gamma**e.steps) * r
             e.steps += 1
-        if tr.terminal:
+        if s2 == env.terminal:
             for e in waitlist:
                 q_update(q, e.state, e.action, e.reward_acc, alpha)
                 updates.append((e.state, e.action, e.reward_acc, None))
             break
-        s2 = tr.next_state
         a2 = epsilon_greedy(q, s2, eps, rng)
         hs = float(h(s2))
         for e in waitlist:
@@ -97,14 +101,14 @@ def reference_qlambda_episode(env, q, params, rng):
         exploratory_pool = greedy_actions(q, s)
         a = epsilon_greedy(q, s, eps, rng)
         exploratory = a not in exploratory_pool
-        tr = env.step(s, a, rng)
+        r, s2 = env.step(s, a, rng)
         steps += 1
-        total += tr.reward
-        boot_value = 0.0 if tr.terminal else q.row_max(tr.next_state)
-        td_target = tr.reward + gamma * boot_value
+        total += r
+        boot = None if s2 == env.terminal else s2
+        boot_value = 0.0 if boot is None else q.row_max(s2)
+        td_target = r + gamma * boot_value
         delta = td_target - q[s, a]
         traces[s, a] = traces.get((s, a), 0.0) + 1.0
-        boot = None if tr.terminal else tr.next_state
         for (es, ea), e in traces.items():
             if es == s and ea == a and e == 1.0:
                 target = td_target
@@ -112,7 +116,7 @@ def reference_qlambda_episode(env, q, params, rng):
                 target = q[es, ea] + delta * e
             q_update(q, es, ea, target, alpha)
             updates.append((es, ea, target, boot))
-        if tr.terminal:
+        if boot is None:
             break
         factor = gamma * lam
         if exploratory or factor == 0.0:
@@ -120,7 +124,7 @@ def reference_qlambda_episode(env, q, params, rng):
         else:
             for key in traces:
                 traces[key] *= factor
-        s = tr.next_state
+        s = s2
     return total, steps, updates
 
 
@@ -139,15 +143,15 @@ def reference_n_step_sarsa_episode(env, q, params, rng):
     t = 0
     while True:
         if T is None:
-            tr = env.step(states[t], actions[t], rng)
-            rewards.append(tr.reward)
-            total += tr.reward
-            states.append(tr.next_state)
-            boot = None if tr.terminal else tr.next_state
-            if tr.terminal:
+            r, s2 = env.step(states[t], actions[t], rng)
+            rewards.append(r)
+            total += r
+            states.append(s2)
+            boot = None if s2 == env.terminal else s2
+            if boot is None:
                 T = t + 1
             else:
-                actions.append(epsilon_greedy(q, tr.next_state, eps, rng))
+                actions.append(epsilon_greedy(q, s2, eps, rng))
         tau = t - n + 1
         if tau >= 0:
             hi = tau + n if T is None else min(tau + n, T)
@@ -176,13 +180,13 @@ def reference_mc_episode(env, q, params, rng):
     s = env.reset(rng)
     while True:
         a = epsilon_greedy(q, s, eps, rng)
-        tr = env.step(s, a, rng)
-        total += tr.reward
+        r, s2 = env.step(s, a, rng)
+        total += r
         visited.append((s, a))
-        rewards.append(tr.reward)
-        if tr.terminal:
+        rewards.append(r)
+        if s2 == env.terminal:
             break
-        s = tr.next_state
+        s = s2
     T = len(rewards)
     for i, (vs, va) in enumerate(visited):
         g = 0.0
@@ -191,6 +195,64 @@ def reference_mc_episode(env, q, params, rng):
         q_update(q, vs, va, g, alpha)
         updates.append((vs, va, g, None))
     return total, T, updates
+
+
+def reference_sarsa_lambda_s_episode(env, q, h, params, rng):
+    """Online SARSA(lambda(s)) with accumulating traces and ``lambda = 1 - h``.
+
+    Each step computes ``delta = r + gamma * Q(s', a') - Q(s, a)`` (``Q`` of
+    TERMINAL being 0), bumps the trace of ``(s, a)`` by 1, moves every traced
+    pair by ``alpha * delta * e`` and then decays every trace by
+    ``gamma * (1 - h(s'))``, cutting them all when that is 0.  It writes
+    ``Q + alpha * delta * e`` straight into the table, past ``q_index``'s
+    checks, and logs one update per traced pair and step, with the value
+    written in the place of a target.
+
+    With a 0/1 ``h``, ``gamma = 1`` and a uniform initial table, on a tree it
+    equals cvs bit for bit.  Every pair then waits for the next state of
+    criticality 1, and the pairs waiting together always get the same update,
+    so they keep one shared value: each ``delta`` but the last of a stretch is
+    an exact ``0.0``, and the last one is cvs's ``target - v``.  At
+    ``gamma < 1`` the two part: a trace is ``gamma ** k``, the pairs of a
+    stretch drift apart and the interior ``delta`` stop being zero, so the
+    online updates no longer add up to cvs's one update per pair (the forward
+    and backward views agree exactly only for offline updates; Sutton & Barto
+    2018, sec. 12.5).  On random trees at ``gamma = 0.9`` the tables differ
+    within 30 episodes in most cases.
+    """
+    alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
+    values = q._values
+    updates = []
+    traces: dict[tuple[int, int], float] = {}
+    total = 0.0
+    steps = 0
+    s = env.reset(rng)
+    a = epsilon_greedy(q, s, eps, rng)
+    while True:
+        r, s2 = env.step(s, a, rng)
+        steps += 1
+        total += r
+        boot = None if s2 == env.terminal else s2
+        if boot is None:
+            delta = r + gamma * 0.0 - q[s, a]
+        else:
+            a2 = epsilon_greedy(q, s2, eps, rng)
+            delta = r + gamma * q[s2, a2] - q[s, a]
+        traces[s, a] = traces.get((s, a), 0.0) + 1.0
+        for (es, ea), e in traces.items():
+            i = q_index(q, es, ea)
+            values[i] = values[i] + alpha * delta * e
+            updates.append((es, ea, values[i], boot))
+        if boot is None:
+            break
+        factor = gamma * (1.0 - h(s2))
+        if factor == 0.0:
+            traces.clear()
+        else:
+            for key in traces:
+                traces[key] *= factor
+        s, a = s2, a2
+    return total, steps, updates
 
 
 def reference_shooter_step(env, s, a, rng):
@@ -217,12 +279,12 @@ def reference_shooter_step(env, s, a, rng):
 
     if bcol is not None:
         if bcol == OBSTACLE_COL and brow in env._obstacle:
-            return Transition(-1.0, _TERMINAL, True)
+            return -1.0, _TERMINAL
         if bcol == COLS - 1:
             hit = brow == trow
-            return Transition(1.0 if hit else -1.0, _TERMINAL, True)
+            return (1.0 if hit else -1.0), _TERMINAL
 
     trow, tdir = _reflect(trow, tdir)
     if env._steps >= env._max_steps:
-        return Transition(-1.0, _TERMINAL, True)
-    return Transition(0.0, _pack(gun, trow, tdir, brow, bcol, bdir), False)
+        return -1.0, _TERMINAL
+    return 0.0, _pack(gun, trow, tdir, brow, bcol, bdir)

@@ -15,7 +15,6 @@ from cvslab import (
     RoadTreeEnv,
     ShooterEnv,
     TennisEnv,
-    Transition,
     TreeEdge,
     TreeNode,
     TreeSpec,
@@ -36,6 +35,7 @@ from references import (
     reference_mc_episode,
     reference_n_step_sarsa_episode,
     reference_qlambda_episode,
+    reference_sarsa_lambda_s_episode,
 )
 from strategies import road_trees
 
@@ -63,8 +63,7 @@ class ChainEnv(Environment):
         return 0
 
     def step(self, s, a, rng):
-        nxt = s + 1
-        return Transition(self._rewards[s], nxt, nxt == self.terminal)
+        return self._rewards[s], s + 1
 
     def criticality(self):
         return lambda s: 1.0
@@ -96,8 +95,7 @@ class LoopEnv(Environment):
     def step(self, s, a, rng):
         r = self._rewards[self._t]
         self._t += 1
-        done = self._t == len(self._rewards)
-        return Transition(r, 1 if done else 0, done)
+        return r, 1 if self._t == len(self._rewards) else 0
 
     def criticality(self):
         return lambda s: 1.0
@@ -436,6 +434,26 @@ def test_cvs_unit_criticality_equals_sarsa_on_shooter():
             initial=initial,
         )
         assert ok, f"gamma {gamma}, q_init {initial}: tables diverged at (seed, episode) {where}"
+
+
+@given(
+    tree=road_trees(),
+    q_init=st.sampled_from((0.0, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cvs_equals_sarsa_lambda_s_at_unit_gamma_on_trees(tree, q_init, seed):
+    # A tree's h is 0 or 1, so cvs is SARSA(lambda(s)) with lambda = 1 - h
+    # computed forward; the reference computes it backward.
+    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1)
+    env, env_ref = RoadTreeEnv(tree), RoadTreeEnv(tree)
+    q, q_ref = fresh(env, q_init), fresh(env_ref, q_init)
+    rng, rng_ref = DrawStream(seed), DrawStream(seed)
+    h = env.criticality()
+    for episode in range(30):
+        log = cvs_episode(env, q, h, params, rng)
+        total, steps, _ = reference_sarsa_lambda_s_episode(env_ref, q_ref, h, params, rng_ref)
+        assert (log.total_reward, log.steps) == (total, steps), f"episode {episode}"
+        assert q.as_array().tobytes() == q_ref.as_array().tobytes(), f"episode {episode}"
 
 
 def test_qlambda_zero_lambda_equals_q_learning():

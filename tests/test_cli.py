@@ -387,6 +387,35 @@ def test_plot_bad_input_exits_two_and_names_the_key(tmp_path, capsys, spec, csv_
     assert f"{key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "smoothed, line",
+    [(["1", "inf"], 3), (["1e308", "-1e308"], 2), (["0", "nan", "1"], 3)],
+    ids=["inf", "beyond-the-chart-range", "nan"],
+)
+def test_plot_unplottable_value_exits_two_and_names_the_line(tmp_path, capsys, smoothed, line):
+    rows = [f"{i},0,{v}\n" for i, v in enumerate(smoothed)]
+    csv = tmp_path / "c.csv"
+    csv.write_text("episode,return_mean,return_smoothed\n" + "".join(rows), encoding="utf-8")
+    (tmp_path / "plot.json").write_bytes(plot_spec("c.csv"))
+    assert main(["plot", str(tmp_path / "plot.json")]) == 2
+    assert f"curves.csv: {csv}:{line}: " in capsys.readouterr().err
+
+
+def test_plot_of_a_run_that_overflowed_exits_two(tmp_path, capsys):
+    # Two rewards of 1e308 sum to inf, which the run writes into its CSV.
+    nodes = [
+        {"id": 0, "reward": 0, "kind": "junction"},
+        {"id": 1, "reward": 1e308, "kind": "junction"},
+        {"id": 2, "reward": 1e308, "kind": "terminal"},
+    ]
+    edges = [{"parent": 0, "child": 1, "distance": 1}, {"parent": 1, "child": 2, "distance": 1}]
+    env = {"name": "roadtree", "tree": {"root": 0, "nodes": nodes, "edges": edges}}
+    cfg = write_config(tmp_path / "demo.json", environment=env, episodes=5, runs=1, window=3)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert main(["plot", str(tmp_path / "out" / "demo_plot.json")]) == 2
+    assert f"curves.csv: {tmp_path / 'out' / 'demo_cvs.csv'}:2: " in capsys.readouterr().err
+
+
 def test_list_shows_everything(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

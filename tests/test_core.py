@@ -15,7 +15,6 @@ from cvslab import (
     RoadTreeEnv,
     ShooterEnv,
     TennisEnv,
-    Transition,
     epsilon_greedy,
     fig1_tree,
     greedy_actions,
@@ -123,6 +122,19 @@ def test_envs_reject_out_of_range_states(env_name):
             env.step(s, 0, rng)
     with pytest.raises(ValueError, match="cannot step from the TERMINAL state"):
         env.step(env.terminal, 0, rng)
+
+
+@pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
+def test_envs_take_the_actions_their_layout_states(env_name):
+    # action_layout() is the one statement of the action count that step checks
+    env = GUARD_ENVS[env_name]()
+    rng = np.random.default_rng(0)
+    width, narrow = env.action_layout()
+    s = env.reset(rng)
+    assert s not in narrow
+    with pytest.raises(ValueError, match=f"action {width} invalid for state {s}"):
+        env.step(s, width, rng)
+    env.step(s, width - 1, rng)
 
 
 @pytest.mark.parametrize("a", [-1, 1, 2])
@@ -351,14 +363,6 @@ def test_terminal_row_survives_everything():
         q_update(q, 0, int(rng.integers(2)), float(rng.normal()), 0.3)
         q_update(q, 2, 0, float(rng.normal()), 0.3)
     assert np.all(q.as_array()[1] == 0.0)
-
-
-def test_transition_is_an_immutable_tuple():
-    tr = Transition(1.5, 3, False)
-    assert (tr.reward, tr.next_state, tr.terminal) == (1.5, 3, False)
-    assert tuple(tr) == (1.5, 3, False)
-    with pytest.raises(AttributeError):
-        tr.reward = 2.0
 
 
 # The numpy-scalar versions of the per-step helpers, kept as references for

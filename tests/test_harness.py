@@ -335,11 +335,11 @@ def greedy_rollout_return(env, q):
     s = env.reset(rng)
     total = 0.0
     for _ in range(100_000):
-        tr = env.step(s, greedy_actions(q, s)[0], rng)
-        total += tr.reward
-        if tr.terminal:
+        r, s2 = env.step(s, greedy_actions(q, s)[0], rng)
+        total += r
+        if s2 == env.terminal:
             return total
-        s = tr.next_state
+        s = s2
     raise RuntimeError("greedy rollout did not terminate")
 
 

@@ -62,7 +62,6 @@ def test_public_surface():
         "RunResult",
         "ShooterEnv",
         "TennisEnv",
-        "Transition",
         "TreeEdge",
         "TreeNode",
         "TreeSpec",

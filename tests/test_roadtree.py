@@ -12,7 +12,6 @@ from cvslab import (
     ConfigError,
     ExperimentConfig,
     RoadTreeEnv,
-    Transition,
     TreeEdge,
     TreeNode,
     TreeSpec,
@@ -84,12 +83,11 @@ def replay(env: RoadTreeEnv, actions: list[int]) -> tuple[float, int]:
     it = iter(actions)
     while True:
         a = next(it) if counts[s] > 1 else 0
-        tr = env.step(s, a, rng)
-        total += tr.reward
+        r, s = env.step(s, a, rng)
+        total += r
         steps += 1
-        if tr.terminal:
+        if s == env.terminal:
             return total, steps
-        s = tr.next_state
 
 
 def test_fig1_path_rewards_and_lengths():
@@ -105,16 +103,12 @@ def test_terminal_entry_fuses_reward_and_sink():
     env = RoadTreeEnv(fig3_tree())
     rng = np.random.default_rng(0)
     s = env.reset(rng)
-    tr = env.step(s, 0, rng)
-    for _ in range(8):
-        assert not tr.terminal
-        assert tr.reward == 0.0
-        tr = env.step(tr.next_state, 0, rng)
-    # ninth road step arrives at the last road state before the leaf
-    last = env.step(tr.next_state, 0, rng)
-    assert last.reward == 1.0
-    assert last.next_state == env.terminal
-    assert last.terminal
+    for _ in range(9):
+        r, s = env.step(s, 0, rng)
+        assert r == 0.0
+        assert s != env.terminal
+    # the ninth road step arrived at the last road state before the leaf
+    assert env.step(s, 0, rng) == (1.0, env.terminal)
 
 
 def test_step_guards():
@@ -131,6 +125,27 @@ def test_criticality_marks_roads_zero():
     h = env.criticality()
     for s, kind in enumerate(reference_tables(fig1_tree())[0]):
         assert h(s) == (0.0 if kind == "road" else 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_TREES))
+def test_criticality_is_one_exactly_where_the_action_matters(name):
+    # A tree's h is structural: 1 exactly at the reachable states where two
+    # actions give different steps, 0 elsewhere.
+    env = RoadTreeEnv(ALL_TREES[name])
+    h = env.criticality()
+    counts = action_counts(env)
+    seen = set()
+    frontier = [env.reset(None)]
+    while frontier:
+        s = frontier.pop()
+        if s in seen or s == env.terminal:
+            continue
+        seen.add(s)
+        steps = {env.step(s, a, None) for a in range(counts[s])}
+        assert h(s) == (1.0 if len(steps) > 1 else 0.0), s
+        frontier.extend(s2 for _, s2 in steps)
+    leaves = sum(n.kind == KIND_TERMINAL for n in ALL_TREES[name].nodes)
+    assert len(seen) == env.num_states - 1 - leaves  # all but the sink and leaf states
 
 
 def enumerate_paths(tree: TreeSpec, node_id: int) -> list[tuple[float, list[int]]]:
@@ -255,9 +270,9 @@ def test_tree_spec_dict_round_trip_on_random_trees(tree):
 
 def reference_tables(tree: TreeSpec):
     """The two-pass construction of parallel next/reward/terminal lists that
-    ``RoadTreeEnv`` used before it stored one ``Transition`` per pair; kept as
-    the reference for the one-pass build.  Returns (kinds, next, reward,
-    terminal flag, criticality array)."""
+    ``RoadTreeEnv`` used before it stored one ``(reward, next_state)`` step
+    per pair; kept as the reference for the one-pass build.  Returns (kinds,
+    next, reward, terminal flag, criticality array)."""
     kinds: list[str] = []
     node_state: dict[int, int] = {}
 
@@ -306,11 +321,7 @@ def reference_tables(tree: TreeSpec):
             chain = chain_ids(e)
             c_state = node_state[child.id]
             entering_terminal = child.kind == KIND_TERMINAL
-            entry = (
-                Transition(child.reward, sink, True)
-                if entering_terminal
-                else Transition(child.reward, c_state, False)
-            )
+            entry_state = sink if entering_terminal else c_state
             if chain:
                 nxt[p_state].append(chain[0])
                 rew[p_state].append(0.0)
@@ -322,9 +333,9 @@ def reference_tables(tree: TreeSpec):
                 last = chain[-1]
             else:
                 last = p_state
-            nxt[last].append(entry.next_state)
-            rew[last].append(entry.reward)
-            term[last].append(entry.terminal)
+            nxt[last].append(entry_state)
+            rew[last].append(child.reward)
+            term[last].append(entering_terminal)
     crit = np.array([0.0 if k == "road" else 1.0 for k in kinds])
     return kinds, nxt, rew, term, crit
 
@@ -345,10 +356,11 @@ def test_transition_table_matches_two_pass_reference(tree):
                 env.step(s, 0, rng)
             continue
         for a in range(len(nxt[s])):
-            tr = env.step(s, a, rng)
-            assert type(tr) is Transition
-            assert tr.reward.hex() == rew[s][a].hex()
-            assert (tr.next_state, tr.terminal) == (nxt[s][a], term[s][a])
+            step = env.step(s, a, rng)
+            assert type(step) is tuple and len(step) == 2
+            r, s2 = step
+            assert r.hex() == rew[s][a].hex()
+            assert (s2, s2 == env.terminal) == (nxt[s][a], term[s][a])
         for a in (-1, len(nxt[s])):
             with pytest.raises(ValueError, match="invalid"):
                 env.step(s, a, rng)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cvslab import ConfigError, ShooterEnv, Transition
+from cvslab import ConfigError, ShooterEnv
 from cvslab.shooter import (
     ACTION_NOOP,
     ACTION_SHOOT_DOWN,
@@ -62,10 +62,7 @@ def test_hit_on_last_column():
     rng = np.random.default_rng(0)
     # flat bullet one column short of the edge, target sitting on its row
     s = _pack(gun=3, trow=2, tdir=1, brow=2, bcol=18, bdir=0)
-    tr = env.step(s, ACTION_NOOP, rng)
-    assert tr.reward == 1.0
-    assert tr.terminal
-    assert tr.next_state == env.terminal
+    assert env.step(s, ACTION_NOOP, rng) == (1.0, env.terminal)
 
 
 def test_hit_compares_against_pre_move_target_row():
@@ -73,74 +70,70 @@ def test_hit_compares_against_pre_move_target_row():
     rng = np.random.default_rng(0)
     # the target would move off row 2 this step; the arrival still counts
     s = _pack(gun=0, trow=2, tdir=1, brow=2, bcol=18, bdir=0)
-    assert env.step(s, ACTION_NOOP, rng).reward == 1.0
+    assert env.step(s, ACTION_NOOP, rng)[0] == 1.0
     # and a target moving onto the row arrives too late
     s = _pack(gun=0, trow=1, tdir=1, brow=2, bcol=18, bdir=0)
-    assert env.step(s, ACTION_NOOP, rng).reward == -1.0
+    assert env.step(s, ACTION_NOOP, rng)[0] == -1.0
 
 
 def test_miss_on_last_column_ends_episode():
     env = ShooterEnv()
     rng = np.random.default_rng(0)
     s = _pack(gun=3, trow=7, tdir=-1, brow=2, bcol=18, bdir=0)
-    tr = env.step(s, ACTION_NOOP, rng)
-    assert tr.reward == -1.0
-    assert tr.terminal
+    assert env.step(s, ACTION_NOOP, rng) == (-1.0, env.terminal)
 
 
 def test_obstacle_blocks_middle_rows():
     env = ShooterEnv()
     rng = np.random.default_rng(0)
     s = _pack(gun=0, trow=9, tdir=1, brow=4, bcol=6, bdir=0)
-    tr = env.step(s, ACTION_NOOP, rng)
-    assert tr.reward == -1.0
-    assert tr.terminal
+    assert env.step(s, ACTION_NOOP, rng) == (-1.0, env.terminal)
     # a row the obstacle does not cover lets the bullet through
     s = _pack(gun=0, trow=9, tdir=1, brow=3, bcol=6, bdir=0)
-    tr = env.step(s, ACTION_NOOP, rng)
-    assert not tr.terminal
-    assert bullet(tr.next_state) == (3, 7, 0)
+    _, s2 = env.step(s, ACTION_NOOP, rng)
+    assert s2 != env.terminal
+    assert bullet(s2) == (3, 7, 0)
 
 
 def test_bullet_reflects_off_walls():
     env = ShooterEnv()
     rng = np.random.default_rng(0)
     s = _pack(gun=5, trow=9, tdir=1, brow=0, bcol=3, bdir=-1)
-    tr = env.step(s, ACTION_NOOP, rng)
-    assert bullet(tr.next_state) == (1, 4, 1)
+    _, s2 = env.step(s, ACTION_NOOP, rng)
+    assert bullet(s2) == (1, 4, 1)
     s = _pack(gun=5, trow=9, tdir=1, brow=9, bcol=3, bdir=1)
-    tr = env.step(s, ACTION_NOOP, rng)
-    assert bullet(tr.next_state) == (8, 4, -1)
+    _, s2 = env.step(s, ACTION_NOOP, rng)
+    assert bullet(s2) == (8, 4, -1)
 
 
 def test_shoot_launches_bullet_at_column_one():
     env = ShooterEnv()
     rng = np.random.default_rng(0)
-    tr = env.step(_pack(gun=5, trow=0, tdir=1), ACTION_SHOOT_FLAT, rng)
-    assert bullet(tr.next_state) == (5, 1, 0)
-    assert _unpack(tr.next_state)[0] == 5
-    tr = env.step(_pack(gun=5, trow=0, tdir=1), ACTION_SHOOT_UP, rng)
-    assert bullet(tr.next_state) == (4, 1, -1)
-    tr = env.step(_pack(gun=5, trow=0, tdir=1), ACTION_SHOOT_DOWN, rng)
-    assert bullet(tr.next_state) == (6, 1, 1)
+    _, s2 = env.step(_pack(gun=5, trow=0, tdir=1), ACTION_SHOOT_FLAT, rng)
+    assert bullet(s2) == (5, 1, 0)
+    assert _unpack(s2)[0] == 5
+    _, s2 = env.step(_pack(gun=5, trow=0, tdir=1), ACTION_SHOOT_UP, rng)
+    assert bullet(s2) == (4, 1, -1)
+    _, s2 = env.step(_pack(gun=5, trow=0, tdir=1), ACTION_SHOOT_DOWN, rng)
+    assert bullet(s2) == (6, 1, 1)
 
 
 def test_shoot_from_wall_reflects_immediately():
     env = ShooterEnv()
     rng = np.random.default_rng(0)
-    tr = env.step(_pack(gun=0, trow=5, tdir=1), ACTION_SHOOT_UP, rng)
-    assert bullet(tr.next_state) == (1, 1, 1)
-    tr = env.step(_pack(gun=9, trow=5, tdir=1), ACTION_SHOOT_DOWN, rng)
-    assert bullet(tr.next_state) == (8, 1, -1)
+    _, s2 = env.step(_pack(gun=0, trow=5, tdir=1), ACTION_SHOOT_UP, rng)
+    assert bullet(s2) == (1, 1, 1)
+    _, s2 = env.step(_pack(gun=9, trow=5, tdir=1), ACTION_SHOOT_DOWN, rng)
+    assert bullet(s2) == (8, 1, -1)
 
 
 def test_target_oscillates_between_walls():
     env = ShooterEnv()
     rng = np.random.default_rng(0)
-    tr = env.step(_pack(gun=5, trow=0, tdir=-1), ACTION_NOOP, rng)
-    assert _unpack(tr.next_state)[1:] == (1, 1, None, None, None)
-    tr = env.step(_pack(gun=5, trow=9, tdir=1), ACTION_NOOP, rng)
-    assert _unpack(tr.next_state)[1:3] == (8, -1)
+    _, s2 = env.step(_pack(gun=5, trow=0, tdir=-1), ACTION_NOOP, rng)
+    assert _unpack(s2)[1:] == (1, 1, None, None, None)
+    _, s2 = env.step(_pack(gun=5, trow=9, tdir=1), ACTION_NOOP, rng)
+    assert _unpack(s2)[1:3] == (8, -1)
 
 
 def test_noop_before_firing_keeps_gun_row():
@@ -148,11 +141,11 @@ def test_noop_before_firing_keeps_gun_row():
     rng = np.random.default_rng(0)
     s = _pack(gun=7, trow=4, tdir=1)
     for _ in range(20):
-        tr = env.step(s, ACTION_NOOP, rng)
-        gun, _, _, brow, _, _ = _unpack(tr.next_state)
+        _, s2 = env.step(s, ACTION_NOOP, rng)
+        gun, _, _, brow, _, _ = _unpack(s2)
         assert brow is None
         assert gun == 7
-        s = tr.next_state
+        s = s2
 
 
 def test_episode_cap_scores_minus_one():
@@ -160,12 +153,12 @@ def test_episode_cap_scores_minus_one():
     rng = np.random.default_rng(0)
     s = env.reset(rng)
     for i in range(3):
-        tr = env.step(s, ACTION_NOOP, rng)
+        r, s2 = env.step(s, ACTION_NOOP, rng)
         if i < 2:
-            assert not tr.terminal
-            s = tr.next_state
-    assert tr.terminal
-    assert tr.reward == -1.0
+            assert s2 != env.terminal
+            s = s2
+    assert s2 == env.terminal
+    assert r == -1.0
 
 
 def test_random_episode_invariants():
@@ -177,10 +170,10 @@ def test_random_episode_invariants():
         while True:
             a = int(rng.integers(4))
             prev_col = _unpack(s)[4]
-            tr = env.step(s, a, rng)
-            if not tr.terminal:
-                assert tr.reward == 0.0
-                col = _unpack(tr.next_state)[4]
+            r, s2 = env.step(s, a, rng)
+            if s2 != env.terminal:
+                assert r == 0.0
+                col = _unpack(s2)[4]
                 if prev_col is not None:
                     # shoot actions are spent once a bullet exists
                     assert col == prev_col + 1
@@ -188,10 +181,10 @@ def test_random_episode_invariants():
                     if fired_col is not None:
                         assert col == fired_col + 1
                     fired_col = col
-                s = tr.next_state
+                s = s2
             else:
-                assert tr.reward in (-1.0, 1.0)
-                assert tr.next_state == env.terminal
+                assert r in (-1.0, 1.0)
+                assert s2 == env.terminal
                 break
 
 
@@ -202,6 +195,17 @@ def test_criticality_is_one_only_before_the_shot():
     assert h(_pack(gun=9, trow=9, tdir=-1)) == 1.0
     assert h(_pack(gun=0, trow=0, tdir=1, brow=5, bcol=5, bdir=0)) == 0.0
     assert h(env.terminal) == 0.0
+
+
+def test_criticality_is_one_exactly_where_the_action_matters():
+    # The shooter's h is structural: 1 exactly at the field ids where two
+    # actions give different steps.  No step here meets the cap.
+    env = ShooterEnv(max_steps=10**9)
+    h = env.criticality()
+    width = env.action_layout()[0]
+    for s in range(env.terminal):
+        steps = {env.step(s, a, None) for a in range(width)}
+        assert h(s) == (1.0 if len(steps) > 1 else 0.0), s
 
 
 def test_config_validation():
@@ -223,9 +227,9 @@ def test_custom_obstacle_rows():
     env = ShooterEnv(obstacle_rows=(0,))
     rng = np.random.default_rng(0)
     s = _pack(gun=0, trow=9, tdir=1, brow=0, bcol=6, bdir=0)
-    assert env.step(s, ACTION_NOOP, rng).reward == -1.0
+    assert env.step(s, ACTION_NOOP, rng)[0] == -1.0
     s = _pack(gun=0, trow=9, tdir=1, brow=4, bcol=6, bdir=0)
-    assert not env.step(s, ACTION_NOOP, rng).terminal
+    assert env.step(s, ACTION_NOOP, rng)[1] != env.terminal
 
 
 def sweep(step, env, steps_before):
@@ -247,16 +251,16 @@ def test_cached_steps_equal_the_reference_on_every_state_and_action():
     for cache in ("cold", "warm"):
         got = sweep(ShooterEnv.step, env, 0)
         assert got == want, cache
-        assert all(type(tr) is Transition for tr in got), cache
+        assert all(type(step) is tuple for step in got), cache
     assert len(env._outcomes) == 4 * 200 + 120_000
 
     # At the cap the reference ends every step that decides nothing with -1.
-    end = Transition(-1.0, env.terminal, True)
-    capped = [tr if tr.terminal else end for tr in want]
+    end = (-1.0, env.terminal)
+    capped = [step if step[1] == env.terminal else end for step in want]
     for max_steps in (1, 2):
         got = sweep(ShooterEnv.step, ShooterEnv(max_steps=max_steps), max_steps - 1)
         assert got == capped, max_steps
-        assert all(type(tr) is Transition for tr in got), max_steps
+        assert all(type(step) is tuple for step in got), max_steps
 
     # a first visit at the cap leaves the uncapped outcome behind
     _OUTCOMES.pop(frozenset((4, 5, 6)), None)
@@ -268,10 +272,10 @@ def test_obstacle_sets_keep_their_own_outcomes():
     assert ShooterEnv(obstacle_rows=[6, 5, 4])._outcomes is ShooterEnv()._outcomes
     # a flat bullet reaching column 7 at row 4 is stopped only by (4, 5, 6)
     s = _pack(gun=4, trow=0, tdir=1, brow=4, bcol=6, bdir=0)
-    blocked = Transition(-1.0, ShooterEnv().terminal, True)
+    blocked = (-1.0, ShooterEnv().terminal)
     for order in [((4, 5, 6), (), (0, 9)), ((), (0, 9), (4, 5, 6))]:
         for rows in order:
             _OUTCOMES.pop(frozenset(rows), None)
         for rows in order:
-            tr = ShooterEnv(obstacle_rows=rows).step(s, ACTION_NOOP, None)
-            assert (tr == blocked) == (rows == (4, 5, 6)), (order, rows)
+            step = ShooterEnv(obstacle_rows=rows).step(s, ACTION_NOOP, None)
+            assert (step == blocked) == (rows == (4, 5, 6)), (order, rows)

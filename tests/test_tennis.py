@@ -62,9 +62,9 @@ def test_agent_racket_bounces_ball():
     env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=5, bcol=2, h_dir=-1, v_dir=0, agent=5, opp=5)
-    tr = env.step(s, ACTION_STAY, rng)
-    assert not tr.terminal
-    state = view(tr.next_state)
+    _, s2 = env.step(s, ACTION_STAY, rng)
+    assert s2 != env.terminal
+    state = view(s2)
     assert (state.bcol, state.h_dir) == (1, 1)
 
 
@@ -72,11 +72,9 @@ def test_missed_ball_scores_against_agent():
     env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=5, bcol=2, h_dir=-1, v_dir=0, agent=0, opp=5)
-    tr = env.step(s, ACTION_STAY, rng)
-    assert not tr.terminal
-    tr = env.step(tr.next_state, ACTION_STAY, rng)
-    assert tr.terminal
-    assert tr.reward == -1.0
+    _, s2 = env.step(s, ACTION_STAY, rng)
+    assert s2 != env.terminal
+    assert env.step(s2, ACTION_STAY, rng) == (-1.0, env.terminal)
 
 
 def test_ball_already_past_racket_is_lost():
@@ -84,9 +82,7 @@ def test_ball_already_past_racket_is_lost():
     rng = np.random.default_rng(0)
     # at column 1 still heading left: the catch happened (or not) last step
     s = _pack(brow=5, bcol=1, h_dir=-1, v_dir=0, agent=5, opp=5)
-    tr = env.step(s, ACTION_STAY, rng)
-    assert tr.terminal
-    assert tr.reward == -1.0
+    assert env.step(s, ACTION_STAY, rng) == (-1.0, env.terminal)
 
 
 def test_opponent_miss_scores_for_agent():
@@ -94,20 +90,18 @@ def test_opponent_miss_scores_for_agent():
     rng = np.random.default_rng(0)
     # opponent too far away to reach row 0 in one move
     s = _pack(brow=0, bcol=37, h_dir=1, v_dir=0, agent=5, opp=19)
-    tr = env.step(s, ACTION_STAY, rng)
-    assert not tr.terminal
-    tr = env.step(tr.next_state, ACTION_STAY, rng)
-    assert tr.terminal
-    assert tr.reward == 1.0
+    _, s2 = env.step(s, ACTION_STAY, rng)
+    assert s2 != env.terminal
+    assert env.step(s2, ACTION_STAY, rng) == (1.0, env.terminal)
 
 
 def test_perfect_opponent_returns_reachable_ball():
     env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=4, bcol=37, h_dir=1, v_dir=0, agent=5, opp=5)
-    tr = env.step(s, ACTION_STAY, rng)
-    assert not tr.terminal
-    state = view(tr.next_state)
+    _, s2 = env.step(s, ACTION_STAY, rng)
+    assert s2 != env.terminal
+    state = view(s2)
     assert (state.bcol, state.h_dir) == (38, -1)
     assert state.opp == 4
 
@@ -116,12 +110,12 @@ def test_ball_reflects_off_walls():
     env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=0, bcol=20, h_dir=1, v_dir=-1, agent=5, opp=5)
-    tr = env.step(s, ACTION_STAY, rng)
-    state = view(tr.next_state)
+    _, s2 = env.step(s, ACTION_STAY, rng)
+    state = view(s2)
     assert (state.brow, state.v_dir) == (1, 1)
     s = _pack(brow=19, bcol=20, h_dir=1, v_dir=1, agent=5, opp=5)
-    tr = env.step(s, ACTION_STAY, rng)
-    state = view(tr.next_state)
+    _, s2 = env.step(s, ACTION_STAY, rng)
+    state = view(s2)
     assert (state.brow, state.v_dir) == (18, -1)
 
 
@@ -129,20 +123,18 @@ def test_agent_moves_clamp_at_walls():
     env = TennisEnv(p_optimal=1.0)
     rng = np.random.default_rng(0)
     s = _pack(brow=10, bcol=20, h_dir=1, v_dir=0, agent=0, opp=10)
-    tr = env.step(s, ACTION_UP, rng)
-    assert view(tr.next_state).agent == 0
+    _, s2 = env.step(s, ACTION_UP, rng)
+    assert view(s2).agent == 0
     s = _pack(brow=10, bcol=20, h_dir=1, v_dir=0, agent=19, opp=10)
-    tr = env.step(s, ACTION_DOWN, rng)
-    assert view(tr.next_state).agent == 19
+    _, s2 = env.step(s, ACTION_DOWN, rng)
+    assert view(s2).agent == 19
 
 
 def test_rally_cap_ends_with_zero_reward():
     env = TennisEnv(max_steps=1)
     rng = np.random.default_rng(0)
     s = env.reset(rng)
-    tr = env.step(s, ACTION_STAY, rng)
-    assert tr.terminal
-    assert tr.reward == 0.0
+    assert env.step(s, ACTION_STAY, rng) == (0.0, env.terminal)
 
 
 def test_opponent_follows_ball_at_stated_frequency():
@@ -155,14 +147,14 @@ def test_opponent_follows_ball_at_stated_frequency():
     for _ in range(n):
         brow, _, _, _, _, opp = _unpack(s)
         want = (opp < brow) - (opp > brow)  # the row delta that closes on the ball
-        tr = env.step(s, int(rng.integers(3)), rng)
-        if tr.terminal:
+        _, s2 = env.step(s, int(rng.integers(3)), rng)
+        if s2 == env.terminal:
             s = env.reset(rng)
             continue
         if 1 <= opp <= ROWS - 2:
             counted += 1
-            matched += (_unpack(tr.next_state)[5] - opp) == want
-        s = tr.next_state
+            matched += (_unpack(s2)[5] - opp) == want
+        s = s2
     assert counted > n // 2
     freq = matched / counted
     assert abs(freq - (0.8 + 0.2 / 3)) < 0.02
