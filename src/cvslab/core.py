@@ -1,7 +1,8 @@
 """Core tabular-MDP pieces shared by every agent and environment.
 
 States and actions are dense non-negative integers.  Each environment owns a
-single absorbing TERMINAL sink whose Q-row is pinned to zero; a step returns
+single absorbing TERMINAL sink, its last state id and the only state without
+actions, whose Q-row is pinned to zero; a step returns
 ``(reward, next_state)``, and the step into the sink ends the episode.  All
 value mutation goes through :func:`q_update` or its batched twin
 :func:`q_update_traced`, so learning code can be audited by its write count.
@@ -10,12 +11,14 @@ A table's values are a flat ``memoryview`` of doubles, so the per-step
 helpers (:func:`greedy_actions`, :func:`epsilon_greedy`, :func:`q_update`,
 :meth:`QTable.row_max`, ``QTable.__getitem__``) read and write Python floats
 and ints, and a row is the ``tolist()`` of its slice.
-Each checks its guards once.  Nothing on a run's path imports numpy; only
-:meth:`QTable.as_array` does.
+Each checks its guards once, a single bound ``0 <= s < terminal`` on the
+state.  Nothing on a run's path imports numpy; only :meth:`QTable.as_array`
+does.
 
-A table is built from its environment's action layout: the widest action
-count plus the few states with fewer actions (TERMINAL among them).  It holds
-no per-state count array, so a run's resident table is the pages it writes.
+A table is built from its environment's action layout and sink id: the
+widest action count plus the few states below the sink with fewer actions.
+It holds no per-state count array, so a run's resident table is the pages it
+writes.
 
 All randomness of a run flows through one draw source, which the harness
 passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
@@ -141,11 +144,14 @@ class AgentParams:
 
 
 class Environment(ABC):
-    """Tabular episodic MDP with integer states and a shared TERMINAL sink.
+    """Tabular episodic MDP with integer states and one absorbing TERMINAL sink.
 
-    Each fact of the dynamics is stated once: a state's action count only by
+    Each fact of the dynamics is stated once: the state space only by
+    :attr:`terminal`, the last id, a state's action count only by
     :meth:`action_layout`, and the end of an episode only by a step into
-    :attr:`terminal`.  A custom environment provides the six members below.
+    :attr:`terminal`.  The states are ``[0, terminal]``; every one below the
+    sink has at least one action, and the sink has none.  A custom
+    environment provides the five abstract members below.
 
     Implementations keep their dynamics immutable; the only per-episode
     bookkeeping an environment may hold is a step counter for episode caps,
@@ -156,21 +162,20 @@ class Environment(ABC):
     """
 
     @property
-    @abstractmethod
     def num_states(self) -> int:
-        raise NotImplementedError
+        return self.terminal + 1
 
     @property
     @abstractmethod
     def terminal(self) -> StateId:
-        """Id of the absorbing sink state."""
+        """Id of the absorbing sink state, the last state."""
         raise NotImplementedError
 
     @abstractmethod
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
         """``(width, narrow)``: the widest action count (at least 1), and each
-        state with fewer actions mapped to its count, TERMINAL included.  A
-        state's action count is ``narrow.get(s, width)``."""
+        state below the sink with fewer actions mapped to its count, in
+        ``[1, width)``.  A state's action count is ``narrow.get(s, width)``."""
         raise NotImplementedError
 
     @abstractmethod
@@ -181,7 +186,7 @@ class Environment(ABC):
     @abstractmethod
     def step(self, s: StateId, a: ActionId, rng: Draws) -> tuple[float, StateId]:
         """``(reward, next_state)`` of action ``a`` in ``s``; raises ``ValueError``
-        for TERMINAL, an id outside ``[0, num_states)`` or an action ``s`` lacks."""
+        for TERMINAL, an id outside ``[0, terminal]`` or an action ``s`` lacks."""
         raise NotImplementedError
 
     @abstractmethod
@@ -190,16 +195,22 @@ class Environment(ABC):
         raise NotImplementedError
 
 
+def _state_error(terminal: StateId, s: StateId, at_sink: str) -> ValueError:
+    """The error for a state ``s`` outside ``[0, terminal)``: ``at_sink`` at the sink."""
+    return ValueError(at_sink if s == terminal else f"state {s} out of range")
+
+
 class QTable:
     """Dense (state x action) value table.
 
     Built from an action layout ``(width, narrow)`` (see
-    :meth:`Environment.action_layout`): every row is ``width`` slots wide,
+    :meth:`Environment.action_layout`) and the sink id ``terminal``: there is
+    a row for each state ``[0, terminal]``, every row ``width`` slots wide,
     and a state in ``narrow`` with ``k`` actions has its slots from ``k`` on
     padded with ``-inf``, so they can never win an argmax.  A state's action
     count is ``narrow.get(s, width)``; the table keeps no per-state array.
     The values are one flat ``memoryview`` of doubles, ``(s, a)`` at
-    ``s * width + a``.  Every reader checks ``0 <= s < num_states`` first: that
+    ``s * width + a``.  Every reader checks ``0 <= s < terminal`` first: that
     lookup would give ``s = -1`` a full row, and a negative index counts from
     the end.  ``q[s, a]`` also rejects an action outside ``s``'s count, as
     :func:`q_update` does, so it never returns padding.  The TERMINAL row,
@@ -216,24 +227,20 @@ class QTable:
 
     def __init__(
         self,
-        num_states: int,
         layout: tuple[int, dict[StateId, int]],
         terminal: StateId,
         initial_value: float = 0.0,
     ):
         width, narrow = layout
-        if num_states < 1:
-            raise ValueError(f"num_states must be >= 1, got {num_states}")
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        if not 0 <= terminal < num_states:
+        if terminal < 0:
             raise ValueError(f"terminal id {terminal} out of range")
-        self._num_states = int(num_states)
         self._width = width = int(width)
         self._narrow = dict(narrow)
-        self._terminal = int(terminal)
+        self._terminal = terminal = int(terminal)
         initial = float(initial_value)
-        size = self._num_states * width
+        size = (terminal + 1) * width
         if initial == 0.0 and math.copysign(1.0, initial) > 0.0:
             # Not a filled array: malloc would reuse a freed table's heap
             # pages or map new ones depending on the heap's history, which
@@ -242,21 +249,20 @@ class QTable:
         else:
             values = memoryview(array("d", [initial]) * size)
         for s, k in self._narrow.items():
-            if not (0 <= s < num_states and 0 <= k < width):
+            if not (0 <= s < terminal and 1 <= k < width):
                 raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
             values[s * width + k : (s + 1) * width] = array("d", [-math.inf]) * (width - k)
-        row = self._terminal * width
-        values[row : row + width] = array("d", [0.0]) * width
+        values[terminal * width :] = array("d", [0.0]) * width
         self._values = values
         self._writes = 0
 
     @classmethod
     def for_env(cls, env: Environment, initial_value: float = 0.0) -> "QTable":
-        return cls(env.num_states, env.action_layout(), env.terminal, initial_value)
+        return cls(env.action_layout(), env.terminal, initial_value)
 
     @property
     def num_states(self) -> int:
-        return self._num_states
+        return self._terminal + 1
 
     @property
     def terminal(self) -> StateId:
@@ -268,46 +274,41 @@ class QTable:
         return self._writes
 
     def num_actions(self, s: StateId) -> int:
-        if not 0 <= s < self._num_states:
+        if not 0 <= s < self._terminal:
+            if s == self._terminal:
+                return 0
             raise ValueError(f"state {s} out of range")
         return self._narrow.get(s, self._width)
 
     def __getitem__(self, sa: tuple[StateId, ActionId]) -> float:
         s, a = sa
-        if not 0 <= s < self._num_states:
-            raise ValueError(f"state {s} out of range")
+        if not 0 <= s < self._terminal:
+            raise _state_error(self._terminal, s, f"action {a} invalid for state {s}")
         if not 0 <= a < self._narrow.get(s, self._width):
             raise ValueError(f"action {a} invalid for state {s}")
         return self._values[s * self._width + a]
 
     def row_max(self, s: StateId) -> float:
-        if not 0 <= s < self._num_states:
-            raise ValueError(f"state {s} out of range")
-        k = self._narrow.get(s, self._width)
-        if k == 0:
-            raise ValueError(f"state {s} has no actions")
+        if not 0 <= s < self._terminal:
+            raise _state_error(self._terminal, s, f"state {s} has no actions")
         row = s * self._width
-        return max(self._values[row : row + k].tolist())
+        return max(self._values[row : row + self._narrow.get(s, self._width)].tolist())
 
     def as_array(self) -> "numpy.ndarray":
         """Copy of the full padded table as a ``(num_states, width)`` numpy
-        array (for snapshots and comparisons)."""
+        array (for snapshots and comparisons).  Needs numpy, which only the
+        ``test`` extra installs."""
         import numpy
 
-        return numpy.array(self._values).reshape(self._num_states, self._width)
+        return numpy.array(self._values).reshape(self.num_states, self._width)
 
 
 def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:
     """All actions of ``s`` tied at the maximal Q value, ascending."""
-    if s == q._terminal:
-        raise ValueError("greedy_actions is undefined at the TERMINAL state")
-    if not 0 <= s < q._num_states:
-        raise ValueError(f"state {s} out of range")
-    k = q._narrow.get(s, q._width)
-    if k == 0:
-        raise ValueError(f"state {s} has no actions")
+    if not 0 <= s < q._terminal:
+        raise _state_error(q._terminal, s, "greedy_actions is undefined at the TERMINAL state")
     row = s * q._width
-    return _ties(q._values[row : row + k].tolist())
+    return _ties(q._values[row : row + q._narrow.get(s, q._width)].tolist())
 
 
 def _ties(row: list[float]) -> list[ActionId]:
@@ -475,13 +476,9 @@ def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: Draws) -> ActionI
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if s == q._terminal:
-        raise ValueError("epsilon_greedy is undefined at the TERMINAL state")
-    if not 0 <= s < q._num_states:
-        raise ValueError(f"state {s} out of range")
+    if not 0 <= s < q._terminal:
+        raise _state_error(q._terminal, s, "epsilon_greedy is undefined at the TERMINAL state")
     k = q._narrow.get(s, q._width)
-    if k == 0:
-        raise ValueError(f"state {s} has no actions")
     if k == 1:
         return 0
     if epsilon > 0.0 and rng.random() < epsilon:
@@ -507,10 +504,8 @@ def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) ->
 
 
 def _check_writable(q: QTable, s: StateId, a: ActionId) -> None:
-    if s == q._terminal:
-        raise ValueError("the TERMINAL Q-row is immutable")
-    if not 0 <= s < q._num_states:
-        raise ValueError(f"state {s} out of range")
+    if not 0 <= s < q._terminal:
+        raise _state_error(q._terminal, s, "the TERMINAL Q-row is immutable")
     if not 0 <= a < q._narrow.get(s, q._width):
         raise ValueError(f"action {a} invalid for state {s}")
 

@@ -5,12 +5,12 @@ An edge of distance ``d`` expands into ``d - 1`` intermediate "road" states
 with a single action each, so the agent drives a long, decision-free stretch
 between junctions.  Reward is delivered on entering a junction or terminal
 node (the node's own reward; the root's is never delivered); road states pay
-zero.  Entering a terminal node ends the episode: the step fuses the node's
-reward with the move into the shared TERMINAL sink, so terminal-node states
-are indexed but never occupied.
+zero.  Entering a terminal node ends the episode: the step pays the node's
+reward and moves into the shared TERMINAL sink, so a terminal node has no
+state of its own.  The states are the junctions and the roads, then the sink.
 
-Criticality is 1 at junctions, terminal nodes and the sink (states where the
-outcome hinges on a choice or has just been decided) and 0 on road states.
+Criticality is 1 at junctions and the sink (states where the outcome hinges
+on a choice or has just been decided) and 0 on road states.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ class RoadTreeEnv(Environment):
 
     Each state keeps its criticality and a row of ``(reward, next_state)``
     steps, one per action.  :meth:`node_state` gives the state of a declared
-    node; the sink is the last state.
+    junction; the sink is the last state.
     """
 
     def __init__(self, tree: TreeSpec):
@@ -285,9 +285,10 @@ class RoadTreeEnv(Environment):
             crit.append(h)
             return len(table) - 1
 
-        # Every non-root node adds its edge's d - 1 road states plus its own,
-        # so the sink, allocated last, gets this id.
-        sink = 1 + sum(e.distance for e in tree.edges)
+        # Every junction and every edge's d - 1 road states get a state, so
+        # the sink, allocated last, gets this id.
+        junctions = sum(n.kind == KIND_JUNCTION for n in tree.nodes)
+        sink = junctions + sum(e.distance - 1 for e in tree.edges)
         node_state = {tree.root: new_state(1.0)}
         # junction state -> per action (child node reward, child junction state
         # or the sink): the tree with its roads contracted.
@@ -306,23 +307,20 @@ class RoadTreeEnv(Environment):
                     table[last].append((0.0, road))
                     last = road
                 child = tree.node(e.child)
-                c_state = node_state[child.id] = new_state(1.0)
-                entered = sink if child.kind == KIND_TERMINAL else c_state
+                if child.kind == KIND_TERMINAL:
+                    entered = sink
+                else:
+                    entered = node_state[child.id] = new_state(1.0)
+                    order.append(child.id)
                 table[last].append((child.reward, entered))
                 moves[p_state].append((child.reward, entered))
-                if entered != sink:
-                    order.append(child.id)
-        new_state(1.0)
+        crit.append(1.0)  # the sink's, which has no row of steps
 
         self._node_state = node_state
         self._sink = sink
         self._table = table
         self._crit = crit
         self.junction_moves = moves
-
-    @property
-    def num_states(self) -> int:
-        return len(self._table)
 
     @property
     def terminal(self) -> StateId:

@@ -120,15 +120,11 @@ class ShooterEnv(Environment):
         self._steps = 0
 
     @property
-    def num_states(self) -> int:
-        return _TERMINAL + 1
-
-    @property
     def terminal(self) -> StateId:
         return _TERMINAL
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return _N_ACTIONS, {_TERMINAL: 0}
+        return _N_ACTIONS, {}
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0

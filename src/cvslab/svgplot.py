@@ -56,22 +56,33 @@ def render_line_chart(
     width: int = 800,
     height: int = 500,
 ) -> str:
-    """Render labelled curves (y-values against their index) to SVG text."""
+    """Render labelled curves (y-values against their index) to SVG text.
+
+    A non-finite value, or a y-range beyond the largest float, raises
+    ``ValueError`` naming its curve."""
     if not curves:
         raise ValueError("nothing to plot")
     for label, ys in curves:
         if len(ys) == 0:
             raise ValueError(f"curve {label!r} is empty")
+        if not all(map(math.isfinite, ys)):
+            raise ValueError(f"curve {label!r} has a non-finite value")
 
     x_max = max(len(ys) - 1 for _, ys in curves)
-    y_lo = min(min(ys) for _, ys in curves)
-    y_hi = max(max(ys) for _, ys in curves)
-    if y_hi == y_lo:
-        y_lo -= 1.0
-        y_hi += 1.0
+    y_lo, lo_label = min((min(ys), label) for label, ys in curves)
+    y_hi, hi_label = max((max(ys), label) for label, ys in curves)
     pad = 0.05 * (y_hi - y_lo)
+    if y_lo - pad == y_lo or y_hi + pad == y_hi:
+        # Flat, or so narrow that ticks would not advance: widen by 1, or
+        # by 1e-12 of values past 1e12, where adding 1 changes nothing.
+        widen = max(1.0, 1e-12 * max(-y_lo, y_hi))
+        y_lo -= widen
+        y_hi += widen
+        pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError(f"y-range of curves {lo_label!r} to {hi_label!r} overflows a float")
 
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM

@@ -74,15 +74,11 @@ class TennisEnv(Environment):
         self._steps = 0
 
     @property
-    def num_states(self) -> int:
-        return _N_FIELD + 1
-
-    @property
     def terminal(self) -> StateId:
         return _N_FIELD
 
     def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return _N_ACTIONS, {_N_FIELD: 0}
+        return _N_ACTIONS, {}
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from itertools import accumulate, repeat
 
@@ -21,6 +22,7 @@ from cvslab import (
     cvs_episode,
     fig1_tree,
     fig3_tree,
+    fig6_tree,
     mc_episode,
     n_step_sarsa_episode,
     q_learning_episode,
@@ -49,15 +51,11 @@ class ChainEnv(Environment):
         self._rewards = tuple(float(r) for r in rewards)
 
     @property
-    def num_states(self):
-        return len(self._rewards) + 1
-
-    @property
     def terminal(self):
         return len(self._rewards)
 
     def action_layout(self):
-        return 1, {self.terminal: 0}
+        return 1, {}
 
     def reset(self, rng):
         return 0
@@ -78,15 +76,11 @@ class LoopEnv(Environment):
         self._t = 0
 
     @property
-    def num_states(self):
-        return 2
-
-    @property
     def terminal(self):
         return 1
 
     def action_layout(self):
-        return 1, {1: 0}
+        return 1, {}
 
     def reset(self, rng):
         self._t = 0
@@ -466,6 +460,32 @@ def test_qlambda_zero_lambda_equals_q_learning():
         episodes=20,
     )
     assert ok, f"tables diverged at (seed, episode) {where}"
+
+
+REDUCTION_ENVS = {
+    "fig1": lambda: RoadTreeEnv(fig1_tree()),
+    "fig6": lambda: RoadTreeEnv(fig6_tree()),
+    "shooter": ShooterEnv,
+    "tennis": TennisEnv,
+}
+
+
+@pytest.mark.parametrize("q_init", [0.0, 0.5])
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("name", sorted(REDUCTION_ENVS))
+def test_watkins_zero_lambda_is_q_learning_bit_for_bit(name, gamma, q_init):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.0)
+    for seed in (0, 1):
+        env_a, env_b = REDUCTION_ENVS[name](), REDUCTION_ENVS[name]()
+        q_a, q_b = fresh(env_a, q_init), fresh(env_b, q_init)
+        rng_a, rng_b = DrawStream(seed, (0,)), DrawStream(seed, (0,))
+        for episode in range(30):
+            a = watkins_qlambda_episode(env_a, q_a, params, rng_a)
+            b = q_learning_episode(env_b, q_b, params, rng_b)
+            assert (a.total_reward, a.steps) == (b.total_reward, b.steps), (seed, episode)
+        assert q_a.writes == q_b.writes
+        assert hashlib.sha256(q_a._values).digest() == hashlib.sha256(q_b._values).digest()
+        assert rng_a.random().hex() == rng_b.random().hex()
 
 
 def test_episode_log_bookkeeping():

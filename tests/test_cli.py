@@ -401,6 +401,14 @@ def test_plot_unplottable_value_exits_two_and_names_the_line(tmp_path, capsys, s
     assert f"curves.csv: {csv}:{line}: " in capsys.readouterr().err
 
 
+def test_plot_of_a_range_that_underflows_writes_an_svg(tmp_path):
+    rows = "episode,return_mean,return_smoothed\n0,0,0\n1,0,5e-324\n"
+    (tmp_path / "c.csv").write_text(rows, encoding="utf-8")
+    (tmp_path / "plot.json").write_bytes(plot_spec("c.csv"))
+    assert main(["plot", str(tmp_path / "plot.json")]) == 0
+    assert (tmp_path / "x.svg").read_text(encoding="utf-8").count("<polyline") == 1
+
+
 def test_plot_of_a_run_that_overflowed_exits_two(tmp_path, capsys):
     # Two rewards of 1e308 sum to inf, which the run writes into its CSV.
     nodes = [

@@ -23,13 +23,14 @@ from cvslab.core import _DRAW_BLOCK, DrawStream, q_index, q_update, q_update_tra
 
 
 def layout_of(counts):
-    """The action layout of a per-state count list."""
-    width = max(1, max(counts))
+    """The action layout of the action counts of the states below the sink."""
+    width = max([1, *counts])
     return width, {s: k for s, k in enumerate(counts) if k < width}
 
 
-def make_table(counts, terminal, initial=0.0):
-    return QTable(len(counts), layout_of(counts), terminal, initial)
+def make_table(counts, initial=0.0):
+    """A table for states with these action counts, then the sink."""
+    return QTable(layout_of(counts), len(counts), initial)
 
 
 def test_agent_params_defaults():
@@ -70,10 +71,11 @@ def test_agent_params_rejects_bad_values(kwargs, fragment):
 
 
 def test_qtable_padding_and_terminal_row():
-    q = make_table([2, 3, 0], terminal=2, initial=0.5)
+    q = make_table([2, 3], initial=0.5)
     assert q.num_states == 3
     assert q.num_actions(0) == 2
     assert q.num_actions(1) == 3
+    assert q.num_actions(2) == 0
     arr = q.as_array()
     assert arr.shape == (3, 3)
     assert arr[0, 2] == -np.inf
@@ -125,6 +127,13 @@ def test_envs_reject_out_of_range_states(env_name):
 
 
 @pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
+def test_layouts_list_only_states_below_the_sink(env_name):
+    env = GUARD_ENVS[env_name]()
+    width, narrow = env.action_layout()
+    assert all(0 <= s < env.terminal and 1 <= k < width for s, k in narrow.items())
+
+
+@pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
 def test_envs_take_the_actions_their_layout_states(env_name):
     # action_layout() is the one statement of the action count that step checks
     env = GUARD_ENVS[env_name]()
@@ -151,30 +160,29 @@ def test_getitem_rejects_actions_the_state_lacks(a):
     assert q.writes == 0
 
 
-def reference_qtable_values(counts, terminal, initial):
-    """Construction before zero pages: fill every slot, then mask the padding."""
-    counts = np.asarray(counts, dtype=np.int16)
+def reference_qtable_values(counts, initial):
+    """Construction before zero pages: fill every slot, then mask the padding;
+    the sink is the row after ``counts``."""
+    counts = np.asarray([*counts, 0], dtype=np.int16)
     width = max(1, int(counts.max()))
     values = np.full((len(counts), width), float(initial), dtype=np.float64)
     values[np.arange(width) >= counts[:, None]] = -np.inf
-    values[terminal, :] = 0.0
+    values[-1, :] = 0.0
     return values
 
 
 @given(
-    counts=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+    counts=st.lists(st.integers(1, 4), max_size=12),
     initial=st.sampled_from((0.0, -0.0, 5.0, -1.5)),
-    data=st.data(),
 )
-def test_qtable_construction_matches_fill_and_mask_reference(counts, initial, data):
-    terminal = data.draw(st.integers(0, len(counts) - 1))
-    q = make_table(counts, terminal, initial)
+def test_qtable_construction_matches_fill_and_mask_reference(counts, initial):
+    q = make_table(counts, initial)
     # tobytes tells -0.0 from 0.0, which == does not
-    assert q.as_array().tobytes() == reference_qtable_values(counts, terminal, initial).tobytes()
+    assert q.as_array().tobytes() == reference_qtable_values(counts, initial).tobytes()
 
 
 def test_qtable_row_and_row_max():
-    q = make_table([3, 1], terminal=1)
+    q = make_table([3])
     q_update(q, 0, 1, 5.0, 1.0)
     # the valid action values of a row, copied out of the table
     row = q.as_array()[0, : q.num_actions(0)]
@@ -188,7 +196,7 @@ def test_qtable_row_and_row_max():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("initial", [0.0, 0.5])
 def test_qtable_memory_is_private_to_its_process(initial):
-    q = make_table([2, 1], terminal=1, initial=initial)
+    q = make_table([2], initial=initial)
     pid = os.fork()
     if pid == 0:  # pragma: no cover - child process
         q_update(q, 0, 0, 7.0, 1.0)
@@ -201,15 +209,14 @@ def test_qtable_memory_is_private_to_its_process(initial):
 
 
 def test_qtable_rejects_bad_shapes():
-    with pytest.raises(ValueError, match="num_states"):
-        QTable(0, (1, {}), 0)
     with pytest.raises(ValueError, match="width"):
-        QTable(2, (0, {}), 0)
+        QTable((0, {}), 1)
     with pytest.raises(ValueError, match="terminal"):
-        make_table([1, 1], terminal=5)
-    for narrow in ({2: 0}, {-1: 0}, {0: 2}, {0: -1}):
+        QTable((1, {}), -1)
+    # the sink is the only state without actions, and no layout lists it
+    for narrow in ({1: 0}, {0: 0}, {2: 1}, {-1: 1}, {0: 2}, {0: -1}):
         with pytest.raises(ValueError, match="does not fit"):
-            QTable(2, (2, narrow), 1)
+            QTable((2, narrow), 1)
 
 
 def test_tennis_table_allocates_no_per_state_array():
@@ -225,7 +232,7 @@ def test_tennis_table_allocates_no_per_state_array():
 
 
 def test_q_update_moves_toward_target():
-    q = make_table([2, 1], terminal=1)
+    q = make_table([2])
     q_update(q, 0, 0, 1.0, 0.1)
     assert q[0, 0] == 0.1
     q_update(q, 0, 0, 1.0, 0.1)
@@ -234,7 +241,7 @@ def test_q_update_moves_toward_target():
 
 
 def test_q_update_guards():
-    q = make_table([2, 1], terminal=1)
+    q = make_table([2])
     with pytest.raises(ValueError):
         q_update(q, 1, 0, 1.0, 0.1)
     with pytest.raises(ValueError):
@@ -243,7 +250,7 @@ def test_q_update_guards():
 
 
 def test_q_index_applies_the_q_update_guards():
-    q = make_table([2, 1], terminal=1)
+    q = make_table([2])
     assert q_index(q, 0, 1) == 1
     with pytest.raises(ValueError, match="TERMINAL"):
         q_index(q, 1, 0)
@@ -253,9 +260,9 @@ def test_q_index_applies_the_q_update_guards():
 
 def test_q_update_traced_matches_one_q_update_per_entry():
     rng = np.random.default_rng(9)
-    q = make_table([3, 2, 0, 3], terminal=2, initial=0.7)
-    ref = make_table([3, 2, 0, 3], terminal=2, initial=0.7)
-    pairs = [(3, 2), (0, 1), (1, 0), (0, 0)]
+    q = make_table([3, 2, 3], initial=0.7)
+    ref = make_table([3, 2, 3], initial=0.7)
+    pairs = [(2, 2), (0, 1), (1, 0), (0, 0)]
     idx = [q_index(q, s, a) for s, a in pairs]
     traces = rng.random(len(pairs)).tolist()
     delta, alpha = 0.37, 0.3
@@ -269,7 +276,7 @@ def test_q_update_traced_matches_one_q_update_per_entry():
 
 
 def test_greedy_actions_orders_ties_ascending():
-    q = make_table([4, 1], terminal=1)
+    q = make_table([4])
     assert greedy_actions(q, 0) == [0, 1, 2, 3]
     q_update(q, 0, 2, 1.0, 1.0)
     assert greedy_actions(q, 0) == [2]
@@ -278,13 +285,13 @@ def test_greedy_actions_orders_ties_ascending():
 
 
 def test_greedy_actions_guards():
-    q = make_table([2, 1], terminal=1)
+    q = make_table([2])
     with pytest.raises(ValueError):
         greedy_actions(q, 1)
 
 
 def test_epsilon_greedy_uniform_when_fully_random():
-    q = make_table([4, 1], terminal=1)
+    q = make_table([4])
     rng = np.random.default_rng(0)
     n = 10_000
     counts = np.zeros(4)
@@ -295,7 +302,7 @@ def test_epsilon_greedy_uniform_when_fully_random():
 
 
 def test_epsilon_greedy_mostly_greedy():
-    q = make_table([2, 1], terminal=1)
+    q = make_table([2])
     q_update(q, 0, 0, 5.0, 1.0)
     rng = np.random.default_rng(1)
     n = 20_000
@@ -305,7 +312,7 @@ def test_epsilon_greedy_mostly_greedy():
 
 
 def test_epsilon_greedy_breaks_ties_uniformly():
-    q = make_table([2, 1], terminal=1)
+    q = make_table([2])
     rng = np.random.default_rng(2)
     n = 10_000
     hits = sum(epsilon_greedy(q, 0, 0.0, rng) == 0 for _ in range(n))
@@ -313,7 +320,7 @@ def test_epsilon_greedy_breaks_ties_uniformly():
 
 
 def test_epsilon_greedy_single_action_consumes_no_randomness():
-    q = make_table([1, 2, 1], terminal=2)
+    q = make_table([1, 2])
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
     assert epsilon_greedy(q, 0, 0.5, rng) == 0
@@ -321,24 +328,27 @@ def test_epsilon_greedy_single_action_consumes_no_randomness():
 
 
 def test_guard_messages():
-    # state 1 has no actions but is not TERMINAL; state 2 is TERMINAL
-    q = make_table([2, 0, 1], terminal=2)
+    # state 2 is TERMINAL, the only state without actions
+    q = make_table([2, 1])
     rng = np.random.default_rng(0)
     cases = [
         (lambda: greedy_actions(q, 2), "greedy_actions is undefined at the TERMINAL state"),
         (lambda: greedy_actions(q, 3), "state 3 out of range"),
-        (lambda: greedy_actions(q, 1), "state 1 has no actions"),
         (lambda: epsilon_greedy(q, 0, 1.5, rng), "epsilon must be in [0, 1], got 1.5"),
         (lambda: epsilon_greedy(q, -1, -0.5, rng), "epsilon must be in [0, 1], got -0.5"),
         (lambda: epsilon_greedy(q, 2, 0.1, rng), "epsilon_greedy is undefined at the TERMINAL state"),
         (lambda: epsilon_greedy(q, -1, 0.1, rng), "state -1 out of range"),
-        (lambda: epsilon_greedy(q, 1, 0.1, rng), "state 1 has no actions"),
         (lambda: q_update(q, 2, 0, 1.0, 0.5), "the TERMINAL Q-row is immutable"),
         (lambda: q_update(q, 3, 0, 1.0, 0.5), "state 3 out of range"),
         (lambda: q_update(q, 0, 2, 1.0, 0.5), "action 2 invalid for state 0"),
-        (lambda: q_update(q, 1, 0, 1.0, 0.5), "action 0 invalid for state 1"),
+        (lambda: q_update(q, 1, 1, 1.0, 0.5), "action 1 invalid for state 1"),
         (lambda: q_index(q, 2, 0), "the TERMINAL Q-row is immutable"),
         (lambda: q_index(q, 0, -1), "action -1 invalid for state 0"),
+        (lambda: q.row_max(2), "state 2 has no actions"),
+        (lambda: q.row_max(-1), "state -1 out of range"),
+        (lambda: q[2, 0], "action 0 invalid for state 2"),
+        (lambda: q[3, 0], "state 3 out of range"),
+        (lambda: q.num_actions(3), "state 3 out of range"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as info:
@@ -348,7 +358,7 @@ def test_guard_messages():
 
 
 def test_epsilon_greedy_guards():
-    q = make_table([2, 1], terminal=1)
+    q = make_table([2])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         epsilon_greedy(q, 0, 1.5, rng)
@@ -357,12 +367,12 @@ def test_epsilon_greedy_guards():
 
 
 def test_terminal_row_survives_everything():
-    q = make_table([2, 3, 1], terminal=1, initial=2.0)
+    q = make_table([2, 3], initial=2.0)
     rng = np.random.default_rng(4)
     for _ in range(50):
         q_update(q, 0, int(rng.integers(2)), float(rng.normal()), 0.3)
-        q_update(q, 2, 0, float(rng.normal()), 0.3)
-    assert np.all(q.as_array()[1] == 0.0)
+        q_update(q, 1, 2, float(rng.normal()), 0.3)
+    assert np.all(q.as_array()[2] == 0.0)
 
 
 # The numpy-scalar versions of the per-step helpers, kept as references for
@@ -389,8 +399,6 @@ def reference_greedy_actions(q, s):
     if s == q.terminal:
         raise ValueError("greedy_actions is undefined at the TERMINAL state")
     k = q.num_actions(s)
-    if k == 0:
-        raise ValueError(f"state {s} has no actions")
     row = grid(q)[s]
     best = row[0]
     ties = [0]
@@ -410,8 +418,6 @@ def reference_epsilon_greedy(q, s, epsilon, rng):
     if s == q.terminal:
         raise ValueError("epsilon_greedy is undefined at the TERMINAL state")
     k = q.num_actions(s)
-    if k == 0:
-        raise ValueError(f"state {s} has no actions")
     if k == 1:
         return 0
     if epsilon > 0.0 and rng.random() < epsilon:
@@ -428,12 +434,12 @@ ROW_VALUES = (-1.0, -0.0, 0.0, 1.0, 2.0)
 
 @st.composite
 def filled_tables(draw):
-    """A single-action state, then 1-6 states of 1-4 actions, then a TERMINAL;
+    """A single-action state, then 1-6 states of 1-4 actions, then the sink;
     valid slots drawn from ROW_VALUES, some rows all tied, and narrower rows
     keep their -inf padding."""
-    counts = [1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)), 0]
-    q = make_table(counts, terminal=len(counts) - 1)
-    for s, k in enumerate(counts[:-1]):
+    counts = [1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))]
+    q = make_table(counts)
+    for s, k in enumerate(counts):
         if draw(st.booleans()):
             row = [draw(st.sampled_from(ROW_VALUES))] * k
         else:
@@ -491,20 +497,17 @@ UPDATE_VALUES = st.one_of(
 
 
 @given(
-    counts=st.lists(st.integers(0, 3), min_size=1, max_size=5),
-    terminal_at=st.integers(0, 5),
+    counts=st.lists(st.integers(1, 3), max_size=4),
     data=st.data(),
 )
-def test_q_update_matches_numpy_scalar_reference(counts, terminal_at, data):
-    terminal = terminal_at % len(counts)
-    q = make_table(counts, terminal)
+def test_q_update_matches_numpy_scalar_reference(counts, data):
+    q = make_table(counts)
     for s, k in enumerate(counts):
-        if s != terminal:
-            grid(q)[s, :k] = data.draw(st.lists(UPDATE_VALUES, min_size=k, max_size=k))
-    ref = make_table(counts, terminal)
+        grid(q)[s, :k] = data.draw(st.lists(UPDATE_VALUES, min_size=k, max_size=k))
+    ref = make_table(counts)
     ref._values[:] = q._values
     ops = st.tuples(
-        st.integers(0, len(counts) - 1),
+        st.integers(0, len(counts)),
         st.integers(-1, 3),
         UPDATE_VALUES,
         st.floats(0.0, 1.0, exclude_min=True),

@@ -34,35 +34,51 @@ ALL_TREES = {
 
 
 def action_counts(env: RoadTreeEnv) -> list[int]:
-    """Each state's action count, read from the action layout."""
+    """The action count of each state below the sink, read from the action
+    layout."""
     width, narrow = env.action_layout()
-    return [narrow.get(s, width) for s in range(env.num_states)]
+    return [narrow.get(s, width) for s in range(env.terminal)]
+
+
+def walk(env: RoadTreeEnv) -> dict[int, set[tuple[float, int]]]:
+    """Each state below the sink reachable from the root, mapped to the set
+    of its steps."""
+    counts = action_counts(env)
+    steps: dict[int, set[tuple[float, int]]] = {}
+    frontier = [env.reset(None)]
+    while frontier:
+        s = frontier.pop()
+        if s in steps or s == env.terminal:
+            continue
+        steps[s] = {env.step(s, a, None) for a in range(counts[s])}
+        frontier.extend(s2 for _, s2 in steps[s])
+    return steps
 
 
 def test_fig1_state_layout():
     env = RoadTreeEnv(fig1_tree())
     counts = Counter(reference_tables(fig1_tree())[0])
-    # six edges with distances 20/10/10/15/15/15 expand into 79 road states
-    assert counts == {"road": 79, KIND_JUNCTION: 3, KIND_TERMINAL: 4, "sink": 1}
-    assert env.num_states == 87
+    # six edges with distances 20/10/10/15/15/15 expand into 79 road states;
+    # the four leaves have no states, their steps end in the sink
+    assert counts == {"road": 79, KIND_JUNCTION: 3, "sink": 1}
+    assert env.num_states == 83
     assert action_counts(env)[env.root_state] == 2
 
 
 def test_fig3_state_layout():
     env = RoadTreeEnv(fig3_tree())
     assert Counter(reference_tables(fig3_tree())[0])["road"] == 9 + 49
-    assert env.num_states == 62
+    assert env.num_states == 60
     assert action_counts(env)[env.root_state] == 2
 
 
 def test_road_states_have_one_action():
     env = RoadTreeEnv(fig1_tree())
     kinds = reference_tables(fig1_tree())[0]
-    for kind, k in zip(kinds, action_counts(env), strict=True):
+    assert kinds[-1] == "sink"
+    for kind, k in zip(kinds[:-1], action_counts(env), strict=True):
         if kind == "road":
             assert k == 1
-        elif kind == "sink":
-            assert k == 0
 
 
 def test_reset_returns_root():
@@ -133,19 +149,18 @@ def test_criticality_is_one_exactly_where_the_action_matters(name):
     # actions give different steps, 0 elsewhere.
     env = RoadTreeEnv(ALL_TREES[name])
     h = env.criticality()
-    counts = action_counts(env)
-    seen = set()
-    frontier = [env.reset(None)]
-    while frontier:
-        s = frontier.pop()
-        if s in seen or s == env.terminal:
-            continue
-        seen.add(s)
-        steps = {env.step(s, a, None) for a in range(counts[s])}
-        assert h(s) == (1.0 if len(steps) > 1 else 0.0), s
-        frontier.extend(s2 for _, s2 in steps)
-    leaves = sum(n.kind == KIND_TERMINAL for n in ALL_TREES[name].nodes)
-    assert len(seen) == env.num_states - 1 - leaves  # all but the sink and leaf states
+    steps = walk(env)
+    assert sorted(steps) == list(range(env.terminal))
+    for s, out in steps.items():
+        assert h(s) == (1.0 if len(out) > 1 else 0.0), s
+
+
+@given(tree=road_trees())
+def test_layout_lists_states_below_the_sink_and_each_is_reachable(tree):
+    env = RoadTreeEnv(tree)
+    width, narrow = env.action_layout()
+    assert all(0 <= s < env.terminal and 1 <= k < width for s, k in narrow.items())
+    assert sorted(walk(env)) == list(range(env.terminal))
 
 
 def enumerate_paths(tree: TreeSpec, node_id: int) -> list[tuple[float, list[int]]]:
@@ -290,10 +305,8 @@ def reference_tables(tree: TreeSpec):
             child = tree.node(e.child)
             for _ in range(e.distance - 1):
                 new_state("road")
-            node_state[child.id] = new_state(
-                KIND_JUNCTION if child.kind == KIND_JUNCTION else KIND_TERMINAL
-            )
             if child.kind == KIND_JUNCTION:
+                node_state[child.id] = new_state(KIND_JUNCTION)
                 order.append(child.id)
     sink = new_state("sink")
 
@@ -303,25 +316,28 @@ def reference_tables(tree: TreeSpec):
     term = [[] for _ in range(n)]
     cursor = {}
 
+    def ids_used(edge):
+        """The edge's road states, plus its child's state if a junction."""
+        return edge.distance - (tree.node(edge.child).kind == KIND_TERMINAL)
+
     def chain_ids(edge):
         start = cursor[edge.parent]
         ids = list(range(start, start + edge.distance - 1))
-        cursor[edge.parent] = start + edge.distance
+        cursor[edge.parent] = start + ids_used(edge)
         return ids
 
     cursor_pos = 1
     for p in order:
         cursor[p] = cursor_pos
-        cursor_pos += sum(e.distance for e in tree.children(p))
+        cursor_pos += sum(ids_used(e) for e in tree.children(p))
 
     for p in order:
         p_state = node_state[p]
         for e in tree.children(p):
             child = tree.node(e.child)
             chain = chain_ids(e)
-            c_state = node_state[child.id]
             entering_terminal = child.kind == KIND_TERMINAL
-            entry_state = sink if entering_terminal else c_state
+            entry_state = sink if entering_terminal else node_state[child.id]
             if chain:
                 nxt[p_state].append(chain[0])
                 rew[p_state].append(0.0)
@@ -364,10 +380,8 @@ def test_transition_table_matches_two_pass_reference(tree):
         for a in (-1, len(nxt[s])):
             with pytest.raises(ValueError, match="invalid"):
                 env.step(s, a, rng)
-    assert action_counts(env) == [len(row) for row in nxt]
-    width, narrow = env.action_layout()
-    assert width == max(map(len, nxt))
-    assert all(k < width for k in narrow.values())
+    assert action_counts(env) == [len(row) for row in nxt[:-1]]
+    assert env.action_layout()[0] == max(map(len, nxt))
 
 
 def junction(i, reward=0.0):

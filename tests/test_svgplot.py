@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import signal
 
 import pytest
 
@@ -58,3 +59,49 @@ def test_write_svg(tmp_path):
     write_svg(path, render_line_chart([("a", [1.0, 2.0])]))
     text = path.read_text(encoding="utf-8")
     assert text.startswith("<svg ")
+
+
+def render_within_a_second(curves):
+    """``render_line_chart(curves)``, raising ``TimeoutError`` where it would
+    spin past a second."""
+
+    def expire(signum, frame):
+        raise TimeoutError("render_line_chart did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return render_line_chart(curves)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "ys",
+    [
+        [0.0, 5e-324],  # the range underflows
+        [0.3, 0.30000000000000004],  # one ulp apart: ticks a tiny step apart never advanced
+        [1e20, 1e20],  # flat, too large to widen by 1
+    ],
+)
+def test_a_range_too_narrow_to_divide_renders_as_flat(ys):
+    svg = render_within_a_second([("a", ys)])
+    points = re.search(r'points="([^"]+)"', svg).group(1)
+    assert len({pair.split(",")[1] for pair in points.split()}) == 1
+    assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize(
+    "curves, message",
+    [
+        ([("odd", [float("inf"), 0.0])], "curve 'odd' has a non-finite value"),
+        ([("odd", [float("nan"), 1.0])], "curve 'odd' has a non-finite value"),
+        ([("odd", [1e308, -1e308])], "y-range of curves 'odd' to 'odd' overflows a float"),
+        ([("hi", [1e308]), ("lo", [-1e308])], "y-range of curves 'lo' to 'hi' overflows a float"),
+    ],
+)
+def test_unplottable_values_raise_value_error_naming_the_curve(curves, message):
+    with pytest.raises(ValueError) as info:
+        render_within_a_second(curves)
+    assert str(info.value) == message

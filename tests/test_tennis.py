@@ -33,7 +33,7 @@ def test_state_space_size():
     env = TennisEnv()
     assert env.num_states == ROWS * COLS * 6 * ROWS * ROWS + 1
     assert env.num_states == 1_920_001
-    assert env.action_layout() == (3, {env.terminal: 0})
+    assert env.action_layout() == (3, {})
 
 
 def test_encode_decode_round_trip():
