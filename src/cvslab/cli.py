@@ -132,9 +132,7 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
         if algorithm not in ALGORITHM_NAMES:
             raise ConfigError(f"{where}.algorithm", f"must be one of {', '.join(ALGORITHM_NAMES)}")
         params = _agent_params(entry, where)
-        cfg = ExperimentConfig(environment, algorithm, params, **common)
-        cfg.validate()
-        jobs.append((label, cfg))
+        jobs.append((label, ExperimentConfig(environment, algorithm, params, **common)))
     return name, jobs, window
 
 

@@ -50,8 +50,8 @@ class ConfigError(ValueError):
 
     Raised by the code that reads the setting: an environment's constructor
     names its parameter (``max_steps``), ``make_env`` prefixes
-    ``environment.`` to that, and ``ExperimentConfig.validate`` and the CLI
-    name their own keys.  The message reads ``"<key>: <reason>"``.
+    ``environment.`` to that, and ``ExperimentConfig`` (when built) and the
+    CLI name their own keys.  The message reads ``"<key>: <reason>"``.
     """
 
     def __init__(self, key: str, message: str):

@@ -91,6 +91,9 @@ def make_env(env_cfg: dict) -> Environment:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when built (``environment`` by building it):
+    a bad setting raises a :class:`ConfigError` naming its key."""
+
     environment: dict = field(default_factory=lambda: {"name": "roadtree:fig3"})
     algorithm: str = "cvs"
     params: AgentParams = AgentParams()
@@ -99,7 +102,7 @@ class ExperimentConfig:
     seed: int = 0
     q_init: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHM_NAMES:
             raise ConfigError("algorithm", f"unknown algorithm {self.algorithm!r}")
         if not isinstance(self.params, AgentParams):
@@ -203,9 +206,10 @@ def run_experiment(cfg: ExperimentConfig, *, pool: Executor | None = None) -> li
     With a ``pool``, the runs go to it and it is left open for the caller.
     Without one, ``min(workers, cfg.runs)`` processes run them, ``workers``
     coming from ``CVS_LAB_THREADS`` or the processor count, in a pool opened
-    and closed here, or in this process when that is 1.
+    and closed here, or in this process when that is 1.  ``cfg`` was checked
+    when built; each run builds its environment anew, and fails there if the
+    ``environment`` block was changed since into a bad one.
     """
-    cfg.validate()
     with nullcontext(pool) if pool is not None else _open_pool(cfg.runs) as pool:
         if pool is None:
             return [_run_one(cfg, i) for i in range(cfg.runs)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import CriticalityFn, Draws, Environment, StateId
-from .core import _finite_real, _integer, _positive_int, _setting
+from .core import _finite_real, _integer, _positive_int, _setting, _state_error
 
 KIND_JUNCTION = "junction"
 KIND_TERMINAL = "terminal"
@@ -43,36 +43,15 @@ class TreeEdge:
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Declarative tree description; the edge order of a parent fixes its action order."""
+    """Declarative tree description; the edge order of a parent fixes its action order.
+
+    Checked when built: a malformed tree raises a ``ValueError`` naming its first offender."""
 
     root: int
     nodes: tuple[TreeNode, ...]
     edges: tuple[TreeEdge, ...]
 
-    @cached_property
-    def _node_by_id(self) -> dict[int, TreeNode]:
-        by_id: dict[int, TreeNode] = {}
-        for n in self.nodes:
-            by_id.setdefault(n.id, n)  # the first of duplicate ids, as a scan finds
-        return by_id
-
-    @cached_property
-    def _edges_by_parent(self) -> dict[int, list[TreeEdge]]:
-        by_parent: dict[int, list[TreeEdge]] = {}
-        for e in self.edges:
-            by_parent.setdefault(e.parent, []).append(e)
-        return by_parent
-
-    def node(self, node_id: int) -> TreeNode:
-        try:
-            return self._node_by_id[node_id]
-        except KeyError:
-            raise KeyError(f"no node {node_id}") from None
-
-    def children(self, node_id: int) -> list[TreeEdge]:
-        return list(self._edges_by_parent.get(node_id, ()))
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             counts = Counter(ids)
@@ -99,27 +78,46 @@ class TreeSpec:
             if e.child in parents:
                 raise ValueError(f"node {e.child} has more than one parent")
             parents[e.child] = e.parent
-        # Walk from the root: catches cycles and disconnected nodes in one pass.
-        seen = {self.root}
-        frontier = [self.root]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for e in self.children(p):
-                    if e.child in seen:
-                        raise ValueError(f"node {e.child} closes a cycle")
-                    seen.add(e.child)
-                    nxt.append(e.child)
-            frontier = nxt
-        unreachable = known - seen
+        # The root reaching a cycle would give one of its nodes two parents,
+        # so a cycle shows here as unreachable.
+        unreachable = known.difference(self._order)
         if unreachable:
             raise ValueError(f"node {min(unreachable)} is unreachable from the root")
         for n in self.nodes:
-            has_children = bool(self.children(n.id))
+            has_children = n.id in self._edges_by_parent
             if n.kind == KIND_JUNCTION and not has_children:
                 raise ValueError(f"junction node {n.id} has no children")
             if n.kind == KIND_TERMINAL and has_children:
                 raise ValueError(f"terminal node {n.id} has children")
+
+    @cached_property
+    def _node_by_id(self) -> dict[int, TreeNode]:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _edges_by_parent(self) -> dict[int, list[TreeEdge]]:
+        by_parent: dict[int, list[TreeEdge]] = {}
+        for e in self.edges:
+            by_parent.setdefault(e.parent, []).append(e)
+        return by_parent
+
+    @cached_property
+    def _order(self) -> list[int]:
+        """The ids the root reaches, each after its parent; each node has at
+        most one parent and the root none, so the walk meets each once."""
+        order = [self.root]
+        for node_id in order:  # grows: every node after its parent
+            order.extend(e.child for e in self._edges_by_parent.get(node_id, ()))
+        return order
+
+    def node(self, node_id: int) -> TreeNode:
+        try:
+            return self._node_by_id[node_id]
+        except KeyError:
+            raise KeyError(f"no node {node_id}") from None
+
+    def children(self, node_id: int) -> list[TreeEdge]:
+        return list(self._edges_by_parent.get(node_id, ()))
 
     def to_dict(self) -> dict:
         return {
@@ -158,11 +156,10 @@ class TreeSpec:
                 )
                 for i, e in enumerate(doc["edges"])
             )
-            spec = cls(root=read(doc, "", "root", _integer), nodes=nodes, edges=edges)
+            root = read(doc, "", "root", _integer)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tree document: {exc}") from exc
-        spec.validate()
-        return spec
+        return cls(root=root, nodes=nodes, edges=edges)  # a structural fault raises here
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +272,6 @@ class RoadTreeEnv(Environment):
     """
 
     def __init__(self, tree: TreeSpec):
-        tree.validate()
         self.tree = tree
         table: list[list[tuple[float, StateId]]] = []  # state -> action -> its step
         crit: list[float] = []
@@ -342,9 +338,7 @@ class RoadTreeEnv(Environment):
 
     def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
         if not 0 <= s < self._sink:
-            if s == self._sink:
-                raise ValueError("cannot step from the TERMINAL state")
-            raise ValueError(f"state {s} out of range")
+            raise _state_error(self._sink, s, "cannot step from the TERMINAL state")
         row = self._table[s]
         if not 0 <= a < len(row):
             raise ValueError(f"action {a} invalid for state {s}")
@@ -368,12 +362,9 @@ def optimal_return_oracle(env: RoadTreeEnv) -> tuple[float, list[int]]:
     depth works.
     """
     tree = env.tree
-    order = [tree.root]
-    for node_id in order:  # grows: every node after its parent
-        order.extend(e.child for e in tree.children(node_id))
     # node -> (best return below it, its action or None at a leaf)
     best: dict[int, tuple[float, int | None]] = {}
-    for node_id in reversed(order):
+    for node_id in reversed(tree._order):
         edges = tree.children(node_id)
         best_val, best_idx = (-math.inf if edges else 0.0), None
         for idx, e in enumerate(edges):

@@ -28,7 +28,7 @@ holds at most 800 + 120 000 entries; a whole shooter-serial benchmark run
 from __future__ import annotations
 
 from .core import CriticalityFn, Draws, Environment, StateId
-from .core import _is_int, _positive_int, _setting
+from .core import _is_int, _positive_int, _setting, _state_error
 
 ROWS = 10
 COLS = 20
@@ -135,9 +135,7 @@ class ShooterEnv(Environment):
 
     def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
         if not 0 <= s < _TERMINAL:
-            if s == _TERMINAL:
-                raise ValueError("cannot step from the TERMINAL state")
-            raise ValueError(f"state {s} out of range")
+            raise _state_error(_TERMINAL, s, "cannot step from the TERMINAL state")
         if not 0 <= a < _N_ACTIONS:
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1

@@ -11,6 +11,8 @@ from pathlib import Path
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 
+_WIDTH = 800
+_HEIGHT = 500
 _MARGIN_LEFT = 70.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 42.0
@@ -53,8 +55,6 @@ def render_line_chart(
     title: str = "",
     x_label: str = "episode",
     y_label: str = "return",
-    width: int = 800,
-    height: int = 500,
 ) -> str:
     """Render labelled curves (y-values against their index) to SVG text.
 
@@ -84,8 +84,8 @@ def render_line_chart(
     if not math.isfinite(y_hi - y_lo):
         raise ValueError(f"y-range of curves {lo_label!r} to {hi_label!r} overflows a float")
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x: float) -> float:
         return _MARGIN_LEFT + plot_w * (x / max(x_max, 1))
@@ -94,13 +94,13 @@ def render_line_chart(
         return _MARGIN_TOP + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="24" font-family="sans-serif" font-size="16" '
+            f'<text x="{_WIDTH / 2:.1f}" y="24" font-family="sans-serif" font-size="16" '
             f'text-anchor="middle">{_esc(title)}</text>'
         )
 
@@ -137,7 +137,7 @@ def render_line_chart(
         f'stroke="#333333" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{height - 12}" font-family="sans-serif" '
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{_HEIGHT - 12}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle">{_esc(x_label)}</text>'
     )
     parts.append(

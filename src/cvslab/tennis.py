@@ -18,7 +18,7 @@ Criticality is 1 exactly while the ball travels toward the agent.
 from __future__ import annotations
 
 from .core import CriticalityFn, Draws, Environment, StateId
-from .core import _positive_int, _probability, _setting
+from .core import _positive_int, _probability, _setting, _state_error
 
 ROWS = 20
 COLS = 40
@@ -87,9 +87,7 @@ class TennisEnv(Environment):
 
     def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
         if not 0 <= s < _N_FIELD:
-            if s == _N_FIELD:
-                raise ValueError("cannot step from the TERMINAL state")
-            raise ValueError(f"state {s} out of range")
+            raise _state_error(_N_FIELD, s, "cannot step from the TERMINAL state")
         if not 0 <= a < _N_ACTIONS:
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1

@@ -203,27 +203,32 @@ def test_make_env_names_offending_key(cfg, key):
 
 def test_config_validation_names_offending_key():
     cases = [
-        (small_cfg(algorithm="sarsa99"), "algorithm"),
-        (small_cfg(episodes=0), "episodes"),
-        (small_cfg(runs=0), "runs"),
-        (small_cfg(episodes=True), "episodes"),
-        (small_cfg(runs=True), "runs"),
-        (small_cfg(seed=1.5), "seed"),
-        (small_cfg(seed=False), "seed"),
-        (small_cfg(seed=-5), "seed"),
-        (small_cfg(q_init="abc"), "q_init"),
-        (small_cfg(q_init=True), "q_init"),
-        (small_cfg(q_init=float("nan")), "q_init"),
-        (small_cfg(q_init=float("inf")), "q_init"),
-        (small_cfg(q_init=10**400), "q_init"),
-        (small_cfg(environment={"name": "nope"}), "environment.name"),
-        (small_cfg(params={"alpha": 0.2}), "params"),
-        (small_cfg(params=None), "params"),
+        (dict(algorithm="sarsa99"), "algorithm"),
+        (dict(episodes=0), "episodes"),
+        (dict(runs=0), "runs"),
+        (dict(episodes=True), "episodes"),
+        (dict(runs=True), "runs"),
+        (dict(seed=1.5), "seed"),
+        (dict(seed=False), "seed"),
+        (dict(seed=-5), "seed"),
+        (dict(q_init="abc"), "q_init"),
+        (dict(q_init=True), "q_init"),
+        (dict(q_init=float("nan")), "q_init"),
+        (dict(q_init=float("inf")), "q_init"),
+        (dict(q_init=10**400), "q_init"),
+        (dict(environment={"name": "nope"}), "environment.name"),
+        (dict(params={"alpha": 0.2}), "params"),
+        (dict(params=None), "params"),
     ]
-    for cfg, key in cases:
+    for overrides, key in cases:
         with pytest.raises(ConfigError) as info:
-            cfg.validate()
+            small_cfg(**overrides)  # raises when built
         assert info.value.key == key, key
+    cfg = small_cfg(runs=1)
+    cfg.environment["name"] = "nope"  # a block changed after the check fails in the run
+    with pytest.raises(ConfigError) as info:
+        run_experiment(cfg)
+    assert info.value.key == "environment.name"
 
 
 def test_run_experiment_rejects_a_negative_seed():

@@ -176,13 +176,26 @@ def enumerate_paths(tree: TreeSpec, node_id: int) -> list[tuple[float, list[int]
     return out
 
 
+def check_oracle_against_enumeration(tree: TreeSpec) -> None:
+    """The oracle's value is the brute-force maximum and its path the first
+    best path in enumeration order (lowest actions first)."""
+    value, path = optimal_return_oracle(RoadTreeEnv(tree))
+    paths = enumerate_paths(tree, tree.root)
+    best = max(v for v, _ in paths)
+    assert value == best
+    assert path == next(p for v, p in paths if v == best)
+
+
 @pytest.mark.parametrize("name", sorted(ALL_TREES))
 def test_oracle_agrees_with_exhaustive_enumeration(name):
-    tree = ALL_TREES[name]
-    env = RoadTreeEnv(tree)
-    value, path = optimal_return_oracle(env)
-    best = max(v for v, _ in enumerate_paths(tree, tree.root))
-    assert value == best
+    check_oracle_against_enumeration(ALL_TREES[name])
+
+
+@given(tree=road_trees())
+def test_oracle_agrees_with_exhaustive_enumeration_on_random_trees(tree):
+    # integer rewards, so every sum is exact; the strategy numbers nodes
+    # depth-first, so the oracle's reversed breadth-first walk is exercised
+    check_oracle_against_enumeration(tree)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TREES))
@@ -396,26 +409,26 @@ def leaf(i, reward=0.0):
     "spec, fragment",
     [
         (
-            TreeSpec(0, (junction(0), leaf(1), leaf(1)), (TreeEdge(0, 1, 1),)),
+            (0, (junction(0), leaf(1), leaf(1)), (TreeEdge(0, 1, 1),)),
             "duplicate node id 1",
         ),
-        (TreeSpec(9, (junction(0), leaf(1)), (TreeEdge(0, 1, 1),)), "root node 9"),
+        ((9, (junction(0), leaf(1)), (TreeEdge(0, 1, 1),)), "root node 9"),
         (
-            TreeSpec(0, (junction(0), TreeNode(1, 0.0, "lake")), (TreeEdge(0, 1, 1),)),
+            (0, (junction(0), TreeNode(1, 0.0, "lake")), (TreeEdge(0, 1, 1),)),
             "unknown kind",
         ),
-        (TreeSpec(0, (junction(0), leaf(1)), (TreeEdge(0, 7, 1),)), "edge child 7"),
-        (TreeSpec(0, (junction(0), leaf(1)), (TreeEdge(5, 1, 1),)), "edge parent 5"),
+        ((0, (junction(0), leaf(1)), (TreeEdge(0, 7, 1),)), "edge child 7"),
+        ((0, (junction(0), leaf(1)), (TreeEdge(5, 1, 1),)), "edge parent 5"),
         (
-            TreeSpec(0, (junction(0), leaf(1)), (TreeEdge(0, 1, 0),)),
+            (0, (junction(0), leaf(1)), (TreeEdge(0, 1, 0),)),
             "distance 0",
         ),
         (
-            TreeSpec(0, (junction(0), junction(1), leaf(2)), (TreeEdge(0, 1, 1), TreeEdge(1, 2, 1), TreeEdge(1, 0, 1))),
+            (0, (junction(0), junction(1), leaf(2)), (TreeEdge(0, 1, 1), TreeEdge(1, 2, 1), TreeEdge(1, 0, 1))),
             "cannot be a child",
         ),
         (
-            TreeSpec(
+            (
                 0,
                 (junction(0), junction(1), leaf(2)),
                 (TreeEdge(0, 1, 1), TreeEdge(0, 2, 1), TreeEdge(1, 2, 1)),
@@ -423,23 +436,32 @@ def leaf(i, reward=0.0):
             "more than one parent",
         ),
         (
-            TreeSpec(0, (junction(0), leaf(1), leaf(2)), (TreeEdge(0, 1, 1),)),
+            (0, (junction(0), leaf(1), leaf(2)), (TreeEdge(0, 1, 1),)),
             "unreachable",
         ),
         (
-            TreeSpec(0, (junction(0), junction(1)), (TreeEdge(0, 1, 1),)),
+            (0, (junction(0), junction(1)), (TreeEdge(0, 1, 1),)),
             "junction node 1 has no children",
         ),
         (
-            TreeSpec(0, (junction(0), leaf(1), leaf(2)), (TreeEdge(0, 1, 1), TreeEdge(1, 2, 1))),
+            (0, (junction(0), leaf(1), leaf(2)), (TreeEdge(0, 1, 1), TreeEdge(1, 2, 1))),
             "terminal node 1 has children",
         ),
-        (TreeSpec(0, (leaf(0), leaf(1)), (TreeEdge(0, 1, 1),)), "must be a junction"),
+        ((0, (leaf(0), leaf(1)), (TreeEdge(0, 1, 1),)), "must be a junction"),
+        (  # a cycle detached from a valid tree
+            (
+                0,
+                (junction(0), leaf(1), junction(2), junction(3)),
+                (TreeEdge(0, 1, 1), TreeEdge(2, 3, 1), TreeEdge(3, 2, 1)),
+            ),
+            "^node 2 is unreachable from the root$",
+        ),
     ],
 )
 def test_tree_spec_validation_names_offender(spec, fragment):
+    """``spec`` holds a malformed tree's fields; building it raises."""
     with pytest.raises(ValueError, match=fragment):
-        spec.validate()
+        TreeSpec(*spec)
 
 
 def test_from_dict_rejects_malformed_documents():
@@ -465,3 +487,8 @@ def test_from_dict_rejects_malformed_documents():
             TreeSpec.from_dict(doc)
     with pytest.raises(ValueError, match="malformed tree document: root "):
         TreeSpec.from_dict({**fig3_tree().to_dict(), "root": True})
+    # a well-formed document that is not a tree raises the tree's own message
+    doc = fig3_tree().to_dict()
+    doc["nodes"][2]["id"] = 1
+    with pytest.raises(ValueError, match="^duplicate node id 1$"):
+        TreeSpec.from_dict(doc)
