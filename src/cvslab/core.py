@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 import mmap
+import sys
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 StateId = int
 ActionId = int
@@ -157,8 +158,9 @@ class Environment(ABC):
     bookkeeping an environment may hold is a step counter for episode caps,
     which ``reset`` clears.  Independent runs therefore each build their own
     instance.  An environment may memoise the outcomes of dynamics that make
-    no draw, in a cache shared by instances with equal parameters, as long as
-    a lookup returns what the dynamics would compute.
+    no draw, in a cache shared by instances with equal parameters, or by all
+    instances when those dynamics read no parameter, as long as a lookup
+    returns what the dynamics would compute.
     """
 
     @property
@@ -335,6 +337,47 @@ _MASK128 = (1 << 128) - 1
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+# A DrawStream holds a block's LCG states as the _DRAW_BLOCK lanes of one int,
+# lane j in bits [256 j, 256 j + 256): a 128-bit state times a 128-bit factor
+# fits its lane, so one multiply steps every lane and no lane carries into
+# the next.
+_LANE_BITS = 256
+_BLOCK_BYTES = _DRAW_BLOCK * _LANE_BITS // 8
+
+
+def _lanes(values: list[int]) -> int:
+    """The int whose lane ``j`` holds ``values[j]``."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE_BITS // 8, "little") for v in values), "little")
+
+
+def _lcg_factors() -> tuple[list[int], list[int]]:
+    """``j`` LCG steps take a state ``s`` to ``s * M**j + inc * sum(M**i for
+    i < j)`` mod 2**128.  Returns the two factors, ``M**j`` and the sum, for
+    ``j = 1 .. _DRAW_BLOCK``."""
+    powers, sums = [], []
+    power, total = 1, 0
+    for _ in range(_DRAW_BLOCK):
+        total = (total + power) & _MASK128
+        power = (power * _PCG64_MULTIPLIER) & _MASK128
+        powers.append(power)
+        sums.append(total)
+    return powers, sums
+
+
+_LANE_ONES = _lanes([1] * _DRAW_BLOCK)
+_LANES_MASK128 = _MASK128 * _LANE_ONES
+_LANES_MASK64 = _MASK64 * _LANE_ONES
+_LANES_ROTATION = (63 << 64) * _LANE_ONES  # bits 64..69 of each lane
+# A block's states from the state before it; the last lanes, the factors for
+# _DRAW_BLOCK steps, jump each lane one block.
+_FIRST_MUL, _FIRST_INC = map(_lanes, _lcg_factors())
+_JUMP_MUL = _FIRST_MUL >> _LANE_BITS * (_DRAW_BLOCK - 1)
+_JUMP_INC = _FIRST_INC >> _LANE_BITS * (_DRAW_BLOCK - 1)
+# memoryview.cast reads native byte order; on a big-endian host the int's
+# 64-bit chunks come out last first.
+_CHUNK_ORDER = 1 if sys.byteorder == "little" else -1
+
+
 def _uint32_words(n: int) -> list[int]:
     """The 32-bit words of ``n >= 0``, least significant first (``[0]`` for 0)."""
     words = []
@@ -388,6 +431,28 @@ def _seed_sequence_state(entropy: int, spawn_key: tuple[int, ...]) -> list[int]:
     return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
 
 
+def _word_blocks(state: int, inc: int) -> Iterator[list[int]]:
+    """The raw PCG64 words after LCG ``state`` with increment ``inc``, one
+    block of ``_DRAW_BLOCK`` at a time.  A stream that never needs a second
+    block never computes a jump."""
+    lanes = ((state * _FIRST_MUL & _LANES_MASK128) + (inc * _FIRST_INC & _LANES_MASK128)) & _LANES_MASK128
+    yield _xsl_rr(lanes)
+    jump_inc = (inc * _JUMP_INC & _MASK128) * _LANE_ONES
+    while True:
+        lanes = ((lanes * _JUMP_MUL & _LANES_MASK128) + jump_inc) & _LANES_MASK128
+        yield _xsl_rr(lanes)
+
+
+def _xsl_rr(lanes: int) -> list[int]:
+    """PCG64's output (XSL-RR) of each lane's state, lane 0 first."""
+    # Lane j: the xor of the state's halves in bits 0..63, the rotation (the
+    # state's top 6 bits) in bits 64..69.
+    lanes = ((lanes >> 64 ^ lanes) & _LANES_MASK64) | (lanes >> 58 & _LANES_ROTATION)
+    chunks = memoryview(lanes.to_bytes(_BLOCK_BYTES, sys.byteorder)).cast("Q")[::_CHUNK_ORDER]
+    mask64 = _MASK64
+    return [((x << 64 | x) >> r) & mask64 for x, r in zip(chunks[0::4].tolist(), chunks[1::4].tolist())]
+
+
 class DrawStream:
     """The ``random()`` and ``integers(k)`` draws of
     ``np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key))``,
@@ -396,6 +461,14 @@ class DrawStream:
     The stream seeds NumPy's ``PCG64`` as NumPy does (``SeedSequence``, then
     ``pcg64_set_seed``) and computes its raw words, ``_DRAW_BLOCK`` at a
     time: each steps the 128-bit LCG and outputs XSL-RR (O'Neill 2014).
+    A block's 256 consecutive LCG states are the 256-bit lanes of one int
+    (``_word_blocks``).  The first block's lanes are the seeded state times
+    the powers ``M**j`` plus ``inc`` times the partial sums of those powers;
+    each later block's are the last block's times ``M**256`` plus ``inc *
+    sum(M**i for i < 256)``, all mod 2**128.  The multiplier parts are
+    module constants, so a stream computes only its ``inc`` terms, the
+    jump's only once it needs a second block.  XSL-RR's xor and its
+    rotation count are taken lane-wide too; only the rotation runs per word.
     Each call returns the value numpy's ``Generator`` would, in the same
     order.  ``random()`` is numpy's ``next_double``: the top 53 bits of the
     next word.  ``integers(k)`` is numpy's bounded Lemire draw
@@ -405,31 +478,23 @@ class DrawStream:
     buffer.  ``k == 1`` draws nothing.
     """
 
-    __slots__ = ("_state", "_inc", "_next", "_half")
+    __slots__ = ("_blocks", "_next", "_half")
 
     def __init__(self, entropy: int, spawn_key: tuple[int, ...] = ()):
         for value in (entropy, *spawn_key):
             if not _is_int(value) or value < 0:
                 raise ValueError(f"entropy and spawn key must be non-negative ints, got {value!r}")
         s_high, s_low, i_high, i_low = _seed_sequence_state(entropy, tuple(spawn_key))
-        self._inc = inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
         # From state 0: step, add the seed, step.
-        self._state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        self._blocks = _word_blocks(state, inc)
         self._next = iter(()).__next__
         self._half: int | None = None
 
     def _block(self) -> list[int]:
         """The next ``_DRAW_BLOCK`` raw PCG64 words."""
-        state, inc = self._state, self._inc
-        multiplier, mask64, mask128 = _PCG64_MULTIPLIER, _MASK64, _MASK128
-        words = []
-        append = words.append
-        for _ in range(_DRAW_BLOCK):
-            state = (state * multiplier + inc) & mask128
-            x = (state >> 64) ^ (state & mask64)
-            append(((x << 64 | x) >> (state >> 122)) & mask64)  # x rotated right by the top 6 bits
-        self._state = state
-        return words
+        return next(self._blocks)
 
     def _refill(self) -> int:
         """Compute the next block of words and return its first one."""

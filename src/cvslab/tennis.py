@@ -5,14 +5,25 @@ both are one cell tall and move up/stay/down, clamped at the walls.  The ball
 starts each episode at (10, 20) heading toward the agent with a random
 vertical component, bounces off the top and bottom walls, and reverses its
 horizontal direction when it enters a racket's column at the racket's row.
-A ball reaching column 0 scores -1 (agent missed), column 39 scores +1.
-Rallies longer than ``max_steps`` end with reward 0.
+A ball reaching column 0 scores -1 (agent missed), column 39 scores +1; so
+does a ball that would step past either end, which no episode reaches, so
+that ``step`` from any field stays in the state space.  A score on the
+step that meets the cap still counts; rallies longer than ``max_steps``
+otherwise end with reward 0.
 
 The opponent plays its distance-reducing move with probability ``p_optimal``
 and a uniform-random one otherwise, so its optimal move is executed with
 overall frequency p + (1 - p) / 3.
 
 Criticality is 1 exactly while the ball travels toward the agent.
+
+A state id splits as ``ball * ROWS**2 + agent * ROWS + opp``.  The ball's
+flight in one step (its next row and column, its next ball id with the
+horizontal direction kept and flipped, or the score) depends on the ball id
+alone, so ``step`` reads it from the module dict ``_FLIGHT``, keyed by ball
+id, which holds at most ``ROWS * COLS * 6 = 4 800`` entries.  The flight reads
+no parameter, so every ``TennisEnv`` shares the dict: a run fills it in its
+first rallies, and a worker's later runs find it full.
 """
 
 from __future__ import annotations
@@ -31,6 +42,11 @@ ACTION_DOWN = 2
 _N_ACTIONS = 3
 
 _N_FIELD = ROWS * COLS * 6 * ROWS * ROWS
+_RACKETS = ROWS * ROWS  # racket rows per ball id
+
+# Ball flights by ball id, shared by every instance (see the module docstring).
+_Flight = tuple[int, int, int, int, int, tuple[float, StateId] | None]
+_FLIGHT: dict[int, _Flight] = {}
 
 
 def _reflect_row(row: int, d: int) -> tuple[int, int]:
@@ -60,6 +76,23 @@ def _unpack(s: StateId) -> tuple[int, int, int, int, int, int]:
     dir_idx = s % 6
     s //= 6
     return s // COLS, s % COLS, -1 if dir_idx < 3 else 1, dir_idx % 3 - 1, agent, opp
+
+
+def _flight(ball: int) -> _Flight:
+    """``(row, next_col, next_row, kept, flipped, score)`` of a ball id: the
+    ball's row, where it moves in one step, its next ball id with the
+    horizontal direction kept and flipped, and the step's ``(reward, sink)``
+    if the move scores, else None."""
+    brow, bcol, h_dir, v_dir, _, _ = _unpack(ball * _RACKETS)
+    next_row, v_dir = _reflect_row(brow, v_dir)
+    next_col = bcol + h_dir
+    if next_col <= 0:
+        return brow, next_col, next_row, -1, -1, (-1.0, _N_FIELD)
+    if next_col >= COLS - 1:
+        return brow, next_col, next_row, -1, -1, (1.0, _N_FIELD)
+    kept = _pack(next_row, next_col, h_dir, v_dir, 0, 0) // _RACKETS
+    flipped = _pack(next_row, next_col, -h_dir, v_dir, 0, 0) // _RACKETS
+    return brow, next_col, next_row, kept, flipped, None
 
 
 class TennisEnv(Environment):
@@ -92,33 +125,38 @@ class TennisEnv(Environment):
             raise ValueError(f"action {a} invalid for state {s}")
         self._steps += 1
 
-        brow, bcol, h_dir, v_dir, agent, opp = _unpack(s)
-        agent = min(ROWS - 1, max(0, agent + (a - 1)))
+        ball, rackets = divmod(s, _RACKETS)
+        agent, opp = divmod(rackets, ROWS)
+        flight = _FLIGHT.get(ball)
+        if flight is None:
+            flight = _FLIGHT[ball] = _flight(ball)
+        row, next_col, next_row, kept, flipped, score = flight
 
-        if rng.random() < self._p_optimal:
-            if opp < brow:
-                delta = 1
-            elif opp > brow:
-                delta = -1
-            else:
-                delta = 0
+        agent += a - 1
+        if agent < 0:
+            agent = 0
+        elif agent > ROWS - 1:
+            agent = ROWS - 1
+
+        if rng.random() < self._p_optimal:  # a step toward the ball's row stays on the field
+            if opp < row:
+                opp += 1
+            elif opp > row:
+                opp -= 1
         else:
-            delta = int(rng.integers(3)) - 1
-        opp = min(ROWS - 1, max(0, opp + delta))
+            opp += int(rng.integers(3)) - 1
+            if opp < 0:
+                opp = 0
+            elif opp > ROWS - 1:
+                opp = ROWS - 1
 
-        brow, v_dir = _reflect_row(brow, v_dir)
-        bcol += h_dir
-        if (bcol == AGENT_COL and brow == agent) or (bcol == OPPONENT_COL and brow == opp):
-            h_dir = -h_dir
-
-        if bcol == 0:
-            return -1.0, _N_FIELD
-        if bcol == COLS - 1:
-            return 1.0, _N_FIELD
+        if score is not None:
+            return score
         if self._steps >= self._max_steps:
             return 0.0, _N_FIELD
-
-        return 0.0, _pack(brow, bcol, h_dir, v_dir, agent, opp)
+        if (next_col == AGENT_COL and next_row == agent) or (next_col == OPPONENT_COL and next_row == opp):
+            return 0.0, (flipped * ROWS + agent) * ROWS + opp
+        return 0.0, (kept * ROWS + agent) * ROWS + opp
 
     def criticality(self) -> CriticalityFn:
         sink = self.terminal

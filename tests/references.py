@@ -15,7 +15,9 @@ lambda ``1 - h``, in the backward view (Sutton & Barto 2018, sec. 12.7 and
 docstring says.
 
 ``reference_shooter_step`` is the shooter's step computed afresh on every
-call, with no outcome cache.
+call, with no outcome cache, and ``reference_tennis_step`` the tennis step
+decoding, moving and re-encoding the whole field on every call, with no
+flight memo.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from cvslab.shooter import (
     _reflect,
     _unpack,
 )
+from cvslab import tennis
 
 
 @dataclass
@@ -288,3 +291,45 @@ def reference_shooter_step(env, s, a, rng):
     if env._steps >= env._max_steps:
         return -1.0, _TERMINAL
     return 0.0, _pack(gun, trow, tdir, brow, bcol, bdir)
+
+
+def reference_tennis_step(env, s, a, rng):
+    """``env.step(s, a, rng)`` for a ``TennisEnv``: the step as it was
+    before the flight memo, with a ball that would step past an end column
+    scoring; it advances ``env``'s step counter and reads its opponent
+    probability and cap."""
+    if not 0 <= s < tennis._N_FIELD:
+        if s == tennis._N_FIELD:
+            raise ValueError("cannot step from the TERMINAL state")
+        raise ValueError(f"state {s} out of range")
+    if not 0 <= a < 3:
+        raise ValueError(f"action {a} invalid for state {s}")
+    env._steps += 1
+
+    brow, bcol, h_dir, v_dir, agent, opp = tennis._unpack(s)
+    agent = min(tennis.ROWS - 1, max(0, agent + (a - 1)))
+
+    if rng.random() < env._p_optimal:
+        if opp < brow:
+            delta = 1
+        elif opp > brow:
+            delta = -1
+        else:
+            delta = 0
+    else:
+        delta = int(rng.integers(3)) - 1
+    opp = min(tennis.ROWS - 1, max(0, opp + delta))
+
+    brow, v_dir = tennis._reflect_row(brow, v_dir)
+    bcol += h_dir
+    if (bcol == tennis.AGENT_COL and brow == agent) or (bcol == tennis.OPPONENT_COL and brow == opp):
+        h_dir = -h_dir
+
+    if bcol <= 0:
+        return -1.0, tennis._N_FIELD
+    if bcol >= tennis.COLS - 1:
+        return 1.0, tennis._N_FIELD
+    if env._steps >= env._max_steps:
+        return 0.0, tennis._N_FIELD
+
+    return 0.0, tennis._pack(brow, bcol, h_dir, v_dir, agent, opp)

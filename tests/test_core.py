@@ -587,6 +587,16 @@ def test_draw_stream_words_match_pcg64(entropy, spawn_key):
     assert words == want.tolist()
 
 
+@pytest.mark.parametrize("spawn_key", [(0,), (2**40,)])
+@pytest.mark.parametrize("entropy", [0, 2**64 - 1, 2**128])
+def test_draw_stream_words_match_pcg64_over_forty_blocks(entropy, spawn_key):
+    # Each block after the first is one lane jump; 40 blocks take 39.
+    stream = DrawStream(entropy, spawn_key)
+    words = [w for _ in range(40) for w in stream._block()]
+    want = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=spawn_key)).random_raw(40 * _DRAW_BLOCK)
+    assert words == want.tolist()
+
+
 @pytest.mark.parametrize("entropy, spawn_key", [(-1, ()), (1.5, ()), (True, ()), (0, (-1,)), (0, (2.0,))])
 def test_draw_stream_rejects_bad_seeds(entropy, spawn_key):
     with pytest.raises(ValueError, match="non-negative ints"):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cvslab import ConfigError, TennisEnv
+from cvslab import tennis
+from cvslab.core import DrawStream
 from cvslab.tennis import ACTION_DOWN, ACTION_STAY, ACTION_UP, COLS, ROWS, _pack, _unpack
+
+from references import reference_tennis_step
 
 
 FIELDS = ("brow", "bcol", "h_dir", "v_dir", "agent", "opp")  # _pack's parameters
@@ -135,6 +140,73 @@ def test_rally_cap_ends_with_zero_reward():
     rng = np.random.default_rng(0)
     s = env.reset(rng)
     assert env.step(s, ACTION_STAY, rng) == (0.0, env.terminal)
+
+
+@pytest.mark.parametrize(
+    "fields, reward",
+    [
+        ((5, 1, -1, 0, 0, 5), -1.0),  # the agent misses
+        ((5, 38, 1, 0, 5, 19), 1.0),  # the opponent misses
+        ((5, 2, -1, 0, 5, 5), 0.0),  # the agent returns it
+        ((5, 37, 1, 0, 5, 5), 0.0),  # the opponent returns it
+    ],
+)
+def test_score_beats_the_cap_and_the_cap_beats_a_bounce(fields, reward):
+    s = _pack(*fields)
+    env = TennisEnv(p_optimal=1.0, max_steps=1)
+    assert env.step(s, ACTION_STAY, np.random.default_rng(0)) == (reward, env.terminal)
+    # Below the cap only a score ends the rally.
+    env = TennisEnv(p_optimal=1.0, max_steps=2)
+    got, s2 = env.step(s, ACTION_STAY, np.random.default_rng(0))
+    assert got == reward
+    assert (s2 == env.terminal) == (reward != 0.0)
+
+
+@pytest.mark.parametrize("h_dir", [-1, 1])
+def test_ball_in_an_end_column_stays_in_the_state_space(h_dir):
+    # (0, 0, -1, 0, 5, 5) once stepped to -1896, (19, 39, 1, 0, 5, 5) to an
+    # id past the sink and (7, 39, 1, 0, 5, 5) wrapped to (8, 0, ...).
+    env = TennisEnv(p_optimal=1.0)
+    rng = DrawStream(0)
+    for brow in range(ROWS):
+        for bcol in range(COLS):
+            for v_dir in (-1, 0, 1):
+                s = _pack(brow, bcol, h_dir, v_dir, 5, 5)
+                for a in (ACTION_UP, ACTION_STAY, ACTION_DOWN):
+                    env.reset(rng)
+                    reward, s2 = env.step(s, a, rng)
+                    assert s2 == env.terminal or 0 <= s2 < env.terminal, (_unpack(s), a, s2)
+                    if not 0 <= bcol + h_dir < COLS:
+                        assert (reward, s2) == (float(h_dir), env.terminal), (_unpack(s), a)
+
+
+def test_step_matches_reference_on_every_ball():
+    """The memoised flight against the step it replaced: every ball id, racket
+    rows at the walls and at and next to the ball, every action, step counts
+    below, at and past the cap, and three opponents, from a cold memo and
+    then a warm one.  Both sides draw from their own stream, and the next two
+    draws after each step (a half-word, then a word) must agree too."""
+    cap = 1000
+    envs = {p: (TennisEnv(p, cap), TennisEnv(p, cap)) for p in (0.0, 0.8, 1.0)}
+    streams = DrawStream(7), DrawStream(7)
+    pick = random.Random(0)
+    tennis._FLIGHT.clear()
+    for _ in range(2):
+        for ball in range(ROWS * COLS * 6):
+            brow = _unpack(ball * ROWS * ROWS)[0]
+            rows = sorted({0, ROWS - 1, brow} | {r for r in (brow - 1, brow + 1) if 0 <= r < ROWS})
+            for agent in rows:
+                for a in (ACTION_UP, ACTION_STAY, ACTION_DOWN):
+                    s = (ball * ROWS + agent) * ROWS + pick.choice(rows)
+                    env, ref = envs[pick.choice((0.0, 0.8, 1.0))]
+                    env._steps = ref._steps = pick.choice((0, cap - 1, cap))
+                    got = env.step(s, a, streams[0])
+                    want = reference_tennis_step(ref, s, a, streams[1])
+                    assert got == want, (_unpack(s), a, env._p_optimal, ref._steps)
+                    assert env._steps == ref._steps
+                    assert streams[0].integers(2**32) == streams[1].integers(2**32), _unpack(s)
+                    assert streams[0].random() == streams[1].random(), _unpack(s)
+    assert len(tennis._FLIGHT) <= ROWS * COLS * 6
 
 
 def test_opponent_follows_ball_at_stated_frequency():
