@@ -39,8 +39,8 @@ _LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 # Passed to ExperimentConfig only when present: their defaults live there.
 _SHARED_KEYS = ("episodes", "runs", "seed", "q_init")
 _TOP_KEYS = frozenset({"name", "environment", "algorithms", "window", *_SHARED_KEYS})
-_ALGO_KEYS = frozenset({"label", "algorithm", "alpha", "epsilon", "gamma", "lambda", "n"})
 _PARAM_KEYS = (("alpha", "alpha"), ("epsilon", "epsilon"), ("gamma", "gamma"), ("lambda", "lam"), ("n", "n"))
+_ALGO_KEYS = frozenset({"label", "algorithm", *(key for key, _ in _PARAM_KEYS)})
 # The largest |value| a curve may plot: any two span a finite padded y-range.
 _PLOT_LIMIT = sys.float_info.max / 4
 

@@ -36,6 +36,7 @@ import sys
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 from typing import Callable, Iterator, Protocol
 
@@ -202,6 +203,17 @@ def _state_error(terminal: StateId, s: StateId, at_sink: str) -> ValueError:
     return ValueError(at_sink if s == terminal else f"state {s} out of range")
 
 
+def _reflect(row: int, d: int, rows: int) -> tuple[int, int]:
+    """``(row, d)`` after ``row`` moves by ``d``, mirroring off rows 0 and
+    ``rows - 1``: the bounce of the grid environments' walls."""
+    r = row + d
+    if r < 0:
+        return -r, -d
+    if r > rows - 1:
+        return 2 * (rows - 1) - r, -d
+    return r, d
+
+
 class QTable:
     """Dense (state x action) value table.
 
@@ -327,7 +339,7 @@ def _ties(row: list[float]) -> list[ActionId]:
     return ties
 
 
-# Raw PCG64 words computed per refill of a DrawStream.
+# Raw PCG64 words a DrawStream computes at a time.
 _DRAW_BLOCK = 256
 _TWO_POW_32 = 1 << 32
 _TWO_POW_M53 = 2.0**-53
@@ -368,11 +380,9 @@ _LANE_ONES = _lanes([1] * _DRAW_BLOCK)
 _LANES_MASK128 = _MASK128 * _LANE_ONES
 _LANES_MASK64 = _MASK64 * _LANE_ONES
 _LANES_ROTATION = (63 << 64) * _LANE_ONES  # bits 64..69 of each lane
-# A block's states from the state before it; the last lanes, the factors for
-# _DRAW_BLOCK steps, jump each lane one block.
+# Lane j of a block is j + 1 LCG steps past the state before the block: the
+# seeded state, or the last lane of the block before.
 _FIRST_MUL, _FIRST_INC = map(_lanes, _lcg_factors())
-_JUMP_MUL = _FIRST_MUL >> _LANE_BITS * (_DRAW_BLOCK - 1)
-_JUMP_INC = _FIRST_INC >> _LANE_BITS * (_DRAW_BLOCK - 1)
 # memoryview.cast reads native byte order; on a big-endian host the int's
 # 64-bit chunks come out last first.
 _CHUNK_ORDER = 1 if sys.byteorder == "little" else -1
@@ -433,14 +443,13 @@ def _seed_sequence_state(entropy: int, spawn_key: tuple[int, ...]) -> list[int]:
 
 def _word_blocks(state: int, inc: int) -> Iterator[list[int]]:
     """The raw PCG64 words after LCG ``state`` with increment ``inc``, one
-    block of ``_DRAW_BLOCK`` at a time.  A stream that never needs a second
-    block never computes a jump."""
-    lanes = ((state * _FIRST_MUL & _LANES_MASK128) + (inc * _FIRST_INC & _LANES_MASK128)) & _LANES_MASK128
-    yield _xsl_rr(lanes)
-    jump_inc = (inc * _JUMP_INC & _MASK128) * _LANE_ONES
+    block of ``_DRAW_BLOCK`` at a time, each block from the last state of
+    the one before."""
+    inc_lanes = inc * _FIRST_INC & _LANES_MASK128
     while True:
-        lanes = ((lanes * _JUMP_MUL & _LANES_MASK128) + jump_inc) & _LANES_MASK128
+        lanes = ((state * _FIRST_MUL & _LANES_MASK128) + inc_lanes) & _LANES_MASK128
         yield _xsl_rr(lanes)
+        state = lanes >> _LANE_BITS * (_DRAW_BLOCK - 1)
 
 
 def _xsl_rr(lanes: int) -> list[int]:
@@ -462,13 +471,11 @@ class DrawStream:
     ``pcg64_set_seed``) and computes its raw words, ``_DRAW_BLOCK`` at a
     time: each steps the 128-bit LCG and outputs XSL-RR (O'Neill 2014).
     A block's 256 consecutive LCG states are the 256-bit lanes of one int
-    (``_word_blocks``).  The first block's lanes are the seeded state times
-    the powers ``M**j`` plus ``inc`` times the partial sums of those powers;
-    each later block's are the last block's times ``M**256`` plus ``inc *
-    sum(M**i for i < 256)``, all mod 2**128.  The multiplier parts are
-    module constants, so a stream computes only its ``inc`` terms, the
-    jump's only once it needs a second block.  XSL-RR's xor and its
-    rotation count are taken lane-wide too; only the rotation runs per word.
+    (``_word_blocks``): the state before the block times the powers ``M**j``
+    plus ``inc`` times the partial sums of those powers, mod 2**128.  That
+    state is the seeded one for the first block and the last lane of the
+    block before for each later one.  XSL-RR's xor and its rotation count
+    are taken lane-wide too; only the rotation runs per word.
     Each call returns the value numpy's ``Generator`` would, in the same
     order.  ``random()`` is numpy's ``next_double``: the top 53 bits of the
     next word.  ``integers(k)`` is numpy's bounded Lemire draw
@@ -478,7 +485,7 @@ class DrawStream:
     buffer.  ``k == 1`` draws nothing.
     """
 
-    __slots__ = ("_blocks", "_next", "_half")
+    __slots__ = ("_next", "_half")
 
     def __init__(self, entropy: int, spawn_key: tuple[int, ...] = ()):
         for value in (entropy, *spawn_key):
@@ -488,25 +495,11 @@ class DrawStream:
         inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
         # From state 0: step, add the seed, step.
         state = ((inc + (s_high << 64 | s_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
-        self._blocks = _word_blocks(state, inc)
-        self._next = iter(()).__next__
+        self._next = chain.from_iterable(_word_blocks(state, inc)).__next__
         self._half: int | None = None
 
-    def _block(self) -> list[int]:
-        """The next ``_DRAW_BLOCK`` raw PCG64 words."""
-        return next(self._blocks)
-
-    def _refill(self) -> int:
-        """Compute the next block of words and return its first one."""
-        self._next = iter(self._block()).__next__
-        return self._next()
-
     def random(self) -> float:
-        try:
-            w = self._next()
-        except StopIteration:
-            w = self._refill()
-        return (w >> 11) * _TWO_POW_M53
+        return (self._next() >> 11) * _TWO_POW_M53
 
     def integers(self, k: int) -> int:
         """Uniform int in ``[0, k)`` for ``1 <= k <= 2**32``."""
@@ -520,10 +513,7 @@ class DrawStream:
                 self._half = None
                 m = half * k
             else:
-                try:
-                    w = self._next()
-                except StopIteration:
-                    w = self._refill()
+                w = self._next()
                 self._half = w >> 32
                 m = (w & 0xFFFFFFFF) * k
             # numpy rejects a leftover below (2**32 - k) % k, which is < k,

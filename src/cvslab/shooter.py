@@ -28,7 +28,7 @@ holds at most 800 + 120 000 entries; a whole shooter-serial benchmark run
 from __future__ import annotations
 
 from .core import CriticalityFn, Draws, Environment, StateId
-from .core import _is_int, _positive_int, _setting, _state_error
+from .core import _is_int, _positive_int, _reflect, _setting, _state_error
 
 ROWS = 10
 COLS = 20
@@ -59,16 +59,6 @@ def _obstacle_rows(value) -> frozenset[int]:
     if not isinstance(value, (list, tuple)) or not all(_is_int(r) and 0 <= r < ROWS for r in value):
         raise ValueError(f"must be a list of integers in [0, {ROWS}), got {value!r}")
     return frozenset(value)
-
-
-def _reflect(row: int, d: int) -> tuple[int, int]:
-    """Advance ``row`` by ``d``, mirroring off rows 0 and ROWS-1."""
-    r = row + d
-    if r < 0:
-        return -r, -d
-    if r > ROWS - 1:
-        return 2 * (ROWS - 1) - r, -d
-    return r, d
 
 
 def _pack(
@@ -153,11 +143,11 @@ class ShooterEnv(Environment):
         gun, trow, tdir, brow, bcol, bdir = _unpack(s)
         if bcol is not None:
             # Shoot actions are spent; the bullet just flies on.
-            brow, bdir = _reflect(brow, bdir)
+            brow, bdir = _reflect(brow, bdir, ROWS)
             bcol += 1
         elif a != ACTION_NOOP:
             # The bullet leaves the gun and advances within the same step.
-            brow, bdir = _reflect(gun, _SHOT_DIR[a])
+            brow, bdir = _reflect(gun, _SHOT_DIR[a], ROWS)
             bcol = 1
 
         if bcol is not None:
@@ -167,7 +157,7 @@ class ShooterEnv(Environment):
                 hit = brow == trow
                 return (1.0 if hit else -1.0), _TERMINAL
 
-        trow, tdir = _reflect(trow, tdir)
+        trow, tdir = _reflect(trow, tdir, ROWS)
         return 0.0, _pack(gun, trow, tdir, brow, bcol, bdir)
 
     def criticality(self) -> CriticalityFn:

@@ -29,7 +29,7 @@ first rallies, and a worker's later runs find it full.
 from __future__ import annotations
 
 from .core import CriticalityFn, Draws, Environment, StateId
-from .core import _positive_int, _probability, _setting, _state_error
+from .core import _positive_int, _probability, _reflect, _setting, _state_error
 
 ROWS = 20
 COLS = 40
@@ -47,15 +47,6 @@ _RACKETS = ROWS * ROWS  # racket rows per ball id
 # Ball flights by ball id, shared by every instance (see the module docstring).
 _Flight = tuple[int, int, int, int, int, tuple[float, StateId] | None]
 _FLIGHT: dict[int, _Flight] = {}
-
-
-def _reflect_row(row: int, d: int) -> tuple[int, int]:
-    r = row + d
-    if r < 0:
-        return -r, -d
-    if r > ROWS - 1:
-        return 2 * (ROWS - 1) - r, -d
-    return r, d
 
 
 def _pack(brow: int, bcol: int, h_dir: int, v_dir: int, agent: int, opp: int) -> StateId:
@@ -84,7 +75,7 @@ def _flight(ball: int) -> _Flight:
     horizontal direction kept and flipped, and the step's ``(reward, sink)``
     if the move scores, else None."""
     brow, bcol, h_dir, v_dir, _, _ = _unpack(ball * _RACKETS)
-    next_row, v_dir = _reflect_row(brow, v_dir)
+    next_row, v_dir = _reflect(brow, v_dir, ROWS)
     next_col = bcol + h_dir
     if next_col <= 0:
         return brow, next_col, next_row, -1, -1, (-1.0, _N_FIELD)

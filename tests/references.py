@@ -26,15 +26,15 @@ from dataclasses import dataclass
 
 from cvslab import epsilon_greedy, greedy_actions
 from cvslab.agents import _CRT_EPS
-from cvslab.core import q_index, q_update
+from cvslab.core import _reflect, q_index, q_update
 from cvslab.shooter import (
     ACTION_NOOP,
     COLS,
     OBSTACLE_COL,
+    ROWS,
     _SHOT_DIR,
     _TERMINAL,
     _pack,
-    _reflect,
     _unpack,
 )
 from cvslab import tennis
@@ -273,11 +273,11 @@ def reference_shooter_step(env, s, a, rng):
     gun, trow, tdir, brow, bcol, bdir = _unpack(s)
     if bcol is not None:
         # Shoot actions are spent; the bullet just flies on.
-        brow, bdir = _reflect(brow, bdir)
+        brow, bdir = _reflect(brow, bdir, ROWS)
         bcol += 1
     elif a != ACTION_NOOP:
         # The bullet leaves the gun and advances within the same step.
-        brow, bdir = _reflect(gun, _SHOT_DIR[a])
+        brow, bdir = _reflect(gun, _SHOT_DIR[a], ROWS)
         bcol = 1
 
     if bcol is not None:
@@ -287,7 +287,7 @@ def reference_shooter_step(env, s, a, rng):
             hit = brow == trow
             return (1.0 if hit else -1.0), _TERMINAL
 
-    trow, tdir = _reflect(trow, tdir)
+    trow, tdir = _reflect(trow, tdir, ROWS)
     if env._steps >= env._max_steps:
         return -1.0, _TERMINAL
     return 0.0, _pack(gun, trow, tdir, brow, bcol, bdir)
@@ -320,7 +320,7 @@ def reference_tennis_step(env, s, a, rng):
         delta = int(rng.integers(3)) - 1
     opp = min(tennis.ROWS - 1, max(0, opp + delta))
 
-    brow, v_dir = tennis._reflect_row(brow, v_dir)
+    brow, v_dir = _reflect(brow, v_dir, tennis.ROWS)
     bcol += h_dir
     if (bcol == tennis.AGENT_COL and brow == agent) or (bcol == tennis.OPPONENT_COL and brow == opp):
         h_dir = -h_dir

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 from hypothesis import strategies as st
 
-from cvslab import TreeEdge, TreeNode, TreeSpec
+from cvslab import Environment, TreeEdge, TreeNode, TreeSpec
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 
 
@@ -27,3 +29,61 @@ def road_trees(draw):
 
     grow(0, 1)
     return TreeSpec(root=0, nodes=tuple(nodes), edges=tuple(edges))
+
+
+class SmallMDP(Environment):
+    """A random cyclic MDP: ``outcomes[s][a]`` lists the ``(reward,
+    next_state)`` pairs a step may take, one picked by ``rng.integers``; the
+    episode starts in a state picked the same way and is cut into the sink
+    on its ``cap``-th step.  Unlike a road tree it revisits pairs, loops on
+    itself, steps at random and has a fractional ``h``."""
+
+    def __init__(self, outcomes, h, cap):
+        self._outcomes = outcomes
+        self._h = (*h, 0.0)
+        self._cap = cap
+        self._steps = 0
+
+    @property
+    def terminal(self):
+        return len(self._outcomes)
+
+    def action_layout(self):
+        counts = [len(actions) for actions in self._outcomes]
+        width = max(counts)
+        return width, {s: k for s, k in enumerate(counts) if k < width}
+
+    def reset(self, rng):
+        self._steps = 0
+        return int(rng.integers(self.terminal))
+
+    def step(self, s, a, rng):
+        if not 0 <= s < self.terminal or not 0 <= a < len(self._outcomes[s]):
+            raise ValueError(f"action {a} invalid for state {s}")
+        self._steps += 1
+        pairs = self._outcomes[s][a]
+        r, s2 = pairs[int(rng.integers(len(pairs)))]
+        return (r, self.terminal) if self._steps >= self._cap else (r, s2)
+
+    def criticality(self):
+        return self._h.__getitem__
+
+
+REWARDS = (0.0, 1.0, -2.0, 0.3)
+
+
+@st.composite
+def small_mdps(draw):
+    """Factories of :class:`SmallMDP`: 1-6 states with 1-3 actions each;
+    each pair has 1-3 outcomes plus one into the sink, rewards from
+    ``REWARDS``; ``h`` from {0, .1, .25, 1/3, .5, 1}; a cap of 3-30 steps."""
+    n = draw(st.integers(1, 6))
+    reward = st.sampled_from(REWARDS)
+
+    def pair():
+        steps = draw(st.lists(st.tuples(reward, st.integers(0, n - 1)), min_size=1, max_size=3))
+        return (*steps, (draw(reward), n))
+
+    outcomes = tuple(tuple(pair() for _ in range(draw(st.integers(1, 3)))) for _ in range(n))
+    h = tuple(draw(st.sampled_from((0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0))) for _ in range(n))
+    return partial(SmallMDP, outcomes, h, draw(st.integers(3, 30)))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -39,7 +40,7 @@ from references import (
     reference_qlambda_episode,
     reference_sarsa_lambda_s_episode,
 )
-from strategies import road_trees
+from strategies import road_trees, small_mdps
 
 approx = lambda x: pytest.approx(x, rel=1e-12, abs=0.0)
 
@@ -537,10 +538,15 @@ def assert_matches_reference(make_env, q_init, seed, episodes, run, reference):
         assert hexed(rec.updates) == hexed(updates), f"episode {episode}"
     assert q.writes == q_ref.writes
     assert q.as_array().tobytes() == q_ref.as_array().tobytes()
+    assert rng.random() == rng_ref.random(), "the two consumed different draws"
 
 
 GAMMAS = (1.0, 0.9, 0.5)
 LAMBDAS = (0.0, 0.5, 0.9, 1.0)
+Q_INITS = st.one_of(st.sampled_from((0.0, 0.5)), st.floats(-5.0, 5.0))
+# Trees are acyclic and deterministic with a 0/1 h; the small MDPs add
+# revisits, self-loops, random steps, fractional h and a step cap.
+TREES_AND_MDPS = st.one_of(road_trees().map(lambda tree: partial(RoadTreeEnv, tree)), small_mdps())
 # Uneven per-state criticalities put float rounding on the claim that the
 # mature waitlist entries are always a prefix.
 H_VALUES = (0.0, 0.1, 0.3, 1 / 3, 0.7, 1.0)
@@ -558,18 +564,18 @@ def draw_criticality(data, env):
 
 
 @given(
-    tree=road_trees(),
+    make_env=TREES_AND_MDPS,
     gamma=st.sampled_from(GAMMAS),
     epsilon=st.sampled_from((0.1, 0.5)),
-    q_init=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    q_init=Q_INITS,
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_cvs_matches_list_reference(tree, gamma, epsilon, q_init, seed, data):
-    h = draw_criticality(data, RoadTreeEnv(tree))
+def test_cvs_matches_list_reference(make_env, gamma, epsilon, q_init, seed, data):
+    h = draw_criticality(data, make_env())
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon)
     assert_matches_reference(
-        lambda: RoadTreeEnv(tree),
+        make_env,
         q_init,
         seed,
         5,
@@ -579,17 +585,17 @@ def test_cvs_matches_list_reference(tree, gamma, epsilon, q_init, seed, data):
 
 
 @given(
-    tree=road_trees(),
+    make_env=TREES_AND_MDPS,
     gamma=st.sampled_from(GAMMAS),
     lam=st.sampled_from(LAMBDAS),
     epsilon=st.sampled_from((0.1, 0.5)),
-    q_init=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    q_init=Q_INITS,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_qlambda_matches_dict_reference(tree, gamma, lam, epsilon, q_init, seed):
+def test_qlambda_matches_dict_reference(make_env, gamma, lam, epsilon, q_init, seed):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon, lam=lam)
     assert_matches_reference(
-        lambda: RoadTreeEnv(tree),
+        make_env,
         q_init,
         seed,
         5,
@@ -621,9 +627,9 @@ def test_qlambda_one_scan_matches_two_scan_reference(lam, gamma, tree, epsilon, 
 # Trees pay at junctions and leaves only; a loop pays a drawn reward at every
 # step, so every power of gamma meets a nonzero reward.
 ENV_FACTORIES = st.one_of(
-    road_trees().map(lambda tree: lambda: RoadTreeEnv(tree)),
+    TREES_AND_MDPS,
     st.lists(st.sampled_from((0.0, 1.0, -2.0, 0.3)), min_size=1, max_size=40).map(
-        lambda rewards: lambda: LoopEnv(rewards)
+        lambda rewards: partial(LoopEnv, rewards)
     ),
 )
 
@@ -632,7 +638,7 @@ ENV_FACTORIES = st.one_of(
     make_env=ENV_FACTORIES,
     n=st.integers(1, 45),
     gamma=st.sampled_from(REDUCTION_GAMMAS),
-    q_init=st.sampled_from((0.0, 5.0, -1.5)),
+    q_init=st.sampled_from((0.0, 0.5, 5.0, -1.5)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_n_step_sarsa_matches_power_per_reward_reference(make_env, n, gamma, q_init, seed):
@@ -645,6 +651,55 @@ def test_n_step_sarsa_matches_power_per_reward_reference(make_env, n, gamma, q_i
         lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
         lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
     )
+
+
+@given(
+    make_env=ENV_FACTORIES,
+    gamma=st.sampled_from(REDUCTION_GAMMAS),
+    q_init=st.sampled_from((0.0, 0.5, 5.0, -1.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mc_matches_full_return_reference(make_env, gamma, q_init, seed):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1)
+    assert_matches_reference(
+        make_env,
+        q_init,
+        seed,
+        5,
+        lambda env, q, rng: mc_episode(env, q, params, rng),
+        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
+    )
+
+
+# The mixed draws above may leave a (gamma, q_init) pair without a small MDP;
+# this runs all four references on each pair.
+@pytest.mark.parametrize("q_init", [0.0, 0.5])
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@settings(max_examples=10)
+@given(make_env=small_mdps(), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_agents_match_references_on_small_mdps(gamma, q_init, make_env, n, seed):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.8, n=n)
+    h = make_env().criticality()
+    checks = [
+        (
+            lambda env, q, rng: cvs_episode(env, q, h, params, rng),
+            lambda env, q, rng: reference_cvs_episode(env, q, h, params, rng),
+        ),
+        (
+            lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
+            lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
+        ),
+        (
+            lambda env, q, rng: mc_episode(env, q, params, rng),
+            lambda env, q, rng: reference_mc_episode(env, q, params, rng),
+        ),
+        (
+            lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
+            lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
+        ),
+    ]
+    for run, reference in checks:
+        assert_matches_reference(make_env, q_init, seed, 10, run, reference)
 
 
 # Shooter and tennis criticality is 1 in mid-episode states, so cvs updates

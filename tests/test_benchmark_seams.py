@@ -38,3 +38,19 @@ def test_tracer_sees_every_agent_episode(tracer, algorithm):
     span = f"agents.{algorithm}"
     assert t.totals(span)[0] == 3
     assert t.agent_steps[span] > 0
+
+
+def test_what_the_benchmark_reads_from_cvslab():
+    # benchmarks/selftest.py calls the harness's cvs_episode positionally and
+    # reads .steps; the tracer's _on_alloc reads a new table's _values.nbytes.
+    import numpy as np
+
+    import cvslab.harness
+    from cvslab import AgentParams, QTable, RoadTreeEnv, fig3_tree
+
+    env = RoadTreeEnv(fig3_tree())
+    q = QTable.for_env(env)
+    log = cvslab.harness.cvs_episode(env, q, env.criticality(), AgentParams(), np.random.default_rng(0))
+    assert log.steps > 0
+    width, _ = env.action_layout()
+    assert q._values.nbytes == env.num_states * width * 8 == 960

@@ -582,7 +582,7 @@ def test_draw_stream_words_match_pcg64(entropy, spawn_key):
     # Entropy above 2**64 and spawn keys above 2**32 take several 32-bit
     # words each, so these cover every branch of SeedSequence's mixing.
     stream = DrawStream(entropy, spawn_key)
-    words = [w for _ in range(3) for w in stream._block()]
+    words = [stream._next() for _ in range(3 * _DRAW_BLOCK)]
     want = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=spawn_key)).random_raw(3 * _DRAW_BLOCK)
     assert words == want.tolist()
 
@@ -590,9 +590,10 @@ def test_draw_stream_words_match_pcg64(entropy, spawn_key):
 @pytest.mark.parametrize("spawn_key", [(0,), (2**40,)])
 @pytest.mark.parametrize("entropy", [0, 2**64 - 1, 2**128])
 def test_draw_stream_words_match_pcg64_over_forty_blocks(entropy, spawn_key):
-    # Each block after the first is one lane jump; 40 blocks take 39.
+    # Each block after the first starts from the last state of the one
+    # before, so 40 blocks chain that start 39 times.
     stream = DrawStream(entropy, spawn_key)
-    words = [w for _ in range(40) for w in stream._block()]
+    words = [stream._next() for _ in range(40 * _DRAW_BLOCK)]
     want = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=spawn_key)).random_raw(40 * _DRAW_BLOCK)
     assert words == want.tolist()
 
