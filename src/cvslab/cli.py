@@ -84,17 +84,6 @@ def _parse_json(text: str, key: str) -> dict:
     return doc
 
 
-def _agent_params(entry: dict, where: str) -> AgentParams:
-    kwargs = {}
-    for json_key, attr in _PARAM_KEYS:
-        if json_key in entry:
-            kwargs[attr] = entry[json_key]
-    try:
-        return AgentParams(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.{exc.key}", exc.message) from exc
-
-
 def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], int]:
     """Returns (name, [(label, per-algorithm config)], smoothing window)."""
     for key in doc:
@@ -103,9 +92,6 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
     name = doc.get("name")
     if not isinstance(name, str) or not _LABEL_RE.match(name):
         raise ConfigError("name", "required; letters, digits, '_', '-', '.' only")
-    environment = doc.get("environment")
-    if not isinstance(environment, dict):
-        raise ConfigError("environment", "required; must be an object")
     algorithms = doc.get("algorithms")
     if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("algorithms", "required; must be a non-empty array")
@@ -128,11 +114,14 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
         if label in seen:
             raise ConfigError(f"{where}.label", f"duplicate label {label!r}")
         seen.add(label)
-        algorithm = entry.get("algorithm")
-        if algorithm not in ALGORITHM_NAMES:
-            raise ConfigError(f"{where}.algorithm", f"must be one of {', '.join(ALGORITHM_NAMES)}")
-        params = _agent_params(entry, where)
-        jobs.append((label, ExperimentConfig(environment, algorithm, params, **common)))
+        try:
+            params = AgentParams(**{attr: entry[key] for key, attr in _PARAM_KEYS if key in entry})
+            cfg = ExperimentConfig(doc.get("environment"), entry.get("algorithm"), params, **common)
+        except ConfigError as exc:
+            if exc.key not in _ALGO_KEYS:
+                raise  # a shared or environment key, named as the document names it
+            raise ConfigError(f"{where}.{exc.key}", exc.message) from exc
+        jobs.append((label, cfg))
     return name, jobs, window
 
 

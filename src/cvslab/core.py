@@ -551,27 +551,23 @@ def q_update(q: QTable, s: StateId, a: ActionId, target: float, alpha: float) ->
     Together with :func:`q_update_traced` this is the only mutation path into
     a QTable.
     """
-    _check_writable(q, s, a)
-    i = s * q._width + a
+    i = q_index(q, s, a)
     v = q._values[i]
     q._values[i] = v + alpha * (target - v)
     q._writes += 1
 
 
-def _check_writable(q: QTable, s: StateId, a: ActionId) -> None:
+def q_index(q: QTable, s: StateId, a: ActionId) -> int:
+    """Flat index ``s * width + a`` of a writable pair: the one write guard.
+
+    It raises for the TERMINAL row, a state out of range or an action ``s``
+    lacks.  :func:`q_update` takes its index from here, and the indices
+    :func:`q_update_traced` writes come from here, so no write skips it.
+    """
     if not 0 <= s < q._terminal:
         raise _state_error(q._terminal, s, "the TERMINAL Q-row is immutable")
     if not 0 <= a < q._narrow.get(s, q._width):
         raise ValueError(f"action {a} invalid for state {s}")
-
-
-def q_index(q: QTable, s: StateId, a: ActionId) -> int:
-    """Flat index of (s, a) for :func:`q_update_traced`.
-
-    Applies the same checks as :func:`q_update`, so a pair that gets an index
-    may be written.
-    """
-    _check_writable(q, s, a)
     return s * q._width + a
 
 

@@ -104,7 +104,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHM_NAMES:
-            raise ConfigError("algorithm", f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError("algorithm", f"must be one of {', '.join(ALGORITHM_NAMES)}, got {self.algorithm!r}")
         if not isinstance(self.params, AgentParams):
             raise ConfigError("params", f"must be an AgentParams, got {self.params!r}")
         _setting("episodes", self.episodes, _positive_int)

@@ -273,44 +273,40 @@ class RoadTreeEnv(Environment):
 
     def __init__(self, tree: TreeSpec):
         self.tree = tree
-        table: list[list[tuple[float, StateId]]] = []  # state -> action -> its step
-        crit: list[float] = []
-
-        def new_state(h: float) -> StateId:
-            table.append([])
-            crit.append(h)
-            return len(table) - 1
-
         # Every junction and every edge's d - 1 road states get a state, so
         # the sink, allocated last, gets this id.
         junctions = sum(n.kind == KIND_JUNCTION for n in tree.nodes)
         sink = junctions + sum(e.distance - 1 for e in tree.edges)
-        node_state = {tree.root: new_state(1.0)}
+        table: list[list[tuple[float, StateId]]] = [[]]  # state -> action -> its step
+        node_state = {tree.root: 0}
         # junction state -> per action (child node reward, child junction state
         # or the sink): the tree with its roads contracted.
         moves: dict[StateId, list[tuple[float, StateId]]] = {}
-        # Junctions are expanded in allocation order, each edge's chain and
-        # child right after the previous edge's, so a parent's action k
+        # The walk from the root meets each junction after its parent, which
+        # allocated its state; terminal nodes have none.  Each edge's chain
+        # and child follow the previous edge's, so a parent's action k
         # follows its k-th declared edge.
-        order = [tree.root]
-        for p in order:  # grows as junction children are allocated
-            p_state = node_state[p]
+        for p in tree._order:
+            p_state = node_state.get(p)
+            if p_state is None:
+                continue
             moves[p_state] = []
             for e in tree.children(p):
                 last = p_state
                 for _ in range(e.distance - 1):
-                    road = new_state(0.0)
-                    table[last].append((0.0, road))
-                    last = road
+                    table[last].append((0.0, len(table)))
+                    last = len(table)
+                    table.append([])
                 child = tree.node(e.child)
                 if child.kind == KIND_TERMINAL:
                     entered = sink
                 else:
-                    entered = node_state[child.id] = new_state(1.0)
-                    order.append(child.id)
+                    entered = node_state[child.id] = len(table)
+                    table.append([])
                 table[last].append((child.reward, entered))
                 moves[p_state].append((child.reward, entered))
-        crit.append(1.0)  # the sink's, which has no row of steps
+        # h is 1 at the junctions and the sink, 0 on the roads.
+        crit = [1.0 if s in moves else 0.0 for s in range(sink)] + [1.0]
 
         self._node_state = node_state
         self._sink = sink

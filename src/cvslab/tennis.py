@@ -43,6 +43,8 @@ _N_ACTIONS = 3
 
 _N_FIELD = ROWS * COLS * 6 * ROWS * ROWS
 _RACKETS = ROWS * ROWS  # racket rows per ball id
+# _RACKET_MOVE[row + m] is a racket's row after move m (0 up, 1 stay, 2 down), kept on the field.
+_RACKET_MOVE = [0, *range(ROWS), ROWS - 1]
 
 # Ball flights by ball id, shared by every instance (see the module docstring).
 _Flight = tuple[int, int, int, int, int, tuple[float, StateId] | None]
@@ -123,23 +125,14 @@ class TennisEnv(Environment):
             flight = _FLIGHT[ball] = _flight(ball)
         row, next_col, next_row, kept, flipped, score = flight
 
-        agent += a - 1
-        if agent < 0:
-            agent = 0
-        elif agent > ROWS - 1:
-            agent = ROWS - 1
-
+        agent = _RACKET_MOVE[agent + a]
         if rng.random() < self._p_optimal:  # a step toward the ball's row stays on the field
             if opp < row:
                 opp += 1
             elif opp > row:
                 opp -= 1
         else:
-            opp += int(rng.integers(3)) - 1
-            if opp < 0:
-                opp = 0
-            elif opp > ROWS - 1:
-                opp = ROWS - 1
+            opp = _RACKET_MOVE[opp + int(rng.integers(3))]
 
         if score is not None:
             return score

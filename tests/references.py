@@ -215,8 +215,24 @@ def reference_sarsa_lambda_s_episode(env, q, h, params, rng):
     equals cvs bit for bit.  Every pair then waits for the next state of
     criticality 1, and the pairs waiting together always get the same update,
     so they keep one shared value: each ``delta`` but the last of a stretch is
-    an exact ``0.0``, and the last one is cvs's ``target - v``.  At
-    ``gamma < 1`` the two part: a trace is ``gamma ** k``, the pairs of a
+    an exact ``0.0``, and the last one is cvs's ``target - v``.
+
+    Off trees the same holds wherever every state of ``h = 0`` is entered by
+    one pair, always, with reward 0: states of ``h = 1`` may be entered from
+    several pairs, revisited, looped on and stepped into at random
+    (``road_mdps`` in ``tests/strategies.py``).  Two kinds of feature break
+    it.  A pair revisited within a stretch, such as a self-loop at a state of
+    ``h = 0``, gets a trace of 2 where cvs updates each visit in turn, so the
+    two part in exact arithmetic too.  A random step into or out of a
+    stretch, or a state of ``h = 0`` entered from two pairs, gives that state
+    its own update history: the interior ``delta`` stop being zeros, the
+    online updates add the same sums in another order, and the tables part in
+    the last bits, after which a tie can break differently and later draws
+    differ.  A step cap that cuts a stretch counts as a random step, and on
+    ``small_mdps`` every pair may step into the sink, so nearly all of those
+    draws have one.
+
+    At ``gamma < 1`` the two part: a trace is ``gamma ** k``, the pairs of a
     stretch drift apart and the interior ``delta`` stop being zero, so the
     online updates no longer add up to cvs's one update per pair (the forward
     and backward views agree exactly only for offline updates; Sutton & Barto

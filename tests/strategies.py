@@ -87,3 +87,45 @@ def small_mdps(draw):
     outcomes = tuple(tuple(pair() for _ in range(draw(st.integers(1, 3)))) for _ in range(n))
     h = tuple(draw(st.sampled_from((0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0))) for _ in range(n))
     return partial(SmallMDP, outcomes, h, draw(st.integers(3, 30)))
+
+
+class FixedStartMDP(SmallMDP):
+    """A :class:`SmallMDP` whose episodes all start in state 0, drawing nothing."""
+
+    def reset(self, rng):
+        self._steps = 0
+        return 0
+
+
+@st.composite
+def road_mdps(draw):
+    """Factories of :class:`FixedStartMDP` with junctions and roads, as on a
+    tree: ``h`` is 1 at 1-3 junctions (state 0 the start) and 0 on road
+    states.  A junction has 0-2 actions that each either run a road of 1-3
+    one-action states, entered with reward 0 and always by that one pair,
+    into a junction or the sink, or step to one of 1-3 outcomes among the
+    junctions and the sink; then one action into the sink.  Unlike a tree,
+    junctions may be entered from several pairs, revisited, stepped into at
+    random and looped on; the cap of 10**9 steps is never reached."""
+    junctions = draw(st.integers(1, 3))
+    reward = st.sampled_from(REWARDS)
+    dest = st.one_of(st.integers(0, junctions - 1), st.none())  # None: the sink
+    outcomes = [[] for _ in range(junctions)]
+    h = [1.0] * junctions
+    for j in range(junctions):
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                head = len(outcomes)
+                length = draw(st.integers(1, 3))
+                outcomes += [[[(0.0, s + 1)]] for s in range(head, head + length - 1)]
+                outcomes.append([[(draw(reward), draw(dest))]])
+                h += [0.0] * length
+                outcomes[j].append([(0.0, head)])
+            else:
+                outcomes[j].append([(draw(reward), draw(dest)) for _ in range(draw(st.integers(1, 3)))])
+        outcomes[j].append([(draw(reward), None)])
+    sink = len(outcomes)
+    resolved = tuple(
+        tuple(tuple((r, sink if s is None else s) for r, s in pair) for pair in actions) for actions in outcomes
+    )
+    return partial(FixedStartMDP, resolved, tuple(h), 10**9)

@@ -40,7 +40,7 @@ from references import (
     reference_qlambda_episode,
     reference_sarsa_lambda_s_episode,
 )
-from strategies import road_trees, small_mdps
+from strategies import FixedStartMDP, road_mdps, road_trees, small_mdps
 
 approx = lambda x: pytest.approx(x, rel=1e-12, abs=0.0)
 
@@ -449,6 +449,60 @@ def test_cvs_equals_sarsa_lambda_s_at_unit_gamma_on_trees(tree, q_init, seed):
         total, steps, _ = reference_sarsa_lambda_s_episode(env_ref, q_ref, h, params, rng_ref)
         assert (log.total_reward, log.steps) == (total, steps), f"episode {episode}"
         assert q.as_array().tobytes() == q_ref.as_array().tobytes(), f"episode {episode}"
+
+
+def sarsa_lambda_s_gap(make_env, q_init, seed, episodes):
+    """``(episode, gap)``: the first episode after which cvs and the
+    SARSA(lambda(s)) reference hold different tables at gamma 1, and the
+    largest difference then; ``(None, 0.0)`` if they never part."""
+    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1)
+    env, env_ref = make_env(), make_env()
+    q, q_ref = fresh(env, q_init), fresh(env_ref, q_init)
+    rng, rng_ref = DrawStream(seed), DrawStream(seed)
+    h = env.criticality()
+    for episode in range(episodes):
+        log = cvs_episode(env, q, h, params, rng)
+        total, steps, _ = reference_sarsa_lambda_s_episode(env_ref, q_ref, h, params, rng_ref)
+        a, b = q.as_array(), q_ref.as_array()
+        if (log.total_reward, log.steps) != (total, steps) or a.tobytes() != b.tobytes():
+            apart = a != b  # not the padding, equal in both
+            return episode, float(np.max(np.abs(a[apart] - b[apart]), initial=0.0))
+    return None, 0.0
+
+
+@settings(max_examples=50)
+@given(make_env=road_mdps(), q_init=st.sampled_from((0.0, 0.5)), seed=st.integers(0, 2**32 - 1))
+def test_cvs_equals_sarsa_lambda_s_on_road_mdps(make_env, q_init, seed):
+    # Off trees too, while every road is entered by one pair, always and at
+    # reward 0: junctions may be shared, revisited, looped on and stepped
+    # into at random.
+    assert sarsa_lambda_s_gap(make_env, q_init, seed, 15) == (None, 0.0)
+
+
+# The smallest MDP found for each feature that parts the two at gamma 1 from a
+# zero table: (outcomes, h, cap, seed, episodes), outcomes as SmallMDP's,
+# state 0 the start and the last id + 1 the sink.
+SARSA_LAMBDA_S_BREAKERS = {
+    # a pair revisited within a stretch of h = 0: its trace reaches 2
+    "revisit": (((((0.0, 1),),), (((1.0, 0),),)), (0.0, 0.0), 3, 0, 1),
+    # a self-loop at a state of h = 0, the one-state case of the above
+    "self-loop": ((((((1.0, 0),),),), (0.0,), 2, 0, 2)),
+    # a junction pair that enters its road or ends the episode at random
+    "stochastic step": (((((0.0, 1), (1.0, 2)),), (((1.0, 2),),)), (1.0, 0.0), 100, 0, 4),
+    # a road entered from two pairs, so it has its own update history
+    "shared history": (((((0.0, 1),), ((0.0, 1),)), (((1.0, 2),),)), (1.0, 0.0), 100, 0, 9),
+}
+
+
+@pytest.mark.parametrize("feature", sorted(SARSA_LAMBDA_S_BREAKERS))
+def test_what_parts_cvs_from_sarsa_lambda_s_off_trees(feature):
+    outcomes, h, cap, seed, episodes = SARSA_LAMBDA_S_BREAKERS[feature]
+    episode, gap = sarsa_lambda_s_gap(partial(FixedStartMDP, outcomes, h, cap), 0.0, seed, episodes)
+    assert episode == episodes - 1  # equal until the last episode
+    if feature in ("revisit", "self-loop"):
+        assert gap > 1e-3  # far beyond rounding: they part in exact arithmetic too
+    else:
+        assert 0.0 < gap < 1e-15  # the same sums, added in another order
 
 
 def test_qlambda_zero_lambda_equals_q_learning():

@@ -6,6 +6,10 @@ layer from the tracer fails here and not at benchmark time."""
 from __future__ import annotations
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,34 @@ def test_what_the_benchmark_reads_from_cvslab():
     assert log.steps > 0
     width, _ = env.action_layout()
     assert q._values.nbytes == env.num_states * width * 8 == 960
+
+
+def test_the_module_entry_the_benchmark_launches(tmp_path):
+    # benchmarks/run.py times `python -m cvslab.cli run <config> --out <dir>`
+    # in a fresh process, with src on PYTHONPATH and CVS_LAB_THREADS set.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, CVS_LAB_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    doc = {
+        "name": "entry",
+        "environment": {"name": "roadtree:fig3"},
+        "algorithms": [{"label": "cvs", "algorithm": "cvs"}, {"label": "mc", "algorithm": "mc"}],
+        "episodes": 2,
+    }
+
+    def run(config: dict, out: str) -> subprocess.CompletedProcess:
+        path = tmp_path / f"{out}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        cmd = [sys.executable, "-m", "cvslab.cli", "run", str(path), "--out", str(tmp_path / out)]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+
+    good = run(doc, "good")
+    assert good.returncode == 0, good.stderr
+    assert sorted(p.name for p in (tmp_path / "good").iterdir()) == [
+        "entry_cvs.csv",
+        "entry_mc.csv",
+        "entry_plot.json",
+    ]
+    bad = run({**doc, "episodes": 0}, "bad")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error: ") and "Traceback" not in bad.stderr

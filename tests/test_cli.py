@@ -24,6 +24,7 @@ def write_config(path, **overrides):
         "window": 5,
     }
     doc.update(overrides)
+    doc = {key: value for key, value in doc.items() if value is not None}  # None leaves a key out
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
@@ -217,6 +218,37 @@ def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides
     cfg = write_config(tmp_path / "demo.json", **overrides)
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
     assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, line",
+    [
+        ({"episodes": 0}, "error: episodes: must be a positive integer, got 0"),
+        (
+            {"environment": {"name": "shooter", "max_steps": 0}},
+            "error: environment.max_steps: must be a positive integer, got 0",
+        ),
+        ({"environment": None}, "error: environment: must be an object with a 'name' entry"),
+        (
+            {"algorithms": [{"label": "cvs", "algorithm": "cvs"}, {"label": "x", "algorithm": "dyna"}]},
+            "error: algorithms[1].algorithm: must be one of cvs, qlearning, nstep_sarsa, qlambda, mc, got 'dyna'",
+        ),
+        (
+            {"algorithms": [{"label": "x", "algorithm": "qlambda", "lambda": 2}]},
+            "error: algorithms[0].lambda: must be in [0, 1], got 2",
+        ),
+        (  # the block's hyper-parameters are checked before its algorithm
+            {"algorithms": [{"label": "x", "algorithm": "dyna", "lambda": 2}]},
+            "error: algorithms[0].lambda: must be in [0, 1], got 2",
+        ),
+    ],
+)
+def test_config_error_line_names_its_key(tmp_path, capsys, overrides, line):
+    # A block's own keys are named within the block, shared and environment
+    # keys by their own names.
+    cfg = write_config(tmp_path / "demo.json", **overrides)
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 def test_unknown_top_level_key_exits_two(tmp_path, capsys):

@@ -231,6 +231,12 @@ def test_config_validation_names_offending_key():
     assert info.value.key == "environment.name"
 
 
+def test_unknown_algorithm_message_lists_the_choices():
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(algorithm="dyna")
+    assert str(info.value) == "algorithm: must be one of cvs, qlearning, nstep_sarsa, qlambda, mc, got 'dyna'"
+
+
 def test_run_experiment_rejects_a_negative_seed():
     for seed in (-1, -(2**70)):
         with pytest.raises(ConfigError) as info:
