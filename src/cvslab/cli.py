@@ -2,10 +2,13 @@
 
 ``cvslab run <config>`` executes a comparison described by a JSON document
 (a file path or the name of a bundled preset) and writes one CSV per
-algorithm plus a plot spec; all its algorithm blocks share one process pool,
-sized by the largest block and capped by ``CVS_LAB_THREADS``, or run in this
-process at one worker.  Shared settings the document leaves out take
-``ExperimentConfig``'s defaults; ``window`` (default 10) only smooths the CSV.
+algorithm plus a plot spec.  It forks one set of worker processes per
+comparison, sized by the largest algorithm block and capped by
+``CVS_LAB_THREADS``, and every block's runs go to them; at one worker, or
+where ``os.fork`` does not exist, the runs go in this process, with the same
+results.  It reaps every worker before it returns, however the run ends.
+Shared settings the document leaves out take ``ExperimentConfig``'s
+defaults; ``window`` (default 10) only smooths the CSV.
 ``cvslab plot <spec>`` turns that spec into an SVG.  ``cvslab list`` shows
 what is available.
 

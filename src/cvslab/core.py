@@ -61,6 +61,10 @@ class ConfigError(ValueError):
         self.message = message
         super().__init__(f"{key}: {message}")
 
+    def __reduce__(self):
+        # rebuilt from (key, message), so it crosses from a pool worker intact
+        return type(self), (self.key, self.message)
+
 
 def _setting(key: str, value, convert):
     """``convert(value)``; a ``TypeError`` or ``ValueError`` it raises becomes

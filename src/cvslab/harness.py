@@ -5,13 +5,15 @@ seed).  Every draw of run ``i``, env resets included, comes from one
 ``DrawStream(seed, (i,))``, whose values equal those of numpy's
 ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, so results are
 bit-reproducible from the config alone and independent of run order or
-worker count.  ``run_experiment`` submits its runs to a
-caller's process pool when given one (``pool=``), so several experiments can
-share one pool (the CLI opens one per comparison, sized by its largest block).
-Otherwise it sizes its own from the ``CVS_LAB_THREADS`` environment variable
-(default: the number of available processors), capped at the run count, and
-runs in this process at one worker.  An ``ExperimentConfig`` holds only what
-a run reads; smoothing windows belong to the caller of ``running_average``.
+worker count.  ``run_experiment`` hands its runs to a
+caller's pool when given one (``pool=``, any object with an Executor-style
+``map``), so several experiments can share one pool (``cvslab run`` forks one
+set of workers per comparison, sized by its largest block).  Otherwise it
+sizes its own from the ``CVS_LAB_THREADS`` environment variable (default: the
+number of available processors), capped at the run count, and runs in this
+process at one worker, or where ``os.fork`` does not exist; results are the
+same either way.  An ``ExperimentConfig`` holds only what a run reads;
+smoothing windows belong to the caller of ``running_average``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import inspect
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from itertools import accumulate, repeat
+from typing import BinaryIO, NoReturn
 
 from .agents import (
     ALGORITHM_NAMES,
@@ -36,9 +38,6 @@ from .core import _finite_real, _is_int, _positive_int, _setting
 from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, optimal_return_oracle
 from .shooter import ShooterEnv
 from .tennis import TennisEnv
-
-if TYPE_CHECKING:  # a serial run never loads concurrent.futures
-    from concurrent.futures import Executor
 
 
 def _custom_tree(tree) -> TreeSpec:
@@ -189,32 +188,169 @@ def _resolve_workers() -> int:
         return os.cpu_count() or 1
 
 
+class _ForkPool:
+    """``workers`` forked processes that run one pickled task at a time each.
+
+    The workers live until ``close``, so what a run memoises stays warm for
+    the next.  Leaving the ``with`` block closes the pool; leaving it on an
+    exception kills the workers first.  Either way every worker is reaped.
+    """
+
+    def __init__(self, workers: int):
+        self._workers: list[tuple[int, int, BinaryIO]] = []  # (pid, task fd, result reader)
+        try:
+            for _ in range(workers):
+                self._fork()
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def _fork(self) -> None:
+        fds: list[int] = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        task_r, task_w, result_r, result_w = fds
+        if pid == 0:  # the worker never returns into its parent's stack
+            status = 1
+            try:
+                # it holds no parent end of any pipe, so it sees its task pipe end
+                # when the parent closes it, and so do the workers forked before it
+                os.close(task_w)
+                os.close(result_r)
+                for _, earlier_task_w, earlier_reader in self._workers:
+                    os.close(earlier_task_w)
+                    earlier_reader.close()
+                _serve(task_r, result_w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(task_r)
+        os.close(result_w)
+        self._workers.append((pid, task_w, open(result_r, "rb")))
+
+    def map(self, fn, *iterables) -> list:
+        """``list(map(fn, *iterables))``, computed by the workers.
+
+        A task goes to a worker only when it is idle, so no pipe fills while
+        its reader waits.  Once a task has raised, no new task is sent; the
+        ones in flight finish, and the earliest task's exception is raised.
+        A worker that dies kills the pool and raises a ``RuntimeError``.
+        """
+        import pickle
+        import select
+
+        tasks = enumerate(zip(*iterables))
+        idle, busy, replies = list(self._workers), {}, {}  # busy: result fd -> (worker, index)
+        poll = select.poll()
+        while True:
+            while idle and (task := next(tasks, None)):
+                worker = pid, task_w, reader = idle.pop()
+                view = memoryview(pickle.dumps((fn, task[1])))
+                try:
+                    while view:
+                        view = view[os.write(task_w, view) :]
+                except BrokenPipeError:
+                    self._died(pid)
+                busy[reader.fileno()] = worker, task[0]
+                poll.register(reader, select.POLLIN)
+            if not busy:
+                break
+            for fd, _ in poll.poll():
+                poll.unregister(fd)
+                worker, index = busy.pop(fd)
+                pid, _, reader = worker
+                try:
+                    ok, _ = replies[index] = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):  # the pipe ended, or mid-reply
+                    self._died(pid)
+                if not ok:
+                    tasks = iter(())  # send nothing more; the tasks in flight finish
+                idle.append(worker)
+        ordered = [replies[index] for index in sorted(replies)]
+        for ok, value in ordered:
+            if not ok:
+                raise value
+        return [value for _, value in ordered]
+
+    def _died(self, pid: int) -> NoReturn:
+        # a worker ends a pipe only on its way out, so this one exits unkilled
+        # and its status is its own
+        status = self.close(kill=True, spare=pid)[pid]
+        raise RuntimeError(f"pool worker {pid} died (exit status {status})")
+
+    def close(self, kill: bool = False, spare: int | None = None) -> dict[int, int]:
+        """End the task pipes, at whose end a worker exits, having killed every
+        worker but ``spare`` when ``kill``; returns each reaped worker's exit
+        status by pid."""
+        import signal
+
+        workers, self._workers = self._workers, []
+        for pid, task_w, reader in workers:
+            if kill and pid != spare:
+                os.kill(pid, signal.SIGKILL)
+            os.close(task_w)
+            reader.close()
+        return {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _, _ in workers}
+
+    def __enter__(self) -> _ForkPool:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        self.close(kill=exc_type is not None)
+
+
+def _serve(task_r: int, result_w: int) -> None:
+    """A worker's loop: read a pickled ``(fn, args)`` and write back the
+    pickled ``(True, fn(*args))`` or ``(False, exception)``, until the task
+    pipe ends.  A failed write ends the worker."""
+    import pickle
+
+    with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
+        while True:
+            try:
+                fn, args = pickle.load(tasks)
+            except EOFError:
+                return
+            try:
+                reply = True, fn(*args)
+            except Exception as exc:
+                reply = False, exc
+            pickle.dump(reply, results)
+            results.flush()
+
+
 def _open_pool(runs: int):
-    """A pool of ``min(_resolve_workers(), runs)`` processes, or ``nullcontext()`` at 1."""
+    """A pool of ``min(_resolve_workers(), runs)`` forked processes, or
+    ``nullcontext()`` at 1 or where ``os.fork`` does not exist."""
     workers = min(_resolve_workers(), runs)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return nullcontext()
-    # imported here: 2.6 MB and ~40 ms that a serial run skips
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers)
+    return _ForkPool(workers)
 
 
-def run_experiment(cfg: ExperimentConfig, *, pool: Executor | None = None) -> list[RunResult]:
+def run_experiment(cfg: ExperimentConfig, *, pool=None) -> list[RunResult]:
     """Execute all runs of an experiment; results are ordered by run index.
 
-    With a ``pool``, the runs go to it and it is left open for the caller.
-    Without one, ``min(workers, cfg.runs)`` processes run them, ``workers``
-    coming from ``CVS_LAB_THREADS`` or the processor count, in a pool opened
-    and closed here, or in this process when that is 1.  ``cfg`` was checked
-    when built; each run builds its environment anew, and fails there if the
+    With a ``pool`` (any object with an Executor-style ``map``, such as a
+    ``ProcessPoolExecutor``), the runs go to it and it is left open for the
+    caller; a caller that runs threads passes one, since forking a threaded
+    process is unsafe.  Without one, ``min(workers, cfg.runs)`` forked
+    processes run them, ``workers`` coming from ``CVS_LAB_THREADS`` or the
+    processor count, in a pool opened and closed here, or this process runs
+    them when that is 1 or ``os.fork`` does not exist.  ``cfg`` was checked
+    when built; each run builds its environment anew, and fails there, with
+    a :class:`ConfigError` that reaches the caller from any worker, if the
     ``environment`` block was changed since into a bad one.
     """
     with nullcontext(pool) if pool is not None else _open_pool(cfg.runs) as pool:
-        if pool is None:
-            return [_run_one(cfg, i) for i in range(cfg.runs)]
-        futures = [pool.submit(_run_one, cfg, i) for i in range(cfg.runs)]
-        return [f.result() for f in futures]
+        run_map = map if pool is None else pool.map
+        return list(run_map(_run_one, repeat(cfg, cfg.runs), range(cfg.runs)))
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
-import concurrent.futures
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
 from pathlib import Path
 
 import pytest
 
+from cvslab import harness
 from cvslab.cli import _parse_compare, main, preset_names
+from cvslab.core import ConfigError
 
 
 def write_config(path, **overrides):
@@ -80,20 +81,25 @@ def pools(monkeypatch):
     """Every process pool the CLI or the harness opens, recorded in order."""
     made = []
 
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.max_workers = kwargs.get("max_workers", args[0] if args else None)
+    class RecordingPool(harness._ForkPool):
+        def __init__(self, workers):
+            super().__init__(workers)
+            self.max_workers = workers
             self.closed = False
             made.append(self)
 
-        def shutdown(self, *args, **kwargs):
+        def close(self, *args, **kwargs):
             self.closed = True
-            super().shutdown(*args, **kwargs)
+            return super().close(*args, **kwargs)
 
-    # cli and harness import the pool class where they open one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # the harness looks the pool class up where it opens one
+    monkeypatch.setattr(harness, "_ForkPool", RecordingPool)
     return made
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 THREE_BLOCKS = [
@@ -108,6 +114,7 @@ def test_one_pool_serves_every_block(tmp_path, monkeypatch, pools):
     cfg = write_config(tmp_path / "demo.json", algorithms=THREE_BLOCKS, runs=3)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert [(p.max_workers, p.closed) for p in pools] == [(2, True)]
+    assert_no_child_left()
     for label in ("cvs", "mc", "ql"):
         assert (tmp_path / "out" / f"demo_{label}.csv").exists()
 
@@ -134,6 +141,21 @@ def test_failed_csv_write_still_closes_the_pool(tmp_path, monkeypatch, pools):
     (out / "demo_mc.csv").mkdir(parents=True)  # a directory where a CSV goes
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert [(p.max_workers, p.closed) for p in pools] == [(2, True)]
+    assert_no_child_left()
+
+
+def _config_error_run(cfg, run_index):
+    raise ConfigError("environment.name", f"run {run_index} cannot build it")
+
+
+def test_config_error_in_a_worker_exits_two_and_closes_the_pool(tmp_path, monkeypatch, pools, capsys):
+    monkeypatch.setenv("CVS_LAB_THREADS", "2")
+    monkeypatch.setattr(harness, "_run_one", _config_error_run)
+    cfg = write_config(tmp_path / "demo.json", algorithms=THREE_BLOCKS, runs=2)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "environment.name: run 0 cannot build it" in capsys.readouterr().err
+    assert [(p.max_workers, p.closed) for p in pools] == [(2, True)]
+    assert_no_child_left()
 
 
 def test_fig1_csvs_are_byte_identical_at_one_and_two_workers(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from cvslab import (
     AgentParams,
+    ConfigError,
     QTable,
     RoadTreeEnv,
     ShooterEnv,
@@ -68,6 +70,12 @@ def test_agent_params_defaults():
 def test_agent_params_rejects_bad_values(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         AgentParams(**kwargs)
+
+
+def test_config_error_survives_a_pickle_round_trip():
+    back = pickle.loads(pickle.dumps(ConfigError("a.b", "bad")))
+    assert type(back) is ConfigError
+    assert (back.key, back.message, str(back)) == ("a.b", "bad", "a.b: bad")
 
 
 def test_qtable_padding_and_terminal_row():

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import signal
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -35,7 +40,7 @@ from cvslab import (
 )
 from cvslab import harness
 from cvslab.core import q_update
-from cvslab.harness import _run_one
+from cvslab.harness import _ForkPool, _run_one
 from strategies import road_trees
 
 
@@ -201,7 +206,7 @@ def test_make_env_names_offending_key(cfg, key):
     assert info.value.key == key
 
 
-def test_config_validation_names_offending_key():
+def test_config_validation_names_offending_key(monkeypatch):
     cases = [
         (dict(algorithm="sarsa99"), "algorithm"),
         (dict(episodes=0), "episodes"),
@@ -224,11 +229,12 @@ def test_config_validation_names_offending_key():
         with pytest.raises(ConfigError) as info:
             small_cfg(**overrides)  # raises when built
         assert info.value.key == key, key
-    cfg = small_cfg(runs=1)
-    cfg.environment["name"] = "nope"  # a block changed after the check fails in the run
-    with pytest.raises(ConfigError) as info:
-        run_experiment(cfg)
-    assert info.value.key == "environment.name"
+    for threads, runs in ((1, 1), (2, 2)):  # in this process, and from a worker
+        cfg = small_cfg(runs=runs)
+        cfg.environment["name"] = "nope"  # a block changed after the check fails in the run
+        with pytest.raises(ConfigError) as info:
+            run_on(monkeypatch, threads, cfg)
+        assert info.value.key == "environment.name"
 
 
 def test_unknown_algorithm_message_lists_the_choices():
@@ -297,6 +303,80 @@ def test_caller_pool_gives_the_same_results_and_stays_open(monkeypatch):
     for results in (own, shared, again):
         assert [r.returns for r in results] == [r.returns for r in serial]
         assert [r.greedy_optimal for r in results] == [r.greedy_optimal for r in serial]
+
+
+def test_runs_without_fork_go_in_this_process(monkeypatch):
+    cfg = small_cfg(runs=3)
+    forked = run_on(monkeypatch, 2, cfg)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(harness, "_ForkPool", None)  # opening a pool would fail
+    alone = run_on(monkeypatch, 2, cfg)
+    assert [r.returns for r in alone] == [r.returns for r in forked]
+    assert [r.greedy_optimal for r in alone] == [r.greedy_optimal for r in forked]
+
+
+def _after(seconds, outcome):
+    time.sleep(seconds)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test still running after 30 s, where a pool fault would hang it."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_fork_pool_keeps_submission_order(deadline):
+    with _ForkPool(2) as pool:
+        # the later tasks finish first
+        assert pool.map(_after, [0.2, 0.0, 0.1, 0.0], "abcd") == list("abcd")
+        with pytest.raises(ValueError, match="first"):
+            pool.map(_after, [0.2, 0.0, 0.0], [ValueError("first"), KeyError("second"), "c"])
+        assert pool.map(pow, [2, 3], [10, 2]) == [1024, 9]  # still usable after a task raised
+        assert pool.map(bytes, [1 << 20, 3]) == [bytes(1 << 20), bytes(3)]  # far beyond a pipe's buffer
+    assert_no_child_left()
+
+
+def _half_a_reply(_):
+    return [bytes(1 << 20), threading.Lock()]  # the lock fails to pickle after the bytes are sent
+
+
+# sys.exit's SystemExit is no task failure: the worker ends, unwinding no further
+@pytest.mark.parametrize("task, status", [(os._exit, 3), (sys.exit, 1), (_half_a_reply, 1)])
+def test_a_dead_worker_raises_and_no_child_is_left(deadline, task, status):
+    with _ForkPool(2) as pool:
+        with pytest.raises(RuntimeError, match=rf"pool worker \d+ died \(exit status {status}\)"):
+            pool.map(task, [3])
+    assert_no_child_left()
+
+
+def test_leaving_a_fork_pool_on_an_exception_kills_its_workers(deadline):
+    class StatusPool(_ForkPool):
+        def close(self, kill=False):
+            self.statuses = super().close(kill)
+            return self.statuses
+
+    with pytest.raises(KeyError):
+        with StatusPool(2) as pool:
+            pool.map(pow, [2], [3])
+            raise KeyError("caller")
+    assert list(pool.statuses.values()) == [-signal.SIGKILL] * 2
+    assert_no_child_left()
 
 
 def test_result_shapes(monkeypatch):

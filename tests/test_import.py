@@ -13,12 +13,15 @@ import cvslab
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Imports cvslab, runs a 1-worker, 2-episode fig3 comparison through the CLI,
-# and prints which of the watched modules were loaded after each step.
+# Imports cvslab, runs a 2-episode fig3 comparison through the CLI at 1 worker
+# and then at 2, and prints which of the watched modules were loaded after
+# each step.
 PROBE = """
 import json, os, sys, tempfile
 
-WATCHED = ("numpy", "concurrent.futures", "concurrent.futures.process", "cvslab.svgplot")
+WATCHED = (
+    "numpy", "concurrent.futures", "concurrent.futures.process", "multiprocessing", "cvslab.svgplot"
+)
 loaded = []
 import cvslab
 loaded.append([m for m in WATCHED if m in sys.modules])
@@ -34,18 +37,21 @@ with tempfile.TemporaryDirectory() as out:
             "runs": 2,
             "algorithms": [{"label": a, "algorithm": a} for a in ("cvs", "qlambda")],
         }, f)
-    assert cvslab.cli.main(["run", config, "--out", out]) == 0
-loaded.append([m for m in WATCHED if m in sys.modules])
+    for threads in ("1", "2"):
+        os.environ["CVS_LAB_THREADS"] = threads
+        assert cvslab.cli.main(["run", config, "--out", out]) == 0
+        loaded.append([m for m in WATCHED if m in sys.modules])
 print(json.dumps(loaded))
 """
 
 
 def test_a_one_worker_run_loads_neither_numpy_nor_a_process_pool():
-    env = dict(os.environ, PYTHONPATH=str(SRC), CVS_LAB_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True, timeout=60
     ).stdout
-    assert json.loads(out.splitlines()[-1]) == [[], []]
+    # after the import, after the 1-worker run and after the 2-worker run
+    assert json.loads(out.splitlines()[-1]) == [[], [], []]
 
 
 def test_public_surface():
