@@ -25,9 +25,9 @@ return and step count and records nothing else.
 ``epsilon_greedy``, ``q_update`` and ``q_update_traced`` are looked up as
 names of this module at call time, on purpose: they and ``env.step`` are the
 seams through which an agent is observed.  The tests wrap them to record each
-step and each value written, and the benchmark's tracer wraps most of them to
-time and count; neither needs an option here.  No agent calls
-``greedy_actions`` (Q(lambda) uses ``q.row_max``); it is imported for the tracer.
+step and each value written (a traced pair's target is read off the table
+before the call), and the benchmark's tracer wraps most of them to time and
+count, with no option here.  ``greedy_actions`` is imported only for the tracer.
 The tracer wraps the harness's ``cvs_episode``, not this module's, which the
 n-step SARSA and MC agents call, so their steps stay under their own spans.
 

@@ -38,7 +38,7 @@ from .harness import (
     running_average,
 )
 
-_LABEL_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_LABEL_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 # Passed to ExperimentConfig only when present: their defaults live there.
 _SHARED_KEYS = ("episodes", "runs", "seed", "q_init")
 _TOP_KEYS = frozenset({"name", "environment", "algorithms", "window", *_SHARED_KEYS})
@@ -72,7 +72,7 @@ def _load_config_text(arg: str) -> str:
     path = Path(arg)
     if path.exists():
         return _read_text(path, "config")
-    if _LABEL_RE.match(arg) and arg in preset_names():
+    if _LABEL_RE.fullmatch(arg) and arg in preset_names():
         return _read_text(resources.files("cvslab") / "configs" / f"{arg}.json", "config")
     raise ConfigError("config", f"no such file or preset: {arg}")
 
@@ -93,7 +93,7 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
         if key not in _TOP_KEYS:
             raise ConfigError(key, "unknown configuration key")
     name = doc.get("name")
-    if not isinstance(name, str) or not _LABEL_RE.match(name):
+    if not isinstance(name, str) or not _LABEL_RE.fullmatch(name):
         raise ConfigError("name", "required; letters, digits, '_', '-', '.' only")
     algorithms = doc.get("algorithms")
     if not isinstance(algorithms, list) or not algorithms:
@@ -112,7 +112,7 @@ def _parse_compare(doc: dict) -> tuple[str, list[tuple[str, ExperimentConfig]], 
             if key not in _ALGO_KEYS:
                 raise ConfigError(f"{where}.{key}", "unknown algorithm key")
         label = entry.get("label")
-        if not isinstance(label, str) or not _LABEL_RE.match(label):
+        if not isinstance(label, str) or not _LABEL_RE.fullmatch(label):
             raise ConfigError(f"{where}.label", "required; letters, digits, '_', '-', '.' only")
         if label in seen:
             raise ConfigError(f"{where}.label", f"duplicate label {label!r}")

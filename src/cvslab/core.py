@@ -583,21 +583,20 @@ def q_update_traced(
     alpha: float,
     fresh: int | None,
     fresh_target: float,
-) -> list[float]:
-    """Batched :func:`q_update` for eligibility traces; returns the targets.
+) -> None:
+    """Batched :func:`q_update` for eligibility traces, in one pass.
 
     The value ``v`` at each flat index ``idx[i]`` (from :func:`q_index`; the
     indices must be distinct) moves toward ``v + delta * traces[i]`` by step
-    size ``alpha``, except position ``fresh`` (if not None), which moves
-    toward ``fresh_target``.  The float operations are those of one
-    ``q_update`` per entry, so the table ends up bit-identical to that loop.
+    size ``alpha``, except position ``fresh`` (if not None), which moves from
+    its value before the pass toward ``fresh_target``, overwriting the pass's
+    write.  The table ends up bit-identical to one ``q_update`` per entry.
     """
     values = q._values
-    targets = [values[i] + delta * trace for i, trace in zip(idx, traces)]
-    if fresh is not None:
-        targets[fresh] = fresh_target
-    for i, target in zip(idx, targets):
+    fresh_v = None if fresh is None else values[idx[fresh]]
+    for i, trace in zip(idx, traces):
         v = values[i]
-        values[i] = v + alpha * (target - v)
-    q._writes += len(targets)
-    return targets
+        values[i] = v + alpha * (v + delta * trace - v)
+    if fresh is not None:
+        values[idx[fresh]] = fresh_v + alpha * (fresh_target - fresh_v)
+    q._writes += len(idx)

@@ -3,7 +3,9 @@
 Agents record nothing themselves.  They call ``env.step`` on the environment
 they are given, and ``cvslab.agents`` looks up ``q_update`` and
 ``q_update_traced`` as module names at call time, so wrapping those three
-sees every step taken and every value written.
+sees every step taken and every value written.  ``q_update_traced`` returns
+nothing, so the targets of its traced pairs are computed here, from the
+table before the call, by the float operations the kernel performs.
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ class Recorder:
             self.updates.append((s, a, target, self._boot))
 
         def recording_traced(q, idx, traces, delta, alpha, fresh, fresh_target):
-            targets = q_update_traced(q, idx, traces, delta, alpha, fresh, fresh_target)
+            targets = [q._values[i] + delta * trace for i, trace in zip(idx, traces)]
+            if fresh is not None:
+                targets[fresh] = fresh_target
+            q_update_traced(q, idx, traces, delta, alpha, fresh, fresh_target)
             for i, target in zip(idx, targets):
                 s, a = divmod(i, q._width)
                 self.updates.append((s, a, target, self._boot))
-            return targets
 
         self.env.step = recording_step
         agents.q_update, agents.q_update_traced = recording_update, recording_traced

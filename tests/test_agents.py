@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvslab.agents as agents
 from cvslab import (
     AgentParams,
     Environment,
@@ -91,6 +92,36 @@ class LoopEnv(Environment):
         r = self._rewards[self._t]
         self._t += 1
         return r, 1 if self._t == len(self._rewards) else 0
+
+    def criticality(self):
+        return lambda s: 1.0
+
+
+class RevisitEnv(Environment):
+    """State 0 has two actions and steps into state 1, whose one action
+    loops on it ``loop`` times and then steps back to 0; the ``laps``-th
+    step from 0 enters the sink.  Only the steps from 0 pay."""
+
+    def __init__(self, loop=30, laps=3):
+        self._loop, self._laps = loop, laps
+
+    @property
+    def terminal(self):
+        return 2
+
+    def action_layout(self):
+        return 2, {1: 1}
+
+    def reset(self, rng):
+        self._t, self._left = 0, self._laps
+        return 0
+
+    def step(self, s, a, rng):
+        if s == 0:
+            self._left -= 1
+            return 1.0, 1 if self._left else 2
+        self._t += 1
+        return 0.0, 1 if self._t % self._loop else 0
 
     def criticality(self):
         return lambda s: 1.0
@@ -789,6 +820,35 @@ def test_mc_matches_full_return_reference_on_grid_envs(name, gamma):
         lambda env, q, rng: mc_episode(env, q, params, rng),
         lambda env, q, rng: reference_mc_episode(env, q, params, rng),
     )
+
+
+def test_qlambda_rewrites_a_fresh_pair_before_the_last_traced_position(monkeypatch):
+    # Over 30 loop steps at gamma * lambda = 0.25 the trace of the pair taken
+    # at state 0 decays below 2**-53, so the revisit bumps it back to exactly
+    # 1.0: a fresh pair at position 0, ahead of the loop's pair.  This catches
+    # a fresh value read after the pass instead of before it.  The overwrite
+    # itself is pinned by the kernel test in test_core.py: with a trace of
+    # exactly 1.0, the pass's own write to that slot nearly always has the
+    # same bits.
+    assert 0.25**30 + 1.0 == 1.0
+    seen = []
+    traced = agents.q_update_traced
+
+    def spy(q, idx, traces, delta, alpha, fresh, fresh_target):
+        seen.append((fresh, len(idx)))
+        traced(q, idx, traces, delta, alpha, fresh, fresh_target)
+
+    monkeypatch.setattr(agents, "q_update_traced", spy)
+    params = AgentParams(alpha=0.1, gamma=0.5, epsilon=0.0, lam=0.5)
+    assert_matches_reference(
+        RevisitEnv,
+        0.0,
+        7,
+        3,
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
+        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
+    )
+    assert (0, 2) in seen
 
 
 @pytest.mark.parametrize("name", sorted(GRID_ENVS))

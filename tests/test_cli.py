@@ -263,6 +263,12 @@ def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides
             {"algorithms": [{"label": "x", "algorithm": "dyna", "lambda": 2}]},
             "error: algorithms[0].lambda: must be in [0, 1], got 2",
         ),
+        # a trailing newline would end up in the CSV file names
+        ({"name": "nl\n"}, "error: name: required; letters, digits, '_', '-', '.' only"),
+        (
+            {"algorithms": [{"label": "cvs\n", "algorithm": "cvs"}]},
+            "error: algorithms[0].label: required; letters, digits, '_', '-', '.' only",
+        ),
     ],
 )
 def test_config_error_line_names_its_key(tmp_path, capsys, overrides, line):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import tracemalloc
@@ -266,21 +267,40 @@ def test_q_index_applies_the_q_update_guards():
         q_index(q, 0, 2)
 
 
-def test_q_update_traced_matches_one_q_update_per_entry():
-    rng = np.random.default_rng(9)
-    q = make_table([3, 2, 3], initial=0.7)
-    ref = make_table([3, 2, 3], initial=0.7)
-    pairs = [(2, 2), (0, 1), (1, 0), (0, 0)]
-    idx = [q_index(q, s, a) for s, a in pairs]
-    traces = rng.random(len(pairs)).tolist()
-    delta, alpha = 0.37, 0.3
-    targets = q_update_traced(q, idx, traces, delta, alpha, fresh=2, fresh_target=-1.25)
-    for i, (s, a) in enumerate(pairs):
-        target = -1.25 if i == 2 else ref[s, a] + delta * traces[i]
-        assert targets[i] == target
+# Signed zeros, infinities and NaN, so a reordered operation shows in the bytes.
+KERNEL_VALUES = (0.0, -0.0, 0.7, -1.25, 3e-310, math.inf, -math.inf, math.nan)
+TRACES = (0.0, 1.0, 5e-324, 1e300, *(0.9**k for k in (1, 7, 60)))
+
+
+@given(
+    counts=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+    data=st.data(),
+    delta=st.sampled_from(KERNEL_VALUES),
+    alpha=st.sampled_from((0.1, 0.5, 1.0)),
+    fresh_at=st.sampled_from((None, "first", "middle", "last")),
+)
+def test_q_update_traced_matches_one_q_update_per_entry(counts, data, delta, alpha, fresh_at):
+    q = make_table(counts)
+    pairs = [(s, a) for s, k in enumerate(counts) for a in range(k)]
+    for s, a in pairs:
+        grid(q)[s, a] = data.draw(st.sampled_from(KERNEL_VALUES))
+    ref = make_table(counts)
+    grid(ref)[:] = grid(q)
+    n = data.draw(st.integers(0, min(64, len(pairs))))
+    pairs = data.draw(st.permutations(pairs))[:n]
+    traces = [data.draw(st.sampled_from(TRACES)) for _ in pairs]
+    fresh = {None: None, "first": 0, "middle": n // 2, "last": n - 1}[fresh_at] if pairs else None
+    fresh_target = data.draw(st.sampled_from(KERNEL_VALUES))
+    q_update_traced(q, [q_index(q, s, a) for s, a in pairs], traces, delta, alpha, fresh, fresh_target)
+    # The two-pass form: every target from the table before any write, then
+    # one q_update per entry.
+    targets = [ref[s, a] + delta * trace for (s, a), trace in zip(pairs, traces)]
+    if fresh is not None:
+        targets[fresh] = fresh_target
+    for (s, a), target in zip(pairs, targets):
         q_update(ref, s, a, target, alpha)
     assert q.as_array().tobytes() == ref.as_array().tobytes()
-    assert q.writes == ref.writes == 4
+    assert q.writes == ref.writes == n
 
 
 def test_greedy_actions_orders_ties_ascending():
