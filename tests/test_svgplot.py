@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 import signal
 
@@ -52,6 +53,45 @@ def test_single_point_curve_renders():
 def test_output_is_deterministic():
     curves = [("a", [0.1, 0.7, 0.3]), ("b", [-1.0, 0.0, 1.0])]
     assert render_line_chart(curves) == render_line_chart(curves)
+
+
+PINNED_CHARTS = {
+    "titled two curves": (
+        [("cvs", [0.0, 1.5, 0.75, 2.0]), ("qlearning", [1.0, 0.5, 1.25, 1.0])],
+        {"title": "fig3: h from tree"},
+        "a909bc09610393393758972ab6d3ebdfa2cea5ae0a6f1ac79db35d339c0622f1",
+    ),
+    "escaped labels": (
+        [("a<b&c", [3.0, 1.0, 4.0, 1.0, 5.0])],
+        {"title": "x > y & z", "x_label": "step <t>", "y_label": "R & G"},
+        "a70bfe1d3a9ff191eb6e688ebbbf3eae2f9fb32967a6dc36f1c64257523d5574",
+    ),
+    "one point and flat, untitled": (
+        [("dot", [5.0]), ("flat", [2.0, 2.0, 2.0])],
+        {},
+        "9ee23c84e6c35f22c43a4e30de20bcc0f2e6f2458fa1009ebbaa28b1a2012b31",
+    ),
+    "negative and 1e12": (
+        [("neg", [-3.5, -1e12, 0.25]), ("big", [1e12, 2.5e11, -7.0])],
+        {"title": "wide"},
+        "c9e1bccca7bb342503b63d0767e54c955688df945c2ee8104be2c629a31b69a1",
+    ),
+    "seven curves": (
+        [(f"c{i}", [float((i * j) % 7) - 3.0 for j in range(12)]) for i in range(7)],
+        {"x_label": "run", "y_label": "mean return"},
+        "a58d7c3fd7780db3dacb88c321b20f588a59cf13d9341640c2d52d339ed0683a",
+    ),
+}
+
+
+def test_render_line_chart_output_is_pinned():
+    """The exact bytes of a few charts, so a rewrite of the renderer that
+    moves one attribute, digit or newline shows here."""
+    got = {
+        name: hashlib.sha256(render_line_chart(curves, **kw).encode("utf-8")).hexdigest()
+        for name, (curves, kw, _) in PINNED_CHARTS.items()
+    }
+    assert got == {name: digest for name, (_, _, digest) in PINNED_CHARTS.items()}
 
 
 def test_write_svg(tmp_path):
