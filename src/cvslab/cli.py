@@ -194,7 +194,7 @@ def _read_curve_csv(path: Path) -> list[float]:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    from .svgplot import render_line_chart, write_svg  # only plotting needs it
+    from .svgplot import render_line_chart  # only plotting needs it
 
     spec_path = Path(args.spec)
     doc = _parse_json(_read_text(spec_path, "spec"), "spec")
@@ -222,7 +222,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         y_label=str(doc.get("y_label", "return")),
     )
     out_path = base / output
-    write_svg(out_path, svg)
+    out_path.write_text(svg, encoding="utf-8")
     print(f"wrote {out_path}")
     return 0
 

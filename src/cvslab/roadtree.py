@@ -191,8 +191,8 @@ def fig1_tree() -> TreeSpec:
     )
 
 
-def fig3_tree() -> TreeSpec:
-    """One junction, a short cheap branch against a long branch worth double."""
+def _one_junction_tree(left: int) -> TreeSpec:
+    """A root junction with a branch of length ``left`` worth 1 and one of 50 worth 2."""
     return TreeSpec(
         root=0,
         nodes=(
@@ -200,21 +200,18 @@ def fig3_tree() -> TreeSpec:
             TreeNode(1, 1.0, KIND_TERMINAL),
             TreeNode(2, 2.0, KIND_TERMINAL),
         ),
-        edges=(TreeEdge(0, 1, 10), TreeEdge(0, 2, 50)),
+        edges=(TreeEdge(0, 1, left), TreeEdge(0, 2, 50)),
     )
+
+
+def fig3_tree() -> TreeSpec:
+    """One junction, a short cheap branch against a long branch worth double."""
+    return _one_junction_tree(10)
 
 
 def fig4_tree() -> TreeSpec:
     """Like fig3 but with equally long branches."""
-    return TreeSpec(
-        root=0,
-        nodes=(
-            TreeNode(0, 0.0, KIND_JUNCTION),
-            TreeNode(1, 1.0, KIND_TERMINAL),
-            TreeNode(2, 2.0, KIND_TERMINAL),
-        ),
-        edges=(TreeEdge(0, 1, 50), TreeEdge(0, 2, 50)),
-    )
+    return _one_junction_tree(50)
 
 
 def fig6_tree(k: int = 10, distance: int = 10) -> TreeSpec:
@@ -341,12 +338,7 @@ class RoadTreeEnv(Environment):
         return row[a]
 
     def criticality(self) -> CriticalityFn:
-        crit = self._crit
-
-        def h(s: StateId) -> float:
-            return crit[s]
-
-        return h
+        return self._crit.__getitem__
 
 
 def optimal_return_oracle(env: RoadTreeEnv) -> tuple[float, list[int]]:

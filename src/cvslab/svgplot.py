@@ -7,7 +7,6 @@ one ``<polyline>`` per curve, so output is deterministic and diffable.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 
@@ -30,9 +29,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step - 1e-9) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step - 1e-9) * step
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
@@ -43,10 +41,6 @@ def _fmt(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return f"{value:g}"
-
-
-def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_line_chart(
@@ -76,11 +70,9 @@ def render_line_chart(
         # Flat, or so narrow that ticks would not advance: widen by 1, or
         # by 1e-12 of values past 1e12, where adding 1 changes nothing.
         widen = max(1.0, 1e-12 * max(-y_lo, y_hi))
-        y_lo -= widen
-        y_hi += widen
+        y_lo, y_hi = y_lo - widen, y_hi + widen
         pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
     if not math.isfinite(y_hi - y_lo):
         raise ValueError(f"y-range of curves {lo_label!r} to {hi_label!r} overflows a float")
 
@@ -98,77 +90,51 @@ def render_line_chart(
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
-    if title:
+
+    # Coordinates arrive formatted: .2f on the frame and ticks, .1f elsewhere.
+    def line(x1: str, y1: str, x2: str, y2: str, color: str, width: str) -> None:
         parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="24" font-family="sans-serif" font-size="16" '
-            f'text-anchor="middle">{_esc(title)}</text>'
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{color}" stroke-width="{width}"/>'
         )
+
+    def text(x: str, y: str, size: int, body: str, attrs: str = ' text-anchor="middle"') -> None:
+        body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(
+            f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"{attrs}>{body}</text>'
+        )
+
+    if title:
+        text(f"{_WIDTH / 2:.1f}", "24", 16, title)
 
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h
     x1, y1 = _MARGIN_LEFT + plot_w, _MARGIN_TOP
+    left, bottom, right, top = (f"{v:.2f}" for v in (x0, y0, x1, y1))
 
     for t in _nice_ticks(0.0, float(x_max)):
-        px = sx(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{y0:.2f}" x2="{px:.2f}" y2="{y1:.2f}" '
-            f'stroke="#e0e0e0" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 18:.2f}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="middle">{_fmt(t)}</text>'
-        )
+        px = f"{sx(t):.2f}"
+        line(px, bottom, px, top, "#e0e0e0", "1")
+        text(px, f"{y0 + 18:.2f}", 12, _fmt(t))
     for t in _nice_ticks(y_lo, y_hi):
         py = sy(t)
-        parts.append(
-            f'<line x1="{x0:.2f}" y1="{py:.2f}" x2="{x1:.2f}" y2="{py:.2f}" '
-            f'stroke="#e0e0e0" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 8:.2f}" y="{py + 4:.2f}" font-family="sans-serif" font-size="12" '
-            f'text-anchor="end">{_fmt(t)}</text>'
-        )
+        line(left, f"{py:.2f}", right, f"{py:.2f}", "#e0e0e0", "1")
+        text(f"{x0 - 8:.2f}", f"{py + 4:.2f}", 12, _fmt(t), ' text-anchor="end"')
 
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" '
-        f'stroke="#333333" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" '
-        f'stroke="#333333" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_HEIGHT - 12}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{_esc(x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(y0 + y1) / 2:.1f}" font-family="sans-serif" font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{_esc(y_label)}</text>'
-    )
+    line(left, bottom, right, bottom, "#333333", "1.5")
+    line(left, bottom, left, top, "#333333", "1.5")
+    text(f"{(x0 + x1) / 2:.1f}", str(_HEIGHT - 12), 13, x_label)
+    mid = f"{(y0 + y1) / 2:.1f}"
+    text("18", mid, 13, y_label, f' text-anchor="middle" transform="rotate(-90 18 {mid})"')
 
-    for i, (label, ys) in enumerate(curves):
+    for i, (_, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
         pts = " ".join(f"{sx(j):.2f},{sy(v):.2f}" for j, v in enumerate(ys))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{pts}"/>'
-        )
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{pts}"/>')
 
-    legend_x = x0 + 12
-    legend_y = y1 + 14
+    swatch, swatch_end, legend_text = (f"{x0 + 12 + d:.1f}" for d in (0, 24, 30))
     for i, (label, _) in enumerate(curves):
-        color = PALETTE[i % len(PALETTE)]
-        ly = legend_y + 18 * i
-        parts.append(
-            f'<line x1="{legend_x:.1f}" y1="{ly - 4:.1f}" x2="{legend_x + 24:.1f}" '
-            f'y2="{ly - 4:.1f}" stroke="{color}" stroke-width="2.5"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 30:.1f}" y="{ly:.1f}" font-family="sans-serif" '
-            f'font-size="12">{_esc(label)}</text>'
-        )
+        ly = y1 + 14 + 18 * i
+        line(swatch, f"{ly - 4:.1f}", swatch_end, f"{ly - 4:.1f}", PALETTE[i % len(PALETTE)], "2.5")
+        text(legend_text, f"{ly:.1f}", 12, label, "")
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(path, svg_text: str) -> None:
-    Path(path).write_text(svg_text, encoding="utf-8")

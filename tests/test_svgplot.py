@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from cvslab.svgplot import render_line_chart, write_svg
+from cvslab.svgplot import render_line_chart
 
 
 def test_one_polyline_per_curve():
@@ -92,13 +92,6 @@ def test_render_line_chart_output_is_pinned():
         for name, (curves, kw, _) in PINNED_CHARTS.items()
     }
     assert got == {name: digest for name, (_, _, digest) in PINNED_CHARTS.items()}
-
-
-def test_write_svg(tmp_path):
-    path = tmp_path / "chart.svg"
-    write_svg(path, render_line_chart([("a", [1.0, 2.0])]))
-    text = path.read_text(encoding="utf-8")
-    assert text.startswith("<svg ")
 
 
 def render_within_a_second(curves):
