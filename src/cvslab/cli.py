@@ -215,12 +215,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             raise ConfigError(f"curves[{i}].csv", "must be a file name")
         curves.append((str(entry["label"]), _read_curve_csv(base / csv_name)))
 
-    svg = render_line_chart(
-        curves,
-        title=str(doc.get("title", "")),
-        x_label=str(doc.get("x_label", "episode")),
-        y_label=str(doc.get("y_label", "return")),
-    )
+    labels = {key: str(doc[key]) for key in ("title", "x_label", "y_label") if key in doc}
+    svg = render_line_chart(curves, **labels)  # a label the spec leaves out takes its default
     out_path = base / output
     out_path.write_text(svg, encoding="utf-8")
     print(f"wrote {out_path}")
@@ -228,15 +224,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    print("environments:")
-    for env_name in ENVIRONMENT_NAMES:
-        print(f"  {env_name}")
-    print("algorithms:")
-    for alg in ALGORITHM_NAMES:
-        print(f"  {alg}")
-    print("presets:")
-    for preset in preset_names():
-        print(f"  {preset}")
+    groups = (("environments", ENVIRONMENT_NAMES), ("algorithms", ALGORITHM_NAMES), ("presets", preset_names()))
+    for heading, names in groups:
+        print(f"{heading}:")
+        for name in names:
+            print(f"  {name}")
     return 0
 
 

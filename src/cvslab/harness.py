@@ -10,10 +10,10 @@ caller's pool when given one (``pool=``, any object with an Executor-style
 ``map``), so several experiments can share one pool (``cvslab run`` forks one
 set of workers per comparison, sized by its largest block).  Otherwise it
 sizes its own from the ``CVS_LAB_THREADS`` environment variable (default: the
-number of available processors), capped at the run count, and runs in this
-process at one worker, or where ``os.fork`` does not exist; results are the
-same either way.  An ``ExperimentConfig`` holds only what a run reads;
-smoothing windows belong to the caller of ``running_average``.
+number of available processors; either at most 256), capped at the run count,
+and runs in this process at one worker, or where ``os.fork`` does not exist;
+results are the same either way.  An ``ExperimentConfig`` holds only what a
+run reads; smoothing windows belong to the caller of ``running_average``.
 """
 
 from __future__ import annotations
@@ -172,6 +172,10 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
     return RunResult(returns, flags)
 
 
+# The most workers one pool forks, whatever CVS_LAB_THREADS or the processor count says.
+_MAX_WORKERS = 256
+
+
 def _resolve_workers() -> int:
     raw = os.environ.get("CVS_LAB_THREADS")
     if raw is not None:
@@ -181,11 +185,13 @@ def _resolve_workers() -> int:
             value = 0
         if value < 1:
             raise ConfigError("CVS_LAB_THREADS", f"must be a positive integer, got {raw!r}")
+        if value > _MAX_WORKERS:
+            raise ConfigError("CVS_LAB_THREADS", f"must be at most {_MAX_WORKERS}, got {raw!r}")
         return value
     try:
-        return len(os.sched_getaffinity(0))
+        return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
     except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
+        return min(os.cpu_count() or 1, _MAX_WORKERS)
 
 
 class _ForkPool:

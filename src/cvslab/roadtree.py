@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .core import CriticalityFn, Draws, Environment, StateId
@@ -120,13 +120,7 @@ class TreeSpec:
         return list(self._edges_by_parent.get(node_id, ()))
 
     def to_dict(self) -> dict:
-        return {
-            "root": self.root,
-            "nodes": [{"id": n.id, "reward": n.reward, "kind": n.kind} for n in self.nodes],
-            "edges": [
-                {"parent": e.parent, "child": e.child, "distance": e.distance} for e in self.edges
-            ],
-        }
+        return {"root": self.root, "nodes": [asdict(n) for n in self.nodes], "edges": [asdict(e) for e in self.edges]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeSpec":
@@ -265,8 +259,10 @@ class RoadTreeEnv(Environment):
 
     Each state keeps its criticality and a row of ``(reward, next_state)``
     steps, one per action.  :meth:`node_state` gives the state of a declared
-    junction; the sink is the last state.
+    junction; the root's is the first state and the sink the last.
     """
+
+    root_state: StateId = 0
 
     def __init__(self, tree: TreeSpec):
         self.tree = tree
@@ -275,7 +271,7 @@ class RoadTreeEnv(Environment):
         junctions = sum(n.kind == KIND_JUNCTION for n in tree.nodes)
         sink = junctions + sum(e.distance - 1 for e in tree.edges)
         table: list[list[tuple[float, StateId]]] = [[]]  # state -> action -> its step
-        node_state = {tree.root: 0}
+        node_state = {tree.root: self.root_state}
         # junction state -> per action (child node reward, child junction state
         # or the sink): the tree with its roads contracted.
         moves: dict[StateId, list[tuple[float, StateId]]] = {}
@@ -314,10 +310,6 @@ class RoadTreeEnv(Environment):
     @property
     def terminal(self) -> StateId:
         return self._sink
-
-    @property
-    def root_state(self) -> StateId:
-        return self._node_state[self.tree.root]
 
     def node_state(self, node_id: int) -> StateId:
         return self._node_state[node_id]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -269,6 +270,13 @@ def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides
             {"algorithms": [{"label": "cvs\n", "algorithm": "cvs"}]},
             "error: algorithms[0].label: required; letters, digits, '_', '-', '.' only",
         ),
+        ({"algorithms": None}, "error: algorithms: required; must be a non-empty array"),
+        ({"algorithms": []}, "error: algorithms: required; must be a non-empty array"),
+        ({"algorithms": ["cvs"]}, "error: algorithms[0]: must be an object"),
+        (
+            {"algorithms": [{"label": "x", "algorithm": "cvs", "beta": 0.5}]},
+            "error: algorithms[0].beta: unknown algorithm key",
+        ),
     ],
 )
 def test_config_error_line_names_its_key(tmp_path, capsys, overrides, line):
@@ -344,6 +352,29 @@ def test_plot_renders_svg(tmp_path):
     assert "href" not in svg
 
 
+@pytest.mark.parametrize(
+    "labels, digest",
+    [
+        (
+            {"title": "fig <1> & co", "x_label": "step", "y_label": 1.5},
+            "15b047ace7f2b55419a77888cd478b59c72c94464ea70f736d1d6104483b5afd",
+        ),
+        ({}, "96c178ef7bff6820b0539cf58eff39b03a9b9d9189fe511f3d003704ff245db8"),
+    ],
+    ids=["three-labels", "no-labels"],
+)
+def test_plot_svg_bytes_are_pinned(tmp_path, labels, digest):
+    # A label that is not a string is written as its str(); a missing one
+    # takes render_line_chart's default.
+    for name, ys in (("a.csv", ["0", "0.5", "2", "1.25"]), ("b.csv", ["-1", "3", "2.5"])):
+        rows = "".join(f"{i},0,{y}\n" for i, y in enumerate(ys))
+        (tmp_path / name).write_text("episode,return_mean,return_smoothed\n" + rows, encoding="utf-8")
+    curves = [{"label": "cvs", "csv": "a.csv"}, {"label": "mc", "csv": "b.csv"}]
+    (tmp_path / "plot.json").write_text(json.dumps({**labels, "curves": curves, "output": "x.svg"}))
+    assert main(["plot", str(tmp_path / "plot.json")]) == 0
+    assert hashlib.sha256((tmp_path / "x.svg").read_bytes()).hexdigest() == digest
+
+
 def test_plot_missing_csv_exits_two(tmp_path, capsys):
     spec = tmp_path / "plot.json"
     spec.write_text(
@@ -416,16 +447,47 @@ def plot_spec(csv):
 DIRECTORY = "a directory where the file goes"
 
 
+CSV_HEADER = b"episode,return_mean,return_smoothed\n"
+
+
 @pytest.mark.parametrize(
-    "spec, csv_bytes, key",
+    "spec, csv_bytes, line",
     [
-        (plot_spec(5), None, "curves[0].csv"),
-        (plot_spec(""), None, "curves[0].csv"),
-        (NOT_UTF8, None, "spec"),
-        (plot_spec("c.csv"), b"episode,return_mean,return_smoothed\n0,1,\xe9\n", "curves.csv"),
-        (plot_spec("c.csv"), DIRECTORY, "curves.csv"),
-        (DIRECTORY, None, "spec"),
-        (b"{not json", None, "spec"),
+        (plot_spec(5), None, "curves[0].csv: must be a file name"),
+        (plot_spec(""), None, "curves[0].csv: must be a file name"),
+        (
+            NOT_UTF8,
+            None,
+            "spec: {dir}/plot.json is not UTF-8 text: "
+            "'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte",
+        ),
+        (
+            plot_spec("c.csv"),
+            CSV_HEADER + b"0,1,\xe9\n",
+            "curves.csv: {dir}/c.csv is not UTF-8 text: "
+            "'utf-8' codec can't decode byte 0xe9 in position 40: invalid continuation byte",
+        ),
+        (plot_spec("c.csv"), DIRECTORY, "curves.csv: {dir}/c.csv is a directory"),
+        (DIRECTORY, None, "spec: {dir}/plot.json is a directory"),
+        (
+            b"{not json",
+            None,
+            "spec: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        (b"[1]", None, "spec: top level must be a JSON object"),
+        (json.dumps({"output": "x.svg"}).encode(), None, "curves: required; must be a non-empty array"),
+        (
+            json.dumps({"curves": [{"label": "a", "csv": "c.csv"}]}).encode(),
+            None,
+            "output: required; must be a file name",
+        ),
+        (
+            json.dumps({"curves": [{"csv": "c.csv"}], "output": "x.svg"}).encode(),
+            None,
+            "curves[0]: each curve needs 'label' and 'csv'",
+        ),
+        (plot_spec("c.csv"), CSV_HEADER + b"0,1,abc\n", "curves.csv: {dir}/c.csv:2: bad row '0,1,abc'"),
+        (plot_spec("c.csv"), CSV_HEADER + b"0,1\n", "curves.csv: {dir}/c.csv:2: bad row '0,1'"),
     ],
     ids=[
         "csv-not-a-name",
@@ -435,16 +497,22 @@ DIRECTORY = "a directory where the file goes"
         "csv-is-a-directory",
         "spec-is-a-directory",
         "spec-bad-json",
+        "spec-an-array",
+        "spec-without-curves",
+        "spec-without-output",
+        "curve-without-label",
+        "csv-row-not-a-number",
+        "csv-row-too-short",
     ],
 )
-def test_plot_bad_input_exits_two_and_names_the_key(tmp_path, capsys, spec, csv_bytes, key):
+def test_plot_bad_input_exits_two_and_names_the_key(tmp_path, capsys, spec, csv_bytes, line):
     for path, content in ((tmp_path / "c.csv", csv_bytes), (tmp_path / "plot.json", spec)):
         if content is DIRECTORY:
             path.mkdir()
         elif content is not None:
             path.write_bytes(content)
     assert main(["plot", str(tmp_path / "plot.json")]) == 2
-    assert f"{key}: " in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {line.format(dir=tmp_path)}\n"
 
 
 @pytest.mark.parametrize(
@@ -484,11 +552,33 @@ def test_plot_of_a_run_that_overflowed_exits_two(tmp_path, capsys):
     assert f"curves.csv: {tmp_path / 'out' / 'demo_cvs.csv'}:2: " in capsys.readouterr().err
 
 
+LIST_OUTPUT = """\
+environments:
+  roadtree:fig1
+  roadtree:fig3
+  roadtree:fig4
+  roadtree:fig6
+  roadtree
+  shooter
+  tennis
+algorithms:
+  cvs
+  qlearning
+  nstep_sarsa
+  qlambda
+  mc
+presets:
+  fig2
+  fig3
+  fig4
+  fig6
+  shooter
+"""
+
+
 def test_list_shows_everything(capsys):
     assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    for needle in ("cvs", "qlambda", "roadtree:fig1", "shooter", "tennis", "fig3"):
-        assert needle in out
+    assert capsys.readouterr().out == LIST_OUTPUT
 
 
 def test_presets_exist_and_parse():

@@ -292,6 +292,23 @@ def test_worker_env_var_is_validated(monkeypatch):
     assert len(run_experiment(cfg)) == 2
 
 
+def test_worker_count_has_a_ceiling(monkeypatch):
+    def no_fork():
+        pytest.fail("forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setenv("CVS_LAB_THREADS", "257")
+    with pytest.raises(ConfigError) as info:
+        run_experiment(small_cfg(runs=300))
+    assert str(info.value) == "CVS_LAB_THREADS: must be at most 256, got '257'"
+    monkeypatch.setenv("CVS_LAB_THREADS", "256")
+    assert harness._resolve_workers() == 256
+    # the processor count is capped at the same ceiling
+    monkeypatch.delenv("CVS_LAB_THREADS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+    assert harness._resolve_workers() == 256
+
+
 def test_caller_pool_gives_the_same_results_and_stays_open(monkeypatch):
     cfg = small_cfg(runs=3)
     own = run_on(monkeypatch, 2, cfg)
@@ -362,6 +379,49 @@ def test_a_dead_worker_raises_and_no_child_is_left(deadline, task, status):
     with _ForkPool(2) as pool:
         with pytest.raises(RuntimeError, match=rf"pool worker \d+ died \(exit status {status}\)"):
             pool.map(task, [3])
+    assert_no_child_left()
+
+
+def process_state(pid):
+    """The one-letter state in ``/proc/<pid>/stat``; ``Z`` is a zombie."""
+    with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+        return stat.read().rpartition(")")[2].split()[0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_worker_dead_before_its_task_is_written_raises(deadline):
+    with _ForkPool(2) as pool:
+        # map hands out tasks by popping a copy of the worker list, so the
+        # first worker gets the second task
+        pid = pool._workers[0][0]
+        os.kill(pid, signal.SIGKILL)
+        while process_state(pid) != "Z":  # its pipe ends are closed: the write fails
+            time.sleep(0.01)
+        with pytest.raises(RuntimeError, match=rf"^pool worker {pid} died \(exit status -9\)$"):
+            pool.map(pow, [2, 3], [10, 2])
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_a_failed_fork_reaps_the_workers_forked_before_it(monkeypatch, deadline):
+    fork, forked = os.fork, []
+
+    def fork_once():
+        if forked:
+            raise OSError(11, "Resource temporarily unavailable")
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        _ForkPool(3)
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):  # reaped already
+        os.waitpid(forked[0], os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
     assert_no_child_left()
 
 

@@ -283,6 +283,56 @@ def test_tree_spec_round_trip():
     assert TreeSpec.from_dict(json.loads(json.dumps(tree.to_dict()))) == tree
 
 
+def nodes_doc(*rows):
+    return [{"id": i, "reward": reward, "kind": kind} for i, reward, kind in rows]
+
+
+def edges_doc(*rows):
+    return [{"parent": p, "child": c, "distance": d} for p, c, d in rows]
+
+
+J, T = KIND_JUNCTION, KIND_TERMINAL
+TREE_DOCS = {
+    "fig1": (
+        fig1_tree(),
+        {
+            "root": 0,
+            "nodes": nodes_doc(
+                (0, 0.0, J), (1, 0.0, J), (2, 1.0, J), (3, 0.0, T), (4, 7.0, T), (5, 1.0, T), (6, 1.0, T)
+            ),
+            "edges": edges_doc((0, 1, 20), (0, 2, 10), (1, 3, 10), (1, 4, 15), (2, 5, 15), (2, 6, 15)),
+        },
+    ),
+    "fig6-k2-d3": (
+        fig6_tree(k=2, distance=3),
+        {
+            "root": 0,
+            "nodes": nodes_doc(
+                (0, 0.0, J), (1, 0.0, J), (2, 1.0, J), (3, 0.0, T), (4, 1.0, T), (5, -2.0, T), (6, -2.0, T),
+                (7, 1.0, T),
+            ),
+            "edges": edges_doc(
+                (0, 1, 3), (0, 2, 3), (1, 3, 3), (1, 4, 3), (2, 5, 3), (2, 6, 3), (2, 7, 3)
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_DOCS))
+def test_tree_spec_to_dict_is_pinned(name):
+    tree, doc = TREE_DOCS[name]
+    assert tree.to_dict() == doc
+    # the same key order and value types: a JSON dump compares both
+    assert json.dumps(tree.to_dict()) == json.dumps(doc)
+
+
+def test_tree_spec_node_names_a_missing_id():
+    with pytest.raises(KeyError) as info:
+        fig1_tree().node(99)
+    assert info.value.args == ("no node 99",)
+
+
 def test_tree_spec_from_file(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(fig3_tree().to_dict()))
