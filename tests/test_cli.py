@@ -181,6 +181,32 @@ def test_fig1_csvs_are_byte_identical_at_one_and_two_workers(tmp_path, monkeypat
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_fig4_cvs_and_qlambda_csv_bytes_are_pinned(tmp_path, monkeypatch):
+    # Two 50-step roads grow each Q(lambda) trace to about 25 pairs, so these
+    # bytes pin the traced updates of a preset-like run at two workers.
+    monkeypatch.setenv("CVS_LAB_THREADS", "2")
+    algorithms = [
+        {"label": "cvs", "algorithm": "cvs"},
+        {"label": "qlambda", "algorithm": "qlambda", "lambda": 0.9},
+    ]
+    cfg = write_config(
+        tmp_path / "fig4.json",
+        environment={"name": "roadtree:fig4"},
+        algorithms=algorithms,
+        episodes=200,
+        runs=2,
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    digests = {
+        label: hashlib.sha256((tmp_path / "out" / f"demo_{label}.csv").read_bytes()).hexdigest()
+        for label in ("cvs", "qlambda")
+    }
+    assert digests == {
+        "cvs": "3eecc1e1884b5e09c133db6f7c6f1f6d85b376488808f2582e6b53b67ec64dad",
+        "qlambda": "e4798112674d6fce3dd2f4fc484f3a106ca93ab07b0156af4823515f48e42f0d",
+    }
+
+
 def test_negative_seed_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "demo.json")
     negative = write_config(tmp_path / "negative.json", seed=-5)
