@@ -12,7 +12,9 @@ Five episodic learners over the shared :class:`~cvslab.core.QTable`:
 * ``n_step_sarsa_episode`` - on-policy n-step SARSA, run as cvs with
   constant criticality ``1 / n``.
 * ``watkins_qlambda_episode`` - Watkins Q(lambda) with accumulating traces,
-  cut after exploratory actions.
+  cut after exploratory actions; its traces are slices of one decay chain
+  until a pair is bumped twice, and it reads a state's row max once unless
+  the step's update wrote that row.
 * ``mc_episode`` - every-visit constant-alpha Monte-Carlo control, run as cvs
   with constant criticality 0.
 
@@ -189,44 +191,77 @@ def watkins_qlambda_episode(
     cut (after the step's updates) whenever the action taken was exploratory,
     i.e. not among the greedy actions at selection time.  Each step updates
     every traced pair in one ``q_update_traced`` call, in first-bump order.
+
+    The bookkeeping around that call does the same float operations as
+    decaying each trace every step and reading both row maxima every step:
+
+    * ``chain[m]`` is 1.0 multiplied by gamma*lambda m times, left to right,
+      built once per episode.  While no pair has been bumped twice since the
+      last cut, the pair that joined m steps ago holds exactly that product,
+      so the n decayed traces are the slice ``chain[n:0:-1]``.  A second
+      bump breaks this, and the traces are decayed one by one until the next
+      cut.
+    * The row max of the next state, read for the TD target before the pass,
+      is that state's row max at the next step's exploratory test, since
+      only the pass writes in between.  If the pass wrote that row (a traced
+      pair lies in it, as on a self-loop or a revisit), it is read again.
     """
-    alpha, gamma, eps, lam = params.alpha, params.gamma, params.epsilon, params.lam
-    # Traced pairs in first-bump order, mapped to their position in the flat
-    # table indices ``idx`` and the traces ``e``.
-    pos: dict[tuple[int, int], int] = {}
+    alpha, gamma, eps = params.alpha, params.gamma, params.epsilon
+    factor = gamma * params.lam
+    # Traced pairs in first-bump order, keyed by flat table index and mapped
+    # to their position in ``idx`` and the traces ``e``; ``rows`` holds the
+    # traced pairs' states, the rows the pass writes.  ``e`` is never
+    # ``chain`` itself, since it is bumped in place.
+    pos: dict[int, int] = {}
     idx: list[int] = []
     e: list[float] = []
+    rows: set[int] = set()
+    chain = [1.0]
+    chained = True
+    s_max = None  # the row max of s, if known
     total = 0.0
     steps = 0
     sink = env.terminal
     s = env.reset(rng)
     while True:
         a = epsilon_greedy(q, s, eps, rng)
-        v = q[s, a]
-        exploratory = v < q.row_max(s)
+        j = q_index(q, s, a)
+        v = q._values[j]
+        exploratory = v < (q.row_max(s) if s_max is None else s_max)
         r, s2 = env.step(s, a, rng)
         steps += 1
         total += r
         boot_value = 0.0 if s2 == sink else q.row_max(s2)
         td_target = r + gamma * boot_value
         delta = td_target - v
-        i = pos.get((s, a))
+        # A trace of exactly 1.0 on the pair just acted on takes the TD
+        # target directly, so that lambda = 0 matches 1-step updates exactly.
+        i = pos.get(j)
         if i is None:
-            i = pos[s, a] = len(idx)
-            idx.append(q_index(q, s, a))
-            e.append(0.0)
-        e[i] += 1.0
-        # A fresh trace of the pair just acted on takes the TD target
-        # directly, so that lambda = 0 matches 1-step updates exactly.
-        fresh = i if e[i] == 1.0 else None
+            fresh = pos[j] = len(idx)
+            idx.append(j)
+            e.append(1.0)
+            rows.add(s)
+        else:
+            e[i] += 1.0
+            fresh = i if e[i] == 1.0 else None
+            chained = False
         q_update_traced(q, idx, e, delta, alpha, fresh, td_target)
         if s2 == sink:
             break
-        factor = gamma * lam
+        # The pass left row s2 as row_max read it unless it wrote there.
+        s_max = None if s2 in rows else boot_value
         if exploratory or factor == 0.0:
             pos.clear()
             idx.clear()
             e.clear()
+            rows.clear()
+            chained = True
+        elif chained:
+            n = len(e)
+            if n == len(chain):
+                chain.append(chain[-1] * factor)
+            e = chain[n:0:-1]
         else:
             e = [trace * factor for trace in e]
         s = s2

@@ -222,7 +222,7 @@ class _ForkPool:
             fds += os.pipe()
             fds += os.pipe()
             pid = os.fork()
-        except OSError:
+        except BaseException:  # an interrupt in here must not leak the fds either
             for fd in fds:
                 os.close(fd)
             raise

@@ -4,6 +4,7 @@ import hashlib
 from bisect import bisect_left
 from functools import partial
 from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 import pytest
@@ -122,6 +123,32 @@ class RevisitEnv(Environment):
             return 1.0, 1 if self._left else 2
         self._t += 1
         return 0.0, 1 if self._t % self._loop else 0
+
+    def criticality(self):
+        return lambda s: 1.0
+
+
+class CycleEnv(Environment):
+    """State 0, with two actions, and state 1, with one, step into each other
+    and pay -1 a step; the ``length``-th step enters the sink."""
+
+    def __init__(self, length=12):
+        self._length = length
+
+    @property
+    def terminal(self):
+        return 2
+
+    def action_layout(self):
+        return 2, {1: 1}
+
+    def reset(self, rng):
+        self._t = 0
+        return 0
+
+    def step(self, s, a, rng):
+        self._t += 1
+        return -1.0, 2 if self._t == self._length else 1 - s
 
     def criticality(self):
         return lambda s: 1.0
@@ -849,6 +876,62 @@ def test_qlambda_rewrites_a_fresh_pair_before_the_last_traced_position(monkeypat
         lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
     )
     assert (0, 2) in seen
+
+
+# Greedy on the cycle, the trace is never cut.  The third step enters state
+# 0 by its other action while the first is traced, every pass lowers both
+# rows' maxima, and both states' pairs are bumped again: the row max must be
+# read again and the decay chain dropped.  The corridor holds 400 pairs in one
+# trace with no second bump, so the chain runs down to 0.0.
+@pytest.mark.parametrize(
+    "make_env, gamma, lam, underflows",
+    [
+        (CycleEnv, 0.9, 0.9, False),
+        (CycleEnv, 1.0, 1.0, False),
+        (partial(ChainEnv, [1.0] * 400), 0.9, 0.1, True),
+    ],
+    ids=["cycle", "cycle-unit-decay", "corridor-underflow"],
+)
+def test_qlambda_bookkeeping_matches_dict_reference(make_env, gamma, lam, underflows):
+    chain = list(accumulate(repeat(gamma * lam, make_env().terminal), mul, initial=1.0))
+    assert (chain[-1] == 0.0) == underflows
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.0, lam=lam)
+    assert_matches_reference(
+        make_env,
+        0.0,
+        3,
+        3,
+        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
+        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
+    )
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.9])
+def test_qlambda_reads_a_row_max_again_only_after_the_pass_wrote_that_row(monkeypatch, lam):
+    reads, written = [], []
+    row_max, traced = QTable.row_max, agents.q_update_traced
+
+    def counting_row_max(q, s):
+        reads.append(s)
+        return row_max(q, s)
+
+    def spy(q, idx, traces, delta, alpha, fresh, fresh_target):
+        written.append({i // q._width for i in idx})
+        traced(q, idx, traces, delta, alpha, fresh, fresh_target)
+
+    monkeypatch.setattr(QTable, "row_max", counting_row_max)
+    monkeypatch.setattr(agents, "q_update_traced", spy)
+    env = CycleEnv()
+    params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.0, lam=lam)
+    with Recorder(env) as rec:
+        watkins_qlambda_episode(env, fresh(env), params, rng_for(3))
+    states = [s for s, _, _ in rec.trace]
+    # One read of the first state and of each next state, and a second one
+    # where the step before wrote that state's row.  At lambda = 0 each pass
+    # writes only the row it left, so every state is read once.
+    expected = [states[0]] + [s for rows, s in zip(written, states[1:]) for _ in range(1 + (s in rows))]
+    assert reads == expected
+    assert (reads == states) == (lam == 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(GRID_ENVS))

@@ -403,12 +403,17 @@ def test_a_worker_dead_before_its_task_is_written_raises(deadline):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_a_failed_fork_reaps_the_workers_forked_before_it(monkeypatch, deadline):
+@pytest.mark.parametrize(
+    "error",
+    [OSError(11, "Resource temporarily unavailable"), KeyboardInterrupt()],
+    ids=["OSError", "KeyboardInterrupt"],
+)
+def test_a_failed_fork_reaps_the_workers_forked_before_it(monkeypatch, deadline, error):
     fork, forked = os.fork, []
 
     def fork_once():
         if forked:
-            raise OSError(11, "Resource temporarily unavailable")
+            raise error
         pid = fork()
         if pid:
             forked.append(pid)
@@ -416,8 +421,9 @@ def test_a_failed_fork_reaps_the_workers_forked_before_it(monkeypatch, deadline)
 
     fds = sorted(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "fork", fork_once)
-    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+    with pytest.raises(type(error)) as raised:
         _ForkPool(3)
+    assert raised.value is error
     assert len(forked) == 1
     with pytest.raises(ChildProcessError):  # reaped already
         os.waitpid(forked[0], os.WNOHANG)
