@@ -45,6 +45,11 @@ per step.
 
 from __future__ import annotations
 
+__all__ = [
+    "ALGORITHM_NAMES", "EpisodeLog", "cvs_episode", "mc_episode", "n_step_sarsa_episode", "q_learning_episode",
+    "watkins_qlambda_episode",
+]
+
 from collections import deque
 from dataclasses import dataclass
 

@@ -16,9 +16,9 @@ state.  Nothing on a run's path imports numpy; only :meth:`QTable.as_array`
 does.
 
 A table is built from its environment's action layout and sink id: the
-widest action count plus the few states below the sink with fewer actions.
-It holds no per-state count array, so a run's resident table is the pages it
-writes.
+widest action count plus each state below the sink with fewer actions (none
+on shooter and tennis, every road state on a road tree).  It holds no
+per-state count array.
 
 All randomness of a run flows through one draw source, which the harness
 passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
@@ -29,6 +29,8 @@ its own PCG64 words.
 """
 
 from __future__ import annotations
+
+__all__ = ["AgentParams", "ConfigError", "Environment", "QTable", "epsilon_greedy", "greedy_actions"]
 
 import math
 import mmap
@@ -238,9 +240,12 @@ class QTable:
 
     A +0.0 initial value gets a private anonymous mapping of its own, so the
     table starts on zero pages instead of being filled, only the 4 KiB pages
-    a run writes become resident, and all of them go back to the system when
-    the table is freed; any other value (``-0.0`` included) fills an
-    ``array("d")``.
+    written become resident, and all of them go back to the system when the
+    table is freed; any other value (``-0.0`` included) fills an
+    ``array("d")``.  The constructor writes the sink's row and the padding of
+    every narrow row: a table without narrow states (shooter, tennis) holds
+    only the pages a run writes, but on a road tree, where every road state
+    is narrow, nearly every page is written when the table is built.
     """
 
     def __init__(

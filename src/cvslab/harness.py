@@ -18,6 +18,11 @@ run reads; smoothing windows belong to the caller of ``running_average``.
 
 from __future__ import annotations
 
+__all__ = [
+    "ExperimentConfig", "RunResult", "average_over_runs", "episodes_to_convergence", "episodes_to_threshold",
+    "greedy_policy_return", "make_env", "run_experiment", "running_average",
+]
+
 import inspect
 import os
 from contextlib import nullcontext
@@ -35,13 +40,9 @@ from .agents import (
 )
 from .core import AgentParams, ConfigError, DrawStream, Environment, QTable, greedy_actions
 from .core import _finite_real, _is_int, _positive_int, _setting
-from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, optimal_return_oracle
+from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, _config_tree, optimal_return_oracle
 from .shooter import ShooterEnv
 from .tennis import TennisEnv
-
-
-def _custom_tree(tree) -> TreeSpec:
-    return _setting("tree", tree, TreeSpec.from_dict)
 
 
 # name -> builder of the environment or of its tree.  A builder's keyword
@@ -49,7 +50,7 @@ def _custom_tree(tree) -> TreeSpec:
 # checks them, raising a ConfigError that names the parameter.
 _BUILDERS = {
     **{f"roadtree:{name}": tree for name, tree in BUILTIN_TREES.items()},
-    "roadtree": _custom_tree,
+    "roadtree": _config_tree,
     "shooter": ShooterEnv,
     "tennis": TennisEnv,
 }

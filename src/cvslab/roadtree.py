@@ -15,12 +15,17 @@ on a choice or has just been decided) and 0 on road states.
 
 from __future__ import annotations
 
+__all__ = [
+    "BUILTIN_TREES", "RoadTreeEnv", "TreeEdge", "TreeNode", "TreeSpec", "fig1_tree", "fig3_tree", "fig4_tree",
+    "fig6_tree", "optimal_return_oracle",
+]
+
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .core import CriticalityFn, Draws, Environment, StateId
+from .core import ConfigError, CriticalityFn, Draws, Environment, StateId
 from .core import _finite_real, _integer, _positive_int, _setting, _state_error
 
 KIND_JUNCTION = "junction"
@@ -156,6 +161,38 @@ class TreeSpec:
         return cls(root=root, nodes=nodes, edges=edges)  # a structural fault raises here
 
 
+# The most Q-table values a road tree from a config may have: a row for each
+# junction, road state and the sink, each as wide as the widest junction.
+# 2**20 doubles are 8 MiB, and a tree's table writes nearly all of them when
+# it is built (the -inf padding of its narrower rows).
+_MAX_TABLE = 1 << 20
+
+
+def _check_table(key: str, got: str, states: int, width: int) -> None:
+    """Raise a ``ConfigError`` naming ``key`` if ``states`` rows of ``width``
+    actions exceed ``_MAX_TABLE`` values; ``got`` is what made them."""
+    if states * width > _MAX_TABLE:
+        raise ConfigError(
+            key, f"must keep the Q-table within {_MAX_TABLE} values, got {got} ({states} states x {width} actions)"
+        )
+
+
+def _config_tree(tree) -> TreeSpec:
+    """The tree of a ``tree`` document, whose Q-table keeps within
+    ``_MAX_TABLE`` values.  A tree too big at distance 1 blames ``tree``;
+    otherwise the first edge, in declared order, whose road states take the
+    table over the bound blames its ``distance``."""
+    spec = _setting("tree", tree, TreeSpec.from_dict)
+    junctions = sum(n.kind == KIND_JUNCTION for n in spec.nodes)
+    width = max(map(len, spec._edges_by_parent.values()))
+    states = junctions + 1
+    _check_table("tree", f"{junctions} junctions at distance 1", states, width)
+    for i, e in enumerate(spec.edges):
+        states += e.distance - 1
+        _check_table(f"tree.edges[{i}].distance", repr(e.distance), states, width)
+    return spec
+
+
 # ----------------------------------------------------------------------
 # Built-in trees
 # ----------------------------------------------------------------------
@@ -214,10 +251,15 @@ def fig6_tree(k: int = 10, distance: int = 10) -> TreeSpec:
     The left junction pays 0 and leads to children worth 0 and 1; the right
     junction pays 1 and fans out into ``k`` children worth -2 plus a single
     child worth +1 (the last action).  Every edge has the same ``distance``.
-    Both are positive integers; a bad one raises a ``ConfigError`` naming it.
+    Both are positive integers; a bad one, or a pair that overflows the
+    Q-table bound, raises a ``ConfigError`` naming it.
     """
     k = _setting("k", k, _positive_int)
     distance = _setting("distance", distance, _positive_int)
+    # Three junctions and the sink, k + 1 actions wide, then distance - 1 road
+    # states on each of the k + 5 edges; checked before a node is built.
+    _check_table("k", repr(k), 4, k + 1)
+    _check_table("distance", repr(distance), 4 + (k + 5) * (distance - 1), k + 1)
     nodes = [
         TreeNode(0, 0.0, KIND_JUNCTION),
         TreeNode(1, 0.0, KIND_JUNCTION),

@@ -27,6 +27,8 @@ holds at most 800 + 120 000 entries; a whole shooter-serial benchmark run
 
 from __future__ import annotations
 
+__all__ = ["ShooterEnv"]
+
 from .core import CriticalityFn, Draws, Environment, StateId
 from .core import _is_int, _positive_int, _reflect, _setting, _state_error
 

@@ -28,6 +28,8 @@ first rallies, and a worker's later runs find it full.
 
 from __future__ import annotations
 
+__all__ = ["TennisEnv"]
+
 from .core import CriticalityFn, Draws, Environment, StateId
 from .core import _positive_int, _probability, _reflect, _setting, _state_error
 

@@ -489,6 +489,56 @@ def test_cvs_unit_criticality_equals_sarsa_on_shooter():
         assert ok, f"gamma {gamma}, q_init {initial}: tables diverged at (seed, episode) {where}"
 
 
+# Trees are acyclic and deterministic with a 0/1 h; the small MDPs add
+# revisits, self-loops, random steps, fractional h and a step cap.
+TREES_AND_MDPS = st.one_of(road_trees().map(lambda tree: partial(RoadTreeEnv, tree)), small_mdps())
+# Watkins Q(0) is 1-step Q-learning (Sutton & Barto 2018, section 12.10): a
+# trace of 1.0 on the fresh pair alone, which takes the TD target directly.
+REDUCTION_ENVS = {
+    "fig1": lambda: RoadTreeEnv(fig1_tree()),
+    "fig6": lambda: RoadTreeEnv(fig6_tree()),
+    "shooter": ShooterEnv,
+    "tennis": TennisEnv,
+}
+
+
+def assert_qlambda_zero_is_q_learning(make_env, gamma, q_init, seed, episodes):
+    """Watkins Q(0) and Q-learning side by side from equal tables and seeds:
+    the same return and step count every episode, then the same table bytes,
+    write count and next draw."""
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.0)
+    env_a, env_b = make_env(), make_env()
+    q_a, q_b = fresh(env_a, q_init), fresh(env_b, q_init)
+    rng_a, rng_b = DrawStream(seed, (0,)), DrawStream(seed, (0,))
+    for episode in range(episodes):
+        a = watkins_qlambda_episode(env_a, q_a, params, rng_a)
+        b = q_learning_episode(env_b, q_b, params, rng_b)
+        assert (a.total_reward, a.steps) == (b.total_reward, b.steps), (seed, episode)
+    assert q_a.writes == q_b.writes
+    assert hashlib.sha256(q_a._values).digest() == hashlib.sha256(q_b._values).digest()
+    assert rng_a.random().hex() == rng_b.random().hex()
+
+
+def test_qlambda_zero_lambda_equals_q_learning():
+    for seed in (0, 1):
+        assert_qlambda_zero_is_q_learning(lambda: RoadTreeEnv(fig3_tree()), 1.0, 0.0, seed, 20)
+
+
+@pytest.mark.parametrize("q_init", [0.0, 0.5])
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("name", sorted(REDUCTION_ENVS))
+def test_watkins_zero_lambda_is_q_learning_bit_for_bit(name, gamma, q_init):
+    for seed in (0, 1):
+        assert_qlambda_zero_is_q_learning(REDUCTION_ENVS[name], gamma, q_init, seed, 30)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@settings(max_examples=50)
+@given(make_env=TREES_AND_MDPS, q_init=st.sampled_from((0.0, 0.5)), seed=st.integers(0, 2**32 - 1))
+def test_watkins_zero_lambda_is_q_learning_on_random_trees_and_mdps(gamma, make_env, q_init, seed):
+    assert_qlambda_zero_is_q_learning(make_env, gamma, q_init, seed, 15)
+
+
 @given(
     tree=road_trees(),
     q_init=st.sampled_from((0.0, 0.5)),
@@ -563,44 +613,6 @@ def test_what_parts_cvs_from_sarsa_lambda_s_off_trees(feature):
         assert 0.0 < gap < 1e-15  # the same sums, added in another order
 
 
-def test_qlambda_zero_lambda_equals_q_learning():
-    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1, lam=0.0)
-    ok, where = paired_tables_match(
-        lambda: RoadTreeEnv(fig3_tree()),
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
-        lambda env, q, rng: q_learning_episode(env, q, params, rng),
-        seeds=(0, 1),
-        episodes=20,
-    )
-    assert ok, f"tables diverged at (seed, episode) {where}"
-
-
-REDUCTION_ENVS = {
-    "fig1": lambda: RoadTreeEnv(fig1_tree()),
-    "fig6": lambda: RoadTreeEnv(fig6_tree()),
-    "shooter": ShooterEnv,
-    "tennis": TennisEnv,
-}
-
-
-@pytest.mark.parametrize("q_init", [0.0, 0.5])
-@pytest.mark.parametrize("gamma", [1.0, 0.9])
-@pytest.mark.parametrize("name", sorted(REDUCTION_ENVS))
-def test_watkins_zero_lambda_is_q_learning_bit_for_bit(name, gamma, q_init):
-    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.0)
-    for seed in (0, 1):
-        env_a, env_b = REDUCTION_ENVS[name](), REDUCTION_ENVS[name]()
-        q_a, q_b = fresh(env_a, q_init), fresh(env_b, q_init)
-        rng_a, rng_b = DrawStream(seed, (0,)), DrawStream(seed, (0,))
-        for episode in range(30):
-            a = watkins_qlambda_episode(env_a, q_a, params, rng_a)
-            b = q_learning_episode(env_b, q_b, params, rng_b)
-            assert (a.total_reward, a.steps) == (b.total_reward, b.steps), (seed, episode)
-        assert q_a.writes == q_b.writes
-        assert hashlib.sha256(q_a._values).digest() == hashlib.sha256(q_b._values).digest()
-        assert rng_a.random().hex() == rng_b.random().hex()
-
-
 def test_episode_log_bookkeeping():
     env = RoadTreeEnv(fig1_tree())
     q = fresh(env)
@@ -656,9 +668,6 @@ def assert_matches_reference(make_env, q_init, seed, episodes, run, reference):
 GAMMAS = (1.0, 0.9, 0.5)
 LAMBDAS = (0.0, 0.5, 0.9, 1.0)
 Q_INITS = st.one_of(st.sampled_from((0.0, 0.5)), st.floats(-5.0, 5.0))
-# Trees are acyclic and deterministic with a 0/1 h; the small MDPs add
-# revisits, self-loops, random steps, fractional h and a step cap.
-TREES_AND_MDPS = st.one_of(road_trees().map(lambda tree: partial(RoadTreeEnv, tree)), small_mdps())
 # Uneven per-state criticalities put float rounding on the claim that the
 # mature waitlist entries are always a prefix.
 H_VALUES = (0.0, 0.1, 0.3, 1 / 3, 0.7, 1.0)

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
+import time
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvslab import harness
 from cvslab.cli import _parse_compare, main, preset_names
@@ -302,6 +307,11 @@ def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides
         (
             {"algorithms": [{"label": "x", "algorithm": "cvs", "beta": 0.5}]},
             "error: algorithms[0].beta: unknown algorithm key",
+        ),
+        (  # refused before a node is built: 150 M states would not fit in memory
+            {"environment": {"name": "roadtree:fig6", "distance": 10**7}},
+            "error: environment.distance: must keep the Q-table within 1048576 values,"
+            " got 10000000 (149999989 states x 11 actions)",
         ),
     ],
 )
@@ -607,14 +617,16 @@ def test_list_shows_everything(capsys):
     assert capsys.readouterr().out == LIST_OUTPUT
 
 
-def test_presets_exist_and_parse():
-    names = preset_names()
-    assert names == ["fig2", "fig3", "fig4", "fig6", "shooter"]
-    from importlib import resources
+PRESETS = {
+    name: json.loads((resources.files("cvslab") / "configs" / f"{name}.json").read_text("utf-8"))
+    for name in preset_names()
+}
 
-    for name in names:
-        text = (resources.files("cvslab") / "configs" / f"{name}.json").read_text("utf-8")
-        parsed_name, jobs, window = _parse_compare(json.loads(text))
+
+def test_presets_exist_and_parse():
+    assert list(PRESETS) == ["fig2", "fig3", "fig4", "fig6", "shooter"]
+    for name, doc in PRESETS.items():
+        parsed_name, jobs, window = _parse_compare(doc)
         assert parsed_name == name
         assert len(jobs) == 2
         assert window >= 1
@@ -626,3 +638,63 @@ def test_preset_runs_from_name(tmp_path):
     assert main(["run", "fig6", "--out", str(tmp_path), "--seed", "3"]) == 0
     assert (tmp_path / "fig6_cvs.csv").exists()
     assert (tmp_path / "fig6_mc.csv").exists()
+
+
+# Every environment's keys: the presets use name, k and distance.
+ENVIRONMENT_KEYS = ("k", "distance", "max_steps", "p_optimal", "obstacle_rows", "tree", "name")
+SIZES = st.integers(0, 12).map(lambda e: 10**e)  # every magnitude up to 10**12
+# Any JSON value: NaN and infinities (which json.loads accepts) included, the
+# environment names and keys among the strings.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | SIZES
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(harness.ENVIRONMENT_NAMES + ENVIRONMENT_KEYS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def key_paths(doc, prefix=()):
+    """The path of every entry below ``doc``, containers and their members."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from key_paths(value, (*prefix, key))
+
+
+@st.composite
+def mutations(draw, preset):
+    """``preset`` with one or two mutations, each at any key or at a key of
+    the environment block, known or not, and each as likely to be a size as
+    any other JSON value."""
+    doc = copy.deepcopy(preset)
+    for _ in range(draw(st.integers(1, 2))):
+        env = doc.get("environment")
+        if isinstance(env, dict) and draw(st.booleans()):
+            target = env
+            key = draw(st.sampled_from(ENVIRONMENT_KEYS) | st.text(max_size=6))
+        else:
+            *parent, key = draw(st.sampled_from(list(key_paths(doc))))
+            target = doc
+            for step in parent:
+                target = target[step]
+        target[key] = draw(SIZES | JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_mutated_preset_parses_or_names_a_key_quickly(preset, data):
+    doc = data.draw(mutations(PRESETS[preset]))
+    # Parse only: each block builds its environment once and runs nothing.
+    start = time.perf_counter()
+    try:
+        _parse_compare(doc)
+    except ConfigError:
+        pass
+    assert time.perf_counter() - start < 3.0

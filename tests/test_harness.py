@@ -41,6 +41,7 @@ from cvslab import (
 from cvslab import harness
 from cvslab.core import q_update
 from cvslab.harness import _ForkPool, _run_one
+from cvslab.roadtree import _config_tree
 from strategies import road_trees
 
 
@@ -167,6 +168,28 @@ def fig3_doc(part, key, value):
     return {"name": "roadtree", "tree": doc}
 
 
+def fig3_distances(d0, d1):
+    """fig3's document with edge distances ``d0`` and ``d1``: one junction
+    and two edges, so a Q-table of d0 + d1 states x 2 actions."""
+    doc = fig3_tree().to_dict()
+    doc["edges"][0]["distance"], doc["edges"][1]["distance"] = d0, d1
+    return doc
+
+
+# 1024 junctions below the root, each with one terminal: 1026 states x 1024
+# actions, too many for the table bound even with every distance 1.
+WIDE_TREE_DOC = {
+    "root": 0,
+    "nodes": [{"id": i, "reward": 0.0, "kind": "junction" if i <= 1024 else "terminal"} for i in range(2049)],
+    "edges": [{"parent": 0, "child": i, "distance": 1} for i in range(1, 1025)]
+    + [{"parent": i, "child": i + 1024, "distance": 1} for i in range(1, 1025)],
+}
+
+
+def test_a_tree_document_may_fill_the_table_bound():
+    assert [e.distance for e in _config_tree(fig3_distances(2**18, 2**18)).edges] == [2**18, 2**18]
+
+
 @pytest.mark.parametrize(
     "cfg, key",
     [
@@ -198,6 +221,11 @@ def fig3_doc(part, key, value):
         (fig3_doc("nodes", "id", 0.7), "environment.tree"),
         ({"name": "tennis", "p_optimal": 10**400}, "environment.p_optimal"),
         (fig3_doc("nodes", "reward", 10**400), "environment.tree"),
+        # past the table bound: the first edge whose road states overflow it
+        ({"name": "roadtree", "tree": fig3_distances(2**18, 2**18 + 1)}, "environment.tree.edges[1].distance"),
+        ({"name": "roadtree", "tree": fig3_distances(2**19, 1)}, "environment.tree.edges[0].distance"),
+        ({"name": "roadtree", "tree": fig3_distances(2**19, 2**19)}, "environment.tree.edges[0].distance"),
+        ({"name": "roadtree", "tree": WIDE_TREE_DOC}, "environment.tree"),
     ],
 )
 def test_make_env_names_offending_key(cfg, key):

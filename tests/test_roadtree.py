@@ -264,11 +264,18 @@ def test_oracle_solves_a_tree_deeper_than_the_recursion_limit():
 
 
 def test_fig6_rejects_bad_arguments():
+    # At k = 10 the Q-table holds (4 + 15 (distance - 1)) x 11 values:
+    # distance 6355 keeps within 2**20 of them, 6356 does not.
+    assert len(fig6_tree(k=10, distance=6355).edges) == 15
     cases = [
         ({"k": 0}, "k"),
         ({"k": True}, "k"),
         ({"k": 2.5}, "k"),
         ({"distance": 0}, "distance"),
+        ({"k": 10, "distance": 6356}, "distance"),
+        ({"k": 2**18, "distance": 1}, "k"),  # 4 x (2**18 + 1) values
+        ({"k": 10**5, "distance": 2}, "distance"),  # k alone fits at distance 1
+        ({"k": 10**12, "distance": 10**12}, "k"),  # k alone does not; no node is built
     ]
     for kwargs, key in cases:
         with pytest.raises(ConfigError) as info:
