@@ -25,6 +25,7 @@ from cvslab import (
     cvs_episode,
     fig1_tree,
     fig3_tree,
+    fig4_tree,
     fig6_tree,
     mc_episode,
     n_step_sarsa_episode,
@@ -954,3 +955,25 @@ def test_qlambda_matches_dict_reference_on_grid_envs(name):
         lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
         lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
     )
+
+
+# The CSV pins and the presets miss a trace that skips one decay (the chain
+# sliced one entry short): on a road tree the greedy path, returns and write
+# count stay the same, and only the table's values move.  Hashing
+# as_array(), not the raw storage, keeps unused slots out of the pin.
+@pytest.mark.parametrize(
+    "make_tree, digest, writes",
+    [
+        (fig4_tree, "f08a656b4daa090172327d97e615495ebc3f2648469e86a1561a8954b17cd855", 25451),
+        (fig1_tree, "acf06dbd3639dbd9ef498b87cf9e6ee45cda649a4953aa576f6914eabadb67b6", 7028),
+    ],
+    ids=["fig4", "fig1"],
+)
+def test_qlambda_table_after_20_tree_episodes_is_pinned(make_tree, digest, writes):
+    env = RoadTreeEnv(make_tree())
+    q = fresh(env)
+    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1, lam=0.9)
+    rng = DrawStream(0, (0,))
+    for _ in range(20):
+        watkins_qlambda_episode(env, q, params, rng)
+    assert (hashlib.sha256(q.as_array().tobytes()).hexdigest(), q.writes) == (digest, writes)
