@@ -34,6 +34,7 @@ __all__ = ["AgentParams", "ConfigError", "Environment", "QTable", "epsilon_greed
 
 import math
 import mmap
+import operator
 import sys
 from abc import ABC, abstractmethod
 from array import array
@@ -209,6 +210,15 @@ def _state_error(terminal: StateId, s: StateId, at_sink: str) -> ValueError:
     return ValueError(at_sink if s == terminal else f"state {s} out of range")
 
 
+def _index(value) -> int:
+    """``value`` as an ``int`` if it is an integer (numpy's too) but not a
+    ``bool``, else -1, which every bound in :class:`QTable` rejects."""
+    try:
+        return -1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        return -1
+
+
 def _reflect(row: int, d: int, rows: int) -> tuple[int, int]:
     """``(row, d)`` after ``row`` moves by ``d``, mirroring off rows 0 and
     ``rows - 1``: the bounce of the grid environments' walls."""
@@ -224,28 +234,24 @@ class QTable:
     """Dense (state x action) value table.
 
     Built from an action layout ``(width, narrow)`` (see
-    :meth:`Environment.action_layout`) and the sink id ``terminal``: there is
-    a row for each state ``[0, terminal]``, every row ``width`` slots wide,
-    and a state in ``narrow`` with ``k`` actions has its slots from ``k`` on
-    padded with ``-inf``, so they can never win an argmax.  A state's action
-    count is ``narrow.get(s, width)``; the table keeps no per-state array.
-    The values are one flat ``memoryview`` of doubles, ``(s, a)`` at
-    ``s * width + a``.  Every reader checks ``0 <= s < terminal`` first: that
-    lookup would give ``s = -1`` a full row, and a negative index counts from
-    the end.  ``q[s, a]`` also rejects an action outside ``s``'s count, as
-    :func:`q_update` does, so it never returns padding.  The TERMINAL row,
-    which has no actions, is zero in :meth:`as_array` and rejects writes.
-    ``writes`` counts every value written by :func:`q_update` or
-    :func:`q_update_traced`.
+    :meth:`Environment.action_layout`) and the sink id ``terminal``: a row
+    for each state ``[0, terminal]``, ``width`` slots wide, of which state
+    ``s`` uses the first ``narrow.get(s, width)``.  No reader looks past
+    them, and the table keeps no per-state array.  The values are one flat
+    ``memoryview`` of doubles, ``(s, a)`` at ``s * width + a``.  Every reader
+    checks ``0 <= s < terminal`` first: that lookup would give ``s = -1`` a
+    full row, and a negative index counts from the end.  ``q[s, a]`` also
+    rejects an action outside ``s``'s count, as :func:`q_update` does.  The
+    TERMINAL row, which has no actions, is zero in :meth:`as_array` and
+    rejects writes.  ``writes`` counts every value written by
+    :func:`q_update` or :func:`q_update_traced`.
 
     A +0.0 initial value gets a private anonymous mapping of its own, so the
     table starts on zero pages instead of being filled, only the 4 KiB pages
     written become resident, and all of them go back to the system when the
     table is freed; any other value (``-0.0`` included) fills an
-    ``array("d")``.  The constructor writes the sink's row and the padding of
-    every narrow row: a table without narrow states (shooter, tennis) holds
-    only the pages a run writes, but on a road tree, where every road state
-    is narrow, nearly every page is written when the table is built.
+    ``array("d")``.  The constructor writes only the sink's row, so a +0.0
+    table holds only the pages a run writes.
     """
 
     def __init__(
@@ -255,13 +261,17 @@ class QTable:
         initial_value: float = 0.0,
     ):
         width, narrow = layout
-        if width < 1:
+        self._width = _index(width)
+        if self._width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        if terminal < 0:
+        self._terminal = _index(terminal)
+        if self._terminal < 0:
             raise ValueError(f"terminal id {terminal} out of range")
-        self._width = width = int(width)
+        width, terminal = self._width, self._terminal
         self._narrow = dict(narrow)
-        self._terminal = terminal = int(terminal)
+        for s, k in self._narrow.items():
+            if not (0 <= _index(s) < terminal and 1 <= _index(k) < width):
+                raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
         initial = float(initial_value)
         size = (terminal + 1) * width
         if initial == 0.0 and math.copysign(1.0, initial) > 0.0:
@@ -271,10 +281,6 @@ class QTable:
             values = memoryview(mmap.mmap(-1, size * 8, access=mmap.ACCESS_COPY)).cast("d")
         else:
             values = memoryview(array("d", [initial]) * size)
-        for s, k in self._narrow.items():
-            if not (0 <= s < terminal and 1 <= k < width):
-                raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
-            values[s * width + k : (s + 1) * width] = array("d", [-math.inf]) * (width - k)
         values[terminal * width :] = array("d", [0.0]) * width
         self._values = values
         self._writes = 0
@@ -318,12 +324,15 @@ class QTable:
         return max(self._values[row : row + self._narrow.get(s, self._width)].tolist())
 
     def as_array(self) -> "numpy.ndarray":
-        """Copy of the full padded table as a ``(num_states, width)`` numpy
-        array (for snapshots and comparisons).  Needs numpy, which only the
-        ``test`` extra installs."""
+        """Copy of the table as a ``(num_states, width)`` numpy array, slots
+        past a row's action count shown as ``-inf`` (for snapshots and
+        comparisons).  Needs numpy, which only the ``test`` extra installs."""
         import numpy
 
-        return numpy.array(self._values).reshape(self.num_states, self._width)
+        table = numpy.array(self._values).reshape(self.num_states, self._width)
+        for s, k in self._narrow.items():
+            table[s, k:] = -numpy.inf
+        return table
 
 
 def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:

@@ -163,8 +163,8 @@ class TreeSpec:
 
 # The most Q-table values a road tree from a config may have: a row for each
 # junction, road state and the sink, each as wide as the widest junction.
-# 2**20 doubles are 8 MiB, and a tree's table writes nearly all of them when
-# it is built (the -inf padding of its narrower rows).
+# 2**20 doubles are 8 MiB; the bound also caps the states, and with them the
+# per-state lists that parsing a config builds (step table, action layout).
 _MAX_TABLE = 1 << 20
 
 

@@ -226,6 +226,34 @@ def test_qtable_rejects_bad_shapes():
     for narrow in ({1: 0}, {0: 0}, {2: 1}, {-1: 1}, {0: 2}, {0: -1}):
         with pytest.raises(ValueError, match="does not fit"):
             QTable((2, narrow), 1)
+    # a non-integer or a bool is rejected, not truncated or read as 0 or 1
+    for width in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="width"):
+            QTable((width, {}), 3)
+    for terminal in (3.7, True, 1.0):
+        with pytest.raises(ValueError, match="terminal"):
+            QTable((2, {}), terminal)
+    for narrow in ({0: 1.5}, {0.5: 1}, {False: 1}, {0: True}, {1.0: 1}):
+        with pytest.raises(ValueError, match="does not fit"):
+            QTable((2, narrow), 2)
+
+
+def test_qtable_takes_numpy_integers():
+    q = QTable((np.int64(3), {np.int64(0): np.int32(2)}), np.int64(2))
+    assert (q._width, q.terminal, q.num_actions(0), q.num_actions(1)) == (3, 2, 2, 3)
+    assert type(q._width) is type(q.terminal) is int
+
+
+def test_tree_table_starts_on_untouched_zero_pages():
+    # every road state is narrower than fig1's widest junction, and no slot
+    # past a row's action count is written: the raw storage stays all zero
+    env = RoadTreeEnv(fig1_tree())
+    q = QTable.for_env(env)
+    narrow = env.action_layout()[1]
+    assert narrow and not any(q._values.tobytes())
+    table = q.as_array()
+    for s, k in narrow.items():
+        assert (table[s, :k] == 0.0).all() and (table[s, k:] == -np.inf).all()
 
 
 def test_tennis_table_allocates_no_per_state_array():

@@ -11,6 +11,7 @@ from hypothesis import given
 from cvslab import (
     ConfigError,
     ExperimentConfig,
+    QTable,
     RoadTreeEnv,
     TreeEdge,
     TreeNode,
@@ -227,13 +228,15 @@ def test_fig6_fan_out():
 
 def test_wide_tree_builds_in_linear_time():
     # Scanning the node and edge lists once per node or edge made this take
-    # about 38 s on a 2-core Xeon, against 0.1 s indexed.  No QTable: its
-    # 20001-wide -inf padding would fault in GBs.
+    # about 38 s on a 2-core Xeon, against 0.1 s indexed.  The tree has 4
+    # states, so its 20001-wide table is 640 032 bytes.
     k = 20_000
     start = time.perf_counter()
     env = RoadTreeEnv(fig6_tree(k=k, distance=1))
     value, path = optimal_return_oracle(env)
+    q = QTable.for_env(env)
     assert time.perf_counter() - start < 10.0
+    assert q._values.nbytes == 4 * (k + 1) * 8
     assert (value, path) == (2.0, [1, k])
     width, narrow = env.action_layout()
     assert width == k + 1
