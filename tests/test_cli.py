@@ -212,6 +212,52 @@ def test_fig4_cvs_and_qlambda_csv_bytes_are_pinned(tmp_path, monkeypatch):
     }
 
 
+# At gamma 0.9 a start of 0.5 decays where a run has been, so greedy choices
+# move to untried actions.  A start of -0.0 compares equal to 0.0 everywhere.
+Q_INIT_PINS = {
+    ("roadtree:fig1", 0.5): {
+        "cvs": "bd9c18b60af1dd05f7e5c50216ec515b13791e7b9b1a7c505add8aa2bdcb49c7",
+        "qlambda": "f8d176386bc18c2c2f8f12b66e7118153185a86e742908e2e40451d390a308b6",
+    },
+    ("roadtree:fig1", -0.0): {
+        "cvs": "d71d691b8889fea1edb57eddc3481ee678393ab5057fc01ef2627b50d173ad3f",
+        "qlambda": "c0bb0e7d463e8353b518e7d2a045e7903ecd8ad7e4ef6c4c6e9e9b220a132b13",
+    },
+    ("tennis", 0.5): {
+        "cvs": "26f61209b3a8a78f6cfbbf9e66d7a5d707ba8aef54cb77258267d1063d88e044",
+        "qlambda": "26f61209b3a8a78f6cfbbf9e66d7a5d707ba8aef54cb77258267d1063d88e044",
+    },
+    ("tennis", -0.0): {
+        "cvs": "5ea155e33705f1864829d230f9a49efe0ebf61635cc627f90dc5e82184b00cfb",
+        "qlambda": "44d9c8ce9037fbd1fb500dd76e24d376b1475f85bb906489d351cdd96da8a1fb",
+    },
+}
+
+
+@pytest.mark.parametrize(("environment", "q_init"), list(Q_INIT_PINS))
+def test_q_init_csv_bytes_are_pinned(tmp_path, monkeypatch, environment, q_init):
+    monkeypatch.setenv("CVS_LAB_THREADS", "2")
+    algorithms = [
+        {"label": "cvs", "algorithm": "cvs", "gamma": 0.9},
+        {"label": "qlambda", "algorithm": "qlambda", "lambda": 0.9, "gamma": 0.9},
+    ]
+    cfg = write_config(
+        tmp_path / "start.json",
+        environment={"name": environment, **({"max_steps": 200} if environment == "tennis" else {})},
+        algorithms=algorithms,
+        episodes=20,
+        runs=2,
+        q_init=q_init,
+    )
+    assert repr(json.loads(cfg.read_text(encoding="utf-8"))["q_init"]) == repr(q_init)  # the sign of -0.0 too
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    digests = {
+        label: hashlib.sha256((tmp_path / "out" / f"demo_{label}.csv").read_bytes()).hexdigest()
+        for label in ("cvs", "qlambda")
+    }
+    assert digests == Q_INIT_PINS[environment, q_init]
+
+
 def test_negative_seed_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "demo.json")
     negative = write_config(tmp_path / "negative.json", seed=-5)
