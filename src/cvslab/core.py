@@ -18,7 +18,8 @@ does.
 A table is built from its environment's action layout and sink id: the
 widest action count plus each state below the sink with fewer actions (none
 on shooter and tennis, every road state on a road tree).  It holds no
-per-state count array.
+per-state count array, and its values live in a mapping of its own, whatever
+their start (see :class:`QTable`).
 
 All randomness of a run flows through one draw source, which the harness
 passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
@@ -37,7 +38,6 @@ import mmap
 import operator
 import sys
 from abc import ABC, abstractmethod
-from array import array
 from dataclasses import dataclass
 from itertools import chain
 from numbers import Real
@@ -246,12 +246,10 @@ class QTable:
     rejects writes.  ``writes`` counts every value written by
     :func:`q_update` or :func:`q_update_traced`.
 
-    A +0.0 initial value gets a private anonymous mapping of its own, so the
-    table starts on zero pages instead of being filled, only the 4 KiB pages
-    written become resident, and all of them go back to the system when the
-    table is freed; any other value (``-0.0`` included) fills an
-    ``array("d")``.  The constructor writes only the sink's row, so a +0.0
-    table holds only the pages a run writes.
+    Every table is a private anonymous mapping of its own: it starts on zero
+    pages, only the pages written become resident, and all of them go back to
+    the system when the table is freed.  A start value other than +0.0 is
+    copied over the rows below the sink in place, with no temporary.
     """
 
     def __init__(
@@ -273,15 +271,15 @@ class QTable:
             if not (0 <= _index(s) < terminal and 1 <= _index(k) < width):
                 raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
         initial = float(initial_value)
-        size = (terminal + 1) * width
-        if initial == 0.0 and math.copysign(1.0, initial) > 0.0:
-            # Not a filled array: malloc would reuse a freed table's heap
-            # pages or map new ones depending on the heap's history, which
-            # makes peak RSS depend on more than the pages a run writes.
-            values = memoryview(mmap.mmap(-1, size * 8, access=mmap.ACCESS_COPY)).cast("d")
-        else:
-            values = memoryview(array("d", [initial]) * size)
-        values[terminal * width :] = array("d", [0.0]) * width
+        filled = terminal * width  # the sink's row stays +0.0
+        # Not the heap: malloc may keep a freed table's pages resident.
+        values = memoryview(mmap.mmap(-1, (filled + width) * 8, access=mmap.ACCESS_COPY)).cast("d")
+        if filled and (initial != 0.0 or math.copysign(1.0, initial) < 0.0):
+            values[0], done = initial, 1
+            while done < filled:  # double the written prefix
+                step = min(done, filled - done)
+                values[done : done + step] = values[:step]
+                done += step
         self._values = values
         self._writes = 0
 

@@ -20,6 +20,7 @@ from cvslab import (
     TennisEnv,
     epsilon_greedy,
     fig1_tree,
+    fig6_tree,
     greedy_actions,
 )
 from cvslab.core import _DRAW_BLOCK, DrawStream, q_index, q_update, q_update_traced
@@ -169,11 +170,11 @@ def test_getitem_rejects_actions_the_state_lacks(a):
     assert q.writes == 0
 
 
-def reference_qtable_values(counts, initial):
+def reference_qtable_values(counts, initial, width=None):
     """Construction before zero pages: fill every slot, then mask the padding;
-    the sink is the row after ``counts``."""
+    the sink is the row after ``counts``, and ``width`` defaults to the widest."""
     counts = np.asarray([*counts, 0], dtype=np.int16)
-    width = max(1, int(counts.max()))
+    width = width or max(1, int(counts.max()))
     values = np.full((len(counts), width), float(initial), dtype=np.float64)
     values[np.arange(width) >= counts[:, None]] = -np.inf
     values[-1, :] = 0.0
@@ -188,6 +189,25 @@ def test_qtable_construction_matches_fill_and_mask_reference(counts, initial):
     q = make_table(counts, initial)
     # tobytes tells -0.0 from 0.0, which == does not
     assert q.as_array().tobytes() == reference_qtable_values(counts, initial).tobytes()
+
+
+def fixed_shape_counts(shape):
+    """``(width, counts)`` of a table large and odd enough that the fill's
+    doubling copies end off any power of two."""
+    if shape == "fig6 roads":  # 1-action road rows in a 3-wide table
+        env = RoadTreeEnv(fig6_tree(k=2, distance=777))
+        width, narrow = env.action_layout()
+        return width, [narrow.get(s, width) for s in range(env.terminal)]
+    return 3, [3] * {"sink only": 0, "one state": 1, "4099 states": 4099}[shape]
+
+
+@pytest.mark.parametrize("initial", [0.0, -0.0, 5.0, -1.5, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", ["sink only", "one state", "4099 states", "fig6 roads"])
+def test_qtable_construction_matches_fill_and_mask_reference_on_fixed_shapes(shape, initial):
+    width, counts = fixed_shape_counts(shape)
+    narrow = {s: k for s, k in enumerate(counts) if k < width}
+    q = QTable((width, narrow), len(counts), initial)
+    assert q.as_array().tobytes() == reference_qtable_values(counts, initial, width).tobytes()
 
 
 def test_qtable_row_and_row_max():
@@ -256,16 +276,35 @@ def test_tree_table_starts_on_untouched_zero_pages():
         assert (table[s, :k] == 0.0).all() and (table[s, k:] == -np.inf).all()
 
 
-def test_tennis_table_allocates_no_per_state_array():
+@pytest.mark.parametrize("initial", [0.0, 0.5, -0.0])
+def test_tennis_table_allocates_no_per_state_array(initial):
     env = TennisEnv()
     tracemalloc.start()
     try:
-        q = QTable.for_env(env)
+        q = QTable.for_env(env, initial)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert q._values.nbytes > 40e6  # the table itself lives on zero pages
+    assert q._values.nbytes > 40e6  # the table itself lives in its own mapping
     assert peak < 64 * 1024
+
+
+def resident_bytes():
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_a_freed_filled_table_leaves_nothing_resident():
+    # 2**19 rows of 4 doubles: 16 MiB, every page written by the 0.5 fill
+    start = resident_bytes()
+    grown = []
+    for _ in range(3):
+        q = QTable((4, {}), (1 << 19) - 1, 0.5)
+        assert q[0, 0] == q[q.terminal - 1, 3] == 0.5
+        del q
+        grown.append(resident_bytes() - start)
+    assert max(grown) < 4 * 2**20, grown
 
 
 def test_q_update_moves_toward_target():
