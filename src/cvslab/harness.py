@@ -68,6 +68,13 @@ def make_env(env_cfg: dict) -> Environment:
     unknown or missing key, or a bad value raises a :class:`ConfigError`
     whose key starts with ``environment.``.
     """
+    built = _checked_build(env_cfg)
+    return RoadTreeEnv(built) if isinstance(built, TreeSpec) else built
+
+
+def _checked_build(env_cfg: dict) -> TreeSpec | Environment:
+    """What ``env_cfg``'s builder makes (a tree for a road tree), checked as
+    :func:`make_env` checks it, without expanding a tree's states."""
     if not isinstance(env_cfg, dict):
         raise ConfigError("environment", "must be an object with a 'name' entry")
     name = env_cfg.get("name")
@@ -83,16 +90,16 @@ def make_env(env_cfg: dict) -> Environment:
         if parameter.default is parameter.empty and key not in params:
             raise ConfigError(f"environment.{key}", f"{name} needs a {key!r} entry")
     try:
-        built = builder(**params)
+        return builder(**params)
     except ConfigError as exc:
         raise ConfigError(f"environment.{exc.key}", exc.message) from exc
-    return RoadTreeEnv(built) if isinstance(built, TreeSpec) else built
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, checked when built (``environment`` by building it):
-    a bad setting raises a :class:`ConfigError` naming its key."""
+    """One experiment, checked when built (``environment`` by its builder,
+    which makes a road tree's spec but not its states): a bad setting raises
+    a :class:`ConfigError` naming its key."""
 
     environment: dict = field(default_factory=lambda: {"name": "roadtree:fig3"})
     algorithm: str = "cvs"
@@ -112,7 +119,7 @@ class ExperimentConfig:
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed", "must be a non-negative integer")
         _setting("q_init", self.q_init, _finite_real)
-        make_env(self.environment)
+        _checked_build(self.environment)
 
 
 @dataclass

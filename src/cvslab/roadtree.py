@@ -163,8 +163,10 @@ class TreeSpec:
 
 # The most Q-table values a road tree from a config may have: a row for each
 # junction, road state and the sink, each as wide as the widest junction.
-# 2**20 doubles are 8 MiB; the bound also caps the states, and with them the
-# per-state lists that parsing a config builds (step table, action layout).
+# 2**20 doubles are 8 MiB of untouched pages; the bound also caps the states,
+# and with them what each run builds: at k=1, distance=87381 a RoadTreeEnv
+# takes about 108 MB and the table's layout dict 57 MB (README).  Parsing a
+# config builds neither.
 _MAX_TABLE = 1 << 20
 
 

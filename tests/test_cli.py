@@ -678,6 +678,23 @@ def test_presets_exist_and_parse():
         assert window >= 1
 
 
+def test_parsing_a_tree_document_builds_no_road_tree_env(monkeypatch):
+    built = []
+
+    class CountingEnv(harness.RoadTreeEnv):
+        def __init__(self, tree):
+            built.append(tree)
+            super().__init__(tree)
+
+    monkeypatch.setattr(harness, "RoadTreeEnv", CountingEnv)
+    monkeypatch.setenv("CVS_LAB_THREADS", "1")  # runs in this process, where the count is
+    doc = {"name": "demo", "environment": {"name": "roadtree:fig1"}, "algorithms": THREE_BLOCKS, "runs": 2}
+    _, jobs, _ = _parse_compare(doc)
+    assert len(jobs) == 3 and built == []
+    harness.run_experiment(jobs[0][1])
+    assert len(built) == 2
+
+
 def test_preset_runs_from_name(tmp_path):
     # fig6 preset, cut down through the seed flag only; full presets are
     # exercised by the acceptance suite
