@@ -97,9 +97,8 @@ def _checked_build(env_cfg: dict) -> TreeSpec | Environment:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, checked when built (``environment`` by its builder,
-    which makes a road tree's spec but not its states): a bad setting raises
-    a :class:`ConfigError` naming its key."""
+    """One experiment, checked when built (``environment`` through its
+    builder): a bad setting raises a :class:`ConfigError` naming its key."""
 
     environment: dict = field(default_factory=lambda: {"name": "roadtree:fig3"})
     algorithm: str = "cvs"
