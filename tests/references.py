@@ -17,7 +17,8 @@ docstring says.
 ``reference_shooter_step`` is the shooter's step computed afresh on every
 call, with no outcome cache, and ``reference_tennis_step`` the tennis step
 decoding, moving and re-encoding the whole field on every call, with no
-flight memo.
+flight memo.  ``reference_road_tree`` is ``RoadTreeEnv``'s expansion of
+every state into its own row of steps.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from cvslab.shooter import (
     _unpack,
 )
 from cvslab import tennis
+from cvslab.roadtree import KIND_TERMINAL
 
 
 @dataclass
@@ -349,3 +351,36 @@ def reference_tennis_step(env, s, a, rng):
         return 0.0, tennis._N_FIELD
 
     return 0.0, tennis._pack(brow, bcol, h_dir, v_dir, agent, opp)
+
+
+def reference_road_tree(tree):
+    """The dynamics of ``RoadTreeEnv(tree)``, one row per state:
+    ``(rows, node_state, junction_moves, h)``.  ``rows[s]`` lists the
+    ``(reward, next_state)`` of each action of state ``s`` below the sink,
+    so ``len(rows)`` is the sink's id; ``h`` covers the sink too."""
+    junctions = sum(n.kind != KIND_TERMINAL for n in tree.nodes)
+    sink = junctions + sum(e.distance - 1 for e in tree.edges)
+    rows = [[]]
+    node_state = {tree.root: 0}
+    moves = {}
+    for p in tree._order:
+        p_state = node_state.get(p)
+        if p_state is None:
+            continue
+        moves[p_state] = []
+        for e in tree.children(p):
+            last = p_state
+            for _ in range(e.distance - 1):
+                rows[last].append((0.0, len(rows)))
+                last = len(rows)
+                rows.append([])
+            child = tree.node(e.child)
+            if child.kind == KIND_TERMINAL:
+                entered = sink
+            else:
+                entered = node_state[child.id] = len(rows)
+                rows.append([])
+            rows[last].append((child.reward, entered))
+            moves[p_state].append((child.reward, entered))
+    h = [1.0 if s in moves else 0.0 for s in range(sink)] + [1.0]
+    return rows, node_state, moves, h

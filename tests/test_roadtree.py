@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from cvslab import (
     ConfigError,
@@ -24,6 +24,7 @@ from cvslab import (
     run_experiment,
 )
 from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
+from references import reference_road_tree
 from strategies import road_trees
 
 ALL_TREES = {
@@ -552,3 +553,76 @@ def test_from_dict_rejects_malformed_documents():
     doc["nodes"][2]["id"] = 1
     with pytest.raises(ValueError, match="^duplicate node id 1$"):
         TreeSpec.from_dict(doc)
+
+
+def signed_zero_tree() -> TreeSpec:
+    """Junctions and terminals worth -0.0 and +0.0, each behind a road, so a
+    step must keep the sign of the reward it pays."""
+    return TreeSpec(
+        root=0,
+        nodes=(junction(0), junction(1, -0.0), junction(2, 0.0), leaf(3, -0.0), leaf(4, 0.0), leaf(5, -0.0)),
+        edges=(TreeEdge(0, 1, 3), TreeEdge(0, 2, 2), TreeEdge(1, 3, 2), TreeEdge(1, 4, 1), TreeEdge(2, 5, 4)),
+    )
+
+
+REFERENCE_TREES = {
+    "fig1": fig1_tree,
+    "fig3": fig3_tree,
+    "fig4": fig4_tree,
+    "fig6": fig6_tree,
+    "fig6-k1-d1": lambda: fig6_tree(k=1, distance=1),
+    "fig6-k2-d777": lambda: fig6_tree(k=2, distance=777),
+    "fig6-k1-d87381": lambda: fig6_tree(k=1, distance=87381),  # the config bound, 524 284 states
+    "signed zeros": signed_zero_tree,
+}
+
+
+def check_against_per_state_reference(tree: TreeSpec) -> None:
+    """Every step, action count, ``h``, junction state and junction move of
+    ``RoadTreeEnv(tree)`` equals the per-state reference's, and a step from
+    the sink, from an id out of range or with an action the state lacks
+    raises."""
+    env = RoadTreeEnv(tree)
+    rows, node_state, moves, h = reference_road_tree(tree)
+    sink = len(rows)
+    assert env.terminal == sink
+    q = QTable.for_env(env)
+    assert [q.num_actions(s) for s in range(sink + 1)] == [*map(len, rows), 0]
+    # repr tells -0.0 from 0.0, an int from a float and a list from a tuple
+    steps = [env.step(s, a, None) for s, row in enumerate(rows) for a in range(len(row))]
+    assert repr(steps) == repr([step for row in rows for step in row])
+    crit = env.criticality()
+    assert repr([crit(s) for s in range(sink + 1)]) == repr(h)
+    assert repr(env.junction_moves) == repr(moves)
+    for n in tree.nodes:
+        if n.id in node_state:
+            assert env.node_state(n.id) == node_state[n.id]
+        else:
+            with pytest.raises(KeyError):
+                env.node_state(n.id)
+    with pytest.raises(ValueError, match="^cannot step from the TERMINAL state$"):
+        env.step(sink, 0, None)
+    for s in (-1, sink + 1):
+        with pytest.raises(ValueError, match=f"^state {s} out of range$"):
+            env.step(s, 0, None)
+    for s in {0, sink - 1}:
+        with pytest.raises(ValueError, match=f"^action -1 invalid for state {s}$"):
+            env.step(s, -1, None)
+    errors = []
+    for s, row in enumerate(rows):  # action 1 on each road state among them
+        try:
+            env.step(s, len(row), None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    assert errors == [f"action {len(row)} invalid for state {s}" for s, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TREES))
+def test_dynamics_match_the_per_state_reference(name):
+    check_against_per_state_reference(REFERENCE_TREES[name]())
+
+
+@settings(max_examples=200)
+@given(tree=road_trees())
+def test_dynamics_match_the_per_state_reference_on_random_trees(tree):
+    check_against_per_state_reference(tree)
