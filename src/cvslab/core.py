@@ -16,10 +16,9 @@ state.  Nothing on a run's path imports numpy; only :meth:`QTable.as_array`
 does.
 
 A table is built from its environment's action layout and sink id: the
-widest action count plus each state below the sink with fewer actions (none
-on shooter and tennis, every road state on a road tree).  It holds no
-per-state count array, and its values live in a mapping of its own, whatever
-their start (see :class:`QTable`).
+widest action count, a default count and each state below the sink whose
+count differs (none on shooter and tennis, the forks of a road tree).  It
+builds nothing per state; its values live in a mapping of its own.
 
 All randomness of a run flows through one draw source, which the harness
 passes to ``env.reset``, ``env.step`` and the agent alike.  Agents and
@@ -182,10 +181,11 @@ class Environment(ABC):
         raise NotImplementedError
 
     @abstractmethod
-    def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        """``(width, narrow)``: the widest action count (at least 1), and each
-        state below the sink with fewer actions mapped to its count, in
-        ``[1, width)``.  A state's action count is ``narrow.get(s, width)``."""
+    def action_layout(self) -> tuple[int, dict[StateId, int], int]:
+        """``(width, counts, default)``: the widest action count (at least 1),
+        each state below the sink whose count is not ``default`` mapped to
+        its count, and ``default``, all counts in ``[1, width]``.  A state's
+        action count is ``counts.get(s, default)``."""
         raise NotImplementedError
 
     @abstractmethod
@@ -233,18 +233,18 @@ def _reflect(row: int, d: int, rows: int) -> tuple[int, int]:
 class QTable:
     """Dense (state x action) value table.
 
-    Built from an action layout ``(width, narrow)`` (see
+    Built from an action layout ``(width, counts, default)`` (see
     :meth:`Environment.action_layout`) and the sink id ``terminal``: a row
     for each state ``[0, terminal]``, ``width`` slots wide, of which state
-    ``s`` uses the first ``narrow.get(s, width)``.  No reader looks past
-    them, and the table keeps no per-state array.  The values are one flat
-    ``memoryview`` of doubles, ``(s, a)`` at ``s * width + a``.  Every reader
-    checks ``0 <= s < terminal`` first: that lookup would give ``s = -1`` a
-    full row, and a negative index counts from the end.  ``q[s, a]`` also
-    rejects an action outside ``s``'s count, as :func:`q_update` does.  The
-    TERMINAL row, which has no actions, is zero in :meth:`as_array` and
-    rejects writes.  ``writes`` counts every value written by
-    :func:`q_update` or :func:`q_update_traced`.
+    ``s`` uses the first ``counts.get(s, default)``.  No reader looks past
+    them.  It keeps ``counts`` as given, uncopied, and no per-state array:
+    the values are one flat ``memoryview`` of doubles, ``(s, a)`` at
+    ``s * width + a``.  Every reader checks ``0 <= s < terminal`` first: that
+    lookup would give ``s = -1`` a full row, and a negative index counts from
+    the end.  ``q[s, a]`` also rejects an action outside ``s``'s count, as
+    :func:`q_update` does.  The TERMINAL row, which has no actions, is zero
+    in :meth:`as_array` and rejects writes.  ``writes`` counts every value
+    written by :func:`q_update` or :func:`q_update_traced`.
 
     Every table is a private anonymous mapping of its own: it starts on zero
     pages, only the pages written become resident, and all of them go back to
@@ -254,22 +254,22 @@ class QTable:
 
     def __init__(
         self,
-        layout: tuple[int, dict[StateId, int]],
+        layout: tuple[int, dict[StateId, int], int],
         terminal: StateId,
         initial_value: float = 0.0,
     ):
-        width, narrow = layout
-        self._width = _index(width)
-        if self._width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
+        width, counts, default = layout
+        self._width, self._default = _index(width), _index(default)
+        if not 1 <= self._default <= self._width:
+            raise ValueError(f"width {width} and default count {default} must be ints, 1 <= default <= width")
         self._terminal = _index(terminal)
         if self._terminal < 0:
             raise ValueError(f"terminal id {terminal} out of range")
         width, terminal = self._width, self._terminal
-        self._narrow = dict(narrow)
-        for s, k in self._narrow.items():
-            if not (0 <= _index(s) < terminal and 1 <= _index(k) < width):
-                raise ValueError(f"narrow state {s} with {k} actions does not fit the table")
+        for s, k in counts.items():
+            if not (0 <= _index(s) < terminal and 1 <= _index(k) <= width and k != default):
+                raise ValueError(f"state {s} with {k} actions does not fit the table")
+        self._counts = counts
         initial = float(initial_value)
         filled = terminal * width  # the sink's row stays +0.0
         # Not the heap: malloc may keep a freed table's pages resident.
@@ -305,13 +305,13 @@ class QTable:
             if s == self._terminal:
                 return 0
             raise ValueError(f"state {s} out of range")
-        return self._narrow.get(s, self._width)
+        return self._counts.get(s, self._default)
 
     def __getitem__(self, sa: tuple[StateId, ActionId]) -> float:
         s, a = sa
         if not 0 <= s < self._terminal:
             raise _state_error(self._terminal, s, f"action {a} invalid for state {s}")
-        if not 0 <= a < self._narrow.get(s, self._width):
+        if not 0 <= a < self._counts.get(s, self._default):
             raise ValueError(f"action {a} invalid for state {s}")
         return self._values[s * self._width + a]
 
@@ -319,7 +319,7 @@ class QTable:
         if not 0 <= s < self._terminal:
             raise _state_error(self._terminal, s, f"state {s} has no actions")
         row = s * self._width
-        return max(self._values[row : row + self._narrow.get(s, self._width)].tolist())
+        return max(self._values[row : row + self._counts.get(s, self._default)].tolist())
 
     def as_array(self) -> "numpy.ndarray":
         """Copy of the table as a ``(num_states, width)`` numpy array, slots
@@ -328,8 +328,9 @@ class QTable:
         import numpy
 
         table = numpy.array(self._values).reshape(self.num_states, self._width)
-        for s, k in self._narrow.items():
-            table[s, k:] = -numpy.inf
+        counts = numpy.full(self._terminal, self._default)
+        counts[list(self._counts)] = list(self._counts.values())
+        table[:-1][numpy.arange(self._width) >= counts[:, None]] = -numpy.inf
         return table
 
 
@@ -338,7 +339,7 @@ def greedy_actions(q: QTable, s: StateId) -> list[ActionId]:
     if not 0 <= s < q._terminal:
         raise _state_error(q._terminal, s, "greedy_actions is undefined at the TERMINAL state")
     row = s * q._width
-    return _ties(q._values[row : row + q._narrow.get(s, q._width)].tolist())
+    return _ties(q._values[row : row + q._counts.get(s, q._default)].tolist())
 
 
 def _ties(row: list[float]) -> list[ActionId]:
@@ -549,7 +550,7 @@ def epsilon_greedy(q: QTable, s: StateId, epsilon: float, rng: Draws) -> ActionI
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if not 0 <= s < q._terminal:
         raise _state_error(q._terminal, s, "epsilon_greedy is undefined at the TERMINAL state")
-    k = q._narrow.get(s, q._width)
+    k = q._counts.get(s, q._default)
     if k == 1:
         return 0
     if epsilon > 0.0 and rng.random() < epsilon:
@@ -582,7 +583,7 @@ def q_index(q: QTable, s: StateId, a: ActionId) -> int:
     """
     if not 0 <= s < q._terminal:
         raise _state_error(q._terminal, s, "the TERMINAL Q-row is immutable")
-    if not 0 <= a < q._narrow.get(s, q._width):
+    if not 0 <= a < q._counts.get(s, q._default):
         raise ValueError(f"action {a} invalid for state {s}")
     return s * q._width + a
 

@@ -163,10 +163,8 @@ class TreeSpec:
 
 # The most Q-table values a road tree from a config may have: a row for each
 # junction, road state and the sink, each as wide as the widest junction.
-# 2**20 doubles are 8 MiB of untouched pages; the bound also caps the states,
-# and with them what each run builds: at k=1, distance=87381 a RoadTreeEnv
-# takes about 108 MB and the table's layout dict 57 MB (README).  Parsing a
-# config builds neither.
+# 2**20 doubles are 8 MiB of address range, resident only where written; the
+# env's one per-state list, h, is 8 B a state, 4 MiB at k=1, distance=87381.
 _MAX_TABLE = 1 << 20
 
 
@@ -301,9 +299,10 @@ BUILTIN_TREES = {
 class RoadTreeEnv(Environment):
     """Expanded tabular MDP for a :class:`TreeSpec`.
 
-    Each state keeps its criticality and a row of ``(reward, next_state)``
-    steps, one per action.  :meth:`node_state` gives the state of a declared
-    junction; the root's is the first state and the sink the last.
+    Each edge's road states take consecutive ids, so a state steps to
+    ``(0.0, s + 1)`` under its one action unless its row of steps is listed
+    (a junction's or a chain end's).  :meth:`node_state` gives a declared
+    junction's state; the root's is the first state and the sink the last.
     """
 
     root_state: StateId = 0
@@ -312,42 +311,40 @@ class RoadTreeEnv(Environment):
         self.tree = tree
         # Every junction and every edge's d - 1 road states get a state, so
         # the sink, allocated last, gets this id.
-        junctions = sum(n.kind == KIND_JUNCTION for n in tree.nodes)
-        sink = junctions + sum(e.distance - 1 for e in tree.edges)
-        table: list[list[tuple[float, StateId]]] = [[]]  # state -> action -> its step
+        sink = sum(n.kind == KIND_JUNCTION for n in tree.nodes) + sum(e.distance - 1 for e in tree.edges)
+        rows: dict[StateId, list[tuple[float, StateId]]] = {}  # state -> action -> its step
         node_state = {tree.root: self.root_state}
         # junction state -> per action (child node reward, child junction state
         # or the sink): the tree with its roads contracted.
         moves: dict[StateId, list[tuple[float, StateId]]] = {}
+        crit = [0.0] * (sink + 1)  # h is 1 at the junctions and the sink, 0 on the roads
+        crit[sink] = 1.0
+        free = 1  # the next id to allocate; the root's is 0
         # The walk from the root meets each junction after its parent, which
-        # allocated its state; terminal nodes have none.  Each edge's chain
-        # and child follow the previous edge's, so a parent's action k
-        # follows its k-th declared edge.
+        # allocated its state; terminal nodes have none.  Each edge's road
+        # states and child follow the previous edge's, so a parent's action
+        # k follows its k-th declared edge.
         for p in tree._order:
             p_state = node_state.get(p)
             if p_state is None:
                 continue
-            moves[p_state] = []
+            crit[p_state], rows[p_state], moves[p_state] = 1.0, [], []
             for e in tree.children(p):
-                last = p_state
-                for _ in range(e.distance - 1):
-                    table[last].append((0.0, len(table)))
-                    last = len(table)
-                    table.append([])
+                road = range(free, free + e.distance - 1)
+                free = road.stop
                 child = tree.node(e.child)
-                if child.kind == KIND_TERMINAL:
-                    entered = sink
-                else:
-                    entered = node_state[child.id] = len(table)
-                    table.append([])
-                table[last].append((child.reward, entered))
-                moves[p_state].append((child.reward, entered))
-        # h is 1 at the junctions and the sink, 0 on the roads.
-        crit = [1.0 if s in moves else 0.0 for s in range(sink)] + [1.0]
+                if child.kind == KIND_JUNCTION:
+                    node_state[child.id], free = free, free + 1
+                step = (child.reward, node_state.get(child.id, sink))
+                moves[p_state].append(step)
+                rows[p_state].append((0.0, road.start) if road else step)
+                if road:
+                    rows[road[-1]] = [step]
 
         self._node_state = node_state
         self._sink = sink
-        self._table = table
+        # the junctions' and chain ends' rows that the rule does not give; -0.0 == 0.0, but pays its sign
+        self._rows = {s: r for s, r in rows.items() if r != [(0.0, s + 1)] or math.copysign(1.0, r[0][0]) < 0}
         self._crit = crit
         self.junction_moves = moves
 
@@ -358,20 +355,22 @@ class RoadTreeEnv(Environment):
     def node_state(self, node_id: int) -> StateId:
         return self._node_state[node_id]
 
-    def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        width = max(map(len, self._table))
-        return width, {s: len(row) for s, row in enumerate(self._table) if len(row) < width}
+    def action_layout(self) -> tuple[int, dict[StateId, int], int]:
+        counts = {s: len(row) for s, row in self._rows.items() if len(row) > 1}
+        return max(counts.values(), default=1), counts, 1
 
     def reset(self, rng: Draws) -> StateId:
         return self.root_state
 
     def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
+        row = self._rows.get(s)
+        if row is not None and 0 <= a < len(row):
+            return row[a]
         if not 0 <= s < self._sink:
             raise _state_error(self._sink, s, "cannot step from the TERMINAL state")
-        row = self._table[s]
-        if not 0 <= a < len(row):
+        if row is not None or a != 0:
             raise ValueError(f"action {a} invalid for state {s}")
-        return row[a]
+        return 0.0, s + 1
 
     def criticality(self) -> CriticalityFn:
         return self._crit.__getitem__

@@ -115,8 +115,8 @@ class ShooterEnv(Environment):
     def terminal(self) -> StateId:
         return _TERMINAL
 
-    def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return _N_ACTIONS, {}
+    def action_layout(self) -> tuple[int, dict[StateId, int], int]:
+        return _N_ACTIONS, {}, _N_ACTIONS
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0

@@ -105,8 +105,8 @@ class TennisEnv(Environment):
     def terminal(self) -> StateId:
         return _N_FIELD
 
-    def action_layout(self) -> tuple[int, dict[StateId, int]]:
-        return _N_ACTIONS, {}
+    def action_layout(self) -> tuple[int, dict[StateId, int], int]:
+        return _N_ACTIONS, {}, _N_ACTIONS
 
     def reset(self, rng: Draws) -> StateId:
         self._steps = 0

@@ -51,7 +51,7 @@ class SmallMDP(Environment):
     def action_layout(self):
         counts = [len(actions) for actions in self._outcomes]
         width = max(counts)
-        return width, {s: k for s, k in enumerate(counts) if k < width}
+        return width, {s: k for s, k in enumerate(counts) if k < width}, width
 
     def reset(self, rng):
         self._steps = 0

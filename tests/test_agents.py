@@ -59,7 +59,7 @@ class ChainEnv(Environment):
         return len(self._rewards)
 
     def action_layout(self):
-        return 1, {}
+        return 1, {}, 1
 
     def reset(self, rng):
         return 0
@@ -84,7 +84,7 @@ class LoopEnv(Environment):
         return 1
 
     def action_layout(self):
-        return 1, {}
+        return 1, {}, 1
 
     def reset(self, rng):
         self._t = 0
@@ -112,7 +112,7 @@ class RevisitEnv(Environment):
         return 2
 
     def action_layout(self):
-        return 2, {1: 1}
+        return 2, {1: 1}, 2
 
     def reset(self, rng):
         self._t, self._left = 0, self._laps
@@ -141,7 +141,7 @@ class CycleEnv(Environment):
         return 2
 
     def action_layout(self):
-        return 2, {1: 1}
+        return 2, {1: 1}, 2
 
     def reset(self, rng):
         self._t = 0

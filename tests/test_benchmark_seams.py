@@ -56,7 +56,7 @@ def test_what_the_benchmark_reads_from_cvslab():
     q = QTable.for_env(env)
     log = cvslab.harness.cvs_episode(env, q, env.criticality(), AgentParams(), np.random.default_rng(0))
     assert log.steps > 0
-    width, _ = env.action_layout()
+    width, _, _ = env.action_layout()
     assert q._values.nbytes == env.num_states * width * 8 == 960
 
 

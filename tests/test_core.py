@@ -29,7 +29,7 @@ from cvslab.core import _DRAW_BLOCK, DrawStream, q_index, q_update, q_update_tra
 def layout_of(counts):
     """The action layout of the action counts of the states below the sink."""
     width = max([1, *counts])
-    return width, {s: k for s, k in enumerate(counts) if k < width}
+    return width, {s: k for s, k in enumerate(counts) if k < width}, width
 
 
 def make_table(counts, initial=0.0):
@@ -139,8 +139,8 @@ def test_envs_reject_out_of_range_states(env_name):
 @pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
 def test_layouts_list_only_states_below_the_sink(env_name):
     env = GUARD_ENVS[env_name]()
-    width, narrow = env.action_layout()
-    assert all(0 <= s < env.terminal and 1 <= k < width for s, k in narrow.items())
+    width, counts, default = env.action_layout()
+    assert all(0 <= s < env.terminal and 1 <= k <= width and k != default for s, k in counts.items())
 
 
 @pytest.mark.parametrize("env_name", sorted(GUARD_ENVS))
@@ -148,9 +148,9 @@ def test_envs_take_the_actions_their_layout_states(env_name):
     # action_layout() is the one statement of the action count that step checks
     env = GUARD_ENVS[env_name]()
     rng = np.random.default_rng(0)
-    width, narrow = env.action_layout()
+    width, counts, default = env.action_layout()
     s = env.reset(rng)
-    assert s not in narrow
+    assert counts.get(s, default) == width
     with pytest.raises(ValueError, match=f"action {width} invalid for state {s}"):
         env.step(s, width, rng)
     env.step(s, width - 1, rng)
@@ -161,7 +161,8 @@ def test_getitem_rejects_actions_the_state_lacks(a):
     # fig1's state 1 is a road state: one action in a row two slots wide
     env = RoadTreeEnv(fig1_tree())
     q = QTable.for_env(env, 0.0)
-    assert env.action_layout()[1][1] == 1
+    _, counts, default = env.action_layout()
+    assert counts.get(1, default) == 1
     assert q._width == 2
     for read in (lambda: q[1, a], lambda: q_update(q, 1, a, 1.0, 0.5)):
         with pytest.raises(ValueError, match=f"action {a} invalid for state 1"):
@@ -196,8 +197,8 @@ def fixed_shape_counts(shape):
     doubling copies end off any power of two."""
     if shape == "fig6 roads":  # 1-action road rows in a 3-wide table
         env = RoadTreeEnv(fig6_tree(k=2, distance=777))
-        width, narrow = env.action_layout()
-        return width, [narrow.get(s, width) for s in range(env.terminal)]
+        width, counts, default = env.action_layout()
+        return width, [counts.get(s, default) for s in range(env.terminal)]
     return 3, [3] * {"sink only": 0, "one state": 1, "4099 states": 4099}[shape]
 
 
@@ -206,7 +207,7 @@ def fixed_shape_counts(shape):
 def test_qtable_construction_matches_fill_and_mask_reference_on_fixed_shapes(shape, initial):
     width, counts = fixed_shape_counts(shape)
     narrow = {s: k for s, k in enumerate(counts) if k < width}
-    q = QTable((width, narrow), len(counts), initial)
+    q = QTable((width, narrow, width), len(counts), initial)
     assert q.as_array().tobytes() == reference_qtable_values(counts, initial, width).tobytes()
 
 
@@ -239,27 +240,33 @@ def test_qtable_memory_is_private_to_its_process(initial):
 
 def test_qtable_rejects_bad_shapes():
     with pytest.raises(ValueError, match="width"):
-        QTable((0, {}), 1)
+        QTable((0, {}, 1), 1)
     with pytest.raises(ValueError, match="terminal"):
-        QTable((1, {}), -1)
+        QTable((1, {}, 1), -1)
     # the sink is the only state without actions, and no layout lists it
     for narrow in ({1: 0}, {0: 0}, {2: 1}, {-1: 1}, {0: 2}, {0: -1}):
         with pytest.raises(ValueError, match="does not fit"):
-            QTable((2, narrow), 1)
+            QTable((2, narrow, 2), 1)
     # a non-integer or a bool is rejected, not truncated or read as 0 or 1
     for width in (2.5, True, "2"):
         with pytest.raises(ValueError, match="width"):
-            QTable((width, {}), 3)
+            QTable((width, {}, 1), 3)
     for terminal in (3.7, True, 1.0):
         with pytest.raises(ValueError, match="terminal"):
-            QTable((2, {}), terminal)
+            QTable((2, {}, 2), terminal)
     for narrow in ({0: 1.5}, {0.5: 1}, {False: 1}, {0: True}, {1.0: 1}):
         with pytest.raises(ValueError, match="does not fit"):
-            QTable((2, narrow), 2)
+            QTable((2, narrow, 2), 2)
+    # the default count lies in [1, width] and is an int; a listed count differs from it
+    for default in (0, 3, True, 1.0, None):
+        with pytest.raises(ValueError, match="default"):
+            QTable((2, {}, default), 2)
+    with pytest.raises(ValueError, match="does not fit"):
+        QTable((3, {0: 1}, 1), 2)
 
 
 def test_qtable_takes_numpy_integers():
-    q = QTable((np.int64(3), {np.int64(0): np.int32(2)}), np.int64(2))
+    q = QTable((np.int64(3), {np.int64(0): np.int32(2)}, np.int64(3)), np.int64(2))
     assert (q._width, q.terminal, q.num_actions(0), q.num_actions(1)) == (3, 2, 2, 3)
     assert type(q._width) is type(q.terminal) is int
 
@@ -269,10 +276,11 @@ def test_tree_table_starts_on_untouched_zero_pages():
     # past a row's action count is written: the raw storage stays all zero
     env = RoadTreeEnv(fig1_tree())
     q = QTable.for_env(env)
-    narrow = env.action_layout()[1]
-    assert narrow and not any(q._values.tobytes())
+    width, counts, default = env.action_layout()
+    assert default < width and not any(q._values.tobytes())
     table = q.as_array()
-    for s, k in narrow.items():
+    for s in range(env.terminal):
+        k = counts.get(s, default)
         assert (table[s, :k] == 0.0).all() and (table[s, k:] == -np.inf).all()
 
 
@@ -300,7 +308,7 @@ def test_a_freed_filled_table_leaves_nothing_resident():
     start = resident_bytes()
     grown = []
     for _ in range(3):
-        q = QTable((4, {}), (1 << 19) - 1, 0.5)
+        q = QTable((4, {}, 4), (1 << 19) - 1, 0.5)
         assert q[0, 0] == q[q.terminal - 1, 3] == 0.5
         del q
         grown.append(resident_bytes() - start)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -38,8 +39,8 @@ ALL_TREES = {
 def action_counts(env: RoadTreeEnv) -> list[int]:
     """The action count of each state below the sink, read from the action
     layout."""
-    width, narrow = env.action_layout()
-    return [narrow.get(s, width) for s in range(env.terminal)]
+    _, counts, default = env.action_layout()
+    return [counts.get(s, default) for s in range(env.terminal)]
 
 
 def walk(env: RoadTreeEnv) -> dict[int, set[tuple[float, int]]]:
@@ -160,8 +161,8 @@ def test_criticality_is_one_exactly_where_the_action_matters(name):
 @given(tree=road_trees())
 def test_layout_lists_states_below_the_sink_and_each_is_reachable(tree):
     env = RoadTreeEnv(tree)
-    width, narrow = env.action_layout()
-    assert all(0 <= s < env.terminal and 1 <= k < width for s, k in narrow.items())
+    width, counts, default = env.action_layout()
+    assert all(0 <= s < env.terminal and 1 <= k <= width and k != default for s, k in counts.items())
     assert sorted(walk(env)) == list(range(env.terminal))
 
 
@@ -239,9 +240,9 @@ def test_wide_tree_builds_in_linear_time():
     assert time.perf_counter() - start < 10.0
     assert q._values.nbytes == 4 * (k + 1) * 8
     assert (value, path) == (2.0, [1, k])
-    width, narrow = env.action_layout()
+    width, counts, default = env.action_layout()
     assert width == k + 1
-    assert env.node_state(2) not in narrow
+    assert counts[env.node_state(2)] == width
 
 
 def junction_chain(n: int) -> TreeSpec:
@@ -626,3 +627,22 @@ def test_dynamics_match_the_per_state_reference(name):
 @given(tree=road_trees())
 def test_dynamics_match_the_per_state_reference_on_random_trees(tree):
     check_against_per_state_reference(tree)
+
+
+@pytest.mark.parametrize("k, distance", [(1, 87381), (10, 6355)])
+def test_a_tree_at_the_table_bound_builds_in_a_few_mib(k, distance):
+    # Only the per-state h list, 8 B a state, grows with the roads: about
+    # 4 MiB at k=1, distance=87381 (524 284 states), where a row per state
+    # and a layout entry per road state took over 100 MiB.
+    spec = fig6_tree(k=k, distance=distance)
+    tracemalloc.start()
+    try:
+        env = RoadTreeEnv(spec)
+        QTable.for_env(env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    layout = env.action_layout()
+    assert len(layout[1]) == 3  # the three junctions
+    assert QTable(layout, env.terminal)._counts is layout[1]

@@ -38,7 +38,7 @@ def test_state_space_size():
     env = TennisEnv()
     assert env.num_states == ROWS * COLS * 6 * ROWS * ROWS + 1
     assert env.num_states == 1_920_001
-    assert env.action_layout() == (3, {})
+    assert env.action_layout() == (3, {}, 3)
 
 
 def test_encode_decode_round_trip():
