@@ -46,17 +46,34 @@ class TreeEdge:
     distance: int
 
 
+def _named(name: str, value, convert):
+    """``convert(value)``; a ``ValueError`` it raises is prefixed with ``name``."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None
+
+
 @dataclass(frozen=True)
 class TreeSpec:
     """Declarative tree description; the edge order of a parent fixes its action order.
 
-    Checked when built: a malformed tree raises a ``ValueError`` naming its first offender."""
+    Checked when built: a malformed tree raises a ``ValueError`` naming its
+    first offender.  Ids, ``root`` and distances must be ints and rewards
+    finite real numbers, bools being neither."""
 
     root: int
     nodes: tuple[TreeNode, ...]
     edges: tuple[TreeEdge, ...]
 
     def __post_init__(self) -> None:
+        _named("root", self.root, _integer)
+        for i, n in enumerate(self.nodes):
+            _named(f"nodes[{i}].id", n.id, _integer)
+            _named(f"nodes[{i}].reward", n.reward, _finite_real)
+        for i, e in enumerate(self.edges):
+            for key in ("parent", "child", "distance"):
+                _named(f"edges[{i}].{key}", getattr(e, key), _integer)
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             counts = Counter(ids)
@@ -129,33 +146,22 @@ class TreeSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeSpec":
-        """Ids, ``root`` and distances must be ints and rewards finite real
-        numbers, bools being neither; the error names a bad entry."""
-
-        def read(entry: dict, prefix: str, key: str, convert):
-            try:
-                return convert(entry[key])
-            except ValueError as exc:
-                raise ValueError(f"{prefix}{key} {exc}") from None
-
+        """The tree of a document with the fields of :meth:`to_dict`; a bad
+        entry raises a ``ValueError`` naming it, as building a tree does."""
         try:
             nodes = tuple(
                 TreeNode(
-                    read(n, f"nodes[{i}].", "id", _integer),
-                    read(n, f"nodes[{i}].", "reward", _finite_real),
+                    _named(f"nodes[{i}].id", n["id"], _integer),
+                    _named(f"nodes[{i}].reward", n["reward"], _finite_real),
                     str(n["kind"]),
                 )
                 for i, n in enumerate(doc["nodes"])
             )
             edges = tuple(
-                TreeEdge(
-                    read(e, f"edges[{i}].", "parent", _integer),
-                    read(e, f"edges[{i}].", "child", _integer),
-                    read(e, f"edges[{i}].", "distance", _integer),
-                )
+                TreeEdge(*(_named(f"edges[{i}].{key}", e[key], _integer) for key in ("parent", "child", "distance")))
                 for i, e in enumerate(doc["edges"])
             )
-            root = read(doc, "", "root", _integer)
+            root = _named("root", doc["root"], _integer)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed tree document: {exc}") from exc
         return cls(root=root, nodes=nodes, edges=edges)  # a structural fault raises here

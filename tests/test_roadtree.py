@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -524,6 +525,30 @@ def test_tree_spec_validation_names_offender(spec, fragment):
     """``spec`` holds a malformed tree's fields; building it raises."""
     with pytest.raises(ValueError, match=fragment):
         TreeSpec(*spec)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((0, (junction(0), leaf(1)), (TreeEdge(0, 1, 2.5),)), "edges[0].distance must be an integer, got 2.5"),
+        ((0, (junction(0), leaf(1)), (TreeEdge(0, 1, 3.0),)), "edges[0].distance must be an integer, got 3.0"),
+        ((0, (junction(0), leaf(1)), (TreeEdge(0, 1, True),)), "edges[0].distance must be an integer, got True"),
+        ((0, (junction(0), leaf(1)), (TreeEdge(0.0, 1, 1),)), "edges[0].parent must be an integer, got 0.0"),
+        ((0, (junction(0), leaf(1)), (TreeEdge(0, "1", 1),)), "edges[0].child must be an integer, got '1'"),
+        ((0, (junction(0), leaf(1, math.nan)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got nan"),
+        ((0, (junction(0), leaf(1, math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got inf"),
+        ((0, (junction(0), leaf(1, -math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got -inf"),
+        ((0, (junction(0), leaf(1, False)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got False"),
+        ((0, (junction(0), leaf(1.5)), (TreeEdge(0, 1.5, 1),)), "nodes[1].id must be an integer, got 1.5"),
+        ((True, (junction(1), leaf(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got True"),
+        ((1.0, (junction(1), leaf(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got 1.0"),
+    ],
+)
+def test_tree_spec_checks_field_types_and_names_offender(fields, message):
+    # such a tree used to build, or fail only in RoadTreeEnv with a TypeError
+    with pytest.raises(ValueError) as info:
+        TreeSpec(*fields)
+    assert str(info.value) == message
 
 
 def test_from_dict_rejects_malformed_documents():
