@@ -369,14 +369,14 @@ class RoadTreeEnv(Environment):
         return self.root_state
 
     def step(self, s: StateId, a: int, rng: Draws) -> tuple[float, StateId]:
-        row = self._rows.get(s)
-        if row is not None and 0 <= a < len(row):
+        if s not in self._rows and 0 <= s < self._sink and a == 0:
+            return 0.0, s + 1
+        row = self._rows.get(s, ())
+        if 0 <= a < len(row):
             return row[a]
         if not 0 <= s < self._sink:
             raise _state_error(self._sink, s, "cannot step from the TERMINAL state")
-        if row is not None or a != 0:
-            raise ValueError(f"action {a} invalid for state {s}")
-        return 0.0, s + 1
+        raise ValueError(f"action {a} invalid for state {s}")
 
     def criticality(self) -> CriticalityFn:
         return self._crit.__getitem__
