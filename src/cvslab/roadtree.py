@@ -327,9 +327,9 @@ class RoadTreeEnv(Environment):
         crit[sink] = 1.0
         free = 1  # the next id to allocate; the root's is 0
         # The walk from the root meets each junction after its parent, which
-        # allocated its state; terminal nodes have none.  Each edge's road
-        # states and child follow the previous edge's, so a parent's action
-        # k follows its k-th declared edge.
+        # allocated its state; terminal nodes have none.  Each edge's chain
+        # and child follow the previous edge's, so a parent's action k
+        # follows its k-th declared edge.
         for p in tree._order:
             p_state = node_state.get(p)
             if p_state is None:
@@ -349,7 +349,7 @@ class RoadTreeEnv(Environment):
 
         self._node_state = node_state
         self._sink = sink
-        # the junctions' and chain ends' rows that the rule does not give; -0.0 == 0.0, but pays its sign
+        # keep the rows the road rule does not give; -0.0 == 0.0, so a signed zero is kept by its sign
         self._rows = {s: r for s, r in rows.items() if r != [(0.0, s + 1)] or math.copysign(1.0, r[0][0]) < 0}
         self._crit = crit
         self.junction_moves = moves
