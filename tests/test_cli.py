@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvslab import harness
+from cvslab import TreeSpec, fig1_tree, fig3_tree, harness
 from cvslab.cli import _parse_compare, main, preset_names
 from cvslab.core import ConfigError
 
@@ -632,6 +632,62 @@ def test_plot_of_a_run_that_overflowed_exits_two(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert main(["plot", str(tmp_path / "out" / "demo_plot.json")]) == 2
     assert f"curves.csv: {tmp_path / 'out' / 'demo_cvs.csv'}:2: " in capsys.readouterr().err
+
+
+EVERY_ALGORITHM = [
+    {"label": "cvs", "algorithm": "cvs"},
+    {"label": "qlearning", "algorithm": "qlearning"},
+    {"label": "nstep_sarsa", "algorithm": "nstep_sarsa", "n": 3},
+    {"label": "qlambda", "algorithm": "qlambda", "lambda": 0.9},
+    {"label": "mc", "algorithm": "mc"},
+]
+
+# The fig1 tree as a document in the layout that states each node's kind.
+FIG1_DOC_WITH_KINDS = {
+    "root": 0,
+    "nodes": [
+        {"id": 0, "reward": 0.0, "kind": "junction"},
+        {"id": 1, "reward": 0.0, "kind": "junction"},
+        {"id": 2, "reward": 1.0, "kind": "junction"},
+        {"id": 3, "reward": 0.0, "kind": "terminal"},
+        {"id": 4, "reward": 7.0, "kind": "terminal"},
+        {"id": 5, "reward": 1.0, "kind": "terminal"},
+        {"id": 6, "reward": 1.0, "kind": "terminal"},
+    ],
+    "edges": [
+        {"parent": 0, "child": 1, "distance": 20},
+        {"parent": 0, "child": 2, "distance": 10},
+        {"parent": 1, "child": 3, "distance": 10},
+        {"parent": 1, "child": 4, "distance": 15},
+        {"parent": 2, "child": 5, "distance": 15},
+        {"parent": 2, "child": 6, "distance": 15},
+    ],
+}
+
+
+def run_csvs(tmp_path, name, environment):
+    """The CSV bytes, by label, of a short run of every algorithm on ``environment``."""
+    cfg = write_config(tmp_path / f"{name}.json", environment=environment, algorithms=EVERY_ALGORITHM, episodes=30)
+    assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+    return {a["label"]: (tmp_path / name / f"demo_{a['label']}.csv").read_bytes() for a in EVERY_ALGORITHM}
+
+
+def test_a_tree_document_with_kinds_runs_as_its_builtin_tree(tmp_path, monkeypatch):
+    monkeypatch.setenv("CVS_LAB_THREADS", "1")
+    assert TreeSpec.from_dict(copy.deepcopy(FIG1_DOC_WITH_KINDS)) == fig1_tree()
+    doc = run_csvs(tmp_path, "doc", {"name": "roadtree", "tree": FIG1_DOC_WITH_KINDS})
+    assert doc == run_csvs(tmp_path, "builtin", {"name": "roadtree:fig1"})
+
+
+def test_integer_rewards_run_as_their_float_twins(tmp_path, monkeypatch):
+    monkeypatch.setenv("CVS_LAB_THREADS", "1")
+    ints = fig3_tree().to_dict()
+    for node, reward in zip(ints["nodes"], (0, 1, 2), strict=True):
+        node["reward"] = reward
+    floats = fig3_tree().to_dict()
+    assert [n["reward"] for n in floats["nodes"]] == [0.0, 1.0, 2.0]
+    got = run_csvs(tmp_path, "ints", {"name": "roadtree", "tree": ints})
+    assert got == run_csvs(tmp_path, "floats", {"name": "roadtree", "tree": floats})
 
 
 LIST_OUTPUT = """\
