@@ -196,7 +196,9 @@ class Environment(ABC):
     @abstractmethod
     def step(self, s: StateId, a: ActionId, rng: Draws) -> tuple[float, StateId]:
         """``(reward, next_state)`` of action ``a`` in ``s``; raises ``ValueError``
-        for TERMINAL, an id outside ``[0, terminal]`` or an action ``s`` lacks."""
+        for TERMINAL, an id outside ``[0, terminal]`` or an action ``s`` lacks.
+        State ids are ints: a step need not check their type, but must not
+        cache what it computes from one that is not."""
         raise NotImplementedError
 
     @abstractmethod

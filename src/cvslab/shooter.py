@@ -29,6 +29,8 @@ from __future__ import annotations
 
 __all__ = ["ShooterEnv"]
 
+import operator
+
 from .core import CriticalityFn, Draws, Environment, StateId
 from .core import _is_int, _positive_int, _reflect, _setting, _state_error
 
@@ -141,8 +143,9 @@ class ShooterEnv(Environment):
         return _CAPPED
 
     def _outcome(self, s: StateId, a: int) -> tuple[float, StateId]:
-        """The step from ``s`` under ``a`` as if the episode had no cap."""
-        gun, trow, tdir, brow, bcol, bdir = _unpack(s)
+        """The step from ``s`` under ``a`` as if the episode had no cap; a
+        non-int ``s`` raises ``TypeError`` before anything is cached."""
+        gun, trow, tdir, brow, bcol, bdir = _unpack(operator.index(s))
         if bcol is not None:
             # Shoot actions are spent; the bullet just flies on.
             brow, bdir = _reflect(brow, bdir, ROWS)

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 __all__ = ["TennisEnv"]
 
+import operator
+
 from .core import CriticalityFn, Draws, Environment, StateId
 from .core import _positive_int, _probability, _reflect, _setting, _state_error
 
@@ -77,8 +79,9 @@ def _flight(ball: int) -> _Flight:
     """``(row, next_col, next_row, kept, flipped, score)`` of a ball id: the
     ball's row, where it moves in one step, its next ball id with the
     horizontal direction kept and flipped, and the step's ``(reward, sink)``
-    if the move scores, else None."""
-    brow, bcol, h_dir, v_dir, _, _ = _unpack(ball * _RACKETS)
+    if the move scores, else None.  A non-int ``ball`` raises ``TypeError``,
+    so it is never cached."""
+    brow, bcol, h_dir, v_dir, _, _ = _unpack(operator.index(ball) * _RACKETS)
     next_row, v_dir = _reflect(brow, v_dir, ROWS)
     next_col = bcol + h_dir
     if next_col <= 0:

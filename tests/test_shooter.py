@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,14 @@ def test_obstacle_sets_keep_their_own_outcomes():
         for rows in order:
             step = ShooterEnv(obstacle_rows=rows).step(s, ACTION_NOOP, None)
             assert (step == blocked) == (rows == (4, 5, 6)), (order, rows)
+
+
+@pytest.mark.parametrize("s", [2, _pack(gun=2, trow=3, tdir=1, brow=5, bcol=4, bdir=-1)])
+def test_a_float_state_id_stores_no_outcome(monkeypatch, s):
+    # A float id hashes as its int, so an outcome computed from it would be
+    # stored under the int's key and returned, as floats, to every later step.
+    monkeypatch.setitem(_OUTCOMES, frozenset((4, 5, 6)), {})
+    with contextlib.suppress(TypeError):
+        ShooterEnv().step(float(s), ACTION_SHOOT_UP, None)
+    got = ShooterEnv().step(s, ACTION_SHOOT_UP, None)
+    assert repr(got) == repr(reference_shooter_step(ShooterEnv(), s, ACTION_SHOOT_UP, None))

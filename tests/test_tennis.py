@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import random
 from types import SimpleNamespace
 
@@ -254,3 +255,14 @@ def test_config_validation():
         with pytest.raises(ConfigError) as info:
             TennisEnv(**kwargs)
         assert info.value.key == key, kwargs
+
+
+def test_a_float_state_id_stores_no_flight(monkeypatch):
+    # A float id's ball hashes as the int ball, so a flight computed from it
+    # would be read, as floats, by every later step of that ball.
+    monkeypatch.setattr(tennis, "_FLIGHT", {})
+    s = _pack(5, 20, -1, 1, 10, 10)
+    with contextlib.suppress(TypeError):
+        TennisEnv().step(float(s), ACTION_STAY, DrawStream(0))
+    got = TennisEnv().step(s, ACTION_STAY, DrawStream(0))
+    assert repr(got) == repr(reference_tennis_step(TennisEnv(), s, ACTION_STAY, DrawStream(0)))
