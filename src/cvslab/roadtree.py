@@ -1,13 +1,14 @@
 """Road-network tree environment.
 
-A rooted tree of junction and terminal nodes, with edges of integer distance.
-An edge of distance ``d`` expands into ``d - 1`` intermediate "road" states
-with a single action each, so the agent drives a long, decision-free stretch
-between junctions.  Reward is delivered on entering a junction or terminal
-node (the node's own reward; the root's is never delivered); road states pay
-zero.  Entering a terminal node ends the episode: the step pays the node's
-reward and moves into the shared TERMINAL sink, so a terminal node has no
-state of its own.  The states are the junctions and the roads, then the sink.
+A rooted tree with edges of integer distance: a node that edges leave is a
+junction, and a node that none leave is a terminal node.  An edge of distance
+``d`` expands into ``d - 1`` intermediate "road" states with a single action
+each, so the agent drives a long, decision-free stretch between junctions.
+Reward is delivered on entering a junction or terminal node (the node's own
+reward; the root's is never delivered); road states pay zero.  Entering a
+terminal node ends the episode: the step pays the node's reward and moves
+into the shared TERMINAL sink, so a terminal node has no state of its own.
+The states are the junctions and the roads, then the sink.
 
 Criticality is 1 at junctions and the sink (states where the outcome hinges
 on a choice or has just been decided) and 0 on road states.
@@ -28,15 +29,13 @@ from functools import cached_property
 from .core import ConfigError, CriticalityFn, Draws, Environment, StateId
 from .core import _finite_real, _integer, _positive_int, _setting, _state_error
 
-KIND_JUNCTION = "junction"
-KIND_TERMINAL = "terminal"
-
 
 @dataclass(frozen=True)
 class TreeNode:
+    """A node and the reward paid on entering it; it is a junction if edges leave it."""
+
     id: int
     reward: float
-    kind: str
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class TreeSpec:
 
     Checked when built: a malformed tree raises a ``ValueError`` naming its
     first offender.  Ids, ``root`` and distances must be ints and rewards
-    finite real numbers, bools being neither."""
+    finite real numbers, bools being neither; the root must have children."""
 
     root: int
     nodes: tuple[TreeNode, ...]
@@ -82,11 +81,6 @@ class TreeSpec:
         known = set(ids)
         if self.root not in known:
             raise ValueError(f"root node {self.root} is not declared")
-        if self.node(self.root).kind != KIND_JUNCTION:
-            raise ValueError(f"root node {self.root} must be a junction")
-        for n in self.nodes:
-            if n.kind not in (KIND_JUNCTION, KIND_TERMINAL):
-                raise ValueError(f"node {n.id} has unknown kind {n.kind!r}")
         parents: dict[int, int] = {}
         for e in self.edges:
             if e.parent not in known:
@@ -100,17 +94,13 @@ class TreeSpec:
             if e.child in parents:
                 raise ValueError(f"node {e.child} has more than one parent")
             parents[e.child] = e.parent
+        if self.root not in self._edges_by_parent:
+            raise ValueError(f"root node {self.root} has no children")
         # The root reaching a cycle would give one of its nodes two parents,
         # so a cycle shows here as unreachable.
         unreachable = known.difference(self._order)
         if unreachable:
             raise ValueError(f"node {min(unreachable)} is unreachable from the root")
-        for n in self.nodes:
-            has_children = n.id in self._edges_by_parent
-            if n.kind == KIND_JUNCTION and not has_children:
-                raise ValueError(f"junction node {n.id} has no children")
-            if n.kind == KIND_TERMINAL and has_children:
-                raise ValueError(f"terminal node {n.id} has children")
 
     @cached_property
     def _node_by_id(self) -> dict[int, TreeNode]:
@@ -146,25 +136,18 @@ class TreeSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeSpec":
-        """The tree of a document with the fields of :meth:`to_dict`; a bad
-        entry raises a ``ValueError`` naming it, as building a tree does."""
+        """The tree of a document in the layout of :meth:`to_dict`, its values
+        taken as they are.  A key it does not read, such as the ``kind`` that
+        older documents give each node, is ignored.  A missing entry or a
+        wrong container raises ``ValueError("malformed tree document: ...")``;
+        a bad value or tree raises what building the tree raises."""
         try:
-            nodes = tuple(
-                TreeNode(
-                    _named(f"nodes[{i}].id", n["id"], _integer),
-                    _named(f"nodes[{i}].reward", n["reward"], _finite_real),
-                    str(n["kind"]),
-                )
-                for i, n in enumerate(doc["nodes"])
-            )
-            edges = tuple(
-                TreeEdge(*(_named(f"edges[{i}].{key}", e[key], _integer) for key in ("parent", "child", "distance")))
-                for i, e in enumerate(doc["edges"])
-            )
-            root = _named("root", doc["root"], _integer)
-        except (KeyError, TypeError, ValueError) as exc:
+            nodes = tuple(TreeNode(n["id"], n["reward"]) for n in doc["nodes"])
+            edges = tuple(TreeEdge(e["parent"], e["child"], e["distance"]) for e in doc["edges"])
+            root = doc["root"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed tree document: {exc}") from exc
-        return cls(root=root, nodes=nodes, edges=edges)  # a structural fault raises here
+        return cls(root=root, nodes=nodes, edges=edges)
 
 
 # The most Q-table values a road tree from a config may have: a row for each
@@ -189,7 +172,7 @@ def _config_tree(tree) -> TreeSpec:
     otherwise the first edge, in declared order, whose road states take the
     table over the bound blames its ``distance``."""
     spec = _setting("tree", tree, TreeSpec.from_dict)
-    junctions = sum(n.kind == KIND_JUNCTION for n in spec.nodes)
+    junctions = len(spec._edges_by_parent)
     width = max(map(len, spec._edges_by_parent.values()))
     states = junctions + 1
     _check_table("tree", f"{junctions} junctions at distance 1", states, width)
@@ -209,13 +192,13 @@ def fig1_tree() -> TreeSpec:
     return TreeSpec(
         root=0,
         nodes=(
-            TreeNode(0, 0.0, KIND_JUNCTION),
-            TreeNode(1, 0.0, KIND_JUNCTION),
-            TreeNode(2, 1.0, KIND_JUNCTION),
-            TreeNode(3, 0.0, KIND_TERMINAL),
-            TreeNode(4, 7.0, KIND_TERMINAL),
-            TreeNode(5, 1.0, KIND_TERMINAL),
-            TreeNode(6, 1.0, KIND_TERMINAL),
+            TreeNode(0, 0.0),
+            TreeNode(1, 0.0),
+            TreeNode(2, 1.0),
+            TreeNode(3, 0.0),
+            TreeNode(4, 7.0),
+            TreeNode(5, 1.0),
+            TreeNode(6, 1.0),
         ),
         edges=(
             TreeEdge(0, 1, 20),
@@ -232,11 +215,7 @@ def _one_junction_tree(left: int) -> TreeSpec:
     """A root junction with a branch of length ``left`` worth 1 and one of 50 worth 2."""
     return TreeSpec(
         root=0,
-        nodes=(
-            TreeNode(0, 0.0, KIND_JUNCTION),
-            TreeNode(1, 1.0, KIND_TERMINAL),
-            TreeNode(2, 2.0, KIND_TERMINAL),
-        ),
+        nodes=(TreeNode(0, 0.0), TreeNode(1, 1.0), TreeNode(2, 2.0)),
         edges=(TreeEdge(0, 1, left), TreeEdge(0, 2, 50)),
     )
 
@@ -267,11 +246,11 @@ def fig6_tree(k: int = 10, distance: int = 10) -> TreeSpec:
     _check_table("k", repr(k), 4, k + 1)
     _check_table("distance", repr(distance), 4 + (k + 5) * (distance - 1), k + 1)
     nodes = [
-        TreeNode(0, 0.0, KIND_JUNCTION),
-        TreeNode(1, 0.0, KIND_JUNCTION),
-        TreeNode(2, 1.0, KIND_JUNCTION),
-        TreeNode(3, 0.0, KIND_TERMINAL),
-        TreeNode(4, 1.0, KIND_TERMINAL),
+        TreeNode(0, 0.0),
+        TreeNode(1, 0.0),
+        TreeNode(2, 1.0),
+        TreeNode(3, 0.0),
+        TreeNode(4, 1.0),
     ]
     edges = [
         TreeEdge(0, 1, distance),
@@ -281,10 +260,10 @@ def fig6_tree(k: int = 10, distance: int = 10) -> TreeSpec:
     ]
     next_id = 5
     for _ in range(k):
-        nodes.append(TreeNode(next_id, -2.0, KIND_TERMINAL))
+        nodes.append(TreeNode(next_id, -2.0))
         edges.append(TreeEdge(2, next_id, distance))
         next_id += 1
-    nodes.append(TreeNode(next_id, 1.0, KIND_TERMINAL))
+    nodes.append(TreeNode(next_id, 1.0))
     edges.append(TreeEdge(2, next_id, distance))
     return TreeSpec(root=0, nodes=tuple(nodes), edges=tuple(edges))
 
@@ -315,9 +294,9 @@ class RoadTreeEnv(Environment):
 
     def __init__(self, tree: TreeSpec):
         self.tree = tree
-        # Every junction and every edge's d - 1 road states get a state, so
-        # the sink, allocated last, gets this id.
-        sink = sum(n.kind == KIND_JUNCTION for n in tree.nodes) + sum(e.distance - 1 for e in tree.edges)
+        # Every junction (a node with edges) and every edge's d - 1 road
+        # states get a state, so the sink, allocated last, gets this id.
+        sink = len(tree._edges_by_parent) + sum(e.distance - 1 for e in tree.edges)
         rows: dict[StateId, list[tuple[float, StateId]]] = {}  # state -> action -> its step
         node_state = {tree.root: self.root_state}
         # junction state -> per action (child node reward, child junction state
@@ -339,7 +318,7 @@ class RoadTreeEnv(Environment):
                 road = range(free, free + e.distance - 1)
                 free = road.stop
                 child = tree.node(e.child)
-                if child.kind == KIND_JUNCTION:
+                if child.id in tree._edges_by_parent:
                     node_state[child.id], free = free, free + 1
                 step = (child.reward, node_state.get(child.id, sink))
                 moves[p_state].append(step)

@@ -39,7 +39,6 @@ from cvslab.shooter import (
     _unpack,
 )
 from cvslab import tennis
-from cvslab.roadtree import KIND_TERMINAL
 
 
 @dataclass
@@ -358,7 +357,7 @@ def reference_road_tree(tree):
     ``(rows, node_state, junction_moves, h)``.  ``rows[s]`` lists the
     ``(reward, next_state)`` of each action of state ``s`` below the sink,
     so ``len(rows)`` is the sink's id; ``h`` covers the sink too."""
-    junctions = sum(n.kind != KIND_TERMINAL for n in tree.nodes)
+    junctions = sum(1 for n in tree.nodes if tree.children(n.id))
     sink = junctions + sum(e.distance - 1 for e in tree.edges)
     rows = [[]]
     node_state = {tree.root: 0}
@@ -375,7 +374,7 @@ def reference_road_tree(tree):
                 last = len(rows)
                 rows.append([])
             child = tree.node(e.child)
-            if child.kind == KIND_TERMINAL:
+            if not tree.children(child.id):
                 entered = sink
             else:
                 entered = node_state[child.id] = len(rows)

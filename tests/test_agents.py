@@ -34,7 +34,6 @@ from cvslab import (
 )
 from cvslab.agents import _CRT_EPS
 from cvslab.core import DrawStream, q_update
-from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 from recorder import Recorder
 from references import (
     reference_cvs_episode,
@@ -282,11 +281,7 @@ def test_watkins_zero_lambda_clears_traces():
 def mini_two_junction_tree() -> TreeSpec:
     return TreeSpec(
         root=0,
-        nodes=(
-            TreeNode(0, 0.0, KIND_JUNCTION),
-            TreeNode(1, 3.0, KIND_JUNCTION),
-            TreeNode(2, 5.0, KIND_TERMINAL),
-        ),
+        nodes=(TreeNode(0, 0.0), TreeNode(1, 3.0), TreeNode(2, 5.0)),
         edges=(TreeEdge(0, 1, 2), TreeEdge(1, 2, 2)),
     )
 

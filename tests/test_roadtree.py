@@ -4,7 +4,6 @@ import json
 import math
 import time
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from cvslab import (
     optimal_return_oracle,
     run_experiment,
 )
-from cvslab.roadtree import KIND_JUNCTION, KIND_TERMINAL
 from references import reference_road_tree
 from strategies import road_trees
 
@@ -59,37 +57,40 @@ def walk(env: RoadTreeEnv) -> dict[int, set[tuple[float, int]]]:
     return steps
 
 
+def road_states(tree: TreeSpec) -> list[int]:
+    """The states of the per-state reference that are neither a junction's
+    nor the sink."""
+    rows, node_state, _, _ = reference_road_tree(tree)
+    return sorted(set(range(len(rows))).difference(node_state.values()))
+
+
 def test_fig1_state_layout():
     env = RoadTreeEnv(fig1_tree())
-    counts = Counter(reference_tables(fig1_tree())[0])
+    _, node_state, _, _ = reference_road_tree(fig1_tree())
     # six edges with distances 20/10/10/15/15/15 expand into 79 road states;
     # the four leaves have no states, their steps end in the sink
-    assert counts == {"road": 79, KIND_JUNCTION: 3, "sink": 1}
+    assert (len(road_states(fig1_tree())), sorted(node_state)) == (79, [0, 1, 2])
     assert env.num_states == 83
     assert action_counts(env)[env.root_state] == 2
 
 
 def test_fig3_state_layout():
     env = RoadTreeEnv(fig3_tree())
-    assert Counter(reference_tables(fig3_tree())[0])["road"] == 9 + 49
+    assert len(road_states(fig3_tree())) == 9 + 49
     assert env.num_states == 60
     assert action_counts(env)[env.root_state] == 2
 
 
 def test_road_states_have_one_action():
-    env = RoadTreeEnv(fig1_tree())
-    kinds = reference_tables(fig1_tree())[0]
-    assert kinds[-1] == "sink"
-    for kind, k in zip(kinds[:-1], action_counts(env), strict=True):
-        if kind == "road":
-            assert k == 1
+    counts = action_counts(RoadTreeEnv(fig1_tree()))
+    assert [counts[s] for s in road_states(fig1_tree())] == [1] * 79
 
 
 def test_reset_returns_root():
     env = RoadTreeEnv(fig3_tree())
     rng = np.random.default_rng(0)
     assert env.reset(rng) == env.root_state
-    assert reference_tables(fig3_tree())[0][env.root_state] == KIND_JUNCTION
+    assert reference_road_tree(fig3_tree())[1][fig3_tree().root] == env.root_state
 
 
 def replay(env: RoadTreeEnv, actions: list[int]) -> tuple[float, int]:
@@ -143,8 +144,8 @@ def test_step_guards():
 def test_criticality_marks_roads_zero():
     env = RoadTreeEnv(fig1_tree())
     h = env.criticality()
-    for s, kind in enumerate(reference_tables(fig1_tree())[0]):
-        assert h(s) == (0.0 if kind == "road" else 1.0)
+    roads = road_states(fig1_tree())
+    assert [h(s) for s in range(env.num_states)] == [0.0 if s in roads else 1.0 for s in range(env.num_states)]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TREES))
@@ -251,9 +252,9 @@ def junction_chain(n: int) -> TreeSpec:
     terminal worth 0 or goes on (action 1) to junction ``i + 1``, worth 1;
     the last one's action 1 reaches a terminal worth 1.  Every edge has
     distance 1, so the best return is ``n``, by taking action 1 ``n`` times."""
-    nodes = [TreeNode(i, float(i > 0), KIND_JUNCTION) for i in range(n)]
-    nodes += [TreeNode(n + i, 0.0, KIND_TERMINAL) for i in range(n)]
-    nodes.append(TreeNode(2 * n, 1.0, KIND_TERMINAL))
+    nodes = [TreeNode(i, float(i > 0)) for i in range(n)]
+    nodes += [TreeNode(n + i, 0.0) for i in range(n)]
+    nodes.append(TreeNode(2 * n, 1.0))
     edges = []
     for i in range(n):
         edges += [TreeEdge(i, n + i, 1), TreeEdge(i, i + 1 if i < n - 1 else 2 * n, 1)]
@@ -297,22 +298,19 @@ def test_tree_spec_round_trip():
 
 
 def nodes_doc(*rows):
-    return [{"id": i, "reward": reward, "kind": kind} for i, reward, kind in rows]
+    return [{"id": i, "reward": reward} for i, reward in rows]
 
 
 def edges_doc(*rows):
     return [{"parent": p, "child": c, "distance": d} for p, c, d in rows]
 
 
-J, T = KIND_JUNCTION, KIND_TERMINAL
 TREE_DOCS = {
     "fig1": (
         fig1_tree(),
         {
             "root": 0,
-            "nodes": nodes_doc(
-                (0, 0.0, J), (1, 0.0, J), (2, 1.0, J), (3, 0.0, T), (4, 7.0, T), (5, 1.0, T), (6, 1.0, T)
-            ),
+            "nodes": nodes_doc((0, 0.0), (1, 0.0), (2, 1.0), (3, 0.0), (4, 7.0), (5, 1.0), (6, 1.0)),
             "edges": edges_doc((0, 1, 20), (0, 2, 10), (1, 3, 10), (1, 4, 15), (2, 5, 15), (2, 6, 15)),
         },
     ),
@@ -320,10 +318,7 @@ TREE_DOCS = {
         fig6_tree(k=2, distance=3),
         {
             "root": 0,
-            "nodes": nodes_doc(
-                (0, 0.0, J), (1, 0.0, J), (2, 1.0, J), (3, 0.0, T), (4, 1.0, T), (5, -2.0, T), (6, -2.0, T),
-                (7, 1.0, T),
-            ),
+            "nodes": nodes_doc((0, 0.0), (1, 0.0), (2, 1.0), (3, 0.0), (4, 1.0), (5, -2.0), (6, -2.0), (7, 1.0)),
             "edges": edges_doc(
                 (0, 1, 3), (0, 2, 3), (1, 3, 3), (1, 4, 3), (2, 5, 3), (2, 6, 3), (2, 7, 3)
             ),
@@ -359,162 +354,45 @@ def test_tree_spec_dict_round_trip_on_random_trees(tree):
     assert TreeSpec.from_dict(json.loads(json.dumps(doc))) == tree
 
 
-def reference_tables(tree: TreeSpec):
-    """The two-pass construction of parallel next/reward/terminal lists that
-    ``RoadTreeEnv`` used before it stored one ``(reward, next_state)`` step
-    per pair; kept as the reference for the one-pass build.  Returns (kinds,
-    next, reward, terminal flag, criticality array)."""
-    kinds: list[str] = []
-    node_state: dict[int, int] = {}
-
-    def new_state(kind):
-        kinds.append(kind)
-        return len(kinds) - 1
-
-    node_state[tree.root] = new_state(KIND_JUNCTION)
-    order = [tree.root]
-    i = 0
-    while i < len(order):
-        p = order[i]
-        i += 1
-        for e in tree.children(p):
-            child = tree.node(e.child)
-            for _ in range(e.distance - 1):
-                new_state("road")
-            if child.kind == KIND_JUNCTION:
-                node_state[child.id] = new_state(KIND_JUNCTION)
-                order.append(child.id)
-    sink = new_state("sink")
-
-    n = len(kinds)
-    nxt = [[] for _ in range(n)]
-    rew = [[] for _ in range(n)]
-    term = [[] for _ in range(n)]
-    cursor = {}
-
-    def ids_used(edge):
-        """The edge's road states, plus its child's state if a junction."""
-        return edge.distance - (tree.node(edge.child).kind == KIND_TERMINAL)
-
-    def chain_ids(edge):
-        start = cursor[edge.parent]
-        ids = list(range(start, start + edge.distance - 1))
-        cursor[edge.parent] = start + ids_used(edge)
-        return ids
-
-    cursor_pos = 1
-    for p in order:
-        cursor[p] = cursor_pos
-        cursor_pos += sum(ids_used(e) for e in tree.children(p))
-
-    for p in order:
-        p_state = node_state[p]
-        for e in tree.children(p):
-            child = tree.node(e.child)
-            chain = chain_ids(e)
-            entering_terminal = child.kind == KIND_TERMINAL
-            entry_state = sink if entering_terminal else node_state[child.id]
-            if chain:
-                nxt[p_state].append(chain[0])
-                rew[p_state].append(0.0)
-                term[p_state].append(False)
-                for a, b in zip(chain, chain[1:]):
-                    nxt[a].append(b)
-                    rew[a].append(0.0)
-                    term[a].append(False)
-                last = chain[-1]
-            else:
-                last = p_state
-            nxt[last].append(entry_state)
-            rew[last].append(child.reward)
-            term[last].append(entering_terminal)
-    crit = np.array([0.0 if k == "road" else 1.0 for k in kinds])
-    return kinds, nxt, rew, term, crit
-
-
-@given(tree=road_trees())
-def test_transition_table_matches_two_pass_reference(tree):
-    env = RoadTreeEnv(tree)
-    kinds, nxt, rew, term, crit = reference_tables(tree)
-    rng = np.random.default_rng(0)
-    h = env.criticality()
-    assert env.num_states == len(kinds)
-    assert env.terminal == len(kinds) - 1
-    for s in range(env.num_states):
-        got_h, want_h = h(s), float(crit[s])
-        assert type(got_h) is float and got_h.hex() == want_h.hex()
-        if s == env.terminal:
-            with pytest.raises(ValueError, match="TERMINAL"):
-                env.step(s, 0, rng)
-            continue
-        for a in range(len(nxt[s])):
-            step = env.step(s, a, rng)
-            assert type(step) is tuple and len(step) == 2
-            r, s2 = step
-            assert r.hex() == rew[s][a].hex()
-            assert (s2, s2 == env.terminal) == (nxt[s][a], term[s][a])
-        for a in (-1, len(nxt[s])):
-            with pytest.raises(ValueError, match="invalid"):
-                env.step(s, a, rng)
-    assert action_counts(env) == [len(row) for row in nxt[:-1]]
-    assert env.action_layout()[0] == max(map(len, nxt))
-
-
-def junction(i, reward=0.0):
-    return TreeNode(i, reward, KIND_JUNCTION)
-
-
-def leaf(i, reward=0.0):
-    return TreeNode(i, reward, KIND_TERMINAL)
+def node(i, reward=0.0):
+    return TreeNode(i, reward)
 
 
 @pytest.mark.parametrize(
     "spec, fragment",
     [
         (
-            (0, (junction(0), leaf(1), leaf(1)), (TreeEdge(0, 1, 1),)),
+            (0, (node(0), node(1), node(1)), (TreeEdge(0, 1, 1),)),
             "duplicate node id 1",
         ),
-        ((9, (junction(0), leaf(1)), (TreeEdge(0, 1, 1),)), "root node 9"),
+        ((9, (node(0), node(1)), (TreeEdge(0, 1, 1),)), "root node 9"),
+        ((0, (node(0), node(1)), (TreeEdge(0, 7, 1),)), "edge child 7"),
+        ((0, (node(0), node(1)), (TreeEdge(5, 1, 1),)), "edge parent 5"),
         (
-            (0, (junction(0), TreeNode(1, 0.0, "lake")), (TreeEdge(0, 1, 1),)),
-            "unknown kind",
-        ),
-        ((0, (junction(0), leaf(1)), (TreeEdge(0, 7, 1),)), "edge child 7"),
-        ((0, (junction(0), leaf(1)), (TreeEdge(5, 1, 1),)), "edge parent 5"),
-        (
-            (0, (junction(0), leaf(1)), (TreeEdge(0, 1, 0),)),
+            (0, (node(0), node(1)), (TreeEdge(0, 1, 0),)),
             "distance 0",
         ),
         (
-            (0, (junction(0), junction(1), leaf(2)), (TreeEdge(0, 1, 1), TreeEdge(1, 2, 1), TreeEdge(1, 0, 1))),
+            (0, (node(0), node(1), node(2)), (TreeEdge(0, 1, 1), TreeEdge(1, 2, 1), TreeEdge(1, 0, 1))),
             "cannot be a child",
         ),
         (
             (
                 0,
-                (junction(0), junction(1), leaf(2)),
+                (node(0), node(1), node(2)),
                 (TreeEdge(0, 1, 1), TreeEdge(0, 2, 1), TreeEdge(1, 2, 1)),
             ),
             "more than one parent",
         ),
         (
-            (0, (junction(0), leaf(1), leaf(2)), (TreeEdge(0, 1, 1),)),
+            (0, (node(0), node(1), node(2)), (TreeEdge(0, 1, 1),)),
             "unreachable",
         ),
-        (
-            (0, (junction(0), junction(1)), (TreeEdge(0, 1, 1),)),
-            "junction node 1 has no children",
-        ),
-        (
-            (0, (junction(0), leaf(1), leaf(2)), (TreeEdge(0, 1, 1), TreeEdge(1, 2, 1))),
-            "terminal node 1 has children",
-        ),
-        ((0, (leaf(0), leaf(1)), (TreeEdge(0, 1, 1),)), "must be a junction"),
+        ((0, (node(0), node(1)), ()), "^root node 0 has no children$"),
         (  # a cycle detached from a valid tree
             (
                 0,
-                (junction(0), leaf(1), junction(2), junction(3)),
+                (node(0), node(1), node(2), node(3)),
                 (TreeEdge(0, 1, 1), TreeEdge(2, 3, 1), TreeEdge(3, 2, 1)),
             ),
             "^node 2 is unreachable from the root$",
@@ -530,18 +408,18 @@ def test_tree_spec_validation_names_offender(spec, fragment):
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ((0, (junction(0), leaf(1)), (TreeEdge(0, 1, 2.5),)), "edges[0].distance must be an integer, got 2.5"),
-        ((0, (junction(0), leaf(1)), (TreeEdge(0, 1, 3.0),)), "edges[0].distance must be an integer, got 3.0"),
-        ((0, (junction(0), leaf(1)), (TreeEdge(0, 1, True),)), "edges[0].distance must be an integer, got True"),
-        ((0, (junction(0), leaf(1)), (TreeEdge(0.0, 1, 1),)), "edges[0].parent must be an integer, got 0.0"),
-        ((0, (junction(0), leaf(1)), (TreeEdge(0, "1", 1),)), "edges[0].child must be an integer, got '1'"),
-        ((0, (junction(0), leaf(1, math.nan)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got nan"),
-        ((0, (junction(0), leaf(1, math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got inf"),
-        ((0, (junction(0), leaf(1, -math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got -inf"),
-        ((0, (junction(0), leaf(1, False)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got False"),
-        ((0, (junction(0), leaf(1.5)), (TreeEdge(0, 1.5, 1),)), "nodes[1].id must be an integer, got 1.5"),
-        ((True, (junction(1), leaf(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got True"),
-        ((1.0, (junction(1), leaf(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got 1.0"),
+        ((0, (node(0), node(1)), (TreeEdge(0, 1, 2.5),)), "edges[0].distance must be an integer, got 2.5"),
+        ((0, (node(0), node(1)), (TreeEdge(0, 1, 3.0),)), "edges[0].distance must be an integer, got 3.0"),
+        ((0, (node(0), node(1)), (TreeEdge(0, 1, True),)), "edges[0].distance must be an integer, got True"),
+        ((0, (node(0), node(1)), (TreeEdge(0.0, 1, 1),)), "edges[0].parent must be an integer, got 0.0"),
+        ((0, (node(0), node(1)), (TreeEdge(0, "1", 1),)), "edges[0].child must be an integer, got '1'"),
+        ((0, (node(0), node(1, math.nan)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got nan"),
+        ((0, (node(0), node(1, math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got inf"),
+        ((0, (node(0), node(1, -math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got -inf"),
+        ((0, (node(0), node(1, False)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got False"),
+        ((0, (node(0), node(1.5)), (TreeEdge(0, 1.5, 1),)), "nodes[1].id must be an integer, got 1.5"),
+        ((True, (node(1), node(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got True"),
+        ((1.0, (node(1), node(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got 1.0"),
     ],
 )
 def test_tree_spec_checks_field_types_and_names_offender(fields, message):
@@ -556,6 +434,8 @@ def test_from_dict_rejects_malformed_documents():
         TreeSpec.from_dict({"root": 0})
     with pytest.raises(ValueError, match="malformed tree document"):
         TreeSpec.from_dict({"root": 0, "nodes": [{"id": 0}], "edges": []})
+    with pytest.raises(ValueError, match="malformed tree document"):
+        TreeSpec.from_dict({"root": 0, "nodes": [[0, 0.0]], "edges": []})
     # ids, root and distances are ints, rewards finite reals; bools are neither
     bad = [
         ("nodes", "reward", "nan"),
@@ -570,9 +450,9 @@ def test_from_dict_rejects_malformed_documents():
     for part, key, value in bad:
         doc = fig3_tree().to_dict()
         doc[part][0][key] = value
-        with pytest.raises(ValueError, match=rf"malformed tree document: {part}\[0\]\.{key} "):
+        with pytest.raises(ValueError, match=rf"^{part}\[0\]\.{key} must be "):
             TreeSpec.from_dict(doc)
-    with pytest.raises(ValueError, match="malformed tree document: root "):
+    with pytest.raises(ValueError, match="^root must be an integer"):
         TreeSpec.from_dict({**fig3_tree().to_dict(), "root": True})
     # a well-formed document that is not a tree raises the tree's own message
     doc = fig3_tree().to_dict()
@@ -586,7 +466,7 @@ def signed_zero_tree() -> TreeSpec:
     step must keep the sign of the reward it pays."""
     return TreeSpec(
         root=0,
-        nodes=(junction(0), junction(1, -0.0), junction(2, 0.0), leaf(3, -0.0), leaf(4, 0.0), leaf(5, -0.0)),
+        nodes=(node(0), node(1, -0.0), node(2, 0.0), node(3, -0.0), node(4, 0.0), node(5, -0.0)),
         edges=(TreeEdge(0, 1, 3), TreeEdge(0, 2, 2), TreeEdge(1, 3, 2), TreeEdge(1, 4, 1), TreeEdge(2, 5, 4)),
     )
 
@@ -605,9 +485,9 @@ REFERENCE_TREES = {
 
 def check_against_per_state_reference(tree: TreeSpec) -> None:
     """Every step, action count, ``h``, junction state and junction move of
-    ``RoadTreeEnv(tree)`` equals the per-state reference's, and a step from
-    the sink, from an id out of range or with an action the state lacks
-    raises."""
+    ``RoadTreeEnv(tree)`` and its layout's width equal the per-state
+    reference's, and a step from the sink, from an id out of range or with
+    action -1 or the first action a state lacks raises."""
     env = RoadTreeEnv(tree)
     rows, node_state, moves, h = reference_road_tree(tree)
     sink = len(rows)
@@ -620,6 +500,7 @@ def check_against_per_state_reference(tree: TreeSpec) -> None:
     crit = env.criticality()
     assert repr([crit(s) for s in range(sink + 1)]) == repr(h)
     assert repr(env.junction_moves) == repr(moves)
+    assert env.action_layout()[0] == max(map(len, rows))
     for n in tree.nodes:
         if n.id in node_state:
             assert env.node_state(n.id) == node_state[n.id]
@@ -631,16 +512,14 @@ def check_against_per_state_reference(tree: TreeSpec) -> None:
     for s in (-1, sink + 1):
         with pytest.raises(ValueError, match=f"^state {s} out of range$"):
             env.step(s, 0, None)
-    for s in {0, sink - 1}:
-        with pytest.raises(ValueError, match=f"^action -1 invalid for state {s}$"):
-            env.step(s, -1, None)
     errors = []
-    for s, row in enumerate(rows):  # action 1 on each road state among them
+    bad = [(s, a) for s, row in enumerate(rows) for a in (-1, len(row))]  # len(row) is 1 on a road state
+    for s, a in bad:
         try:
-            env.step(s, len(row), None)
+            env.step(s, a, None)
         except ValueError as exc:
             errors.append(str(exc))
-    assert errors == [f"action {len(row)} invalid for state {s}" for s, row in enumerate(rows)]
+    assert errors == [f"action {a} invalid for state {s}" for s, a in bad]
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_TREES))
