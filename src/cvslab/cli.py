@@ -15,16 +15,28 @@ what is available.
 Exit codes: 0 on success, 2 for configuration problems and unreadable inputs
 (the message names the offending entry), 3 when an output file cannot be
 written.
+
+A process started as ``cvslab`` or ``python -m cvslab.cli`` ends with that
+code once ``main`` has returned and stdout and stderr are flushed, without
+the interpreter's teardown, which would only free memory the process is about
+to give back anyway.  So ``atexit`` handlers registered before ``main``
+returned, such as a coverage tool's for CLI subprocesses, do not run, while
+a tool that wraps the run, as ``python -m cProfile -m cvslab.cli`` does,
+still writes its report.  An uncaught exception, or a flush that fails,
+takes Python's normal exit.  Called in-process, ``main()`` returns its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import re
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 from .agents import ALGORITHM_NAMES
 from .core import AgentParams, _positive_int, _setting
@@ -69,10 +81,13 @@ def _read_text(path: Path, key: str) -> str:
 
 
 def _load_config_text(arg: str) -> str:
+    """A file named ``arg`` wins over the preset of that name; a directory
+    does not, so ``cvslab run fig3`` still runs where ``--out fig3`` wrote."""
     path = Path(arg)
-    if path.exists():
+    preset = _LABEL_RE.fullmatch(arg) and arg in preset_names()
+    if path.exists() and not (preset and path.is_dir()):
         return _read_text(path, "config")
-    if _LABEL_RE.fullmatch(arg) and arg in preset_names():
+    if preset:
         return _read_text(resources.files("cvslab") / "configs" / f"{arg}.json", "config")
     raise ConfigError("config", f"no such file or preset: {arg}")
 
@@ -263,5 +278,26 @@ def main(argv=None) -> int:
         return 3
 
 
+def _exit_now(code: int) -> None:
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a broken pipe, a closed stream: Python's own exit reports it
+        return
+    os._exit(code)
+
+
+def console_main() -> NoReturn:
+    """Run ``main()`` and end the process with its code, skipping teardown.
+
+    The ``SystemExit`` unwinds the stack first, so a wrapper that catches it
+    (a profiler, say) finishes; the exit itself is the first ``atexit``
+    handler to run, being the last registered.
+    """
+    code = main()
+    atexit.register(_exit_now, code)
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

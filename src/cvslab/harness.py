@@ -23,6 +23,7 @@ __all__ = [
     "greedy_policy_return", "make_env", "run_experiment", "running_average",
 ]
 
+import gc
 import inspect
 import os
 from contextlib import nullcontext
@@ -212,9 +213,18 @@ class _ForkPool:
     ``wall_s``, alternating pairs): a static split (worker k runs tasks k, k + n,
     ...) 0.811 s against 0.775 s in 6 of 6 pairs; fresh workers forked per block
     0.790 s against 0.737 s in 7 of 7, with ``setup_s`` 0.319 s against 0.282 s.
+
+    A worker starts cheap: ``pickle`` and ``select`` are loaded before the
+    fork, so no worker imports them itself, and a worker's first act is
+    ``gc.freeze()``, so its collections never visit, and so never copy the
+    pages of, the objects it inherited.  Freezing in the worker, not around
+    the fork, leaves the caller's collector as it was.
     """
 
     def __init__(self, workers: int):
+        import pickle  # noqa: F401  # loaded once here, for every worker
+        import select  # noqa: F401
+
         self._workers: list[tuple[int, int, BinaryIO]] = []  # (pid, task fd, result reader)
         try:
             for _ in range(workers):
@@ -237,6 +247,7 @@ class _ForkPool:
         if pid == 0:  # the worker never returns into its parent's stack
             status = 1
             try:
+                gc.freeze()
                 # it holds no parent end of any pipe, so it sees its task pipe end
                 # when the parent closes it, and so do the workers forked before it
                 os.close(task_w)

@@ -759,6 +759,20 @@ def test_preset_runs_from_name(tmp_path):
     assert (tmp_path / "fig6_mc.csv").exists()
 
 
+def test_a_directory_named_like_a_preset_runs_the_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # the first run makes the directory that the second one is named like
+    for _ in range(2):
+        assert main(["run", "fig3", "--out", "fig3", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "wrote fig3/fig3_plot.json"
+    (tmp_path / "plain").mkdir()
+    assert main(["run", "plain"]) == 2
+    assert capsys.readouterr().err == "error: config: plain is a directory\n"
+    write_config(tmp_path / "fig6", episodes=2)  # a file still wins over the preset
+    assert main(["run", "fig6", "--out", "own"]) == 0
+    assert sorted(p.name for p in (tmp_path / "own").iterdir()) == ["demo_cvs.csv", "demo_mc.csv", "demo_plot.json"]
+
+
 # Every environment's keys: the presets use name, k and distance.
 ENVIRONMENT_KEYS = ("k", "distance", "max_steps", "p_optimal", "obstacle_rows", "tree", "name")
 SIZES = st.integers(0, 12).map(lambda e: 10**e)  # every magnitude up to 10**12

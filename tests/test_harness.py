@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import random
 import signal
@@ -470,6 +471,34 @@ def test_leaving_a_fork_pool_on_an_exception_kills_its_workers(deadline):
             pool.map(pow, [2], [3])
             raise KeyError("caller")
     assert list(pool.statuses.values()) == [-signal.SIGKILL] * 2
+    assert_no_child_left()
+
+
+def _freeze_count(_):
+    return gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("caller_frozen_and_disabled", [False, True])
+def test_workers_freeze_their_inherited_heap_and_the_caller_keeps_its_collector(
+    monkeypatch, deadline, caller_frozen_and_disabled
+):
+    enabled = gc.isenabled()
+    if caller_frozen_and_disabled:
+        gc.freeze()
+        gc.disable()
+    try:
+        state = gc.get_freeze_count(), gc.isenabled()
+        with _ForkPool(2) as pool:
+            assert (gc.get_freeze_count(), gc.isenabled()) == state
+            assert all(pool.map(_freeze_count, range(4)))
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
+        run_on(monkeypatch, 2, small_cfg(runs=2, episodes=2))
+        assert (gc.get_freeze_count(), gc.isenabled()) == state
+    finally:
+        if caller_frozen_and_disabled:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
     assert_no_child_left()
 
 
