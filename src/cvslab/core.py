@@ -69,10 +69,13 @@ class ConfigError(ValueError):
 
 
 def _setting(key: str, value, convert):
-    """``convert(value)``; a ``TypeError`` or ``ValueError`` it raises becomes
+    """``convert(value)``; a :class:`ConfigError` it raises is renamed
+    ``<key>.<its key>``, and any other ``TypeError`` or ``ValueError`` becomes
     a :class:`ConfigError` naming ``key``."""
     try:
         return convert(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}.{exc.key}", exc.message) from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(key, str(exc)) from exc
 
@@ -197,8 +200,10 @@ class Environment(ABC):
     def step(self, s: StateId, a: ActionId, rng: Draws) -> tuple[float, StateId]:
         """``(reward, next_state)`` of action ``a`` in ``s``; raises ``ValueError``
         for TERMINAL, an id outside ``[0, terminal]`` or an action ``s`` lacks.
-        State ids are ints: a step need not check their type, but must not
-        cache what it computes from one that is not."""
+        State ids are ints: agents pass ``s`` and ``a`` as ``int``, whatever
+        the draw source, and a step returns an ``int`` next state for them.  A
+        step need not check their type, but must not cache what it computes
+        from one that is not."""
         raise NotImplementedError
 
     @abstractmethod

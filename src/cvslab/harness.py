@@ -41,7 +41,8 @@ from .agents import (
 )
 from .core import AgentParams, ConfigError, DrawStream, Environment, QTable, greedy_actions
 from .core import _finite_real, _is_int, _positive_int, _setting
-from .roadtree import BUILTIN_TREES, RoadTreeEnv, TreeSpec, _config_tree, optimal_return_oracle
+from .roadtree import RoadTreeEnv, TreeSpec, _config_tree, fig1_tree, fig3_tree, fig4_tree, fig6_tree
+from .roadtree import optimal_return_oracle
 from .shooter import ShooterEnv
 from .tennis import TennisEnv
 
@@ -50,7 +51,10 @@ from .tennis import TennisEnv
 # parameters are the environment's config keys; it states their defaults and
 # checks them, raising a ConfigError that names the parameter.
 _BUILDERS = {
-    **{f"roadtree:{name}": tree for name, tree in BUILTIN_TREES.items()},
+    "roadtree:fig1": fig1_tree,
+    "roadtree:fig3": fig3_tree,
+    "roadtree:fig4": fig4_tree,
+    "roadtree:fig6": fig6_tree,
     "roadtree": _config_tree,
     "shooter": ShooterEnv,
     "tennis": TennisEnv,
@@ -90,10 +94,7 @@ def _checked_build(env_cfg: dict) -> TreeSpec | Environment:
     for key, parameter in accepted.items():
         if parameter.default is parameter.empty and key not in params:
             raise ConfigError(f"environment.{key}", f"{name} needs a {key!r} entry")
-    try:
-        return builder(**params)
-    except ConfigError as exc:
-        raise ConfigError(f"environment.{exc.key}", exc.message) from exc
+    return _setting("environment", params, lambda p: builder(**p))
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,15 @@ on a choice or has just been decided) and 0 on road states.
 from __future__ import annotations
 
 __all__ = [
-    "BUILTIN_TREES", "RoadTreeEnv", "TreeEdge", "TreeNode", "TreeSpec", "fig1_tree", "fig3_tree", "fig4_tree",
-    "fig6_tree", "optimal_return_oracle",
+    "RoadTreeEnv", "TreeEdge", "TreeNode", "TreeSpec", "fig1_tree", "fig3_tree", "fig4_tree", "fig6_tree",
+    "optimal_return_oracle",
 ]
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 
 from .core import ConfigError, CriticalityFn, Draws, Environment, StateId
 from .core import _finite_real, _integer, _positive_int, _setting, _state_error
@@ -45,34 +46,27 @@ class TreeEdge:
     distance: int
 
 
-def _named(name: str, value, convert):
-    """``convert(value)``; a ``ValueError`` it raises is prefixed with ``name``."""
-    try:
-        return convert(value)
-    except ValueError as exc:
-        raise ValueError(f"{name} {exc}") from None
-
-
 @dataclass(frozen=True)
 class TreeSpec:
     """Declarative tree description; the edge order of a parent fixes its action order.
 
-    Checked when built: a malformed tree raises a ``ValueError`` naming its
-    first offender.  Ids, ``root`` and distances must be ints and rewards
-    finite real numbers, bools being neither; the root must have children."""
+    Checked when built: ids, ``root`` and distances must be ints and rewards
+    finite real numbers, bools being neither, and a field that is not raises a
+    ``ConfigError`` naming it (``edges[0].distance``).  A malformed tree raises
+    a ``ValueError`` naming its first offender; the root must have children."""
 
     root: int
     nodes: tuple[TreeNode, ...]
     edges: tuple[TreeEdge, ...]
 
     def __post_init__(self) -> None:
-        _named("root", self.root, _integer)
+        _setting("root", self.root, _integer)
         for i, n in enumerate(self.nodes):
-            _named(f"nodes[{i}].id", n.id, _integer)
-            _named(f"nodes[{i}].reward", n.reward, _finite_real)
+            _setting(f"nodes[{i}].id", n.id, _integer)
+            _setting(f"nodes[{i}].reward", n.reward, _finite_real)
         for i, e in enumerate(self.edges):
             for key in ("parent", "child", "distance"):
-                _named(f"edges[{i}].{key}", getattr(e, key), _integer)
+                _setting(f"edges[{i}].{key}", getattr(e, key), _integer)
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             counts = Counter(ids)
@@ -138,16 +132,40 @@ class TreeSpec:
     def from_dict(cls, doc: dict) -> "TreeSpec":
         """The tree of a document in the layout of :meth:`to_dict`, its values
         taken as they are.  A key it does not read, such as the ``kind`` that
-        older documents give each node, is ignored.  A missing entry or a
-        wrong container raises ``ValueError("malformed tree document: ...")``;
-        a bad value or tree raises what building the tree raises."""
+        older documents give each node, is ignored.  A document that is not an
+        object raises ``ValueError("must be an object")``, a missing entry or a
+        wrong container a ``ConfigError`` naming it (``nodes[1].id: missing``,
+        ``edges: must be a list of objects``), and a bad value or tree what
+        building the tree raises."""
+        root, nodes, edges = _entries("root", "nodes", "edges")(doc)
+        return cls(root, _records("nodes", nodes, TreeNode), _records("edges", edges, TreeEdge))
+
+
+def _entries(*keys):
+    """A converter from an object to its values of ``keys``, in order; a
+    missing one raises a ``ConfigError`` naming it."""
+    get = itemgetter(*keys)
+
+    def entries(doc) -> tuple:
+        if not isinstance(doc, dict):
+            raise ValueError("must be an object")
         try:
-            nodes = tuple(TreeNode(n["id"], n["reward"]) for n in doc["nodes"])
-            edges = tuple(TreeEdge(e["parent"], e["child"], e["distance"]) for e in doc["edges"])
-            root = doc["root"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed tree document: {exc}") from exc
-        return cls(root=root, nodes=nodes, edges=edges)
+            return get(doc)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0], "missing") from None
+
+    return entries
+
+
+def _records(key: str, items, cls) -> tuple:
+    """A ``cls`` from the entries its fields name in each object of the list
+    ``items``, which the document names ``key``; a bad one raises a
+    ``ConfigError`` naming it (``key[i]``)."""
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(key, "must be a list of objects")
+    entries = _entries(*(f.name for f in fields(cls)))
+    record = lambda d: cls(*entries(d))
+    return tuple(_setting(f"{key}[{i}]", item, record) for i, item in enumerate(items))
 
 
 # The most Q-table values a road tree from a config may have: a row for each
@@ -266,14 +284,6 @@ def fig6_tree(k: int = 10, distance: int = 10) -> TreeSpec:
     nodes.append(TreeNode(next_id, 1.0))
     edges.append(TreeEdge(2, next_id, distance))
     return TreeSpec(root=0, nodes=tuple(nodes), edges=tuple(edges))
-
-
-BUILTIN_TREES = {
-    "fig1": fig1_tree,
-    "fig3": fig3_tree,
-    "fig4": fig4_tree,
-    "fig6": fig6_tree,
-}
 
 
 # ----------------------------------------------------------------------

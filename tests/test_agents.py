@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import cvslab.agents as agents
 from cvslab import (
+    ALGORITHM_NAMES,
     AgentParams,
     Environment,
     QTable,
@@ -852,6 +853,43 @@ def test_mc_matches_full_return_reference_on_grid_envs(name, gamma):
         lambda env, q, rng: mc_episode(env, q, params, rng),
         lambda env, q, rng: reference_mc_episode(env, q, params, rng),
     )
+
+
+EPISODES = {
+    "cvs": lambda env, q, params, rng: cvs_episode(env, q, env.criticality(), params, rng),
+    "qlearning": q_learning_episode,
+    "nstep_sarsa": n_step_sarsa_episode,
+    "qlambda": watkins_qlambda_episode,
+    "mc": mc_episode,
+}
+
+
+INT_ENVS = {"fig1": lambda: RoadTreeEnv(fig1_tree()), "fig6": lambda: RoadTreeEnv(fig6_tree()), **GRID_ENVS}
+
+
+@pytest.mark.parametrize(
+    "draws", [lambda: DrawStream(0, (0,)), lambda: np.random.default_rng(0)], ids=["DrawStream", "Generator"]
+)
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+@pytest.mark.parametrize("name", sorted(INT_ENVS))
+def test_agents_pass_env_step_only_ints(name, algorithm, draws):
+    # Environment.step's contract: a numpy Generator draws numpy ints, but
+    # every state id and action an agent passes, and every next state a step
+    # returns, is an int (TennisEnv.step would return a numpy id for a numpy one).
+    env = INT_ENVS[name]()
+    step = env.step
+    seen = []
+
+    def checked_step(s, a, rng):
+        r, s2 = step(s, a, rng)
+        seen.append((type(s), type(a), type(s2)))
+        return r, s2
+
+    env.step = checked_step
+    q, rng = fresh(env), draws()
+    for _ in range(20):
+        EPISODES[algorithm](env, q, AgentParams(), rng)
+    assert seen and set(seen) == {(int, int, int)}
 
 
 def test_qlambda_rewrites_a_fresh_pair_before_the_last_traced_position(monkeypatch):

@@ -359,6 +359,23 @@ def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides
             "error: environment.distance: must keep the Q-table within 1048576 values,"
             " got 10000000 (149999989 states x 11 actions)",
         ),
+        (
+            {"environment": {"name": "roadtree", "tree": {"root": 0, "nodes": [{"reward": 0.0}], "edges": []}}},
+            "error: environment.tree.nodes[0].id: missing",
+        ),
+        (
+            {"environment": {"name": "roadtree", "tree": {**fig3_tree().to_dict(), "edges": 5}}},
+            "error: environment.tree.edges: must be a list of objects",
+        ),
+        (  # named as the table bound names the same field
+            {
+                "environment": {
+                    "name": "roadtree",
+                    "tree": {**fig3_tree().to_dict(), "edges": [{"parent": 0, "child": 1, "distance": 2.9}]},
+                }
+            },
+            "error: environment.tree.edges[0].distance: must be an integer, got 2.9",
+        ),
     ],
 )
 def test_config_error_line_names_its_key(tmp_path, capsys, overrides, line):

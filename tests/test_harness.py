@@ -199,7 +199,15 @@ def test_a_tree_document_may_fill_the_table_bound():
         ({}, "environment.name"),
         ({"name": "shooter", "bogus": 1}, "environment.bogus"),
         ({"name": "roadtree"}, "environment.tree"),
-        ({"name": "roadtree", "tree": {"root": 0}}, "environment.tree"),
+        ({"name": "roadtree", "tree": {"root": 0}}, "environment.tree.nodes"),
+        ({"name": "roadtree", "tree": {**fig3_tree().to_dict(), "root": 0.0}}, "environment.tree.root"),
+        ({"name": "roadtree", "tree": [fig3_tree().to_dict()]}, "environment.tree"),
+        ({"name": "roadtree", "tree": {**fig3_tree().to_dict(), "nodes": {"id": 0}}}, "environment.tree.nodes"),
+        ({"name": "roadtree", "tree": {**fig3_tree().to_dict(), "edges": 5}}, "environment.tree.edges"),
+        (
+            {"name": "roadtree", "tree": {"root": 0, "nodes": [{"id": 0, "reward": 0}, {}], "edges": []}},
+            "environment.tree.nodes[1].id",
+        ),
         ({"name": "tennis", "p_optimal": 7}, "environment.p_optimal"),
         ({"name": "shooter", "obstacle_rows": [55]}, "environment.obstacle_rows"),
         ({"name": "roadtree:fig6", "k": 0}, "environment.k"),
@@ -215,13 +223,13 @@ def test_a_tree_document_may_fill_the_table_bound():
         ({"name": "shooter", "obstacle_rows": [4.5, True]}, "environment.obstacle_rows"),
         ({"name": "shooter", "obstacle_rows": [4, True]}, "environment.obstacle_rows"),
         ({"name": "shooter", "obstacle_rows": [4.0]}, "environment.obstacle_rows"),
-        (fig3_doc("nodes", "reward", "nan"), "environment.tree"),
-        (fig3_doc("nodes", "reward", True), "environment.tree"),
-        (fig3_doc("edges", "distance", 2.9), "environment.tree"),
-        (fig3_doc("edges", "distance", "3"), "environment.tree"),
-        (fig3_doc("nodes", "id", 0.7), "environment.tree"),
+        (fig3_doc("nodes", "reward", "nan"), "environment.tree.nodes[0].reward"),
+        (fig3_doc("nodes", "reward", True), "environment.tree.nodes[0].reward"),
+        (fig3_doc("edges", "distance", 2.9), "environment.tree.edges[0].distance"),
+        (fig3_doc("edges", "distance", "3"), "environment.tree.edges[0].distance"),
+        (fig3_doc("nodes", "id", 0.7), "environment.tree.nodes[0].id"),
         ({"name": "tennis", "p_optimal": 10**400}, "environment.p_optimal"),
-        (fig3_doc("nodes", "reward", 10**400), "environment.tree"),
+        (fig3_doc("nodes", "reward", 10**400), "environment.tree.nodes[0].reward"),
         # past the table bound: the first edge whose road states overflow it
         ({"name": "roadtree", "tree": fig3_distances(2**18, 2**18 + 1)}, "environment.tree.edges[1].distance"),
         ({"name": "roadtree", "tree": fig3_distances(2**19, 1)}, "environment.tree.edges[0].distance"),

@@ -58,7 +58,6 @@ def test_public_surface():
     assert sorted(cvslab.__all__) == [
         "ALGORITHM_NAMES",
         "AgentParams",
-        "BUILTIN_TREES",
         "ConfigError",
         "Environment",
         "EpisodeLog",

@@ -408,34 +408,47 @@ def test_tree_spec_validation_names_offender(spec, fragment):
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ((0, (node(0), node(1)), (TreeEdge(0, 1, 2.5),)), "edges[0].distance must be an integer, got 2.5"),
-        ((0, (node(0), node(1)), (TreeEdge(0, 1, 3.0),)), "edges[0].distance must be an integer, got 3.0"),
-        ((0, (node(0), node(1)), (TreeEdge(0, 1, True),)), "edges[0].distance must be an integer, got True"),
-        ((0, (node(0), node(1)), (TreeEdge(0.0, 1, 1),)), "edges[0].parent must be an integer, got 0.0"),
-        ((0, (node(0), node(1)), (TreeEdge(0, "1", 1),)), "edges[0].child must be an integer, got '1'"),
-        ((0, (node(0), node(1, math.nan)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got nan"),
-        ((0, (node(0), node(1, math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got inf"),
-        ((0, (node(0), node(1, -math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got -inf"),
-        ((0, (node(0), node(1, False)), (TreeEdge(0, 1, 1),)), "nodes[1].reward must be a finite number, got False"),
-        ((0, (node(0), node(1.5)), (TreeEdge(0, 1.5, 1),)), "nodes[1].id must be an integer, got 1.5"),
-        ((True, (node(1), node(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got True"),
-        ((1.0, (node(1), node(2)), (TreeEdge(1, 2, 1),)), "root must be an integer, got 1.0"),
+        ((0, (node(0), node(1)), (TreeEdge(0, 1, 2.5),)), "edges[0].distance: must be an integer, got 2.5"),
+        ((0, (node(0), node(1)), (TreeEdge(0, 1, 3.0),)), "edges[0].distance: must be an integer, got 3.0"),
+        ((0, (node(0), node(1)), (TreeEdge(0, 1, True),)), "edges[0].distance: must be an integer, got True"),
+        ((0, (node(0), node(1)), (TreeEdge(0.0, 1, 1),)), "edges[0].parent: must be an integer, got 0.0"),
+        ((0, (node(0), node(1)), (TreeEdge(0, "1", 1),)), "edges[0].child: must be an integer, got '1'"),
+        ((0, (node(0), node(1, math.nan)), (TreeEdge(0, 1, 1),)), "nodes[1].reward: must be a finite number, got nan"),
+        ((0, (node(0), node(1, math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward: must be a finite number, got inf"),
+        ((0, (node(0), node(1, -math.inf)), (TreeEdge(0, 1, 1),)), "nodes[1].reward: must be a finite number, got -inf"),
+        ((0, (node(0), node(1, False)), (TreeEdge(0, 1, 1),)), "nodes[1].reward: must be a finite number, got False"),
+        ((0, (node(0), node(1.5)), (TreeEdge(0, 1.5, 1),)), "nodes[1].id: must be an integer, got 1.5"),
+        ((True, (node(1), node(2)), (TreeEdge(1, 2, 1),)), "root: must be an integer, got True"),
+        ((1.0, (node(1), node(2)), (TreeEdge(1, 2, 1),)), "root: must be an integer, got 1.0"),
     ],
 )
 def test_tree_spec_checks_field_types_and_names_offender(fields, message):
     # such a tree used to build, or fail only in RoadTreeEnv with a TypeError
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ConfigError) as info:
         TreeSpec(*fields)
     assert str(info.value) == message
+    assert info.value.key == message.split(":")[0]
 
 
 def test_from_dict_rejects_malformed_documents():
-    with pytest.raises(ValueError, match="malformed tree document"):
-        TreeSpec.from_dict({"root": 0})
-    with pytest.raises(ValueError, match="malformed tree document"):
-        TreeSpec.from_dict({"root": 0, "nodes": [{"id": 0}], "edges": []})
-    with pytest.raises(ValueError, match="malformed tree document"):
-        TreeSpec.from_dict({"root": 0, "nodes": [[0, 0.0]], "edges": []})
+    # a missing entry or a wrong container is named, not Python's own message
+    node = {"id": 0, "reward": 0.0}
+    malformed = [
+        ({"root": 0}, "nodes: missing"),
+        ({"nodes": [], "edges": []}, "root: missing"),
+        ({"root": 0, "nodes": [{"id": 0}], "edges": []}, "nodes[0].reward: missing"),
+        ({"root": 0, "nodes": [node, {"reward": 1.0}], "edges": []}, "nodes[1].id: missing"),
+        ({"root": 0, "nodes": [[0, 0.0]], "edges": []}, "nodes[0]: must be an object"),
+        ({"root": 0, "nodes": {"id": 0}, "edges": []}, "nodes: must be a list of objects"),
+        ({"root": 0, "nodes": [node], "edges": 5}, "edges: must be a list of objects"),
+        ({"root": 0, "nodes": [node], "edges": [{"parent": 0, "child": 1}]}, "edges[0].distance: missing"),
+    ]
+    for doc, message in malformed:
+        with pytest.raises(ConfigError) as info:
+            TreeSpec.from_dict(doc)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="^must be an object$"):
+        TreeSpec.from_dict([fig3_tree().to_dict()])
     # ids, root and distances are ints, rewards finite reals; bools are neither
     bad = [
         ("nodes", "reward", "nan"),
@@ -450,9 +463,9 @@ def test_from_dict_rejects_malformed_documents():
     for part, key, value in bad:
         doc = fig3_tree().to_dict()
         doc[part][0][key] = value
-        with pytest.raises(ValueError, match=rf"^{part}\[0\]\.{key} must be "):
+        with pytest.raises(ConfigError, match=rf"^{part}\[0\]\.{key}: must be "):
             TreeSpec.from_dict(doc)
-    with pytest.raises(ValueError, match="^root must be an integer"):
+    with pytest.raises(ConfigError, match="^root: must be an integer"):
         TreeSpec.from_dict({**fig3_tree().to_dict(), "root": True})
     # a well-formed document that is not a tree raises the tree's own message
     doc = fig3_tree().to_dict()
