@@ -97,10 +97,6 @@ class TreeSpec:
             raise ValueError(f"node {min(unreachable)} is unreachable from the root")
 
     @cached_property
-    def _node_by_id(self) -> dict[int, TreeNode]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
     def _edges_by_parent(self) -> dict[int, list[TreeEdge]]:
         by_parent: dict[int, list[TreeEdge]] = {}
         for e in self.edges:
@@ -115,15 +111,6 @@ class TreeSpec:
         for node_id in order:  # grows: every node after its parent
             order.extend(e.child for e in self._edges_by_parent.get(node_id, ()))
         return order
-
-    def node(self, node_id: int) -> TreeNode:
-        try:
-            return self._node_by_id[node_id]
-        except KeyError:
-            raise KeyError(f"no node {node_id}") from None
-
-    def children(self, node_id: int) -> list[TreeEdge]:
-        return list(self._edges_by_parent.get(node_id, ()))
 
     def to_dict(self) -> dict:
         return {"root": self.root, "nodes": [asdict(n) for n in self.nodes], "edges": [asdict(e) for e in self.edges]}
@@ -298,15 +285,19 @@ class RoadTreeEnv(Environment):
     ``(0.0, s + 1)`` under its one action unless its row of steps is listed
     (a junction's or a chain end's).  :meth:`node_state` gives a declared
     junction's state; the root's is the first state and the sink the last.
+    It keeps ``h`` per state; per junction its moves (``junction_moves``, the
+    tree with its roads contracted), its row and its node id; and no
+    :class:`TreeSpec`.
     """
 
     root_state: StateId = 0
 
     def __init__(self, tree: TreeSpec):
-        self.tree = tree
+        by_parent = tree._edges_by_parent
+        reward = {n.id: n.reward for n in tree.nodes}
         # Every junction (a node with edges) and every edge's d - 1 road
         # states get a state, so the sink, allocated last, gets this id.
-        sink = len(tree._edges_by_parent) + sum(e.distance - 1 for e in tree.edges)
+        sink = len(by_parent) + sum(e.distance - 1 for e in tree.edges)
         rows: dict[StateId, list[tuple[float, StateId]]] = {}  # state -> action -> its step
         node_state = {tree.root: self.root_state}
         # junction state -> per action (child node reward, child junction state
@@ -324,13 +315,12 @@ class RoadTreeEnv(Environment):
             if p_state is None:
                 continue
             crit[p_state], rows[p_state], moves[p_state] = 1.0, [], []
-            for e in tree.children(p):
+            for e in by_parent[p]:
                 road = range(free, free + e.distance - 1)
                 free = road.stop
-                child = tree.node(e.child)
-                if child.id in tree._edges_by_parent:
-                    node_state[child.id], free = free, free + 1
-                step = (child.reward, node_state.get(child.id, sink))
+                if e.child in by_parent:
+                    node_state[e.child], free = free, free + 1
+                step = (reward[e.child], node_state.get(e.child, sink))
                 moves[p_state].append(step)
                 rows[p_state].append((0.0, road.start) if road else step)
                 if road:
@@ -374,25 +364,31 @@ class RoadTreeEnv(Environment):
 def optimal_return_oracle(env: RoadTreeEnv) -> tuple[float, list[int]]:
     """Exhaustive best undiscounted root-to-terminal return and its action path.
 
-    Walks the declared tree, not the expanded dynamics, so it can serve as an
-    independent check on them.  Ties prefer the lower action index.  The walk
-    is iterative (children are solved before their parent), so a tree of any
-    depth works.
+    Solves ``env.junction_moves``, the tree with its roads contracted, whose
+    road states pay exactly 0.0.  Each return is summed from the root down,
+    starting at 0.0, as a rollout adds it, so the value equals the return of
+    replaying the path bit for bit.  Ties prefer the lower action index.
+    Both passes are loops over the junctions, so a tree of any depth works.
     """
-    tree = env.tree
-    # node -> (best return below it, its action or None at a leaf)
-    best: dict[int, tuple[float, int | None]] = {}
-    for node_id in reversed(tree._order):
-        edges = tree.children(node_id)
-        best_val, best_idx = (-math.inf if edges else 0.0), None
-        for idx, e in enumerate(edges):
-            val = tree.node(e.child).reward + best[e.child][0]
-            if val > best_val:
-                best_val, best_idx = val, idx
-        best[node_id] = float(best_val), best_idx
+    moves, sink = env.junction_moves, env.terminal
+    # junction -> the return paid on the way to it; a parent comes before its children
+    paid = {env.root_state: 0.0}
+    for s, row in moves.items():
+        for reward, child in row:
+            if child != sink:
+                paid[child] = paid[s] + reward
+    # junction -> (its best leaf total, the first action that reaches it)
+    best: dict[StateId, tuple[float, int]] = {}
+    for s in reversed(moves):
+        best_total, best_a = -math.inf, 0
+        for a, (reward, child) in enumerate(moves[s]):
+            total = paid[s] + reward if child == sink else best[child][0]
+            if total > best_total:
+                best_total, best_a = total, a
+        best[s] = best_total, best_a
     path: list[int] = []
-    node_id = tree.root
-    while (idx := best[node_id][1]) is not None:
-        path.append(idx)
-        node_id = tree.children(node_id)[idx].child
-    return best[tree.root][0], path
+    s = env.root_state
+    while s != sink:
+        path.append(best[s][1])
+        s = moves[s][path[-1]][1]
+    return best[env.root_state][0], path

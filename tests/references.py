@@ -356,30 +356,33 @@ def reference_road_tree(tree):
     """The dynamics of ``RoadTreeEnv(tree)``, one row per state:
     ``(rows, node_state, junction_moves, h)``.  ``rows[s]`` lists the
     ``(reward, next_state)`` of each action of state ``s`` below the sink,
-    so ``len(rows)`` is the sink's id; ``h`` covers the sink too."""
-    junctions = sum(1 for n in tree.nodes if tree.children(n.id))
-    sink = junctions + sum(e.distance - 1 for e in tree.edges)
+    so ``len(rows)`` is the sink's id; ``h`` covers the sink too.  It reads
+    ``tree.nodes`` and ``tree.edges`` only, through indexes of its own."""
+    reward = {n.id: n.reward for n in tree.nodes}
+    children = {}
+    for e in tree.edges:
+        children.setdefault(e.parent, []).append(e)
+    sink = len(children) + sum(e.distance - 1 for e in tree.edges)
     rows = [[]]
     node_state = {tree.root: 0}
     moves = {}
-    for p in tree._order:
-        p_state = node_state.get(p)
-        if p_state is None:
-            continue
+    order = [tree.root]
+    for p in order:  # grows: each junction after its parent
+        p_state = node_state[p]
         moves[p_state] = []
-        for e in tree.children(p):
+        for e in children[p]:
             last = p_state
             for _ in range(e.distance - 1):
                 rows[last].append((0.0, len(rows)))
                 last = len(rows)
                 rows.append([])
-            child = tree.node(e.child)
-            if not tree.children(child.id):
+            if e.child not in children:
                 entered = sink
             else:
-                entered = node_state[child.id] = len(rows)
+                entered = node_state[e.child] = len(rows)
                 rows.append([])
-            rows[last].append((child.reward, entered))
-            moves[p_state].append((child.reward, entered))
+                order.append(e.child)
+            rows[last].append((reward[e.child], entered))
+            moves[p_state].append((reward[e.child], entered))
     h = [1.0 if s in moves else 0.0 for s in range(sink)] + [1.0]
     return rows, node_state, moves, h

@@ -587,6 +587,7 @@ CSV_HEADER = b"episode,return_mean,return_smoothed\n"
         ),
         (plot_spec("c.csv"), CSV_HEADER + b"0,1,abc\n", "curves.csv: {dir}/c.csv:2: bad row '0,1,abc'"),
         (plot_spec("c.csv"), CSV_HEADER + b"0,1\n", "curves.csv: {dir}/c.csv:2: bad row '0,1'"),
+        (plot_spec("c.csv"), CSV_HEADER + b"0,0,1\n\n1,0,abc\n", "curves.csv: {dir}/c.csv:4: bad row '1,0,abc'"),
     ],
     ids=[
         "csv-not-a-name",
@@ -602,6 +603,7 @@ CSV_HEADER = b"episode,return_mean,return_smoothed\n"
         "curve-without-label",
         "csv-row-not-a-number",
         "csv-row-too-short",
+        "csv-bad-row-after-a-blank-one",
     ],
 )
 def test_plot_bad_input_exits_two_and_names_the_key(tmp_path, capsys, spec, csv_bytes, line):
@@ -634,6 +636,16 @@ def test_plot_of_a_range_that_underflows_writes_an_svg(tmp_path):
     (tmp_path / "plot.json").write_bytes(plot_spec("c.csv"))
     assert main(["plot", str(tmp_path / "plot.json")]) == 0
     assert (tmp_path / "x.svg").read_text(encoding="utf-8").count("<polyline") == 1
+
+
+def test_plot_skips_a_blank_csv_row(tmp_path):
+    svgs = []
+    for rows in (b"0,0,1\n1,0,2\n2,0,0.5\n", b"0,0,1\n\n1,0,2\n2,0,0.5\n"):
+        (tmp_path / "c.csv").write_bytes(CSV_HEADER + rows)
+        (tmp_path / "plot.json").write_bytes(plot_spec("c.csv"))
+        assert main(["plot", str(tmp_path / "plot.json")]) == 0
+        svgs.append((tmp_path / "x.svg").read_bytes())
+    assert svgs[0] == svgs[1]
 
 
 def test_plot_of_a_run_that_overflowed_exits_two(tmp_path, capsys):

@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -158,7 +159,28 @@ def test_make_env_builds_every_name():
     custom = {"name": "roadtree", "tree": fig3_tree().to_dict()}
     env = make_env(custom)
     assert isinstance(env, RoadTreeEnv)
-    assert env.tree == fig3_tree()
+    assert repr(env.junction_moves) == repr(RoadTreeEnv(fig3_tree()).junction_moves)
+
+
+def test_a_built_road_tree_keeps_no_tree_spec(monkeypatch):
+    spec = fig3_tree()
+    ref = weakref.ref(spec)
+    env = RoadTreeEnv(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+    refs = []
+
+    def spy(tree):
+        built = _config_tree(tree)
+        refs.append(weakref.ref(built))
+        return built
+
+    monkeypatch.setitem(harness._BUILDERS, "roadtree", spy)
+    env = make_env({"name": "roadtree", "tree": fig3_tree().to_dict()})
+    gc.collect()
+    assert isinstance(env, RoadTreeEnv)
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def fig3_doc(part, key, value):
@@ -525,6 +547,25 @@ def test_oracle_flags_only_on_road_trees():
     )
     result = run_experiment(cfg)[0]
     assert result.greedy_optimal is None
+
+
+# A chain worth 0.1, 0.2 and 0.3 against a leaf worth 0: summed from the
+# root down, as a rollout adds it, the chain pays 0.6000000000000001, and
+# summed from the leaf up 0.6.
+TENTHS_DOC = {
+    "root": 0,
+    "nodes": [{"id": i, "reward": r} for i, r in enumerate((0.0, 0.1, 0.2, 0.3, 0.0))],
+    "edges": [{"parent": p, "child": c, "distance": 2} for p, c in ((0, 1), (1, 2), (2, 3), (0, 4))],
+}
+
+
+def test_every_flag_is_set_when_rewards_are_inexact_floats():
+    # Only the root chooses.  Its action 1 pays 0 and ends the episode, so
+    # its value stays 0 and greedy keeps action 0, the chain, from the start.
+    cfg = small_cfg(environment={"name": "roadtree", "tree": TENTHS_DOC}, episodes=300, runs=2)
+    results = run_experiment(cfg)
+    assert [len(r.greedy_optimal) for r in results] == [300, 300]
+    assert all(all(r.greedy_optimal) for r in results)
 
 
 def test_every_algorithm_runs_end_to_end():

@@ -168,24 +168,28 @@ def test_layout_lists_states_below_the_sink_and_each_is_reachable(tree):
     assert sorted(walk(env)) == list(range(env.terminal))
 
 
-def enumerate_paths(tree: TreeSpec, node_id: int) -> list[tuple[float, list[int]]]:
-    """All root-to-leaf (return, action path) pairs, brute force."""
-    edges = tree.children(node_id)
-    if not edges:
-        return [(0.0, [])]
-    out = []
-    for idx, e in enumerate(edges):
-        child = tree.node(e.child)
-        for sub_val, sub_path in enumerate_paths(tree, child.id):
-            out.append((child.reward + sub_val, [idx] + sub_path))
-    return out
+def enumerate_paths(tree: TreeSpec) -> list[tuple[float, list[int]]]:
+    """All root-to-leaf (return, action path) pairs, brute force, lowest
+    actions first.  Each return is summed from the root down, starting at
+    0.0, as a rollout adds it.  Reads ``tree.nodes`` and ``tree.edges`` only."""
+    reward = {n.id: n.reward for n in tree.nodes}
+    children: dict[int, list[int]] = {}
+    for e in tree.edges:
+        children.setdefault(e.parent, []).append(e.child)
+
+    def below(node_id: int, paid: float, path: list[int]) -> list[tuple[float, list[int]]]:
+        if node_id not in children:
+            return [(paid, path)]
+        return [p for a, c in enumerate(children[node_id]) for p in below(c, paid + reward[c], path + [a])]
+
+    return below(tree.root, 0.0, [])
 
 
 def check_oracle_against_enumeration(tree: TreeSpec) -> None:
     """The oracle's value is the brute-force maximum and its path the first
     best path in enumeration order (lowest actions first)."""
     value, path = optimal_return_oracle(RoadTreeEnv(tree))
-    paths = enumerate_paths(tree, tree.root)
+    paths = enumerate_paths(tree)
     best = max(v for v, _ in paths)
     assert value == best
     assert path == next(p for v, p in paths if v == best)
@@ -198,14 +202,28 @@ def test_oracle_agrees_with_exhaustive_enumeration(name):
 
 @given(tree=road_trees())
 def test_oracle_agrees_with_exhaustive_enumeration_on_random_trees(tree):
-    # integer rewards, so every sum is exact; the strategy numbers nodes
-    # depth-first, so the oracle's reversed breadth-first walk is exercised
+    # The strategy numbers nodes depth-first, so the oracle's reversed
+    # breadth-first walk is exercised.  Its rewards are integers, so every
+    # sum is exact; in tenths they are not, and the order of the sums counts.
     check_oracle_against_enumeration(tree)
+    tenths = tuple(TreeNode(n.id, n.reward / 10) for n in tree.nodes)
+    check_oracle_against_enumeration(TreeSpec(tree.root, tenths, tree.edges))
 
 
-@pytest.mark.parametrize("name", sorted(ALL_TREES))
+def tenths_tree() -> TreeSpec:
+    """A chain worth 0.1, 0.2 and 0.3 against a leaf worth 0: summed from the
+    root down, as a rollout adds it, the chain pays 0.6000000000000001, and
+    summed from the leaf up 0.6."""
+    return TreeSpec(
+        root=0,
+        nodes=(TreeNode(0, 0.0), TreeNode(1, 0.1), TreeNode(2, 0.2), TreeNode(3, 0.3), TreeNode(4, 0.0)),
+        edges=(TreeEdge(0, 1, 2), TreeEdge(1, 2, 2), TreeEdge(2, 3, 2), TreeEdge(0, 4, 2)),
+    )
+
+
+@pytest.mark.parametrize("name", [*sorted(ALL_TREES), "tenths"])
 def test_oracle_path_replays_to_its_value(name):
-    env = RoadTreeEnv(ALL_TREES[name])
+    env = RoadTreeEnv({**ALL_TREES, "tenths": tenths_tree()}[name])
     value, path = optimal_return_oracle(env)
     total, _steps = replay(env, path)
     assert total == value
@@ -215,7 +233,7 @@ def test_oracle_path_replays_to_its_value(name):
 def test_every_leaf_path_matches_declared_rewards(name):
     tree = ALL_TREES[name]
     env = RoadTreeEnv(tree)
-    for want, path in enumerate_paths(tree, tree.root):
+    for want, path in enumerate_paths(tree):
         got, _ = replay(env, path)
         assert got == want
 
@@ -333,12 +351,6 @@ def test_tree_spec_to_dict_is_pinned(name):
     assert tree.to_dict() == doc
     # the same key order and value types: a JSON dump compares both
     assert json.dumps(tree.to_dict()) == json.dumps(doc)
-
-
-def test_tree_spec_node_names_a_missing_id():
-    with pytest.raises(KeyError) as info:
-        fig1_tree().node(99)
-    assert info.value.args == ("no node 99",)
 
 
 def test_tree_spec_from_file(tmp_path):
