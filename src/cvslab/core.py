@@ -251,7 +251,10 @@ class QTable:
     the end.  ``q[s, a]`` also rejects an action outside ``s``'s count, as
     :func:`q_update` does.  The TERMINAL row, which has no actions, is zero
     in :meth:`as_array` and rejects writes.  ``writes`` counts every value
-    written by :func:`q_update` or :func:`q_update_traced`.
+    written by :func:`q_update` or :func:`q_update_traced`.  The table
+    restates no fact of the layout: a state's action count and the sink id
+    are the environment's (:meth:`Environment.action_layout`,
+    :attr:`Environment.terminal`).
 
     Every table is a private anonymous mapping of its own: it starts on zero
     pages, only the pages written become resident, and all of them go back to
@@ -295,24 +298,9 @@ class QTable:
         return cls(env.action_layout(), env.terminal, initial_value)
 
     @property
-    def num_states(self) -> int:
-        return self._terminal + 1
-
-    @property
-    def terminal(self) -> StateId:
-        return self._terminal
-
-    @property
     def writes(self) -> int:
         """Number of value updates applied to this table."""
         return self._writes
-
-    def num_actions(self, s: StateId) -> int:
-        if not 0 <= s < self._terminal:
-            if s == self._terminal:
-                return 0
-            raise ValueError(f"state {s} out of range")
-        return self._counts.get(s, self._default)
 
     def __getitem__(self, sa: tuple[StateId, ActionId]) -> float:
         s, a = sa
@@ -329,12 +317,12 @@ class QTable:
         return max(self._values[row : row + self._counts.get(s, self._default)].tolist())
 
     def as_array(self) -> "numpy.ndarray":
-        """Copy of the table as a ``(num_states, width)`` numpy array, slots
+        """Copy of the table as a ``(terminal + 1, width)`` numpy array, slots
         past a row's action count shown as ``-inf`` (for snapshots and
         comparisons).  Needs numpy, which only the ``test`` extra installs."""
         import numpy
 
-        table = numpy.array(self._values).reshape(self.num_states, self._width)
+        table = numpy.array(self._values).reshape(self._terminal + 1, self._width)
         counts = numpy.full(self._terminal, self._default)
         counts[list(self._counts)] = list(self._counts.values())
         table[:-1][numpy.arange(self._width) >= counts[:, None]] = -numpy.inf
@@ -526,9 +514,13 @@ class DrawStream:
         return (self._next() >> 11) * _TWO_POW_M53
 
     def integers(self, k: int) -> int:
-        """Uniform int in ``[0, k)`` for ``1 <= k <= 2**32``."""
+        """Uniform int in ``[0, k)`` for an integer ``1 <= k <= 2**32``, such
+        as a numpy one, but not a ``bool``."""
         if type(k) is not int or not 0 < k <= _TWO_POW_32:
-            raise ValueError(f"k must be an int in [1, 2**32], got {k!r}")
+            n = _index(k)  # -1 for a bool or a non-integer
+            if not 0 < n <= _TWO_POW_32:
+                raise ValueError(f"k must be an int in [1, 2**32], got {k!r}")
+            return self.integers(n)
         if k == 1:
             return 0
         while True:

@@ -283,11 +283,11 @@ class RoadTreeEnv(Environment):
 
     Each edge's road states take consecutive ids, so a state steps to
     ``(0.0, s + 1)`` under its one action unless its row of steps is listed
-    (a junction's or a chain end's).  :meth:`node_state` gives a declared
-    junction's state; the root's is the first state and the sink the last.
-    It keeps ``h`` per state; per junction its moves (``junction_moves``, the
-    tree with its roads contracted), its row and its node id; and no
-    :class:`TreeSpec`.
+    (a junction's or a chain end's).  The root's state is the first and the
+    sink the last; a junction's state is the one its parent's move enters
+    (``junction_moves[parent][action][1]``).  It keeps ``h`` per state; per
+    junction its moves (``junction_moves``, the tree with its roads
+    contracted) and its row; and no :class:`TreeSpec` or node id.
     """
 
     root_state: StateId = 0
@@ -326,7 +326,6 @@ class RoadTreeEnv(Environment):
                 if road:
                     rows[road[-1]] = [step]
 
-        self._node_state = node_state
         self._sink = sink
         # keep the rows the road rule does not give; -0.0 == 0.0, so a signed zero is kept by its sign
         self._rows = {s: r for s, r in rows.items() if r != [(0.0, s + 1)] or math.copysign(1.0, r[0][0]) < 0}
@@ -336,9 +335,6 @@ class RoadTreeEnv(Environment):
     @property
     def terminal(self) -> StateId:
         return self._sink
-
-    def node_state(self, node_id: int) -> StateId:
-        return self._node_state[node_id]
 
     def action_layout(self) -> tuple[int, dict[StateId, int], int]:
         counts = {s: len(row) for s, row in self._rows.items() if len(row) > 1}

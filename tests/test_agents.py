@@ -294,8 +294,8 @@ def test_cvs_matures_at_the_first_critical_state():
     with Recorder(env) as rec:
         log = cvs_episode(env, q, env.criticality(), params, rng_for(0))
     assert log.total_reward == 8.0
-    j1 = env.node_state(1)
     root = env.root_state
+    j1 = env.junction_moves[root][0][1]  # node 1's state
     # pairs queued before the junction update toward it; later ones ride to the end
     assert q[root, 0] == approx(0.3)
     assert q[j1, 0] == approx(0.5)
@@ -310,7 +310,7 @@ def test_cvs_discounts_waiting_rewards():
     params = AgentParams(alpha=0.1, gamma=0.5)
     cvs_episode(env, q, env.criticality(), params, rng_for(0))
     root = env.root_state
-    j1 = env.node_state(1)
+    j1 = env.junction_moves[root][0][1]  # node 1's state
     road1 = root + 1
     assert q[root, 0] == approx(0.1 * (0.5 * 3.0))
     assert q[road1, 0] == approx(0.1 * 3.0)

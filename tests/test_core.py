@@ -82,16 +82,17 @@ def test_config_error_survives_a_pickle_round_trip():
 
 def test_qtable_padding_and_terminal_row():
     q = make_table([2, 3], initial=0.5)
-    assert q.num_states == 3
-    assert q.num_actions(0) == 2
-    assert q.num_actions(1) == 3
-    assert q.num_actions(2) == 0
     arr = q.as_array()
     assert arr.shape == (3, 3)
+    # a row's action count is its slots before the -inf padding
+    assert [int((row > -np.inf).sum()) for row in arr[:-1]] == [2, 3]
     assert arr[0, 2] == -np.inf
     assert np.all(arr[2] == 0.0)
     assert np.all(arr[0, :2] == 0.5)
     assert q[1, 2] == 0.5
+    # the sink has no actions
+    with pytest.raises(ValueError, match="^action 0 invalid for state 2$"):
+        q[2, 0]
 
 
 GUARDED_CALLS = {
@@ -100,7 +101,6 @@ GUARDED_CALLS = {
     "greedy_actions": greedy_actions,
     "epsilon_greedy": lambda q, s: epsilon_greedy(q, s, 0.5, np.random.default_rng(0)),
     "row_max": lambda q, s: q.row_max(s),
-    "num_actions": lambda q, s: q.num_actions(s),
     "getitem": lambda q, s: q[s, 0],
 }
 GUARD_ENVS = {
@@ -212,10 +212,11 @@ def test_qtable_construction_matches_fill_and_mask_reference_on_fixed_shapes(sha
 
 
 def test_qtable_row_and_row_max():
-    q = make_table([3])
+    counts = [3]
+    q = make_table(counts)
     q_update(q, 0, 1, 5.0, 1.0)
     # the valid action values of a row, copied out of the table
-    row = q.as_array()[0, : q.num_actions(0)]
+    row = q.as_array()[0, : counts[0]]
     assert row.tolist() == [0.0, 5.0, 0.0]
     assert q.row_max(0) == 5.0
     # as_array() hands out a copy, not a view
@@ -267,8 +268,9 @@ def test_qtable_rejects_bad_shapes():
 
 def test_qtable_takes_numpy_integers():
     q = QTable((np.int64(3), {np.int64(0): np.int32(2)}, np.int64(3)), np.int64(2))
-    assert (q._width, q.terminal, q.num_actions(0), q.num_actions(1)) == (3, 2, 2, 3)
-    assert type(q._width) is type(q.terminal) is int
+    assert (q._width, q._terminal) == (3, 2)
+    assert [int((row > -np.inf).sum()) for row in q.as_array()[:-1]] == [2, 3]
+    assert type(q._width) is type(q._terminal) is int
 
 
 def test_tree_table_starts_on_untouched_zero_pages():
@@ -307,9 +309,10 @@ def test_a_freed_filled_table_leaves_nothing_resident():
     # 2**19 rows of 4 doubles: 16 MiB, every page written by the 0.5 fill
     start = resident_bytes()
     grown = []
+    sink = (1 << 19) - 1
     for _ in range(3):
-        q = QTable((4, {}, 4), (1 << 19) - 1, 0.5)
-        assert q[0, 0] == q[q.terminal - 1, 3] == 0.5
+        q = QTable((4, {}, 4), sink, 0.5)
+        assert q[0, 0] == q[sink - 1, 3] == 0.5
         del q
         grown.append(resident_bytes() - start)
     assert max(grown) < 4 * 2**20, grown
@@ -451,7 +454,6 @@ def test_guard_messages():
         (lambda: q.row_max(-1), "state -1 out of range"),
         (lambda: q[2, 0], "action 0 invalid for state 2"),
         (lambda: q[3, 0], "state 3 out of range"),
-        (lambda: q.num_actions(3), "state 3 out of range"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as info:
@@ -479,29 +481,29 @@ def test_terminal_row_survives_everything():
 
 
 # The numpy-scalar versions of the per-step helpers, kept as references for
-# the Python-scalar ones in cvslab.core.
+# the Python-scalar ones in cvslab.core.  Each takes the action ``counts`` of
+# the states below the sink that ``make_table`` built ``q`` from.
 
 
 def grid(q):
-    """A writable (num_states, width) numpy view of the table's values."""
-    return np.frombuffer(q._values, dtype=np.float64).reshape(q.num_states, q._width)
+    """A writable (states, width) numpy view of the table's values."""
+    return np.frombuffer(q._values, dtype=np.float64).reshape(-1, q._width)
 
 
 def reference_getitem(q, sa):
     return float(grid(q)[sa])
 
 
-def reference_row_max(q, s):
-    k = q.num_actions(s)
-    if k == 0:
+def reference_row_max(q, counts, s):
+    if s == len(counts):
         raise ValueError(f"state {s} has no actions")
-    return float(grid(q)[s, :k].max())
+    return float(grid(q)[s, : counts[s]].max())
 
 
-def reference_greedy_actions(q, s):
-    if s == q.terminal:
+def reference_greedy_actions(q, counts, s):
+    if s == len(counts):
         raise ValueError("greedy_actions is undefined at the TERMINAL state")
-    k = q.num_actions(s)
+    k = counts[s]
     row = grid(q)[s]
     best = row[0]
     ties = [0]
@@ -515,17 +517,17 @@ def reference_greedy_actions(q, s):
     return ties
 
 
-def reference_epsilon_greedy(q, s, epsilon, rng):
+def reference_epsilon_greedy(q, counts, s, epsilon, rng):
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
-    if s == q.terminal:
+    if s == len(counts):
         raise ValueError("epsilon_greedy is undefined at the TERMINAL state")
-    k = q.num_actions(s)
+    k = counts[s]
     if k == 1:
         return 0
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(k))
-    ties = reference_greedy_actions(q, s)
+    ties = reference_greedy_actions(q, counts, s)
     if len(ties) == 1:
         return ties[0]
     return ties[int(rng.integers(len(ties)))]
@@ -537,9 +539,10 @@ ROW_VALUES = (-1.0, -0.0, 0.0, 1.0, 2.0)
 
 @st.composite
 def filled_tables(draw):
-    """A single-action state, then 1-6 states of 1-4 actions, then the sink;
-    valid slots drawn from ROW_VALUES, some rows all tied, and narrower rows
-    keep their -inf padding."""
+    """``(q, counts)``: a table of a single-action state, then 1-6 states of
+    1-4 actions, then the sink, and those counts; valid slots drawn from
+    ROW_VALUES, some rows all tied, and narrower rows keep their -inf
+    padding."""
     counts = [1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))]
     q = make_table(counts)
     for s, k in enumerate(counts):
@@ -548,21 +551,21 @@ def filled_tables(draw):
         else:
             row = draw(st.lists(st.sampled_from(ROW_VALUES), min_size=k, max_size=k))
         grid(q)[s, :k] = row
-    return q
+    return q, counts
 
 
-@given(q=filled_tables(), seed=st.integers(0, 2**32 - 1))
-def test_hot_path_matches_numpy_scalar_references(q, seed):
+@given(table=filled_tables(), seed=st.integers(0, 2**32 - 1))
+def test_hot_path_matches_numpy_scalar_references(table, seed):
+    q, counts = table
     width = q._width
-    for s in range(q.num_states - 1):
-        assert greedy_actions(q, s) == reference_greedy_actions(q, s)
-        k = q.num_actions(s)
+    for s, k in enumerate(counts):
+        assert greedy_actions(q, s) == reference_greedy_actions(q, counts, s)
         for a in range(k):
             assert q[s, a].hex() == reference_getitem(q, (s, a)).hex()
         for a in (-1, *range(k, width + 1)):
             with pytest.raises(ValueError, match="invalid"):
                 q[s, a]
-        got, want = q.row_max(s), reference_row_max(q, s)
+        got, want = q.row_max(s), reference_row_max(q, counts, s)
         if want != 0.0:
             assert got.hex() == want.hex()
         else:
@@ -574,17 +577,17 @@ def test_hot_path_matches_numpy_scalar_references(q, seed):
                     assert (r + gamma * got).hex() == (r + gamma * want).hex()
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for epsilon in (0.0, 0.1, 0.5, 1.0):
-        for s in range(q.num_states - 1):
+        for s in range(len(counts)):
             for _ in range(3):
-                assert epsilon_greedy(q, s, epsilon, rng) == reference_epsilon_greedy(q, s, epsilon, ref_rng)
+                assert epsilon_greedy(q, s, epsilon, rng) == reference_epsilon_greedy(q, counts, s, epsilon, ref_rng)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def reference_q_update(q, s, a, target, alpha):
+def reference_q_update(q, counts, s, a, target, alpha):
     """The numpy-scalar q_update, kept as the reference for the Python-float one."""
-    if s == q.terminal:
+    if s == len(counts):
         raise ValueError("the TERMINAL Q-row is immutable")
-    if not 0 <= a < q.num_actions(s):
+    if not 0 <= a < counts[s]:
         raise ValueError(f"action {a} invalid for state {s}")
     values = grid(q)
     v = values[s, a]
@@ -615,9 +618,10 @@ def test_q_update_matches_numpy_scalar_reference(counts, data):
         UPDATE_VALUES,
         st.floats(0.0, 1.0, exclude_min=True),
     )
+    reference = lambda table, *args: reference_q_update(table, counts, *args)
     for s, a, target, alpha in data.draw(st.lists(ops, max_size=40)):
         errors = []
-        for update, table in ((q_update, q), (reference_q_update, ref)):
+        for update, table in ((q_update, q), (reference, ref)):
             try:
                 update(table, s, a, target, alpha)
                 errors.append(None)
@@ -675,6 +679,28 @@ def test_draw_stream_rejects_bad_bounds(k):
     stream = DrawStream(0)
     with pytest.raises(ValueError, match="k must be an int"):
         stream.integers(k)
+
+
+def numpy_id(value) -> str:
+    return f"{type(value).__name__}({value})"
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(3), np.uint8(7), np.uint64(2**32)], ids=numpy_id)
+def test_draw_stream_takes_numpy_integer_bounds(k):
+    stream, rng = DrawStream(0), np.random.default_rng(0)
+    got = [stream.integers(k) for _ in range(40)]
+    assert all(type(x) is int for x in got)
+    assert got == [int(rng.integers(k)) for _ in range(40)]
+
+
+@pytest.mark.parametrize("count", [np.int64(2), np.int32(3)], ids=numpy_id)
+def test_a_table_with_numpy_integer_counts_explores_as_under_default_rng(count):
+    # the table keeps its layout's counts uncopied, so the exploratory draw at
+    # state 0 asks the draw source for integers(count)
+    q = QTable((4, {0: count}, 4), 2)
+    stream, rng = DrawStream(0), np.random.default_rng(0)
+    got = [epsilon_greedy(q, s, 1.0, stream) for s in (0, 1) * 20]
+    assert got == [epsilon_greedy(q, s, 1.0, rng) for s in (0, 1) * 20]
 
 
 @given(

@@ -90,3 +90,24 @@ def test_public_surface():
         "running_average",
         "watkins_qlambda_episode",
     ]
+
+
+def public_members(obj) -> list[str]:
+    return [name for name in dir(obj) if not name.startswith("_")]
+
+
+def test_public_members_of_a_table_and_a_built_road_tree():
+    # each states a fact once: action counts and the sink are the
+    # environment's, and a junction's state is the one its parent's move enters
+    env = cvslab.RoadTreeEnv(cvslab.fig1_tree())
+    assert public_members(cvslab.QTable.for_env(env)) == ["as_array", "for_env", "row_max", "writes"]
+    assert public_members(env) == [
+        "action_layout",
+        "criticality",
+        "junction_moves",
+        "num_states",
+        "reset",
+        "root_state",
+        "step",
+        "terminal",
+    ]

@@ -241,7 +241,7 @@ def test_every_leaf_path_matches_declared_rewards(name):
 def test_fig6_fan_out():
     tree = fig6_tree(k=3, distance=2)
     env = RoadTreeEnv(tree)
-    right = env.node_state(2)
+    right = env.junction_moves[env.root_state][1][1]  # node 2's state
     assert action_counts(env)[right] == 4
     value, path = optimal_return_oracle(env)
     assert value == 2.0
@@ -262,7 +262,7 @@ def test_wide_tree_builds_in_linear_time():
     assert (value, path) == (2.0, [1, k])
     width, counts, default = env.action_layout()
     assert width == k + 1
-    assert counts[env.node_state(2)] == width
+    assert counts[env.junction_moves[env.root_state][1][1]] == width  # node 2's state
 
 
 def junction_chain(n: int) -> TreeSpec:
@@ -509,29 +509,23 @@ REFERENCE_TREES = {
 
 
 def check_against_per_state_reference(tree: TreeSpec) -> None:
-    """Every step, action count, ``h``, junction state and junction move of
-    ``RoadTreeEnv(tree)`` and its layout's width equal the per-state
-    reference's, and a step from the sink, from an id out of range or with
-    action -1 or the first action a state lacks raises."""
+    """Every step, action count, ``h`` and junction move (so each junction's
+    state) of ``RoadTreeEnv(tree)`` and its layout's width equal the
+    per-state reference's, and a step from the sink, from an id out of range
+    or with action -1 or the first action a state lacks raises."""
     env = RoadTreeEnv(tree)
-    rows, node_state, moves, h = reference_road_tree(tree)
+    rows, _, moves, h = reference_road_tree(tree)
     sink = len(rows)
     assert env.terminal == sink
-    q = QTable.for_env(env)
-    assert [q.num_actions(s) for s in range(sink + 1)] == [*map(len, rows), 0]
+    width, counts, default = env.action_layout()
+    assert width == max(map(len, rows))
+    assert [counts.get(s, default) for s in range(sink)] == [*map(len, rows)]
     # repr tells -0.0 from 0.0, an int from a float and a list from a tuple
     steps = [env.step(s, a, None) for s, row in enumerate(rows) for a in range(len(row))]
     assert repr(steps) == repr([step for row in rows for step in row])
     crit = env.criticality()
     assert repr([crit(s) for s in range(sink + 1)]) == repr(h)
     assert repr(env.junction_moves) == repr(moves)
-    assert env.action_layout()[0] == max(map(len, rows))
-    for n in tree.nodes:
-        if n.id in node_state:
-            assert env.node_state(n.id) == node_state[n.id]
-        else:
-            with pytest.raises(KeyError):
-                env.node_state(n.id)
     with pytest.raises(ValueError, match="^cannot step from the TERMINAL state$"):
         env.step(sink, 0, None)
     for s in (-1, sink + 1):
