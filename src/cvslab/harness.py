@@ -405,9 +405,9 @@ def running_average(series, window: int) -> list[float]:
 def average_over_runs(results: list[RunResult]) -> list[float]:
     """Element-wise mean of per-run return series (all runs same length).
 
-    Bit for bit numpy's ``mean(axis=0)`` over the runs x episodes array: each
-    episode's sum starts at 0.0 and adds the runs in run order, except that
-    a one-episode series is summed pairwise, as numpy sums a contiguous axis.
+    One rule for every episode count: each episode's sum starts at 0.0 and
+    adds the runs in run order, then divides by the run count, so a curve's
+    first points do not depend on how many episodes the runs had.
     """
     if not results:
         raise ValueError("no runs to average")
@@ -415,37 +415,10 @@ def average_over_runs(results: list[RunResult]) -> list[float]:
     if len(lengths) != 1:
         raise ValueError(f"runs have differing episode counts: {sorted(lengths)}")
     (episodes,) = lengths
-    runs = len(results)
-    if episodes == 1:
-        return [(0.0 + _pairwise_sum([float(r.returns[0]) for r in results])) / runs]
     sums = [0.0] * episodes
     for r in results:
         sums = [total + float(x) for total, x in zip(sums, r.returns)]
-    return [total / runs for total in sums]
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's ``pairwise_sum`` for doubles: eight accumulators over blocks of
-    up to 128 values, and larger inputs split in halves on a multiple of 8."""
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for x in values:
-            total += x
-        return total
-    if n <= 128:
-        acc = values[:8]
-        end = n - n % 8
-        for i in range(8, end, 8):
-            for j in range(8):
-                acc[j] += values[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for x in values[end:]:
-            total += x
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    return [total / len(results) for total in sums]
 
 
 def episodes_to_threshold(curve, threshold: float) -> int | None:

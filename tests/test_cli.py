@@ -719,6 +719,37 @@ def test_integer_rewards_run_as_their_float_twins(tmp_path, monkeypatch):
     assert got == run_csvs(tmp_path, "floats", {"name": "roadtree", "tree": floats})
 
 
+# Rewards whose sum over ten runs is not exact in binary, so the order in
+# which the runs are added shows in the mean.
+INEXACT_SUM_TREE = {
+    "root": 0,
+    "nodes": [{"id": i, "reward": r} for i, r in enumerate((0.0, 0.1, 0.2, 0.3, 0.7, 0.6))],
+    "edges": [
+        {"parent": p, "child": c, "distance": d}
+        for p, c, d in ((0, 1, 2), (0, 2, 3), (1, 3, 1), (1, 4, 2), (2, 5, 1))
+    ],
+}
+
+
+def test_a_runs_first_csv_rows_do_not_depend_on_its_episode_count(tmp_path, monkeypatch):
+    monkeypatch.setenv("CVS_LAB_THREADS", "1")
+
+    def rows(episodes):
+        cfg = write_config(
+            tmp_path / f"e{episodes}.json",
+            environment={"name": "roadtree", "tree": INEXACT_SUM_TREE},
+            algorithms=[{"label": "cvs", "algorithm": "cvs", "epsilon": 0.5}],
+            episodes=episodes,
+            runs=10,
+        )
+        assert main(["run", str(cfg), "--out", str(tmp_path / f"e{episodes}")]) == 0
+        return (tmp_path / f"e{episodes}" / "demo_cvs.csv").read_text(encoding="utf-8").splitlines()
+
+    full = rows(5)
+    for k in (1, 2, 3):
+        assert rows(k) == full[: k + 1]
+
+
 LIST_OUTPUT = """\
 environments:
   roadtree:fig1

@@ -126,7 +126,9 @@ def test_average_over_runs_matches_numpy_mean(runs, episodes, seed, negative_zer
         rows = [[-0.0] * episodes for _ in range(runs)]
     else:
         rows = [curve_values(rnd, episodes) for _ in range(runs)]
-    want = np.array(rows, dtype=np.float64).mean(axis=0)
+    # numpy adds a strided axis run by run, but sums a contiguous one (a
+    # single column) pairwise; a padding column keeps the runs axis strided
+    want = np.array([row + [0.0] for row in rows], dtype=np.float64).mean(axis=0)[:episodes]
     assert hexes(average_over_runs([RunResult(row) for row in rows])) == hexes(want)
 
 

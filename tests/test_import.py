@@ -99,6 +99,9 @@ def public_members(obj) -> list[str]:
 def test_public_members_of_a_table_and_a_built_road_tree():
     # each states a fact once: action counts and the sink are the
     # environment's, and a junction's state is the one its parent's move enters
+    environment = ["action_layout", "criticality", "num_states", "reset", "step", "terminal"]
+    assert public_members(cvslab.ShooterEnv()) == environment
+    assert public_members(cvslab.TennisEnv()) == environment
     env = cvslab.RoadTreeEnv(cvslab.fig1_tree())
     assert public_members(cvslab.QTable.for_env(env)) == ["as_array", "for_env", "row_max", "writes"]
     assert public_members(env) == [
