@@ -153,29 +153,18 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunResult:
     rng = DrawStream(cfg.seed, (run_index,))
     env = make_env(cfg.environment)
     q = QTable.for_env(env, cfg.q_init)
-    params = cfg.params
-    algorithm = cfg.algorithm
-    h = env.criticality() if algorithm == "cvs" else None
-
-    oracle_return: float | None = None
-    flags: list[bool] | None = None
-    if isinstance(env, RoadTreeEnv):
-        oracle_return, _ = optimal_return_oracle(env)
-        flags = []
+    # built per run, not at import, so it holds whatever these module names
+    # are bound to now (a tracer may have wrapped them since)
+    agent = {
+        "cvs": cvs_episode, "qlearning": q_learning_episode, "nstep_sarsa": n_step_sarsa_episode,
+        "qlambda": watkins_qlambda_episode, "mc": mc_episode,
+    }[cfg.algorithm]
+    args = (env, q, env.criticality(), cfg.params, rng) if cfg.algorithm == "cvs" else (env, q, cfg.params, rng)
+    oracle_return, flags = (optimal_return_oracle(env)[0], []) if isinstance(env, RoadTreeEnv) else (None, None)
 
     returns: list[float] = []
     for _ in range(cfg.episodes):
-        if algorithm == "cvs":
-            log = cvs_episode(env, q, h, params, rng)
-        elif algorithm == "qlearning":
-            log = q_learning_episode(env, q, params, rng)
-        elif algorithm == "nstep_sarsa":
-            log = n_step_sarsa_episode(env, q, params, rng)
-        elif algorithm == "qlambda":
-            log = watkins_qlambda_episode(env, q, params, rng)
-        else:
-            log = mc_episode(env, q, params, rng)
-        returns.append(log.total_reward)
+        returns.append(agent(*args).total_reward)
         if flags is not None:
             flags.append(greedy_policy_return(env, q) == oracle_return)
     return RunResult(returns, flags)

@@ -158,7 +158,7 @@ def _records(key: str, items, cls) -> tuple:
 # The most Q-table values a road tree from a config may have: a row for each
 # junction, road state and the sink, each as wide as the widest junction.
 # 2**20 doubles are 8 MiB of address range, resident only where written; the
-# env's one per-state list, h, is 8 B a state, 4 MiB at k=1, distance=87381.
+# env itself keeps nothing per state, so its size grows with the junctions only.
 _MAX_TABLE = 1 << 20
 
 
@@ -285,9 +285,9 @@ class RoadTreeEnv(Environment):
     ``(0.0, s + 1)`` under its one action unless its row of steps is listed
     (a junction's or a chain end's).  The root's state is the first and the
     sink the last; a junction's state is the one its parent's move enters
-    (``junction_moves[parent][action][1]``).  It keeps ``h`` per state; per
-    junction its moves (``junction_moves``, the tree with its roads
-    contracted) and its row; and no :class:`TreeSpec` or node id.
+    (``junction_moves[parent][action][1]``).  It keeps per junction its moves
+    (``junction_moves``, the tree with its roads contracted; ``h`` reads them)
+    and its row, and nothing per state, no :class:`TreeSpec` and no node id.
     """
 
     root_state: StateId = 0
@@ -303,8 +303,6 @@ class RoadTreeEnv(Environment):
         # junction state -> per action (child node reward, child junction state
         # or the sink): the tree with its roads contracted.
         moves: dict[StateId, list[tuple[float, StateId]]] = {}
-        crit = [0.0] * (sink + 1)  # h is 1 at the junctions and the sink, 0 on the roads
-        crit[sink] = 1.0
         free = 1  # the next id to allocate; the root's is 0
         # The walk from the root meets each junction after its parent, which
         # allocated its state; terminal nodes have none.  Each edge's chain
@@ -314,7 +312,7 @@ class RoadTreeEnv(Environment):
             p_state = node_state.get(p)
             if p_state is None:
                 continue
-            crit[p_state], rows[p_state], moves[p_state] = 1.0, [], []
+            rows[p_state], moves[p_state] = [], []
             for e in by_parent[p]:
                 road = range(free, free + e.distance - 1)
                 free = road.stop
@@ -329,7 +327,6 @@ class RoadTreeEnv(Environment):
         self._sink = sink
         # keep the rows the road rule does not give; -0.0 == 0.0, so a signed zero is kept by its sign
         self._rows = {s: r for s, r in rows.items() if r != [(0.0, s + 1)] or math.copysign(1.0, r[0][0]) < 0}
-        self._crit = crit
         self.junction_moves = moves
 
     @property
@@ -353,8 +350,9 @@ class RoadTreeEnv(Environment):
             raise _state_error(self._sink, s, "cannot step from the TERMINAL state")
         raise ValueError(f"action {a} invalid for state {s}")
 
-    def criticality(self) -> CriticalityFn:
-        return self._crit.__getitem__
+    def criticality(self) -> CriticalityFn:  # 1 at the junctions and the sink, 0 on the roads
+        moves, sink = self.junction_moves, self._sink
+        return lambda s: 1.0 if s in moves or s == sink else 0.0
 
 
 def optimal_return_oracle(env: RoadTreeEnv) -> tuple[float, list[int]]:

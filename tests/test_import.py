@@ -114,3 +114,13 @@ def test_public_members_of_a_table_and_a_built_road_tree():
         "step",
         "terminal",
     ]
+
+
+def test_the_readme_library_example_runs_as_written():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## Library\n") :]
+    example = section[section.index("```python\n") + len("```python\n") :]
+    names: dict = {}
+    exec(example[: example.index("```")], names)
+    assert len(names["results"]) == 20
+    assert all(len(run.returns) == 200 for run in names["results"])

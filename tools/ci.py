@@ -7,8 +7,10 @@ this script when none is given; ``.github/workflows/tests.yml`` calls it once
 per step.  It installs nothing: a step that needs the test extra (numpy,
 pytest, hypothesis) or the installed ``cvslab`` script is skipped, and
 reported as skipped, on an interpreter that lacks it; with ``--strict``, as
-in CI where the extra is installed, such a step fails instead.  It prints one
-line per step and then one summary line, and exits 1 if any step failed.
+in CI where the extra is installed, such a step fails instead.  An
+interpreter that cannot be run counts as failed, under its path, and the next
+one is tried.  It prints one line per step and then one summary line, and
+exits 1 if any step or interpreter failed.
 """
 
 from __future__ import annotations
@@ -67,8 +69,14 @@ class Interpreter(NamedTuple):
 
     @classmethod
     def probe(cls, path: str) -> Interpreter:
-        out = subprocess.run([path, "-c", PROBE, *EXTRA], capture_output=True, text=True, check=True).stdout
-        version, missing, scripts = out.split("\n")[:3]
+        """Raises ``Failed`` if ``path`` cannot run ``PROBE``."""
+        try:
+            done = subprocess.run([path, "-c", PROBE, *EXTRA], capture_output=True, text=True)
+        except OSError as exc:
+            raise Failed(f"cannot run it: {exc.strerror}") from None
+        lines = done.stdout.split("\n")
+        check(done.returncode == 0 and len(lines) > 3, f"it did not answer the probe, exit {done.returncode}")
+        version, missing, scripts = lines[:3]
         return cls(path, version, frozenset(missing.split()), Path(scripts))
 
 
@@ -161,7 +169,13 @@ def main(argv=None) -> int:
     names = args.step or list(STEPS)
     tallies, failures = [], 0
     for path in args.interpreters:
-        python = Interpreter.probe(path)
+        try:
+            python = Interpreter.probe(path)
+        except Failed as why:
+            print(f"-- {path}: failed ({why})", flush=True)
+            failures += 1
+            tallies.append(f"{path}: not probed")
+            continue
         tally = dict.fromkeys(("ok", "skipped", "failed"), 0)
         for name in names:
             step = STEPS[name]
