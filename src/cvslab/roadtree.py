@@ -22,7 +22,6 @@ __all__ = [
 ]
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from operator import itemgetter
@@ -53,30 +52,28 @@ class TreeSpec:
     Checked when built: ids, ``root`` and distances must be ints and rewards
     finite real numbers, bools being neither, and a field that is not raises a
     ``ConfigError`` naming it (``edges[0].distance``).  A malformed tree raises
-    a ``ValueError`` naming its first offender; the root must have children."""
+    a ``ValueError`` naming its offender; the root must have children.  The
+    first fault is named, each node in order, then ``root``, then each edge."""
 
     root: int
     nodes: tuple[TreeNode, ...]
     edges: tuple[TreeEdge, ...]
 
     def __post_init__(self) -> None:
-        _setting("root", self.root, _integer)
+        known: set[int] = set()
         for i, n in enumerate(self.nodes):
             _setting(f"nodes[{i}].id", n.id, _integer)
             _setting(f"nodes[{i}].reward", n.reward, _finite_real)
+            if n.id in known:
+                raise ValueError(f"duplicate node id {n.id}")
+            known.add(n.id)
+        _setting("root", self.root, _integer)
+        if self.root not in known:
+            raise ValueError(f"root node {self.root} is not declared")
+        children: set[int] = set()
         for i, e in enumerate(self.edges):
             for key in ("parent", "child", "distance"):
                 _setting(f"edges[{i}].{key}", getattr(e, key), _integer)
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            counts = Counter(ids)
-            dup = next(i for i in ids if counts[i] > 1)
-            raise ValueError(f"duplicate node id {dup}")
-        known = set(ids)
-        if self.root not in known:
-            raise ValueError(f"root node {self.root} is not declared")
-        parents: dict[int, int] = {}
-        for e in self.edges:
             if e.parent not in known:
                 raise ValueError(f"edge parent {e.parent} is not a declared node")
             if e.child not in known:
@@ -85,13 +82,12 @@ class TreeSpec:
                 raise ValueError(f"edge {e.parent}->{e.child} has distance {e.distance} < 1")
             if e.child == self.root:
                 raise ValueError(f"root node {self.root} cannot be a child")
-            if e.child in parents:
+            if e.child in children:
                 raise ValueError(f"node {e.child} has more than one parent")
-            parents[e.child] = e.parent
+            children.add(e.child)
         if self.root not in self._edges_by_parent:
             raise ValueError(f"root node {self.root} has no children")
-        # The root reaching a cycle would give one of its nodes two parents,
-        # so a cycle shows here as unreachable.
+        # A cycle the root reached would give a node two parents, so a cycle shows as unreachable.
         unreachable = known.difference(self._order)
         if unreachable:
             raise ValueError(f"node {min(unreachable)} is unreachable from the root")
@@ -286,8 +282,8 @@ class RoadTreeEnv(Environment):
     (a junction's or a chain end's).  The root's state is the first and the
     sink the last; a junction's state is the one its parent's move enters
     (``junction_moves[parent][action][1]``).  It keeps per junction its moves
-    (``junction_moves``, the tree with its roads contracted; ``h`` reads them)
-    and its row, and nothing per state, no :class:`TreeSpec` and no node id.
+    (``junction_moves``, the contracted tree that ``h``, the layout and the
+    oracle read) and its row for ``step``, and nothing per state or node.
     """
 
     root_state: StateId = 0
@@ -334,7 +330,7 @@ class RoadTreeEnv(Environment):
         return self._sink
 
     def action_layout(self) -> tuple[int, dict[StateId, int], int]:
-        counts = {s: len(row) for s, row in self._rows.items() if len(row) > 1}
+        counts = {s: len(row) for s, row in self.junction_moves.items() if len(row) > 1}
         return max(counts.values(), default=1), counts, 1
 
     def reset(self, rng: Draws) -> StateId:

@@ -287,12 +287,6 @@ def test_invalid_json_exits_two(tmp_path, capsys):
         assert "config: " in err and message in err
 
 
-def test_bad_value_exits_two_and_names_the_key(tmp_path, capsys):
-    cfg = write_config(tmp_path / "demo.json", episodes=0)
-    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "episodes" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -334,8 +328,16 @@ def test_bad_typed_value_exits_two_and_names_the_key(tmp_path, capsys, overrides
             "error: algorithms[1].algorithm: must be one of cvs, qlearning, nstep_sarsa, qlambda, mc, got 'dyna'",
         ),
         (
+            {"algorithms": [{"label": "x", "algorithm": "dyna"}]},
+            "error: algorithms[0].algorithm: must be one of cvs, qlearning, nstep_sarsa, qlambda, mc, got 'dyna'",
+        ),
+        (
             {"algorithms": [{"label": "x", "algorithm": "qlambda", "lambda": 2}]},
             "error: algorithms[0].lambda: must be in [0, 1], got 2",
+        ),
+        (
+            {"algorithms": [{"label": "x", "algorithm": "cvs", "alpha": 2.0}]},
+            "error: algorithms[0].alpha: must be in (0, 1], got 2.0",
         ),
         (  # the block's hyper-parameters are checked before its algorithm
             {"algorithms": [{"label": "x", "algorithm": "dyna", "lambda": 2}]},
@@ -406,14 +408,6 @@ def test_duplicate_labels_rejected(tmp_path, capsys):
     assert "duplicate label" in capsys.readouterr().err
 
 
-def test_unknown_algorithm_rejected(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "demo.json", algorithms=[{"label": "x", "algorithm": "dyna"}]
-    )
-    assert main(["run", str(cfg)]) == 2
-    assert "algorithms[0].algorithm" in capsys.readouterr().err
-
-
 def test_algorithm_hyperparameters_flow_through(tmp_path):
     cfg = write_config(
         tmp_path / "demo.json",
@@ -424,15 +418,6 @@ def test_algorithm_hyperparameters_flow_through(tmp_path):
     assert jobs[0][1].params.lam == 0.5
     assert jobs[0][1].params.alpha == 0.2
     assert jobs[0][1].params.epsilon == 0.1
-
-
-def test_bad_hyperparameter_exits_two(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "demo.json",
-        algorithms=[{"label": "x", "algorithm": "cvs", "alpha": 2.0}],
-    )
-    assert main(["run", str(cfg)]) == 2
-    assert "alpha" in capsys.readouterr().err
 
 
 def test_out_path_collision_exits_three(tmp_path, capsys):

@@ -327,15 +327,6 @@ def test_q_update_moves_toward_target():
     assert q.writes == 2
 
 
-def test_q_update_guards():
-    q = make_table([2])
-    with pytest.raises(ValueError):
-        q_update(q, 1, 0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        q_update(q, 0, 2, 1.0, 0.1)
-    assert q.writes == 0
-
-
 def test_q_index_applies_the_q_update_guards():
     q = make_table([2])
     assert q_index(q, 0, 1) == 1
@@ -388,12 +379,6 @@ def test_greedy_actions_orders_ties_ascending():
     assert greedy_actions(q, 0) == [2]
     q_update(q, 0, 0, 1.0, 1.0)
     assert greedy_actions(q, 0) == [0, 2]
-
-
-def test_greedy_actions_guards():
-    q = make_table([2])
-    with pytest.raises(ValueError):
-        greedy_actions(q, 1)
 
 
 def test_epsilon_greedy_uniform_when_fully_random():
@@ -460,15 +445,6 @@ def test_guard_messages():
             call()
         assert str(info.value) == message
     assert q.writes == 0
-
-
-def test_epsilon_greedy_guards():
-    q = make_table([2])
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        epsilon_greedy(q, 0, 1.5, rng)
-    with pytest.raises(ValueError):
-        epsilon_greedy(q, 1, 0.1, rng)
 
 
 def test_terminal_row_survives_everything():

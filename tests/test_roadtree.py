@@ -442,6 +442,27 @@ def test_tree_spec_checks_field_types_and_names_offender(fields, message):
     assert info.value.key == message.split(":")[0]
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ((0, (node(0), node(1), node(1)), (TreeEdge(0, 1, 2.5),)), "duplicate node id 1"),
+        ((0, (node(0), node(2), node(2), node(0)), (TreeEdge(0, 2, 1),)), "duplicate node id 2"),
+        ((9, (node(0), node(1)), (TreeEdge(0, 1, "3"),)), "root node 9 is not declared"),
+        (
+            (0, (node(0), node(1), node(2)), (TreeEdge(0, 5, 1), TreeEdge(0, 2, 2.5))),
+            "edge child 5 is not a declared node",
+        ),
+    ],
+)
+def test_tree_spec_names_its_first_fault_nodes_then_root_then_edges(spec, message):
+    # Two faults each: the first met, each node in order, then the root, then
+    # each edge (its fields, then its tree rules), is the one named.
+    with pytest.raises(ValueError) as info:
+        TreeSpec(*spec)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_from_dict_rejects_malformed_documents():
     # a missing entry or a wrong container is named, not Python's own message
     node = {"id": 0, "reward": 0.0}

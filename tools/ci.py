@@ -28,28 +28,6 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 EXTRA = ("numpy", "pytest", "hypothesis")
 WORKLOADS = ("fig1-oracle", "fig4-lookahead", "shooter-serial", "tennis-table")
-CVSLAB_LIST = """\
-environments:
-  roadtree:fig1
-  roadtree:fig3
-  roadtree:fig4
-  roadtree:fig6
-  roadtree
-  shooter
-  tennis
-algorithms:
-  cvs
-  qlearning
-  nstep_sarsa
-  qlambda
-  mc
-presets:
-  fig2
-  fig3
-  fig4
-  fig6
-  shooter
-"""
 
 # What an interpreter reports of itself: its version, which of EXTRA it
 # cannot import, and the directory its installed scripts go to.
@@ -107,24 +85,28 @@ def run(cmd, cwd=ROOT, env=None, capture=False) -> str:
 
 
 def installed_script(python: Interpreter) -> None:
-    """The installed cvslab script runs and plots a preset, and lists the environments, algorithms and presets."""
+    """The installed cvslab script runs, plots and lists as the source CLI does."""
     cvslab = python.scripts / "cvslab"
     if not cvslab.is_file():
         raise Skipped(f"no installed cvslab script in {python.scripts}")
+    installed_env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    source_env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "r"
-        run([cvslab, "run", "fig3", "--out", "r", "--seed", "3"], cwd=tmp)
-        for name in ("fig3_cvs.csv", "fig3_qlambda.csv"):
-            lines = (out / name).read_bytes().count(b"\n")
-            check(lines == 201, f"{name} has {lines} lines, not 201")
-        spec = json.loads((out / "fig3_plot.json").read_text(encoding="utf-8"))
-        csvs = [c["csv"] for c in spec["curves"]]
-        check(csvs == ["fig3_cvs.csv", "fig3_qlambda.csv"], f"fig3_plot.json curves: {csvs}")
-        run([cvslab, "plot", "r/fig3_plot.json"], cwd=tmp)
-        polylines = (out / "fig3.svg").read_text(encoding="utf-8").count("<polyline")
-        check(polylines == 2, f"fig3.svg has {polylines} polylines, not 2")
-        listed = run([cvslab, "list"], cwd=tmp, capture=True)
-        check(listed == CVSLAB_LIST, f"cvslab list printed:\n{listed}")
+        installed = cli_output([cvslab], installed_env, Path(tmp) / "installed")
+        source = cli_output([python.path, "-m", "cvslab.cli"], source_env, Path(tmp) / "source")
+    differ = sorted(k for k in installed.keys() | source.keys() if installed.get(k) != source.get(k))
+    check(not differ, f"the installed script and the source CLI differ in {', '.join(differ)}")
+
+
+def cli_output(cli: list, env: dict, cwd: Path) -> dict[str, bytes]:
+    """What ``cli`` prints for ``list`` and writes for a run and a plot of the
+    fig3 preset, by command or file name."""
+    cwd.mkdir()
+    run([*cli, "run", "fig3", "--out", "r", "--seed", "3"], cwd=cwd, env=env)
+    run([*cli, "plot", "r/fig3_plot.json"], cwd=cwd, env=env)
+    output = {"list": run([*cli, "list"], cwd=cwd, env=env, capture=True).encode()}
+    output.update((str(f.relative_to(cwd)), f.read_bytes()) for f in (cwd / "r").rglob("*") if f.is_file())
+    return output
 
 
 def tier1(python: Interpreter) -> None:
@@ -150,11 +132,15 @@ def workloads(python: Interpreter) -> None:
     """Each benchmark workload, 3 s, reads correct with no failed run."""
     needs(python, "numpy")
     for name in WORKLOADS:
-        last = run([python.path, "benchmarks/run.py", "--workload", name, "--seconds", "3"], capture=True)
-        last = last.splitlines()[-1]
+        out = run([python.path, "benchmarks/run.py", "--workload", name, "--seconds", "3"], capture=True)
+        last = (out.splitlines() or [""])[-1]
         print(last)
-        result = json.loads(last)
-        check(result["correct"] is True and result["failed"] == 0, f"{name}: {last}")
+        try:
+            result = json.loads(last)
+            ok = result["correct"] is True and result["failed"] == 0
+        except (ValueError, KeyError, TypeError):
+            raise Failed(f"{name}: its last line is not a result: {last!r}") from None
+        check(ok, f"{name}: {last}")
 
 
 STEPS = {step.__name__.replace("_", "-"): step for step in (installed_script, tier1, presets, selftest, workloads)}
