@@ -174,10 +174,6 @@ class Environment(ABC):
     """
 
     @property
-    def num_states(self) -> int:
-        return self.terminal + 1
-
-    @property
     @abstractmethod
     def terminal(self) -> StateId:
         """Id of the absorbing sink state, the last state."""

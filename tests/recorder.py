@@ -6,11 +6,17 @@ they are given, and ``cvslab.agents`` looks up ``q_update`` and
 sees every step taken and every value written.  ``q_update_traced`` returns
 nothing, so the targets of its traced pairs are computed here, from the
 table before the call, by the float operations the kernel performs.
+
+``side_by_side`` runs an agent against another agent or against a slower
+reference from ``tests/references.py``, and checks that the two are the same
+algorithm, bit for bit.
 """
 
 from __future__ import annotations
 
 import cvslab.agents as agents
+from cvslab import QTable
+from cvslab.core import DrawStream
 
 
 class Recorder:
@@ -60,3 +66,43 @@ class Recorder:
     def __exit__(self, *exc) -> None:
         del self.env.step
         agents.q_update, agents.q_update_traced = self._saved
+
+
+def hexed(updates):
+    return [(s, a, float(target).hex(), boot) for s, a, target, boot in updates]
+
+
+def side_by_side(make_env, q_init, seed, episodes, run, other, *args):
+    """Run ``run`` and ``other`` for ``episodes`` episodes, each on its own
+    ``make_env()``, table of ``q_init`` and ``DrawStream(seed)``, called as
+    ``fn(env, q, *args, rng)``.  A side is an agent, which returns an
+    ``EpisodeLog`` and is observed by a ``Recorder``, or a reference, which
+    returns ``(return, steps, updates)``.
+
+    After every episode the two must have the same return, step count and
+    update list, and each must have logged one update per write its table
+    counted, so equal updates kept the tables equal.  After the last episode
+    they must have the same ``writes``, table bytes and next draw.
+    """
+    sides = []
+    for fn in (run, other):
+        env = make_env()
+        sides.append((fn, env, QTable.for_env(env, q_init), DrawStream(seed)))
+    for episode in range(episodes):
+        seen = []
+        for fn, env, q, rng in sides:
+            writes = q.writes
+            with Recorder(env) as rec:
+                out = fn(env, q, *args, rng)
+            total, steps, updates = out if isinstance(out, tuple) else (out.total_reward, out.steps, rec.updates)
+            assert len(updates) == q.writes - writes, (
+                f"episode {episode}: {len(updates)} updates logged, {q.writes - writes} written"
+            )
+            seen.append(((total, steps), hexed(updates)))
+        (ends, updates), (other_ends, other_updates) = seen
+        assert ends == other_ends, f"episode {episode}: return and steps {ends} vs {other_ends}"
+        assert updates == other_updates, f"episode {episode}: the update lists differ"
+    (_, _, q, rng), (_, _, other_q, other_rng) = sides
+    assert q.writes == other_q.writes, f"writes {q.writes} vs {other_q.writes}"
+    assert bytes(q._values) == bytes(other_q._values), "the table bytes differ"
+    assert rng.random() == other_rng.random(), "the two consumed different draws"

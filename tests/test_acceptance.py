@@ -15,7 +15,6 @@ import numpy as np
 from cvslab import (
     AgentParams,
     ExperimentConfig,
-    QTable,
     RoadTreeEnv,
     ShooterEnv,
     TennisEnv,
@@ -33,6 +32,7 @@ from cvslab import (
 )
 from cvslab.cli import main as cli_main
 from cvslab.tennis import _unpack
+from recorder import side_by_side
 from references import reference_mc_episode, reference_n_step_sarsa_episode
 
 TREE_PARAMS = AgentParams(alpha=0.1, epsilon=0.1, gamma=1.0)
@@ -47,52 +47,29 @@ def report(scoreboard, number: int, label: str, ok: bool, detail: str = "") -> s
     return line
 
 
-def tables_stay_identical(
-    env_factory, run_a, run_b, seeds, episodes, q_init: float = 0.0
-) -> str | None:
-    for seed in seeds:
-        env_a, env_b = env_factory(), env_factory()
-        q_a, q_b = QTable.for_env(env_a, q_init), QTable.for_env(env_b, q_init)
-        rng_a = np.random.default_rng(np.random.SeedSequence(seed))
-        rng_b = np.random.default_rng(np.random.SeedSequence(seed))
-        for ep in range(episodes):
-            run_a(env_a, q_a, rng_a)
-            run_b(env_b, q_b, rng_b)
-            if not np.array_equal(q_a.as_array(), q_b.as_array()):
-                return f"diverged at seed {seed}, episode {ep}"
-    return None
-
-
 def test_acceptance_1_constant_criticality_equivalences(scoreboard):
-    seeds = (0, 1, 2, 3, 4)
+    fig3 = lambda: RoadTreeEnv(fig3_tree())
     failures = []
 
-    def cvs_with(h_value, n, gamma):
-        params = AgentParams(alpha=0.1, epsilon=0.1, gamma=gamma, n=n)
-        run_a = lambda env, q, rng: cvs_episode(env, q, lambda s: h_value, params, rng)
-        run_b = lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng)
-        return run_a, run_b
+    def equivalent(where, factory, q_init, episodes, h_value, reference, params):
+        cvs_at_h = lambda env, q, params, rng: cvs_episode(env, q, lambda s: h_value, params, rng)
+        for seed in (0, 1, 2, 3, 4):
+            try:
+                side_by_side(factory, q_init, seed, episodes, cvs_at_h, reference, params)
+            except AssertionError as exc:
+                failures.append(f"{where}: seed {seed}: {exc}")
+                return
 
     # gamma < 1 makes a wrong discount power visible, but only on a bootstrap
     # value that is not zero.  From a zero table, 15 shooter episodes
     # bootstrap on zeros only, so the shooter tables start at 0.5.
-    for env_name, factory, episodes, q_init in [
-        ("fig3 tree", lambda: RoadTreeEnv(fig3_tree()), 40, 0.0),
-        ("shooter", ShooterEnv, 15, 0.5),
-    ]:
+    for env_name, factory, episodes, q_init in [("fig3 tree", fig3, 40, 0.0), ("shooter", ShooterEnv, 15, 0.5)]:
         for gamma in (1.0, 0.9):
             for h_value, n in [(1.0, 1), (1 / 3, 3)]:
-                run_a, run_b = cvs_with(h_value, n, gamma)
-                problem = tables_stay_identical(factory, run_a, run_b, seeds, episodes, q_init)
-                if problem:
-                    where = f"h={h_value:.3g} vs {n}-step, gamma {gamma}, on {env_name}"
-                    failures.append(f"{where}: {problem}")
-
-    mc_run = lambda env, q, rng: reference_mc_episode(env, q, TREE_PARAMS, rng)
-    zero_run = lambda env, q, rng: cvs_episode(env, q, lambda s: 0.0, TREE_PARAMS, rng)
-    problem = tables_stay_identical(lambda: RoadTreeEnv(fig3_tree()), zero_run, mc_run, seeds, 40)
-    if problem:
-        failures.append(f"h=0 vs monte carlo on fig3 tree: {problem}")
+                where = f"h={h_value:.3g} vs {n}-step, gamma {gamma}, on {env_name}"
+                params = AgentParams(alpha=0.1, epsilon=0.1, gamma=gamma, n=n)
+                equivalent(where, factory, q_init, episodes, h_value, reference_n_step_sarsa_episode, params)
+    equivalent("h=0 vs monte carlo on fig3 tree", fig3, 0.0, 40, 0.0, reference_mc_episode, TREE_PARAMS)
 
     ok = not failures
     line = report(

@@ -35,7 +35,7 @@ from cvslab import (
 )
 from cvslab.agents import _CRT_EPS
 from cvslab.core import DrawStream, q_update
-from recorder import Recorder
+from recorder import Recorder, side_by_side
 from references import (
     reference_cvs_episode,
     reference_mc_episode,
@@ -159,20 +159,16 @@ def fresh(env, initial=0.0):
     return QTable.for_env(env, initial)
 
 
-def rng_for(seed):
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def test_q_learning_targets_on_chain():
     env = ChainEnv([0.5, 2.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=0.5, epsilon=0.1)
-    log = q_learning_episode(env, q, params, rng_for(0))
+    log = q_learning_episode(env, q, params, DrawStream(0))
     assert log.total_reward == 2.5
     assert log.steps == 2
     assert q[0, 0] == approx(0.1 * (0.5 + 0.5 * 0.0))
     assert q[1, 0] == approx(0.1 * 2.0)
-    q_learning_episode(env, q, params, rng_for(0))
+    q_learning_episode(env, q, params, DrawStream(0))
     assert q[1, 0] == approx(0.2 + 0.1 * (2.0 - 0.2))
     assert q[0, 0] == approx(0.05 + 0.1 * (0.5 + 0.5 * 0.2 - 0.05))
 
@@ -181,7 +177,7 @@ def test_n_step_sarsa_two_step_targets():
     env = ChainEnv([1.0, 2.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=0.5, n=2)
-    n_step_sarsa_episode(env, q, params, rng_for(0))
+    n_step_sarsa_episode(env, q, params, DrawStream(0))
     assert q[0, 0] == approx(0.1 * (1.0 + 0.5 * 2.0))
     assert q[1, 0] == approx(0.1 * 2.0)
 
@@ -190,11 +186,11 @@ def test_n_step_sarsa_bootstraps_inside_long_episodes():
     env = ChainEnv([0.0, 0.0, 1.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, n=2)
-    n_step_sarsa_episode(env, q, params, rng_for(0))
+    n_step_sarsa_episode(env, q, params, DrawStream(0))
     assert q[0, 0] == 0.0
     assert q[1, 0] == approx(0.1)
     assert q[2, 0] == approx(0.1)
-    n_step_sarsa_episode(env, q, params, rng_for(0))
+    n_step_sarsa_episode(env, q, params, DrawStream(0))
     # second pass sees Q(2) = 0.1 through the two-step bootstrap
     assert q[0, 0] == approx(0.1 * (0.0 + 0.0 + 0.1))
 
@@ -203,7 +199,7 @@ def test_n_step_longer_than_episode_falls_back_to_full_return():
     env = ChainEnv([1.0, 2.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, n=5)
-    n_step_sarsa_episode(env, q, params, rng_for(0))
+    n_step_sarsa_episode(env, q, params, DrawStream(0))
     assert q[0, 0] == approx(0.3)
     assert q[1, 0] == approx(0.2)
 
@@ -215,18 +211,16 @@ def test_n_step_beyond_any_episode_ends_with_the_episode():
         params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.1, n=n)
         return lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng)
 
-    longest = RoadTreeEnv(fig3_tree()).num_states  # a tree visits no state twice
-    ok, where = paired_tables_match(
-        lambda: RoadTreeEnv(fig3_tree()), run_with(longest), run_with(10**12), seeds=(0, 1), episodes=10
-    )
-    assert ok, f"tables diverged at (seed, episode) {where}"
+    longest = RoadTreeEnv(fig3_tree()).terminal + 1  # a tree visits no state twice
+    for seed in (0, 1):
+        side_by_side(lambda: RoadTreeEnv(fig3_tree()), 0.0, seed, 10, run_with(longest), run_with(10**12))
 
 
 def test_mc_discounted_returns_on_chain():
     env = ChainEnv([1.0, 2.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=0.5)
-    log = mc_episode(env, q, params, rng_for(0))
+    log = mc_episode(env, q, params, DrawStream(0))
     assert log.steps == 2
     assert q[0, 0] == approx(0.1 * (1.0 + 0.5 * 2.0))
     assert q[1, 0] == approx(0.1 * 2.0)
@@ -236,7 +230,7 @@ def test_watkins_trace_decay_on_chain():
     env = ChainEnv([0.0, 0.0, 1.0])
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, lam=0.9)
-    watkins_qlambda_episode(env, q, params, rng_for(0))
+    watkins_qlambda_episode(env, q, params, DrawStream(0))
     assert q[2, 0] == approx(0.1)
     assert q[1, 0] == approx(0.1 * 0.9)
     assert q[0, 0] == approx(0.1 * 0.81)
@@ -248,7 +242,7 @@ def test_watkins_traces_accumulate_on_revisits(lam, last_trace):
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, lam=lam)
     with Recorder(env) as rec:
-        watkins_qlambda_episode(env, q, params, rng_for(0))
+        watkins_qlambda_episode(env, q, params, DrawStream(0))
     # one traced pair, bumped on each of three visits and decayed by lambda
     # in between; only the last step has a nonzero TD error
     assert [(s, a, target) for s, a, target, _ in rec.updates] == [
@@ -260,7 +254,7 @@ def test_watkins_traces_accumulate_on_revisits(lam, last_trace):
     # the next episode starts from zero traces, not from the carried-over one
     v = q[0, 0]
     with Recorder(env) as rec:
-        watkins_qlambda_episode(env, q, params, rng_for(0))
+        watkins_qlambda_episode(env, q, params, DrawStream(0))
     assert rec.updates[-1][2] == approx(v + (1.0 - v) * last_trace)
     assert q.writes == 6
 
@@ -270,7 +264,7 @@ def test_watkins_zero_lambda_clears_traces():
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, lam=0.0)
     with Recorder(env) as rec:
-        watkins_qlambda_episode(env, q, params, rng_for(0))
+        watkins_qlambda_episode(env, q, params, DrawStream(0))
     # a zero decay factor drops every trace, so each step updates only the
     # pair just acted on
     assert [(s, a) for s, a, _, _ in rec.updates] == [(0, 0), (1, 0), (2, 0)]
@@ -292,7 +286,7 @@ def test_cvs_matures_at_the_first_critical_state():
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0)
     with Recorder(env) as rec:
-        log = cvs_episode(env, q, env.criticality(), params, rng_for(0))
+        log = cvs_episode(env, q, env.criticality(), params, DrawStream(0))
     assert log.total_reward == 8.0
     root = env.root_state
     j1 = env.junction_moves[root][0][1]  # node 1's state
@@ -308,7 +302,7 @@ def test_cvs_discounts_waiting_rewards():
     env = RoadTreeEnv(mini_two_junction_tree())
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=0.5)
-    cvs_episode(env, q, env.criticality(), params, rng_for(0))
+    cvs_episode(env, q, env.criticality(), params, DrawStream(0))
     root = env.root_state
     j1 = env.junction_moves[root][0][1]  # node 1's state
     road1 = root + 1
@@ -322,7 +316,7 @@ def test_cvs_flushes_whole_branch_on_terminal():
     q = fresh(env)
     params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1)
     with Recorder(env) as rec:
-        log = cvs_episode(env, q, env.criticality(), params, rng_for(5))
+        log = cvs_episode(env, q, env.criticality(), params, DrawStream(5))
     first_action = rec.trace[0][1]
     branch_value = 2.0 if first_action == 1 else 1.0
     assert log.total_reward == branch_value
@@ -335,7 +329,7 @@ def test_cvs_rejects_criticality_outside_unit_interval():
     env = ChainEnv([0.0, 1.0])
     q = fresh(env)
     with pytest.raises(ValueError, match="criticality"):
-        cvs_episode(env, q, lambda s: 1.5, AgentParams(), rng_for(0))
+        cvs_episode(env, q, lambda s: 1.5, AgentParams(), DrawStream(0))
 
 
 def test_watkins_cuts_traces_after_exploratory_action():
@@ -344,13 +338,9 @@ def test_watkins_cuts_traces_after_exploratory_action():
     root = env.root_state
     q_update(q, root, 0, 0.5, 1.0)
     params = AgentParams(alpha=0.1, gamma=1.0, lam=0.9, epsilon=1.0)
-    seed = next(
-        s
-        for s in range(50)
-        if (lambda g: g.random() < 1.0 and int(g.integers(2)) == 1)(np.random.default_rng(s))
-    )
+    seed = next(s for s in range(50) if (lambda g: g.random() < 1.0 and g.integers(2) == 1)(DrawStream(s)))
     with Recorder(env) as rec:
-        log = watkins_qlambda_episode(env, q, params, np.random.default_rng(seed))
+        log = watkins_qlambda_episode(env, q, params, DrawStream(seed))
     assert rec.trace[0][1] == 1
     assert log.total_reward == 2.0
     # the exploratory root choice was cut from the traces, so the terminal
@@ -361,21 +351,13 @@ def test_watkins_cuts_traces_after_exploratory_action():
     assert q[last_s, last_a] == approx(0.2)
 
 
-def paired_tables_match(env_factory, run_a, run_b, seeds, episodes, initial=0.0):
-    for seed in seeds:
-        env_a, env_b = env_factory(), env_factory()
-        q_a, q_b = fresh(env_a, initial), fresh(env_b, initial)
-        rng_a, rng_b = rng_for(seed), rng_for(seed)
-        for ep in range(episodes):
-            run_a(env_a, q_a, rng_a)
-            run_b(env_b, q_b, rng_b)
-            if not np.array_equal(q_a.as_array(), q_b.as_array()):
-                return False, (seed, ep)
-    return True, None
-
-
 def const_h(value):
     return lambda s: value
+
+
+def cvs_at(h):
+    """cvs with the constant criticality ``h``, called as the references are."""
+    return lambda env, q, params, rng: cvs_episode(env, q, const_h(h), params, rng)
 
 
 @pytest.mark.parametrize("h, n", [(1.0, 1), (0.5, 2), (1 / 3, 3), (0.4, 3), (0.26, 4)])
@@ -383,14 +365,10 @@ def test_cvs_constant_criticality_equals_n_step_sarsa(h, n):
     # gamma < 1 makes a wrong discount power visible
     for gamma in (1.0, 0.9):
         params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=n)
-        ok, where = paired_tables_match(
-            lambda: RoadTreeEnv(fig3_tree()),
-            lambda env, q, rng: cvs_episode(env, q, const_h(h), params, rng),
-            lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
-            seeds=(0, 1, 2),
-            episodes=15,
-        )
-        assert ok, f"gamma {gamma}: tables diverged at (seed, episode) {where}"
+        for seed in (0, 1, 2):
+            side_by_side(
+                lambda: RoadTreeEnv(fig3_tree()), 0.0, seed, 15, cvs_at(h), reference_n_step_sarsa_episode, params
+            )
 
 
 def test_n_copies_of_one_over_n_first_mature_at_the_nth():
@@ -406,29 +384,11 @@ def test_n_copies_of_one_over_n_first_mature_at_the_nth():
 @pytest.mark.parametrize("gamma", [1.0, 0.5])
 def test_cvs_zero_criticality_equals_monte_carlo(gamma):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1)
-    ok, where = paired_tables_match(
-        lambda: RoadTreeEnv(fig1_tree()),
-        lambda env, q, rng: cvs_episode(env, q, const_h(0.0), params, rng),
-        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
-        seeds=(0, 1),
-        episodes=15,
-    )
-    assert ok, f"tables diverged at (seed, episode) {where}"
+    for seed in (0, 1):
+        side_by_side(lambda: RoadTreeEnv(fig1_tree()), 0.0, seed, 15, cvs_at(0.0), reference_mc_episode, params)
 
 
 REDUCTION_GAMMAS = (1.0, 0.9, 0.5, 0.37)
-
-
-def assert_same_tables_on_tree(tree, q_init, seed, episodes, run_a, run_b):
-    """Run two agents side by side on one tree, each from its own DrawStream
-    on the same seed, and compare the table bytes after every episode."""
-    env_a, env_b = RoadTreeEnv(tree), RoadTreeEnv(tree)
-    q_a, q_b = fresh(env_a, q_init), fresh(env_b, q_init)
-    rng_a, rng_b = DrawStream(seed), DrawStream(seed)
-    for episode in range(episodes):
-        run_a(env_a, q_a, rng_a)
-        run_b(env_b, q_b, rng_b)
-        assert q_a.as_array().tobytes() == q_b.as_array().tobytes(), f"episode {episode}"
 
 
 @given(
@@ -439,14 +399,7 @@ def assert_same_tables_on_tree(tree, q_init, seed, episodes, run_a, run_b):
 )
 def test_cvs_zero_criticality_equals_monte_carlo_on_random_trees(tree, gamma, q_init, seed):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1)
-    assert_same_tables_on_tree(
-        tree,
-        q_init,
-        seed,
-        15,
-        lambda env, q, rng: cvs_episode(env, q, const_h(0.0), params, rng),
-        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
-    )
+    side_by_side(lambda: RoadTreeEnv(tree), q_init, seed, 15, cvs_at(0.0), reference_mc_episode, params)
 
 
 @given(
@@ -460,14 +413,7 @@ def test_cvs_constant_criticality_equals_n_step_sarsa_on_random_trees(
     tree, n, gamma, q_init, seed
 ):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=n)
-    assert_same_tables_on_tree(
-        tree,
-        q_init,
-        seed,
-        15,
-        lambda env, q, rng: cvs_episode(env, q, const_h(1 / n), params, rng),
-        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
-    )
+    side_by_side(lambda: RoadTreeEnv(tree), q_init, seed, 15, cvs_at(1 / n), reference_n_step_sarsa_episode, params)
 
 
 def test_cvs_unit_criticality_equals_sarsa_on_shooter():
@@ -475,15 +421,7 @@ def test_cvs_unit_criticality_equals_sarsa_on_shooter():
     # discount, so the 0.5 start is what makes the discount power visible.
     for gamma, initial in [(1.0, 0.0), (0.9, 0.0), (0.9, 0.5)]:
         params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=1)
-        ok, where = paired_tables_match(
-            ShooterEnv,
-            lambda env, q, rng: cvs_episode(env, q, const_h(1.0), params, rng),
-            lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
-            seeds=(0,),
-            episodes=10,
-            initial=initial,
-        )
-        assert ok, f"gamma {gamma}, q_init {initial}: tables diverged at (seed, episode) {where}"
+        side_by_side(ShooterEnv, initial, 0, 10, cvs_at(1.0), reference_n_step_sarsa_episode, params)
 
 
 # Trees are acyclic and deterministic with a 0/1 h; the small MDPs add
@@ -500,56 +438,42 @@ REDUCTION_ENVS = {
 }
 
 
-def assert_qlambda_zero_is_q_learning(make_env, gamma, q_init, seed, episodes):
-    """Watkins Q(0) and Q-learning side by side from equal tables and seeds:
-    the same return and step count every episode, then the same table bytes,
-    write count and next draw."""
-    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.0)
-    env_a, env_b = make_env(), make_env()
-    q_a, q_b = fresh(env_a, q_init), fresh(env_b, q_init)
-    rng_a, rng_b = DrawStream(seed, (0,)), DrawStream(seed, (0,))
-    for episode in range(episodes):
-        a = watkins_qlambda_episode(env_a, q_a, params, rng_a)
-        b = q_learning_episode(env_b, q_b, params, rng_b)
-        assert (a.total_reward, a.steps) == (b.total_reward, b.steps), (seed, episode)
-    assert q_a.writes == q_b.writes
-    assert hashlib.sha256(q_a._values).digest() == hashlib.sha256(q_b._values).digest()
-    assert rng_a.random().hex() == rng_b.random().hex()
-
-
 @pytest.mark.parametrize("q_init", [0.0, 0.5])
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
 @pytest.mark.parametrize("name", sorted(REDUCTION_ENVS))
 def test_watkins_zero_lambda_is_q_learning_bit_for_bit(name, gamma, q_init):
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.0)
     for seed in (0, 1):
-        assert_qlambda_zero_is_q_learning(REDUCTION_ENVS[name], gamma, q_init, seed, 30)
+        side_by_side(REDUCTION_ENVS[name], q_init, seed, 30, watkins_qlambda_episode, q_learning_episode, params)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.9])
 @settings(max_examples=50)
 @given(make_env=TREES_AND_MDPS, q_init=st.sampled_from((0.0, 0.5)), seed=st.integers(0, 2**32 - 1))
 def test_watkins_zero_lambda_is_q_learning_on_random_trees_and_mdps(gamma, make_env, q_init, seed):
-    assert_qlambda_zero_is_q_learning(make_env, gamma, q_init, seed, 15)
+    params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.0)
+    side_by_side(make_env, q_init, seed, 15, watkins_qlambda_episode, q_learning_episode, params)
 
 
-@given(
-    tree=road_trees(),
-    q_init=st.sampled_from((0.0, 0.5)),
-    seed=st.integers(0, 2**32 - 1),
+def q_learning_with_an_unlogged_write(env, q, params, rng):
+    log = q_learning_episode(env, q, params, rng)
+    q_update(q, env.root_state, 0, 1.0, 0.5)  # cvslab.core's, which no Recorder wraps
+    return log
+
+
+# Without these, a runner that compared two empty logs would pass.
+@pytest.mark.parametrize(
+    "run, other, params, message",
+    [
+        (cvs_at(1 / 3), reference_n_step_sarsa_episode, AgentParams(n=2), "the update lists differ"),
+        (watkins_qlambda_episode, q_learning_episode, AgentParams(lam=0.5), "the update lists differ"),
+        (q_learning_with_an_unlogged_write, q_learning_episode, AgentParams(), "25 updates logged, 26 written"),
+    ],
+    ids=["cvs-one-third-vs-2-step", "qlambda-half-vs-q-learning", "unlogged-write"],
 )
-def test_cvs_equals_sarsa_lambda_s_at_unit_gamma_on_trees(tree, q_init, seed):
-    # A tree's h is 0 or 1, so cvs is SARSA(lambda(s)) with lambda = 1 - h
-    # computed forward; the reference computes it backward.
-    params = AgentParams(alpha=0.1, gamma=1.0, epsilon=0.1)
-    env, env_ref = RoadTreeEnv(tree), RoadTreeEnv(tree)
-    q, q_ref = fresh(env, q_init), fresh(env_ref, q_init)
-    rng, rng_ref = DrawStream(seed), DrawStream(seed)
-    h = env.criticality()
-    for episode in range(30):
-        log = cvs_episode(env, q, h, params, rng)
-        total, steps, _ = reference_sarsa_lambda_s_episode(env_ref, q_ref, h, params, rng_ref)
-        assert (log.total_reward, log.steps) == (total, steps), f"episode {episode}"
-        assert q.as_array().tobytes() == q_ref.as_array().tobytes(), f"episode {episode}"
+def test_side_by_side_tells_sides_apart(run, other, params, message):
+    with pytest.raises(AssertionError, match=f"^episode 0: {message}$"):
+        side_by_side(lambda: RoadTreeEnv(fig1_tree()), 0.0, 0, 5, run, other, params)
 
 
 def sarsa_lambda_s_gap(make_env, q_init, seed, episodes):
@@ -569,6 +493,17 @@ def sarsa_lambda_s_gap(make_env, q_init, seed, episodes):
             apart = a != b  # not the padding, equal in both
             return episode, float(np.max(np.abs(a[apart] - b[apart]), initial=0.0))
     return None, 0.0
+
+
+@given(
+    tree=road_trees(),
+    q_init=st.sampled_from((0.0, 0.5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cvs_equals_sarsa_lambda_s_at_unit_gamma_on_trees(tree, q_init, seed):
+    # A tree's h is 0 or 1, so cvs is SARSA(lambda(s)) with lambda = 1 - h
+    # computed forward; the reference computes it backward.
+    assert sarsa_lambda_s_gap(lambda: RoadTreeEnv(tree), q_init, seed, 30) == (None, 0.0)
 
 
 @settings(max_examples=50)
@@ -611,7 +546,7 @@ def test_episode_log_bookkeeping():
     q = fresh(env)
     params = AgentParams()
     with Recorder(env) as rec:
-        log = cvs_episode(env, q, env.criticality(), params, rng_for(3))
+        log = cvs_episode(env, q, env.criticality(), params, DrawStream(3))
     assert log.total_reward == sum(r for _, _, r in rec.trace)
     assert log.steps == len(rec.trace)
     assert q.writes == len(rec.updates)
@@ -631,31 +566,10 @@ def test_terminal_row_stays_zero_across_agents():
     ]
     for i, run in enumerate(runs):
         q = fresh(env)
-        rng = rng_for(i)
+        rng = DrawStream(i)
         for _ in range(5):
             run(env, q, rng)
         assert np.all(q.as_array()[env.terminal] == 0.0)
-
-
-def hexed(updates):
-    return [(s, a, float(target).hex(), boot) for s, a, target, boot in updates]
-
-
-def assert_matches_reference(make_env, q_init, seed, episodes, run, reference):
-    """Run ``run`` under a recorder and ``reference`` side by side from equal
-    tables and seeds."""
-    env, env_ref = make_env(), make_env()
-    q, q_ref = fresh(env, q_init), fresh(env_ref, q_init)
-    rng, rng_ref = rng_for(seed), rng_for(seed)
-    for episode in range(episodes):
-        with Recorder(env) as rec:
-            log = run(env, q, rng)
-        total, steps, updates = reference(env_ref, q_ref, rng_ref)
-        assert (log.total_reward, log.steps) == (total, steps), f"episode {episode}"
-        assert hexed(rec.updates) == hexed(updates), f"episode {episode}"
-    assert q.writes == q_ref.writes
-    assert q.as_array().tobytes() == q_ref.as_array().tobytes()
-    assert rng.random() == rng_ref.random(), "the two consumed different draws"
 
 
 GAMMAS = (1.0, 0.9, 0.5)
@@ -672,7 +586,7 @@ def draw_criticality(data, env):
         return env.criticality()
     if kind == "constant":
         return const_h(data.draw(st.sampled_from((0.0, 1 / 3, 1.0))))
-    n = env.num_states
+    n = env.terminal + 1
     values = data.draw(st.lists(st.sampled_from(H_VALUES), min_size=n, max_size=n))
     return values.__getitem__
 
@@ -688,14 +602,7 @@ def draw_criticality(data, env):
 def test_cvs_matches_list_reference(make_env, gamma, epsilon, q_init, seed, data):
     h = draw_criticality(data, make_env())
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon)
-    assert_matches_reference(
-        make_env,
-        q_init,
-        seed,
-        5,
-        lambda env, q, rng: cvs_episode(env, q, h, params, rng),
-        lambda env, q, rng: reference_cvs_episode(env, q, h, params, rng),
-    )
+    side_by_side(make_env, q_init, seed, 5, cvs_episode, reference_cvs_episode, h, params)
 
 
 @given(
@@ -708,14 +615,7 @@ def test_cvs_matches_list_reference(make_env, gamma, epsilon, q_init, seed, data
 )
 def test_qlambda_matches_dict_reference(make_env, gamma, lam, epsilon, q_init, seed):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon, lam=lam)
-    assert_matches_reference(
-        make_env,
-        q_init,
-        seed,
-        5,
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
-        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
-    )
+    side_by_side(make_env, q_init, seed, 5, watkins_qlambda_episode, reference_qlambda_episode, params)
 
 
 @pytest.mark.parametrize("lam, gamma", [(0.0, 0.9), (0.0, 1.0), (0.9, 0.9), (0.9, 1.0)])
@@ -728,14 +628,7 @@ def test_qlambda_matches_dict_reference(make_env, gamma, lam, epsilon, q_init, s
 )
 def test_qlambda_one_scan_matches_two_scan_reference(lam, gamma, tree, epsilon, q_init, seed):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=epsilon, lam=lam)
-    assert_matches_reference(
-        lambda: RoadTreeEnv(tree),
-        q_init,
-        seed,
-        5,
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
-        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
-    )
+    side_by_side(lambda: RoadTreeEnv(tree), q_init, seed, 5, watkins_qlambda_episode, reference_qlambda_episode, params)
 
 
 # Trees pay at junctions and leaves only; a loop pays a drawn reward at every
@@ -757,14 +650,7 @@ ENV_FACTORIES = st.one_of(
 )
 def test_n_step_sarsa_matches_power_per_reward_reference(make_env, n, gamma, q_init, seed):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, n=n)
-    assert_matches_reference(
-        make_env,
-        q_init,
-        seed,
-        5,
-        lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
-        lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
-    )
+    side_by_side(make_env, q_init, seed, 5, n_step_sarsa_episode, reference_n_step_sarsa_episode, params)
 
 
 @given(
@@ -775,14 +661,7 @@ def test_n_step_sarsa_matches_power_per_reward_reference(make_env, n, gamma, q_i
 )
 def test_mc_matches_full_return_reference(make_env, gamma, q_init, seed):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1)
-    assert_matches_reference(
-        make_env,
-        q_init,
-        seed,
-        5,
-        lambda env, q, rng: mc_episode(env, q, params, rng),
-        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
-    )
+    side_by_side(make_env, q_init, seed, 5, mc_episode, reference_mc_episode, params)
 
 
 # The mixed draws above may leave a (gamma, q_init) pair without a small MDP;
@@ -795,25 +674,13 @@ def test_agents_match_references_on_small_mdps(gamma, q_init, make_env, n, seed)
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1, lam=0.8, n=n)
     h = make_env().criticality()
     checks = [
-        (
-            lambda env, q, rng: cvs_episode(env, q, h, params, rng),
-            lambda env, q, rng: reference_cvs_episode(env, q, h, params, rng),
-        ),
-        (
-            lambda env, q, rng: n_step_sarsa_episode(env, q, params, rng),
-            lambda env, q, rng: reference_n_step_sarsa_episode(env, q, params, rng),
-        ),
-        (
-            lambda env, q, rng: mc_episode(env, q, params, rng),
-            lambda env, q, rng: reference_mc_episode(env, q, params, rng),
-        ),
-        (
-            lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
-            lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
-        ),
+        (cvs_episode, reference_cvs_episode, h, params),
+        (n_step_sarsa_episode, reference_n_step_sarsa_episode, params),
+        (mc_episode, reference_mc_episode, params),
+        (watkins_qlambda_episode, reference_qlambda_episode, params),
     ]
-    for run, reference in checks:
-        assert_matches_reference(make_env, q_init, seed, 10, run, reference)
+    for run, reference, *args in checks:
+        side_by_side(make_env, q_init, seed, 10, run, reference, *args)
 
 
 # Shooter and tennis criticality is 1 in mid-episode states, so cvs updates
@@ -827,28 +694,15 @@ GRID_ENVS = {
 @pytest.mark.parametrize("name", sorted(GRID_ENVS))
 def test_cvs_matches_list_reference_on_grid_envs(name):
     params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.1)
-    assert_matches_reference(
-        GRID_ENVS[name],
-        0.0,
-        11,
-        20,
-        lambda env, q, rng: cvs_episode(env, q, env.criticality(), params, rng),
-        lambda env, q, rng: reference_cvs_episode(env, q, env.criticality(), params, rng),
-    )
+    h = GRID_ENVS[name]().criticality()
+    side_by_side(GRID_ENVS[name], 0.0, 11, 20, cvs_episode, reference_cvs_episode, h, params)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.37])
 @pytest.mark.parametrize("name", sorted(GRID_ENVS))
 def test_mc_matches_full_return_reference_on_grid_envs(name, gamma):
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.1)
-    assert_matches_reference(
-        GRID_ENVS[name],
-        0.0,
-        11,
-        20,
-        lambda env, q, rng: mc_episode(env, q, params, rng),
-        lambda env, q, rng: reference_mc_episode(env, q, params, rng),
-    )
+    side_by_side(GRID_ENVS[name], 0.0, 11, 20, mc_episode, reference_mc_episode, params)
 
 
 EPISODES = {
@@ -906,14 +760,7 @@ def test_qlambda_rewrites_a_fresh_pair_before_the_last_traced_position(monkeypat
 
     monkeypatch.setattr(agents, "q_update_traced", spy)
     params = AgentParams(alpha=0.1, gamma=0.5, epsilon=0.0, lam=0.5)
-    assert_matches_reference(
-        RevisitEnv,
-        0.0,
-        7,
-        3,
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
-        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
-    )
+    side_by_side(RevisitEnv, 0.0, 7, 3, watkins_qlambda_episode, reference_qlambda_episode, params)
     assert (0, 2) in seen
 
 
@@ -935,14 +782,7 @@ def test_qlambda_bookkeeping_matches_dict_reference(make_env, gamma, lam, underf
     chain = list(accumulate(repeat(gamma * lam, make_env().terminal), mul, initial=1.0))
     assert (chain[-1] == 0.0) == underflows
     params = AgentParams(alpha=0.1, gamma=gamma, epsilon=0.0, lam=lam)
-    assert_matches_reference(
-        make_env,
-        0.0,
-        3,
-        3,
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
-        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
-    )
+    side_by_side(make_env, 0.0, 3, 3, watkins_qlambda_episode, reference_qlambda_episode, params)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.9])
@@ -963,7 +803,7 @@ def test_qlambda_reads_a_row_max_again_only_after_the_pass_wrote_that_row(monkey
     env = CycleEnv()
     params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.0, lam=lam)
     with Recorder(env) as rec:
-        watkins_qlambda_episode(env, fresh(env), params, rng_for(3))
+        watkins_qlambda_episode(env, fresh(env), params, DrawStream(3))
     states = [s for s, _, _ in rec.trace]
     # One read of the first state and of each next state, and a second one
     # where the step before wrote that state's row.  At lambda = 0 each pass
@@ -976,14 +816,7 @@ def test_qlambda_reads_a_row_max_again_only_after_the_pass_wrote_that_row(monkey
 @pytest.mark.parametrize("name", sorted(GRID_ENVS))
 def test_qlambda_matches_dict_reference_on_grid_envs(name):
     params = AgentParams(alpha=0.1, gamma=0.9, epsilon=0.1, lam=0.9)
-    assert_matches_reference(
-        GRID_ENVS[name],
-        0.0,
-        11,
-        20,
-        lambda env, q, rng: watkins_qlambda_episode(env, q, params, rng),
-        lambda env, q, rng: reference_qlambda_episode(env, q, params, rng),
-    )
+    side_by_side(GRID_ENVS[name], 0.0, 11, 20, watkins_qlambda_episode, reference_qlambda_episode, params)
 
 
 # The CSV pins and the presets miss a trace that skips one decay (the chain

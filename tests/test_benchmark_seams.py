@@ -59,7 +59,7 @@ def test_what_the_benchmark_reads_from_cvslab():
     log = cvslab.harness.cvs_episode(env, q, env.criticality(), AgentParams(), np.random.default_rng(0))
     assert log.steps > 0
     width, _, _ = env.action_layout()
-    assert q._values.nbytes == env.num_states * width * 8 == 960
+    assert q._values.nbytes == (env.terminal + 1) * width * 8 == 960
 
 
 def assert_no_process_in_group(pgid):

@@ -50,6 +50,14 @@ def test_each_workflow_step_is_named_by_the_docstring_of_the_step_it_runs():
         assert name == ci.STEPS[step].__doc__.removesuffix("."), step
 
 
+def test_the_matrix_runs_every_minor_version_from_the_floor_to_3_13():
+    # read as text: Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = int(re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.MULTILINE).group(1))
+    matrix = re.search(r"^\s*python-version: \[(.*)\]$", WORKFLOW, re.MULTILINE).group(1)
+    assert re.findall(r'"([^"]*)"', matrix) == [f"3.{minor}" for minor in range(floor, 14)]
+
+
 @pytest.mark.parametrize("last", ["not json", "", '{"attempted": 3}'])
 def test_a_workload_whose_last_line_is_not_a_result_fails_the_step(monkeypatch, capsys, last):
     ci = load_ci()

@@ -118,7 +118,7 @@ def test_out_of_range_states_are_rejected(env_name, call):
     # Row -1 is TERMINAL's; a call that took s = -1 for a full row would
     # write or read there through negative indexing.
     before = hashlib.sha256(q._values).digest()
-    for s in (-1, env.num_states):
+    for s in (-1, env.terminal + 1):
         with pytest.raises(ValueError, match="out of range"):
             GUARDED_CALLS[call](q, s)
     assert hashlib.sha256(q._values).digest() == before
@@ -129,7 +129,7 @@ def test_out_of_range_states_are_rejected(env_name, call):
 def test_envs_reject_out_of_range_states(env_name):
     env = GUARD_ENVS[env_name]()
     rng = np.random.default_rng(0)
-    for s in (-1, env.num_states):
+    for s in (-1, env.terminal + 1):
         with pytest.raises(ValueError, match=f"state {s} out of range"):
             env.step(s, 0, rng)
     with pytest.raises(ValueError, match="cannot step from the TERMINAL state"):

@@ -430,6 +430,23 @@ def test_fork_pool_keeps_submission_order(deadline):
     assert_no_child_left()
 
 
+def _touch_unless_first(index, directory):
+    if index == 0:
+        raise ValueError("task 0")
+    if index == 1:
+        time.sleep(0.5)
+    (directory / str(index)).touch()
+
+
+def test_fork_pool_sends_no_task_after_one_raised(deadline, tmp_path):
+    with _ForkPool(2) as pool:
+        with pytest.raises(ValueError, match="task 0"):
+            pool.map(_touch_unless_first, range(6), [tmp_path] * 6)
+    # task 1 was in flight when task 0 raised; tasks 2-5 were never sent
+    assert set(os.listdir(tmp_path)) == {"1"}
+    assert_no_child_left()
+
+
 def _half_a_reply(_):
     return [bytes(1 << 20), threading.Lock()]  # the lock fails to pickle after the bytes are sent
 

@@ -99,7 +99,7 @@ def public_members(obj) -> list[str]:
 def test_public_members_of_a_table_and_a_built_road_tree():
     # each states a fact once: action counts and the sink are the
     # environment's, and a junction's state is the one its parent's move enters
-    environment = ["action_layout", "criticality", "num_states", "reset", "step", "terminal"]
+    environment = ["action_layout", "criticality", "reset", "step", "terminal"]
     assert public_members(cvslab.ShooterEnv()) == environment
     assert public_members(cvslab.TennisEnv()) == environment
     env = cvslab.RoadTreeEnv(cvslab.fig1_tree())
@@ -108,7 +108,6 @@ def test_public_members_of_a_table_and_a_built_road_tree():
         "action_layout",
         "criticality",
         "junction_moves",
-        "num_states",
         "reset",
         "root_state",
         "step",

@@ -70,14 +70,14 @@ def test_fig1_state_layout():
     # six edges with distances 20/10/10/15/15/15 expand into 79 road states;
     # the four leaves have no states, their steps end in the sink
     assert (len(road_states(fig1_tree())), sorted(node_state)) == (79, [0, 1, 2])
-    assert env.num_states == 83
+    assert env.terminal + 1 == 83
     assert action_counts(env)[env.root_state] == 2
 
 
 def test_fig3_state_layout():
     env = RoadTreeEnv(fig3_tree())
     assert len(road_states(fig3_tree())) == 9 + 49
-    assert env.num_states == 60
+    assert env.terminal + 1 == 60
     assert action_counts(env)[env.root_state] == 2
 
 
@@ -145,7 +145,7 @@ def test_criticality_marks_roads_zero():
     env = RoadTreeEnv(fig1_tree())
     h = env.criticality()
     roads = road_states(fig1_tree())
-    assert [h(s) for s in range(env.num_states)] == [0.0 if s in roads else 1.0 for s in range(env.num_states)]
+    assert [h(s) for s in range(env.terminal + 1)] == [0.0 if s in roads else 1.0 for s in range(env.terminal + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_TREES))

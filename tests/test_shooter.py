@@ -27,8 +27,7 @@ def bullet(s: int) -> tuple:
 
 def test_state_space_size():
     env = ShooterEnv()
-    assert env.num_states == 200 + 120_000 + 1
-    assert env.terminal == env.num_states - 1
+    assert env.terminal + 1 == 200 + 120_000 + 1
     assert env.action_layout() == (4, {}, 4)
 
 

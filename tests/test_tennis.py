@@ -37,8 +37,8 @@ def random_fields(rng) -> tuple[int, ...]:
 
 def test_state_space_size():
     env = TennisEnv()
-    assert env.num_states == ROWS * COLS * 6 * ROWS * ROWS + 1
-    assert env.num_states == 1_920_001
+    assert env.terminal + 1 == ROWS * COLS * 6 * ROWS * ROWS + 1
+    assert env.terminal + 1 == 1_920_001
     assert env.action_layout() == (3, {}, 3)
 
 
